@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 import os
 
@@ -47,6 +48,26 @@ def brute_force_primitives(limit: int) -> set[tuple[int, int, int, int]]:
                     if math.gcd(*(abs(v) for v in entries)) == 1:
                         found.add(entries)
     return found
+
+
+def assert_round_robin(bound: int, count: int, primitive_only: bool = False) -> None:
+    """Shard K of ``count`` holds exactly the records of the unsharded
+    stream whose index is K modulo ``count``, in stream order."""
+    whole = list(enumerate_records(EnumerationJob(bound=bound, primitive_only=primitive_only)))
+    pieces = [
+        list(
+            enumerate_records(
+                EnumerationJob(bound=bound, primitive_only=primitive_only, shard=Shard(i, count))
+            )
+        )
+        for i in range(count)
+    ]
+    assert sum(len(p) for p in pieces) == len(whole)
+    interleaved = []
+    for rank, piece in enumerate(pieces):
+        for offset, record in enumerate(piece):
+            interleaved.append((offset * count + rank, record))
+    assert [r for _, r in sorted(interleaved, key=lambda t: t[0])] == whole
 
 
 class TestJobValidation:
@@ -140,6 +161,17 @@ class TestFormats:
             '"canonical":[2,3,6,23],"primitive":true}'
         )
 
+    def test_json_line_matches_json_dumps(self):
+        job = EnumerationJob(bound=2, include_zero=True)
+        for record in enumerate_records(job):
+            payload = dict(zip(("m1", "n1", "m2", "n2", "A", "B", "C", "D1", "D2"), record[:9]))
+            payload["canonical"] = list(record.canonical)
+            payload["primitive"] = record.primitive
+            assert _json_line(record) == json.dumps(payload, separators=(",", ":"))
+
+    def test_zero_record_csv_line_frozen(self):
+        assert _csv_line(_record_for_pair(0, 0, 0, 0)) == "0,0,0,0,0,0,0,0,0,0:0:0:0,false"
+
     def test_csv_header_frozen(self):
         assert CSV_HEADER == "m1,n1,m2,n2,A,B,C,D1,D2,canonical,primitive"
 
@@ -187,34 +219,49 @@ class TestAtomicWrites:
         assert "stale" not in content
 
 
+def write_shards(directory, bound: int, count: int, fmt: str) -> list[str]:
+    paths = []
+    for i in range(count):
+        path = str(directory / f"shard{i}.{fmt}")
+        job = EnumerationJob(bound=bound, shard=Shard(i, count), output_format=fmt)
+        write_records(enumerate_records(job), path, fmt)
+        paths.append(path)
+    return paths
+
+
 class TestSharding:
     def test_shards_partition_the_stream(self):
-        whole = list(enumerate_records(EnumerationJob(bound=1)))
-        pieces = [
-            list(enumerate_records(EnumerationJob(bound=1, shard=Shard(i, 3))))
-            for i in range(3)
-        ]
-        assert sum(len(p) for p in pieces) == len(whole)
-        interleaved = []
-        for rank, piece in enumerate(pieces):
-            for offset, record in enumerate(piece):
-                interleaved.append((offset * 3 + rank, record))
-        assert [r for _, r in sorted(interleaved, key=lambda t: t[0])] == whole
+        assert_round_robin(bound=1, count=3)
+
+    def test_primitive_shards_deal_out_the_emitted_stream(self):
+        # round-robin over the index among primitive records, not among pairs
+        assert_round_robin(bound=2, count=3, primitive_only=True)
 
     @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
     def test_merge_is_byte_identical_to_single_run(self, fmt, tmp_path):
-        reference = str(tmp_path / f"whole.{fmt}")
-        write_records(enumerate_records(EnumerationJob(bound=2)), reference, fmt)
-        shard_paths = []
-        for i in range(3):
-            path = str(tmp_path / f"shard{i}.{fmt}")
-            job = EnumerationJob(bound=2, shard=Shard(i, 3), output_format=fmt)
-            write_records(enumerate_records(job), path, fmt)
-            shard_paths.append(path)
-        merged = str(tmp_path / f"merged.{fmt}")
-        merge_shards(shard_paths, merged, fmt)
-        with open(reference, "rb") as ref, open(merged, "rb") as got:
-            assert got.read() == ref.read()
+        # 100 shards of the 64-record bound-1 stream leave most shards
+        # empty: header-only csv files and empty jsonl files
+        for bound, count in ((2, 3), (1, 100)):
+            reference = str(tmp_path / f"whole.{fmt}")
+            write_records(enumerate_records(EnumerationJob(bound=bound)), reference, fmt)
+            shard_paths = write_shards(tmp_path, bound, count, fmt)
+            merged = str(tmp_path / f"merged.{fmt}")
+            assert merge_shards(shard_paths, merged, fmt) == expected_record_count(bound)
+            with open(reference, "rb") as ref, open(merged, "rb") as got:
+                assert got.read() == ref.read()
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_merge_rejects_a_shard_out_of_stream_order(self, fmt, tmp_path):
+        shard_paths = write_shards(tmp_path, 2, 3, fmt)
+        with open(shard_paths[1]) as handle:
+            lines = handle.readlines()
+        lines[-2], lines[-1] = lines[-1], lines[-2]
+        with open(shard_paths[1], "w") as handle:
+            handle.writelines(lines)
+        merged = tmp_path / f"merged.{fmt}"
+        with pytest.raises(ValueError, match="shard1"):
+            merge_shards(shard_paths, str(merged), fmt)
+        assert not merged.exists()
 
     def test_sharded_primitive_filter_applies_before_slicing(self):
         whole = list(enumerate_records(EnumerationJob(bound=1, primitive_only=True)))
