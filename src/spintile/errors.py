@@ -60,3 +60,8 @@ class ZeroCurvature(SpintileError):
 class CollinearTangencyPoints(SpintileError):
     """The three tangency points lie on a line; no circle passes through
     them."""
+
+
+class FloatOverflow(SpintileError):
+    """An exact value is too large to become a float where floats are
+    needed: SVG coordinates and inexact curvature roots."""

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Union
 
-from .errors import ComplexSolutions, CurlViolation, NonIntegral
-from .spinors import Rational, Spinor, _exact, cross, dot, norm_sq
+from .errors import ComplexSolutions, CurlViolation, FloatOverflow, NonIntegral
+from .spinors import Rational, Spinor, _exact, cross, dot, int_if_whole, norm_sq
 
 ExactOrFloat = Union[int, Fraction, float]
 
@@ -51,12 +51,6 @@ class DescartesQuadruple:
         return (self.a, self.b, self.c, self.d)
 
 
-def _as_plain_int_if_whole(q: Rational) -> Rational:
-    if isinstance(q, Fraction) and q.denominator == 1:
-        return int(q)
-    return q
-
-
 def _exact_sqrt(q: Rational) -> Rational | None:
     """Exact square root of a nonnegative rational, or None if irrational."""
     frac = Fraction(q)
@@ -66,8 +60,7 @@ def _exact_sqrt(q: Rational) -> Rational | None:
     root_num, root_den = math.isqrt(num), math.isqrt(den)
     if root_num * root_num != num or root_den * root_den != den:
         return None
-    root = Fraction(root_num, root_den)
-    return int(root) if root.denominator == 1 else root
+    return int_if_whole(Fraction(root_num, root_den))
 
 
 class FourthCurvatures(NamedTuple):
@@ -83,7 +76,8 @@ def fourth_curvatures(a: Rational, b: Rational, c: Rational) -> FourthCurvatures
 
     Returns exact rationals when the discriminant A·B + B·C + C·A is a
     perfect rational square, floats otherwise.  Raises ComplexSolutions
-    when the discriminant is negative (no real tangent fourth circle).
+    when the discriminant is negative (no real tangent fourth circle) and
+    FloatOverflow when the float roots would overflow.
     """
     a, b, c = (_exact(v, "curvature") for v in (a, b, c))
     disc = a * b + b * c + c * a
@@ -93,8 +87,11 @@ def fourth_curvatures(a: Rational, b: Rational, c: Rational) -> FourthCurvatures
     root = _exact_sqrt(disc)
     if root is not None:
         return FourthCurvatures(base + 2 * root, base - 2 * root, True)
-    spread = 2 * math.sqrt(disc)
-    return FourthCurvatures(float(base) + spread, float(base) - spread, False)
+    try:
+        spread = 2 * math.sqrt(disc)
+        return FourthCurvatures(float(base) + spread, float(base) - spread, False)
+    except OverflowError:
+        raise FloatOverflow("curvatures too large for the inexact float roots") from None
 
 
 @dataclass(frozen=True)
@@ -164,8 +161,8 @@ def from_spinor_triple(
     big_b = -dot(c, a)
     big_c = -dot(a, b)
     half_sum = Fraction(norm_sq(a) + norm_sq(b) + norm_sq(c), 2)
-    d1 = _as_plain_int_if_whole(half_sum + 2 * twist)
-    d2 = _as_plain_int_if_whole(half_sum - 2 * twist)
+    d1 = int_if_whole(half_sum + 2 * twist)
+    d2 = int_if_whole(half_sum - 2 * twist)
     return (big_a, big_b, big_c, d1, d2)
 
 

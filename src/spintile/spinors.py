@@ -12,9 +12,12 @@ so that cross(u, v) = dot(star(u), v).  Identifying (x, y) with x + iy,
 ``star`` is multiplication by i, and ``euclid_square`` is the complex
 square — which is why it emits Pythagorean triples.
 
-Everything here is exact.  Coordinates are ints or Fractions (ints pass
-through untouched, which keeps integer-heavy callers fast); floats are
-rejected to stop silent precision loss.
+Everything here is exact.  Coordinates are ints or Fractions; floats are
+rejected to stop silent precision loss.  Integers stay ``int``: ints pass
+through untouched, :meth:`Spinor.parse` returns whole values such as
+``"6/2"`` or ``"2.0"`` as ``int``, and the arithmetic below builds its
+results without validating them again, which keeps integer-heavy callers
+on fast ``int`` arithmetic.
 """
 
 from __future__ import annotations
@@ -39,6 +42,11 @@ def _exact(value: object, what: str = "coordinate") -> Rational:
     raise TypeError(f"{what} must be an exact rational, got {type(value).__name__}")
 
 
+def int_if_whole(value: Rational) -> Rational:
+    """``value`` as an ``int`` when it is whole, else unchanged."""
+    return value.numerator if value.denominator == 1 else value
+
+
 @dataclass(frozen=True)
 class Spinor:
     """An exact point/vector of the spinor plane."""
@@ -52,12 +60,15 @@ class Spinor:
 
     @classmethod
     def parse(cls, text: str) -> Spinor:
-        """Parse the textual form ``"x,y"`` where each part is an integer
-        or a fraction like ``-1/2``."""
+        """Parse the textual form ``"x,y"`` where each part is an integer,
+        a fraction like ``-1/2`` or a decimal like ``0.5``.  Whole values
+        come back as ``int`` (``"6/2"`` and ``"2.0"`` give 3 and 2), the
+        others as ``Fraction``."""
         parts = text.split(",")
         if len(parts) != 2:
             raise ValueError(f"spinor text must be 'x,y', got {text!r}")
-        return cls(Fraction(parts[0].strip()), Fraction(parts[1].strip()))
+        x, y = (int_if_whole(Fraction(part.strip())) for part in parts)
+        return _spinor(x, y)
 
     def format(self) -> str:
         """Inverse of :meth:`parse`: ``"x,y"`` with exact values."""
@@ -67,19 +78,30 @@ class Spinor:
         return self.x == 0 and self.y == 0
 
     def __add__(self, other: Spinor) -> Spinor:
-        return Spinor(self.x + other.x, self.y + other.y)
+        return _spinor(self.x + other.x, self.y + other.y)
 
     def __sub__(self, other: Spinor) -> Spinor:
-        return Spinor(self.x - other.x, self.y - other.y)
+        return _spinor(self.x - other.x, self.y - other.y)
 
     def __neg__(self) -> Spinor:
-        return Spinor(-self.x, -self.y)
+        return _spinor(-self.x, -self.y)
 
     def __rmul__(self, scalar: Rational) -> Spinor:
         scalar = _exact(scalar, "scalar")
-        return Spinor(scalar * self.x, scalar * self.y)
+        return _spinor(scalar * self.x, scalar * self.y)
 
     __mul__ = __rmul__
+
+
+def _spinor(x: Rational, y: Rational) -> Spinor:
+    """A Spinor from components that are exact by construction: sums,
+    differences and products of ints and Fractions.  Skips the
+    validation of the public constructor."""
+    spinor = object.__new__(Spinor)
+    fields = spinor.__dict__
+    fields["x"] = x
+    fields["y"] = y
+    return spinor
 
 
 ZERO = Spinor(0, 0)
@@ -95,7 +117,7 @@ def cross(u: Spinor, v: Spinor) -> Rational:
 
 def star(u: Spinor) -> Spinor:
     """Quarter turn counterclockwise: (x, y) -> (-y, x)."""
-    return Spinor(-u.y, u.x)
+    return _spinor(-u.y, u.x)
 
 
 def norm_sq(u: Spinor) -> Rational:

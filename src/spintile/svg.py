@@ -14,6 +14,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .disks import PlacedDisk
+from .errors import FloatOverflow
 from .tessellation import Tessellation, Tile, TileClass, dodecagon_boundary
 
 DEFAULT_PALETTE: Mapping[TileClass, str] = {
@@ -132,8 +133,13 @@ def render_tessellation(tess: Tessellation, options: RenderOptions | None = None
     options = options or RenderOptions()
     corners = [v for tile in tess.tiles for v in tile.vertices]
     corners.extend(dodecagon_boundary(tess))
-    xs = [float(v.x) for v in corners]
-    ys = [float(v.y) for v in corners]
+    # every drawn point lies in the hull of these corners, so this is the
+    # one conversion to float that can overflow
+    try:
+        xs = [float(v.x) for v in corners]
+        ys = [float(v.y) for v in corners]
+    except OverflowError:
+        raise FloatOverflow("tessellation coordinates too large to draw as floats") from None
     box_x, box_y, box_w, box_h = _viewbox(xs, ys)
     extent = max(box_w, box_h)
     stroke = extent * 0.004

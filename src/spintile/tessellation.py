@@ -31,11 +31,11 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
+from functools import cached_property
 
 from .errors import DegenerateInput, NegativeOrientation, NonIntegralVertices
 from .quadruples import descartes_residual
-from .spinors import ZERO, Rational, Spinor, cross, dot, norm_sq, star
+from .spinors import ZERO, Rational, Spinor, cross, dot, int_if_whole, norm_sq, star
 
 
 class TileClass(enum.Enum):
@@ -47,7 +47,11 @@ class TileClass(enum.Enum):
 
 @dataclass(frozen=True)
 class Tile:
-    """One parallelogram: anchor plus two edge vectors."""
+    """One parallelogram: anchor plus two edge vectors.
+
+    The vertices and the signed area are computed on first use and kept;
+    equality and hashing still see only the five fields.
+    """
 
     label: str
     tile_class: TileClass
@@ -55,29 +59,19 @@ class Tile:
     edge1: Spinor
     edge2: Spinor
 
-    @property
+    @cached_property
     def vertices(self) -> tuple[Spinor, Spinor, Spinor, Spinor]:
-        return (
-            self.anchor,
-            self.anchor + self.edge1,
-            self.anchor + self.edge1 + self.edge2,
-            self.anchor + self.edge2,
-        )
+        second = self.anchor + self.edge1
+        return (self.anchor, second, second + self.edge2, self.anchor + self.edge2)
 
-    @property
+    @cached_property
     def signed_area(self) -> Rational:
         return cross(self.edge1, self.edge2)
 
 
 def tile_area_shoelace(tile: Tile) -> Rational:
     """Signed area from the vertex cycle; independent of the edge form."""
-    verts = tile.vertices
-    twice = 0
-    for i in range(4):
-        p, q = verts[i], verts[(i + 1) % 4]
-        twice += p.x * q.y - q.x * p.y
-    half = Fraction(twice, 2)
-    return int(half) if half.denominator == 1 else half
+    return polygon_area(tile.vertices)
 
 
 def tile_area_pick(tile: Tile) -> Rational:
@@ -91,10 +85,10 @@ def tile_area_pick(tile: Tile) -> Rational:
     coords: list[int] = []
     for vertex in tile.vertices:
         for value in (vertex.x, vertex.y):
-            frac = Fraction(value)
-            if frac.denominator != 1:
+            whole = int_if_whole(value)
+            if not isinstance(whole, int):
                 raise NonIntegralVertices(f"vertex coordinate {value} is not an integer")
-            coords.append(int(frac))
+            coords.append(whole)
     area2 = int(tile.signed_area)
     if area2 <= 0:
         raise NegativeOrientation(f"tile {tile.label} has signed area {tile.signed_area}")
@@ -115,8 +109,7 @@ def tile_area_pick(tile: Tile) -> Rational:
                     interior += 1
                 else:
                     boundary += 1
-    value = Fraction(2 * interior + boundary - 2, 2)
-    return int(value) if value.denominator == 1 else value
+    return int_if_whole(Fraction(2 * interior + boundary - 2, 2))
 
 
 @dataclass(frozen=True)
@@ -189,8 +182,7 @@ def polygon_area(points: tuple[Spinor, ...]) -> Rational:
     for i in range(count):
         p, q = points[i], points[(i + 1) % count]
         twice += p.x * q.y - q.x * p.y
-    half = Fraction(twice, 2)
-    return int(half) if half.denominator == 1 else half
+    return int_if_whole(Fraction(twice, 2))
 
 
 @dataclass(frozen=True)
@@ -270,16 +262,6 @@ def vertex_set(tile: Tile) -> frozenset[tuple[Rational, Rational]]:
     return frozenset((v.x, v.y) for v in tile.vertices)
 
 
-def _origin_only_red(tess: Tessellation, square: Tile) -> Tile:
-    """The central red touching a square only at the origin."""
-    return tess.tile(_OPPOSITE_RED[square.label])
-
-
-def _side_adjacent_reds(tess: Tessellation, square: Tile) -> list[Tile]:
-    """The two central reds sharing a side with a square."""
-    return [tess.tile(label) for label in _SIDE_REDS[square.label]]
-
-
 def butterfly_areas(tess: Tessellation) -> tuple[Rational, Rational, Rational]:
     """Area of each butterfly: a square, its opposite central red, and
     the two greens between them.  All three equal D, computed here from
@@ -287,7 +269,7 @@ def butterfly_areas(tess: Tessellation) -> tuple[Rational, Rational, Rational]:
     green = tess.tiles_of(TileClass.GREEN)[0].signed_area
     out = []
     for square in tess.tiles_of(TileClass.YELLOW_SQUARE):
-        red = _origin_only_red(tess, square)
+        red = tess.tile(_OPPOSITE_RED[square.label])
         out.append(square.signed_area + red.signed_area + 2 * green)
     return tuple(out)
 
@@ -351,7 +333,7 @@ def check_observations(tess: Tessellation) -> list[ObservationResult]:
     adjacency_holds = True
     witness_parts = []
     for square in squares:
-        adjacent = _side_adjacent_reds(tess, square)
+        adjacent = [tess.tile(label) for label in _SIDE_REDS[square.label]]
         total = sum(r.signed_area for r in adjacent)
         witness_parts.append(f"{square.label}: {square.signed_area} vs {total}")
         if len(adjacent) != 2 or total != square.signed_area:
@@ -362,7 +344,7 @@ def check_observations(tess: Tessellation) -> list[ObservationResult]:
 
     constants = []
     for square in squares:
-        red = _origin_only_red(tess, square)
+        red = tess.tile(_OPPOSITE_RED[square.label])
         constants.append(square.signed_area + red.signed_area)
     expected = sum(t.signed_area for t in tess.tiles_of(TileClass.RED_CENTRAL))
     results.append(
@@ -412,8 +394,3 @@ def tessellation_to_json_dict(tess: Tessellation) -> dict:
             "descartes_residual_Dprime": str(report.descartes_residual_d_prime),
         },
     }
-
-
-def iter_all_vertices(tess: Tessellation) -> Iterator[Spinor]:
-    for tile in tess.tiles:
-        yield from tile.vertices

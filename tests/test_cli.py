@@ -67,6 +67,29 @@ class TestTess:
         out = capsys.readouterr().out
         assert "pair a=1/2,1 b=-1,2" in out
 
+    @pytest.mark.parametrize("spelling", ["3,0", "3/1,0/1", "3.0,0.0"])
+    def test_spellings_of_whole_values_give_identical_bytes(self, spelling, tmp_path, capsys):
+        def outputs(a_text: str) -> tuple[str, str, bytes]:
+            path = tmp_path / f"{a_text.replace('/', '_')}.svg"
+            argv = ["tess", "--a", a_text, "--b", "-1,2"]
+            assert run(argv) == 0
+            text = capsys.readouterr().out
+            assert run([*argv, "--json"]) == 0
+            payload = capsys.readouterr().out
+            assert run([*argv, "--svg", str(path)]) == 0
+            capsys.readouterr()
+            return text, payload, path.read_bytes()
+
+        text, payload, drawing = outputs(spelling)
+        assert "pair a=3,0 b=-1,2" in text
+        assert (text, payload, drawing) == outputs("3,0")
+
+    def test_svg_of_huge_coordinates_fails_cleanly(self, tmp_path, capsys):
+        path = tmp_path / "huge.svg"
+        assert run(["tess", "--a", "1e400,0", "--b", "0,1", "--svg", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("FloatOverflow: ")
+        assert not path.exists()
+
 
 class TestParser:
     def test_no_arguments(self):
@@ -99,6 +122,10 @@ class TestSolve:
     def test_complex_roots_fail(self, capsys):
         assert run(["solve", "--curvatures", "1,1,-1"]) == 1
         assert "ComplexSolutions" in capsys.readouterr().err
+
+    def test_huge_inexact_roots_fail_cleanly(self, capsys):
+        assert run(["solve", "--curvatures", "1e200,1e200,1"]) == 1
+        assert capsys.readouterr().err.startswith("FloatOverflow: ")
 
     def test_json(self, capsys):
         assert run(["solve", "--curvatures", "2,3,6", "--json"]) == 0
@@ -243,6 +270,15 @@ class TestRender:
         rendered = tmp_path / "rendered.svg"
         assert run(["render", "--from-json", str(payload_path), "--out", str(rendered)]) == 0
         assert rendered.read_bytes() == direct.read_bytes()
+
+    def test_huge_tessellation_payload_fails_cleanly(self, tmp_path, capsys):
+        assert run(["tess", "--a", "1e400,0", "--b", "0,1", "--json"]) == 0
+        payload_path = tmp_path / "huge.json"
+        payload_path.write_text(capsys.readouterr().out)
+        out_path = tmp_path / "huge.svg"
+        assert run(["render", "--from-json", str(payload_path), "--out", str(out_path)]) == 1
+        assert capsys.readouterr().err.startswith("FloatOverflow: ")
+        assert not out_path.exists()
 
     def test_configuration_payload_with_midcircles(self, tmp_path, capsys):
         assert run(["verify", "--curvatures", "2,3,6,23", "--json"]) == 0

@@ -13,6 +13,8 @@ from spintile import PythTriple, Spinor, cross, dot, euclid_square, norm_sq, sta
 rationals = st.fractions(min_value=-1000, max_value=1000, max_denominator=1000)
 spinors = st.builds(Spinor, rationals, rationals)
 int_spinors = st.builds(Spinor, st.integers(-50, 50), st.integers(-50, 50))
+components = st.one_of(st.integers(-10**12, 10**12), rationals)
+mixed_spinors = st.builds(Spinor, components, components)
 
 
 class TestConstruction:
@@ -36,6 +38,12 @@ class TestConstruction:
             Spinor(0.5, 1)
         with pytest.raises(TypeError):
             Spinor(1, True)
+        with pytest.raises(TypeError):
+            Spinor(1, 2) * 0.5
+        with pytest.raises(TypeError):
+            0.5 * Spinor(1, 2)
+        with pytest.raises(TypeError):
+            Spinor(1, 2) * True
 
     def test_parse_round_trip(self):
         for text in ("3,0", "-1,2", "1/2,-3/4"):
@@ -58,6 +66,18 @@ class TestConstruction:
         assert -a == Spinor(-3, 0)
         assert 2 * b == Spinor(-2, 4)
         assert b * Fraction(1, 2) == Spinor(Fraction(-1, 2), 1)
+
+    @pytest.mark.parametrize("text, value", [("3", 3), ("6/2", 3), ("2.0", 2), ("-0", 0)])
+    def test_parse_whole_values_are_int(self, text, value):
+        u = Spinor.parse(f"{text},{text}")
+        assert type(u.x) is int and type(u.y) is int
+        assert u == Spinor(value, value)
+
+    @pytest.mark.parametrize("text", ["1/2", "0.5", "-7/3"])
+    def test_parse_other_values_are_fraction(self, text):
+        u = Spinor.parse(f"{text},1")
+        assert type(u.x) is Fraction and u.x == Fraction(text)
+        assert type(u.y) is int
 
     def test_is_zero(self):
         assert Spinor(0, 0).is_zero()
@@ -140,6 +160,29 @@ class TestIdentities:
     @given(spinors)
     def test_norm_sq_is_self_dot(self, u):
         assert norm_sq(u) == dot(u, u)
+
+
+class TestArithmeticResults:
+    """The operators build their results without re-validation; the
+    components must still be exactly the componentwise int/Fraction
+    arithmetic, down to their type."""
+
+    @staticmethod
+    def assert_components(result, x, y):
+        assert type(result) is Spinor
+        assert (type(result.x), type(result.y)) == (type(x), type(y))
+        assert type(x) in (int, Fraction) and type(y) in (int, Fraction)
+        assert (result.x, result.y) == (x, y)
+        assert result == Spinor(x, y) and hash(result) == hash(Spinor(x, y))
+
+    @given(mixed_spinors, mixed_spinors, components)
+    def test_operators_are_componentwise(self, u, v, k):
+        self.assert_components(u + v, u.x + v.x, u.y + v.y)
+        self.assert_components(u - v, u.x - v.x, u.y - v.y)
+        self.assert_components(-u, -u.x, -u.y)
+        self.assert_components(star(u), -u.y, u.x)
+        self.assert_components(k * u, k * u.x, k * u.y)
+        self.assert_components(u * k, k * u.x, k * u.y)
 
 
 class TestEuclidSquare:

@@ -71,6 +71,25 @@ class TestBuild:
             build_tessellation(Spinor(1, 1), Spinor(0, 0))
 
 
+class TestTileGeometryIsKept:
+    def test_vertices_and_area_are_computed_once(self):
+        # large entries, so that a recomputed area would be a new int object
+        tess = build_tessellation(Spinor(10**20 + 3, 1), Spinor(-1, 10**20))
+        tile = tess.tile("green_ab")
+        assert tile.vertices is tile.vertices
+        assert tile.signed_area is tile.signed_area
+
+    def test_equality_and_hash_ignore_the_cache(self):
+        tile = build_tessellation(Spinor(3, 0), Spinor(-1, 2)).tile("lred_c*b")
+        fresh = Tile(tile.label, tile.tile_class, tile.anchor, tile.edge1, tile.edge2)
+        before = hash(tile)
+        assert tile.vertices == (Spinor(3, 3), Spinor(5, 1), Spinor(4, 3), Spinor(2, 5))
+        assert tile.signed_area == 2
+        assert tile == fresh and fresh == tile
+        assert hash(tile) == hash(fresh) == before
+        assert len({tile, fresh}) == 1
+
+
 class TestFigureAreas:
     def test_summary_values(self, figure):
         report = summarize(figure)
