@@ -36,12 +36,14 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .errors import (
     CollinearTangencyPoints,
+    FloatOverflow,
     NoConsistentPlacement,
     NonPositiveCurvature,
     NotTangent,
@@ -221,19 +223,32 @@ def place_configuration(
         raise NonPositiveCurvature(
             f"initial placement needs three positive curvatures, got {curvatures}"
         )
-    ra, rb, rc = (1.0 / float(v) for v in curvatures)
+    fa, fb, fc = (_float_curvature(v) for v in curvatures)
+    ra, rb, rc = 1.0 / fa, 1.0 / fb, 1.0 / fc
     d = ra + rb
     # gap to c resolves into an exact-in-floats x offset plus a height
     x = (d * d + (ra + rc) ** 2 - (rb + rc) ** 2) / (2.0 * d)
     height_sq = (ra + rc) ** 2 - x * x
     assert height_sq > 0.0, "positive curvatures always admit a triangle"
     y = math.sqrt(height_sq)
-    disk_a = PlacedDisk.from_curvature(float(a), (0.0, 0.0))
-    disk_b = PlacedDisk.from_curvature(float(b), (d, 0.0))
-    disk_c = PlacedDisk.from_curvature(float(c), (x, y))
+    disk_a = PlacedDisk.from_curvature(fa, (0.0, 0.0))
+    disk_b = PlacedDisk.from_curvature(fb, (d, 0.0))
+    disk_c = PlacedDisk.from_curvature(fc, (x, y))
     for first, second in ((disk_a, disk_b), (disk_a, disk_c), (disk_b, disk_c)):
         _require_tangent(first, second, 1e-12)
     return (disk_a, disk_b, disk_c)
+
+
+def _float_curvature(value: Rational | float) -> float:
+    """The curvature as a float; FloatOverflow where it, or the radius
+    1/curvature of a nonzero one, lies beyond the float range."""
+    try:
+        result = float(value)
+    except OverflowError:
+        raise FloatOverflow("curvature too large to place as a float disk") from None
+    if value != 0 and abs(result) < 1.0 / sys.float_info.max:
+        raise FloatOverflow("curvature too small: its radius is beyond the float range")
+    return result
 
 
 def _is_positive(value: Rational | float) -> bool:
@@ -255,7 +270,7 @@ def realize_fourth(
     NoConsistentPlacement when neither candidate works (non-Descartes
     input) and ZeroCurvature for curvature 0 (a line, not a disk).
     """
-    value = float(curvature_d)
+    value = _float_curvature(curvature_d)
     if value == 0.0:
         raise ZeroCurvature("curvature 0 describes a line; no disk to place")
     rd = 1.0 / value

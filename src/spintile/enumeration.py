@@ -12,24 +12,28 @@ index, so a merge of all shards reproduces the unsharded file exactly.
 Shard K/N builds only its own records: unfiltered it decodes its pair
 indices directly, and with ``primitive_only`` a gcd-only scan finds the
 emitted index of each pair, so a shard does about 1/N of the work.
-``merge_shards`` streams a k-way merge with memory flat in the stream
-length; it needs every shard file in stream order, as this module
-writes them, and rejects one that is not.
+``merge_shards`` streams a k-way merge of lines with memory flat in the
+stream length.  It accepts exactly the lines this module writes: each
+line must match its format's compiled grammar (no added spaces, extra
+keys or other spellings of a value), its first four integers are its
+generator key, and it is copied through unchanged.  The keys must
+strictly increase along the merged stream, so a shard out of stream
+order, or a record in two shards, is rejected.  ``read_records`` parses
+with the same grammars.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
-import json
 import math
 import os
+import re
 import tempfile
 from dataclasses import dataclass, field
-from typing import IO, Iterable, Iterator, NamedTuple
+from typing import IO, Callable, Iterable, Iterator, NamedTuple
 
 CSV_HEADER = "m1,n1,m2,n2,A,B,C,D1,D2,canonical,primitive"
-
-_JSON_FIELDS = ("m1", "n1", "m2", "n2", "A", "B", "C", "D1", "D2")
 
 
 @dataclass(frozen=True)
@@ -194,11 +198,18 @@ def write_stream(records: Iterable[QuadrupleRecord], handle: IO[str], fmt: str) 
 
 def write_records(records: Iterable[QuadrupleRecord], path: str, fmt: str) -> int:
     """Atomic file write: land fully or not at all (temp file + rename)."""
+    return _atomic_write(path, lambda handle: write_stream(records, handle, fmt))
+
+
+def _atomic_write(path: str, write: Callable[[IO[str]], int]) -> int:
+    """Run ``write`` on a temp file beside ``path`` and rename it into
+    place; on any failure the temp file is removed.  Returns what
+    ``write`` returns."""
     directory = os.path.dirname(os.path.abspath(path))
     descriptor, temp_path = tempfile.mkstemp(dir=directory, suffix=".part")
     try:
         with os.fdopen(descriptor, "w", newline="") as handle:
-            count = write_stream(records, handle, fmt)
+            count = write(handle)
         os.replace(temp_path, path)
     except BaseException:
         if os.path.exists(temp_path):
@@ -207,55 +218,95 @@ def write_records(records: Iterable[QuadrupleRecord], path: str, fmt: str) -> in
     return count
 
 
-def _parse_csv_line(line: str) -> QuadrupleRecord:
-    parts = line.split(",")
-    if len(parts) != 11:
-        raise ValueError(f"bad csv record: {line!r}")
-    return QuadrupleRecord(
-        *map(int, parts[:9]),
-        tuple(map(int, parts[9].split(":"))),
-        parts[10] == "true",
-    )
+# One grammar per format: exactly the line ``_csv_line`` / ``_json_line``
+# writes, newline included, with each INT one integer.  In both, groups
+# 1-9 are m1 .. D2, groups 10-13 the canonical entries and group 14 the
+# primitive flag.
+_LINE_TEMPLATES = {
+    "csv": r"INT,INT,INT,INT,INT,INT,INT,INT,INT,INT:INT:INT:INT,(true|false)\n",
+    "jsonl": (
+        r'\{"m1":INT,"n1":INT,"m2":INT,"n2":INT,"A":INT,"B":INT,"C":INT,"D1":INT,"D2":INT,'
+        r'"canonical":\[INT,INT,INT,INT\],"primitive":(true|false)\}\n'
+    ),
+}
 
 
-def _parse_json_line(line: str) -> QuadrupleRecord:
-    payload = json.loads(line)
-    return QuadrupleRecord(
-        *map(int, map(payload.__getitem__, _JSON_FIELDS)),
-        tuple(payload["canonical"]),
-        bool(payload["primitive"]),
-    )
-
-
-def _iter_records(path: str, fmt: str) -> Iterator[QuadrupleRecord]:
-    """Parse a record file line by line, skipping blank lines."""
-    if fmt == "csv":
-        parse = _parse_csv_line
-    elif fmt == "jsonl":
-        parse = _parse_json_line
-    else:
+@functools.cache
+def _line_grammar(fmt: str) -> re.Pattern[str]:
+    """The compiled grammar of the format's record line.  Compiled on
+    first use, so that importing the package (every CLI call) does not
+    pay for it."""
+    if fmt not in _LINE_TEMPLATES:
         raise ValueError(f"unknown output format {fmt!r}")
+    return re.compile(_LINE_TEMPLATES[fmt].replace("INT", "(0|-?[1-9][0-9]*)"))
+
+
+def _record_lines(path: str, fmt: str) -> Iterator[tuple[re.Match[str], str]]:
+    """Each record line of a file with its grammar match.
+
+    Blank lines are skipped and a csv file must start with the header.
+    Any other line not spelled exactly as ``enumerate`` writes it raises
+    ``ValueError`` naming the file and the line.
+    """
+    fullmatch = _line_grammar(fmt).fullmatch
     with open(path, "r", newline="") as handle:
-        lines = (line.rstrip("\n") for line in handle if line.strip())
-        if fmt == "csv" and next(lines, None) != CSV_HEADER:
-            raise ValueError(f"{path} does not start with the expected csv header")
-        for line in lines:
-            yield parse(line)
+        lines = enumerate(handle, 1)
+        if fmt == "csv":
+            header = next((line for _, line in lines if line.strip()), "")
+            if header.rstrip("\n") != CSV_HEADER:
+                raise ValueError(f"{path} does not start with the expected csv header")
+        for number, line in lines:
+            found = fullmatch(line)
+            if found is None:
+                if line.strip():
+                    raise ValueError(
+                        f"{path}, line {number}: not a {fmt} record line as enumerate "
+                        f"writes it: {line!r}"
+                    )
+                continue
+            yield found, line
 
 
 def read_records(path: str, fmt: str) -> list[QuadrupleRecord]:
-    return list(_iter_records(path, fmt))
+    records = []
+    for found, _ in _record_lines(path, fmt):
+        *values, primitive = found.groups()
+        m1, n1, m2, n2, a, b, c, d1, d2, w, x, y, z = map(int, values)
+        records.append(
+            QuadrupleRecord(m1, n1, m2, n2, a, b, c, d1, d2, (w, x, y, z), primitive == "true")
+        )
+    return records
 
 
-def _in_stream_order(path: str, fmt: str) -> Iterator[QuadrupleRecord]:
-    """The records of one shard file, checked to be in stream order."""
-    previous = None
-    for record in _iter_records(path, fmt):
-        key = record.generator_key()
-        if previous is not None and key <= previous:
-            raise ValueError(f"{path} is not in stream order at generators {key}")
+_Keyed = tuple[tuple[int, int, int, int], str, str]
+
+
+def _keyed_lines(path: str, fmt: str) -> Iterator[_Keyed]:
+    """``(generator key, line, path)`` for each record line of a shard."""
+    for found, line in _record_lines(path, fmt):
+        yield (int(found[1]), int(found[2]), int(found[3]), int(found[4])), line, path
+
+
+def _write_merged(merged: Iterable[_Keyed], handle: IO[str], fmt: str) -> int:
+    """Copy the merged lines through, checking that their generator keys
+    strictly increase; returns the record count."""
+    if fmt == "csv":
+        handle.write(CSV_HEADER + "\n")
+    elif fmt != "jsonl":
+        raise ValueError(f"unknown output format {fmt!r}")
+    count = 0
+    previous: tuple[int, ...] = ()
+    write = handle.write
+    for key, line, path in merged:
+        if key <= previous:
+            raise ValueError(
+                f"{path} breaks the stream order at generators {key}: a record out of "
+                "order, or one that another shard also holds"
+            )
         previous = key
-        yield record
+        write(line)
+        count += 1
+    return count
 
 
 def merge_shards(paths: Iterable[str], out_path: str, fmt: str) -> int:
@@ -265,9 +316,11 @@ def merge_shards(paths: Iterable[str], out_path: str, fmt: str) -> int:
     file holds its records in stream order, as ``enumerate_records``
     writes them, so a streaming k-way merge on the generator tuple
     reproduces a single-shard run of the same job byte for byte while
-    holding one record per shard in memory.  A shard whose generator
-    tuples do not strictly increase raises ``ValueError``.
+    holding one line per shard in memory.  Each line must match the
+    format's grammar, exactly as ``enumerate`` spells it, and is copied
+    through unchanged.  The generator tuples must strictly increase along
+    the merged stream, so a shard out of order, or a record that two
+    shards hold, raises ``ValueError`` naming the shard file.
     """
-    shards = [_in_stream_order(path, fmt) for path in paths]
-    merged = heapq.merge(*shards, key=QuadrupleRecord.generator_key)
-    return write_records(merged, out_path, fmt)
+    merged = heapq.merge(*(_keyed_lines(path, fmt) for path in paths))
+    return _atomic_write(out_path, lambda handle: _write_merged(merged, handle, fmt))

@@ -195,6 +195,11 @@ class TestVerify:
         monkeypatch.setenv("DESCARTES_TOLERANCE", "1e-18")
         assert run(["verify", "--curvatures", "2,3,6,23", "--tolerance", "1e-6"]) == 0
 
+    @pytest.mark.parametrize("curvatures", ["1,1,1,1e400", "1e-400,1,1,1", "1e-310,1,1,1"])
+    def test_curvatures_beyond_the_float_range_fail_cleanly(self, curvatures, capsys):
+        assert run(["verify", "--curvatures", curvatures]) == 1
+        assert capsys.readouterr().err.startswith("FloatOverflow: ")
+
     @pytest.mark.parametrize("bad", ["banana", "-1e-9", "0"])
     def test_invalid_env_tolerance_is_usage_error(self, capsys, monkeypatch, bad):
         monkeypatch.setenv("DESCARTES_TOLERANCE", bad)
@@ -346,3 +351,13 @@ class TestEntryPoint:
         )
         assert result.returncode == 1
         assert "ComplexSolutions" in result.stderr
+
+    def test_module_invocation_float_overflow(self):
+        result = subprocess.run(
+            [sys.executable, "-m", "spintile.cli", "verify", "--curvatures", "1e400,1,1,1"],
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 1
+        assert result.stderr.startswith("FloatOverflow: ")
+        assert "Traceback" not in result.stderr

@@ -20,7 +20,13 @@ from spintile import (
     read_records,
     write_records,
 )
-from spintile.enumeration import _csv_line, _json_line, _record_for_pair, write_stream
+from spintile.enumeration import (
+    _csv_line,
+    _json_line,
+    _line_grammar,
+    _record_for_pair,
+    write_stream,
+)
 
 
 def brute_force_primitives(limit: int) -> set[tuple[int, int, int, int]]:
@@ -169,6 +175,18 @@ class TestFormats:
             payload["primitive"] = record.primitive
             assert _json_line(record) == json.dumps(payload, separators=(",", ":"))
 
+    @pytest.mark.parametrize("fmt, line_of", [("csv", _csv_line), ("jsonl", _json_line)])
+    def test_every_written_line_matches_its_grammar(self, fmt, line_of, tmp_path):
+        records = list(enumerate_records(EnumerationJob(bound=2, include_zero=True)))
+        grammar = _line_grammar(fmt)
+        for record in records:
+            found = grammar.fullmatch(line_of(record) + "\n")
+            assert found is not None
+            assert tuple(map(int, found.group(1, 2, 3, 4))) == record.generator_key()
+        path = str(tmp_path / f"records.{fmt}")
+        write_records(records, path, fmt)
+        assert read_records(path, fmt) == records
+
     def test_zero_record_csv_line_frozen(self):
         assert _csv_line(_record_for_pair(0, 0, 0, 0)) == "0,0,0,0,0,0,0,0,0,0:0:0:0,false"
 
@@ -219,11 +237,15 @@ class TestAtomicWrites:
         assert "stale" not in content
 
 
-def write_shards(directory, bound: int, count: int, fmt: str) -> list[str]:
+def write_shards(
+    directory, bound: int, count: int, fmt: str, include_zero: bool = False
+) -> list[str]:
     paths = []
     for i in range(count):
         path = str(directory / f"shard{i}.{fmt}")
-        job = EnumerationJob(bound=bound, shard=Shard(i, count), output_format=fmt)
+        job = EnumerationJob(
+            bound=bound, shard=Shard(i, count), output_format=fmt, include_zero=include_zero
+        )
         write_records(enumerate_records(job), path, fmt)
         paths.append(path)
     return paths
@@ -241,12 +263,13 @@ class TestSharding:
     def test_merge_is_byte_identical_to_single_run(self, fmt, tmp_path):
         # 100 shards of the 64-record bound-1 stream leave most shards
         # empty: header-only csv files and empty jsonl files
-        for bound, count in ((2, 3), (1, 100)):
+        for bound, count, zero in ((2, 3, False), (1, 100, False), (2, 3, True)):
             reference = str(tmp_path / f"whole.{fmt}")
-            write_records(enumerate_records(EnumerationJob(bound=bound)), reference, fmt)
-            shard_paths = write_shards(tmp_path, bound, count, fmt)
+            job = EnumerationJob(bound=bound, include_zero=zero)
+            write_records(enumerate_records(job), reference, fmt)
+            shard_paths = write_shards(tmp_path, bound, count, fmt, include_zero=zero)
             merged = str(tmp_path / f"merged.{fmt}")
-            assert merge_shards(shard_paths, merged, fmt) == expected_record_count(bound)
+            assert merge_shards(shard_paths, merged, fmt) == expected_record_count(bound, zero)
             with open(reference, "rb") as ref, open(merged, "rb") as got:
                 assert got.read() == ref.read()
 
@@ -262,6 +285,69 @@ class TestSharding:
         with pytest.raises(ValueError, match="shard1"):
             merge_shards(shard_paths, str(merged), fmt)
         assert not merged.exists()
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_merge_skips_blank_lines(self, fmt, tmp_path):
+        reference = tmp_path / f"whole.{fmt}"
+        write_records(enumerate_records(EnumerationJob(bound=1)), str(reference), fmt)
+        shard_paths = write_shards(tmp_path, 1, 2, fmt)
+        for path in shard_paths:
+            with open(path) as handle:
+                lines = handle.readlines()
+            with open(path, "w") as handle:
+                handle.writelines(["\n", *lines[:3], "  \n", *lines[3:], "\n"])
+        merged = tmp_path / f"merged.{fmt}"
+        assert merge_shards(shard_paths, str(merged), fmt) == 64
+        assert merged.read_bytes() == reference.read_bytes()
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_merge_rejects_a_shard_passed_twice(self, fmt, tmp_path):
+        shard_paths = write_shards(tmp_path, 1, 3, fmt)
+        merged = tmp_path / f"merged.{fmt}"
+        with pytest.raises(ValueError, match="shard0"):
+            merge_shards([shard_paths[0], *shard_paths], str(merged), fmt)
+        assert not merged.exists()
+        assert not [name for name in os.listdir(tmp_path) if name.endswith(".part")]
+
+    def test_merge_rejects_shards_that_overlap(self, tmp_path):
+        # each shard is in stream order, but one record is in both
+        shard_paths = write_shards(tmp_path, 1, 2, "jsonl")
+        first, second = (read_records(path, "jsonl") for path in shard_paths)
+        write_records(sorted([*second, first[5]]), shard_paths[1], "jsonl")
+        merged = tmp_path / "merged.jsonl"
+        with pytest.raises(ValueError, match="shard1"):
+            merge_shards(shard_paths, str(merged), "jsonl")
+        assert not merged.exists()
+
+    @pytest.mark.parametrize(
+        "fmt, bad",
+        [
+            ("jsonl", '{"m1": 3, "n1": 0, "m2": -1, "n2": 2, "A": 2, "B": 6, "C": 3, '
+             '"D1": 23, "D2": -1, "canonical": [2, 3, 6, 23], "primitive": true}'),
+            ("jsonl", '{"m1":3,"n1":0,"m2":-1,"n2":2,"A":2,"B":6,"C":3,"D1":23,"D2":-1,'
+             '"canonical":[2,3,6,23],"primitive":true,"extra":0}'),
+            ("jsonl", '{"m1":3,"n1":0,"m2":-1,"n2":2,"A":2,"B":6,"C":3,"D1":23,"D2":-1,'
+             '"canonical":[2,3,6,23],"primitive":1}'),
+            ("jsonl", '{"m1":3,"n1":0,"m2":-1,"n2":2,"A":2,"B":6'),
+            ("csv", "3,0,-1,2,2,6,3,23,-1,2:3:6:23"),
+            ("csv", "3,0,-1,2,2,6,3,23,-01,2:3:6:23,true"),
+        ],
+        ids=["spaces", "extra-key", "primitive-1", "truncated", "ten-fields", "leading-zero"],
+    )
+    def test_merge_and_read_refuse_other_spellings(self, fmt, bad, tmp_path):
+        shard_paths = write_shards(tmp_path, 1, 2, fmt)
+        with open(shard_paths[1]) as handle:
+            lines = handle.readlines()
+        index = len(lines) // 2
+        lines.insert(index, bad + "\n")
+        with open(shard_paths[1], "w") as handle:
+            handle.writelines(lines)
+        merged = tmp_path / f"merged.{fmt}"
+        with pytest.raises(ValueError, match=rf"shard1\.{fmt}, line {index + 1}:"):
+            merge_shards(shard_paths, str(merged), fmt)
+        assert not merged.exists()
+        with pytest.raises(ValueError, match=f"line {index + 1}:"):
+            read_records(shard_paths[1], fmt)
 
     def test_sharded_primitive_filter_applies_before_slicing(self):
         whole = list(enumerate_records(EnumerationJob(bound=1, primitive_only=True)))
