@@ -39,6 +39,7 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from typing import Mapping, Sequence
 
 from .errors import (
@@ -160,21 +161,35 @@ class TangencySpinorNumeric:
         return self.u[0] * self.u[0] + self.u[1] * self.u[1]
 
 
-def _principal(value: complex) -> complex:
-    """Fold a square root onto the branch Re > 0, or Re = 0 and Im ≥ 0."""
-    if value.real < 0 or (value.real == 0 and value.imag < 0):
-        return -value
-    return value
+def _require_tangent(
+    c1: complex, r1: float, c2: complex, r2: float, tolerance: float
+) -> None:
+    """Raise NotTangent unless the center gap is |r1 + r2| within tolerance.
 
-
-def _require_tangent(d1: PlacedDisk, d2: PlacedDisk, tolerance: float) -> None:
-    gap = abs(d2.center_complex() - d1.center_complex())
-    target = abs(d1.radius + d2.radius)
-    scale = max(1.0, abs(d1.radius) + abs(d2.radius))
+    Symmetric bit for bit: |c2 − c1| equals |c1 − c2| and r1 + r2 equals
+    r2 + r1 in floats, so swapping the disks repeats the same test.
+    """
+    gap = abs(c2 - c1)
+    target = abs(r1 + r2)
+    scale = max(1.0, abs(r1) + abs(r2))
     if abs(gap - target) > tolerance * scale:
         raise NotTangent(
             f"center gap {gap!r} vs |r1+r2| {target!r} exceeds tolerance {tolerance}"
         )
+
+
+def _spinor(c1: complex, r1: float, c2: complex, r2: float) -> tuple[float, float]:
+    """sqrt((c2 − c1)/(r1·r2)) folded onto the principal branch: Re > 0,
+    or Re = 0 and Im ≥ 0.
+
+    The reversed pair needs its own call: multiplying by i instead
+    would change the sign of zero components.
+    """
+    u = cmath.sqrt((c2 - c1) / (r1 * r2))
+    re, im = u.real, u.imag
+    if re < 0 or (re == 0 and im < 0):
+        return (-re, -im)
+    return (re, im)
 
 
 def tangency_spinor(
@@ -188,10 +203,9 @@ def tangency_spinor(
     Its square is (c2 − c1)/(r1·r2); its squared norm is the sum of the
     curvatures (both up to the overall sign choice).
     """
-    _require_tangent(d1, d2, tolerance)
-    w = (d2.center_complex() - d1.center_complex()) / (d1.radius * d2.radius)
-    u = _principal(cmath.sqrt(w))
-    return TangencySpinorNumeric(u=(u.real, u.imag), source=source)
+    c1, c2 = d1.center_complex(), d2.center_complex()
+    _require_tangent(c1, d1.radius, c2, d2.radius, tolerance)
+    return TangencySpinorNumeric(u=_spinor(c1, d1.radius, c2, d2.radius), source=source)
 
 
 def tangency_point(d1: PlacedDisk, d2: PlacedDisk) -> tuple[float, float]:
@@ -226,16 +240,29 @@ def place_configuration(
     fa, fb, fc = (_float_curvature(v) for v in curvatures)
     ra, rb, rc = 1.0 / fa, 1.0 / fb, 1.0 / fc
     d = ra + rb
-    # gap to c resolves into an exact-in-floats x offset plus a height
-    x = (d * d + (ra + rc) ** 2 - (rb + rc) ** 2) / (2.0 * d)
-    height_sq = (ra + rc) ** 2 - x * x
-    assert height_sq > 0.0, "positive curvatures always admit a triangle"
+    # gap to c resolves into an exact-in-floats x offset plus a height;
+    # a square beyond the float range raises, and one below it (or a
+    # height lost to rounding) leaves no positive height²
+    try:
+        x = (d * d + (ra + rc) ** 2 - (rb + rc) ** 2) / (2.0 * d)
+        height_sq = (ra + rc) ** 2 - x * x
+    except OverflowError:
+        raise FloatOverflow(
+            f"radii {ra!r}, {rb!r}, {rc!r}: their squares are beyond the float range"
+        ) from None
+    if not height_sq > 0.0:
+        raise FloatOverflow(
+            f"radii {ra!r}, {rb!r}, {rc!r} span no triangle in floats "
+            f"(height² {height_sq!r})"
+        )
     y = math.sqrt(height_sq)
     disk_a = PlacedDisk.from_curvature(fa, (0.0, 0.0))
     disk_b = PlacedDisk.from_curvature(fb, (d, 0.0))
     disk_c = PlacedDisk.from_curvature(fc, (x, y))
     for first, second in ((disk_a, disk_b), (disk_a, disk_c), (disk_b, disk_c)):
-        _require_tangent(first, second, 1e-12)
+        _require_tangent(
+            first.center_complex(), first.radius, second.center_complex(), second.radius, 1e-12
+        )
     return (disk_a, disk_b, disk_c)
 
 
@@ -333,25 +360,61 @@ def circle_through_points(
     return ((ux, uy), radius)
 
 
+def _midcircle(
+    p12: tuple[float, float], p13: tuple[float, float], p23: tuple[float, float]
+) -> PlacedDisk:
+    center, radius = circle_through_points(p12, p13, p23)
+    return PlacedDisk(center=center, radius=radius, curvature=1.0 / radius)
+
+
 def midcircle_through_tangencies(
     d1: PlacedDisk, d2: PlacedDisk, d3: PlacedDisk
 ) -> PlacedDisk:
     """The circle through the three pairwise tangency points of a triple."""
-    points = (
-        tangency_point(d1, d2),
-        tangency_point(d1, d3),
-        tangency_point(d2, d3),
+    return _midcircle(
+        tangency_point(d1, d2), tangency_point(d1, d3), tangency_point(d2, d3)
     )
-    center, radius = circle_through_points(*points)
-    return PlacedDisk(center=center, radius=radius, curvature=1.0 / radius)
 
 
-def _cross(u: tuple[float, float], v: tuple[float, float]) -> float:
-    return u[0] * v[1] - v[0] * u[1]
+def _midcircle_curvature(
+    p12: tuple[float, float], p13: tuple[float, float], p23: tuple[float, float]
+) -> float:
+    """Curvature of the circle through three tangency points; collinear
+    points mean that circle degenerated to a line, whose curvature is
+    zero."""
+    try:
+        return _midcircle(p12, p13, p23).curvature
+    except CollinearTangencyPoints:
+        return 0.0
 
 
-def _dot(u: tuple[float, float], v: tuple[float, float]) -> float:
-    return u[0] * v[0] + u[1] * v[1]
+def _sign_search(
+    x: tuple[float, float],
+    b: tuple[float, float],
+    c: tuple[float, float],
+    order: tuple[int, ...] = (0, 1, 2, 3),
+) -> tuple[float, int]:
+    """Smallest |x + s2·b + s3·c| over the signs s2, s3 = ±1.
+
+    The candidates are summed left to right and taken in ``order`` from
+    (+,+), (+,−), (−,+), (−,−); the first minimum wins, and position 0
+    stands when no candidate is below infinity.  Returns the minimum and
+    its position in ``order``.
+    """
+    (x0, x1), (b0, b1), (c0, c1) = x, b, c
+    p0, p1 = x0 + b0, x1 + b1
+    m0, m1 = x0 - b0, x1 - b1
+    sizes = (
+        math.hypot(p0 + c0, p1 + c1),
+        math.hypot(p0 - c0, p1 - c1),
+        math.hypot(m0 + c0, m1 + c1),
+        math.hypot(m0 - c0, m1 - c1),
+    )
+    best, choice = math.inf, 0
+    for position, k in enumerate(order):
+        if sizes[k] < best:
+            best, choice = sizes[k], position
+    return best, choice
 
 
 @dataclass(frozen=True)
@@ -395,6 +458,39 @@ class ConfigurationReport:
         }
 
 
+def _others(*skip: int) -> tuple[int, ...]:
+    return tuple(j for j in range(4) if j not in skip)
+
+
+# Index tables of the law check on disks 0..3, each in the order its law
+# meets (and the report lists) its terms.
+_PAIRS = tuple(combinations(range(4), 2))
+# thm2: (disk, other, other) for the two spinors leaving one disk
+_FANS = tuple((i, *pair) for i in range(4) for pair in combinations(_others(i), 2))
+# thm3 and thm4: the triple left when one disk is skipped
+_TRIPLES = tuple(_others(skip) for skip in range(4))
+# thm3: per triple, (apex, other, other) for each apex
+_APEXES = tuple(
+    tuple((apex, *_others(skip, apex)) for apex in _others(skip)) for skip in range(4)
+)
+# thm5a: (target, source, source, source)
+_SOURCES = tuple((target, *_others(target)) for target in range(4))
+# thm5b: (common, target, other, other)
+_ADDS = tuple(
+    (common, target, *_others(common, target))
+    for common in range(4)
+    for target in range(4)
+    if target != common
+)
+# thm5b measures s1·a + s2·b − g for (s1, s2) = (+,+), (+,−), (−,+), (−,−).
+# A float sum negates exactly and the norm ignores signs, so these are,
+# bit for bit, |(a+b)−g|, |(a−b)−g|, |(a−b)+g| and |(a+b)+g|: the
+# candidates 1, 3, 2 and 0 of _sign_search(a, b, g).
+_ADD_ORDER = (1, 3, 2, 0)
+# the signs of the candidates at positions 0..3 of a search order
+_SIGNS = (("+1", "+1"), ("+1", "-1"), ("-1", "+1"), ("-1", "-1"))
+
+
 def verify_spinor_laws(
     disks: Sequence[PlacedDisk],
     tolerance: float = DEFAULT_TOLERANCE,
@@ -411,103 +507,82 @@ def verify_spinor_laws(
     structure keeps a floor at the library default so that an extremely
     tight grading tolerance still yields a FAIL verdict with the full
     residual table instead of rejecting the configuration outright.
+    Each unordered pair's tangency is tested once, in the order AB, AC,
+    AD, BC, BD, CD; the spinors of both orders of the pair come from
+    their own difference quotients.
     """
     disks = tuple(disks)
     labels = tuple(labels)
-    assert len(disks) == 4 and len(labels) == 4
-    n = 4
+    if len(disks) != 4 or len(labels) != 4:
+        raise ValueError(
+            f"need 4 disks and 4 labels, got {len(disks)} disks and {len(labels)} labels"
+        )
     detect = max(tolerance, DEFAULT_TOLERANCE)
-    u: dict[tuple[int, int], tuple[float, float]] = {}
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                spinor = tangency_spinor(
-                    disks[i], disks[j], detect, (labels[i], labels[j])
-                )
-                u[(i, j)] = spinor.u
+    centers = [disk.center_complex() for disk in disks]
+    radii = [disk.radius for disk in disks]
+    curvatures = [disk.curvature for disk in disks]
+    # u[i][j] is the spinor of the ordered pair (i, j)
+    u: list[list] = [[None] * 4 for _ in range(4)]
+    for i, j in _PAIRS:
+        ci, ri, cj, rj = centers[i], radii[i], centers[j], radii[j]
+        _require_tangent(ci, ri, cj, rj, detect)
+        u[i][j] = _spinor(ci, ri, cj, rj)
+        u[j][i] = _spinor(cj, rj, ci, ri)
 
     residuals: dict[str, float] = {}
     signs: dict[str, str] = {}
 
     # |u|² = βi + βj, for all unordered pairs
     worst = 0.0
-    for i in range(n):
-        for j in range(i + 1, n):
-            norm = _dot(u[(i, j)], u[(i, j)])
-            worst = max(worst, abs(norm - (disks[i].curvature + disks[j].curvature)))
+    for i, j in _PAIRS:
+        x, y = u[i][j]
+        worst = max(worst, abs(x * x + y * y - (curvatures[i] + curvatures[j])))
     residuals["prop1"] = worst
 
     # |cross of two spinors out of one disk| = |curvature of that disk|
     worst = 0.0
-    for i in range(n):
-        others = [j for j in range(n) if j != i]
-        for a_idx in range(3):
-            for b_idx in range(a_idx + 1, 3):
-                value = abs(_cross(u[(i, others[a_idx])], u[(i, others[b_idx])]))
-                worst = max(worst, abs(value - abs(disks[i].curvature)))
+    for i, a, b in _FANS:
+        (x1, y1), (x2, y2) = u[i][a], u[i][b]
+        worst = max(worst, abs(abs(x1 * y2 - x2 * y1) - abs(curvatures[i])))
     residuals["thm2"] = worst
 
     # |dot of two spinors out of one disk| = curvature of the circle
-    # through the triple's tangency points (computed independently);
-    # collinear tangency points mean that circle degenerated to a line,
-    # whose curvature is zero
+    # through the triple's tangency points (computed independently).
+    # The six points are computed once, in the order the four midcircles
+    # first need them, so that errors from a degenerate pair or midcircle
+    # surface in the order midcircle_through_tangencies would raise them.
+    d0, d1, d2, d3 = disks
+    p12, p13, p23 = tangency_point(d1, d2), tangency_point(d1, d3), tangency_point(d2, d3)
+    mids = [_midcircle_curvature(p12, p13, p23)]
+    p02, p03 = tangency_point(d0, d2), tangency_point(d0, d3)
+    mids.append(_midcircle_curvature(p02, p03, p23))
+    p01 = tangency_point(d0, d1)
+    mids.append(_midcircle_curvature(p01, p03, p13))
+    mids.append(_midcircle_curvature(p01, p02, p12))
     worst = 0.0
-    for skip in range(n):
-        triple = [j for j in range(n) if j != skip]
-        try:
-            mid_curvature = midcircle_through_tangencies(
-                *(disks[j] for j in triple)
-            ).curvature
-        except CollinearTangencyPoints:
-            mid_curvature = 0.0
-        for apex in triple:
-            rest = [j for j in triple if j != apex]
-            value = abs(_dot(u[(apex, rest[0])], u[(apex, rest[1])]))
-            worst = max(worst, abs(value - mid_curvature))
+    for mid, apexes in zip(mids, _APEXES):
+        for apex, a, b in apexes:
+            (x1, y1), (x2, y2) = u[apex][a], u[apex][b]
+            worst = max(worst, abs(abs(x1 * x2 + y1 * y2) - mid))
     residuals["thm3"] = worst
 
     # signed sum of the three spinors around a triple vanishes
     worst = 0.0
-    for skip in range(n):
-        i, j, k = [m for m in range(n) if m != skip]
-        base = u[(i, j)]
-        best = math.inf
-        best_signs = (1, 1)
-        for s2 in (1.0, -1.0):
-            for s3 in (1.0, -1.0):
-                vec = (
-                    base[0] + s2 * u[(j, k)][0] + s3 * u[(k, i)][0],
-                    base[1] + s2 * u[(j, k)][1] + s3 * u[(k, i)][1],
-                )
-                size = math.hypot(*vec)
-                if size < best:
-                    best, best_signs = size, (int(s2), int(s3))
-        signs[f"thm4_curl[{labels[i]}{labels[j]}{labels[k]}]"] = (
-            f"+{labels[i]}{labels[j]} {best_signs[0]:+d}·{labels[j]}{labels[k]} "
-            f"{best_signs[1]:+d}·{labels[k]}{labels[i]}"
-        )
+    for i, j, k in _TRIPLES:
+        best, choice = _sign_search(u[i][j], u[j][k], u[k][i])
+        s2, s3 = _SIGNS[choice]
+        li, lj, lk = labels[i], labels[j], labels[k]
+        signs[f"thm4_curl[{li}{lj}{lk}]"] = f"+{li}{lj} {s2}·{lj}{lk} {s3}·{lk}{li}"
         worst = max(worst, best)
     residuals["thm4_curl"] = worst
 
     # signed sum of the three spinors into one disk vanishes
     worst = 0.0
-    for target in range(n):
-        sources = [j for j in range(n) if j != target]
-        base = u[(sources[0], target)]
-        best = math.inf
-        best_signs = (1, 1)
-        for s2 in (1.0, -1.0):
-            for s3 in (1.0, -1.0):
-                vec = (
-                    base[0] + s2 * u[(sources[1], target)][0] + s3 * u[(sources[2], target)][0],
-                    base[1] + s2 * u[(sources[1], target)][1] + s3 * u[(sources[2], target)][1],
-                )
-                size = math.hypot(*vec)
-                if size < best:
-                    best, best_signs = size, (int(s2), int(s3))
+    for target, i, j, k in _SOURCES:
+        best, choice = _sign_search(u[i][target], u[j][target], u[k][target])
+        s2, s3 = _SIGNS[choice]
         signs[f"thm5a_div[->{labels[target]}]"] = (
-            f"+{labels[sources[0]]} {best_signs[0]:+d}·{labels[sources[1]]} "
-            f"{best_signs[1]:+d}·{labels[sources[2]]}"
+            f"+{labels[i]} {s2}·{labels[j]} {s3}·{labels[k]}"
         )
         worst = max(worst, best)
     residuals["thm5a_div"] = worst
@@ -515,34 +590,20 @@ def verify_spinor_laws(
     # spinors out of a common disk add up to the spinor toward the
     # disk tangent to both
     worst = 0.0
-    for common in range(n):
-        for target in range(n):
-            if target == common:
-                continue
-            rest = [j for j in range(n) if j not in (common, target)]
-            goal = u[(common, target)]
-            best = math.inf
-            best_signs = (1, 1)
-            for s1 in (1.0, -1.0):
-                for s2 in (1.0, -1.0):
-                    vec = (
-                        s1 * u[(common, rest[0])][0] + s2 * u[(common, rest[1])][0] - goal[0],
-                        s1 * u[(common, rest[0])][1] + s2 * u[(common, rest[1])][1] - goal[1],
-                    )
-                    size = math.hypot(*vec)
-                    if size < best:
-                        best, best_signs = size, (int(s1), int(s2))
-            signs[f"thm5b_add[{labels[common]}->{labels[target]}]"] = (
-                f"{best_signs[0]:+d}·{labels[common]}{labels[rest[0]]} "
-                f"{best_signs[1]:+d}·{labels[common]}{labels[rest[1]]}"
-            )
-            worst = max(worst, best)
+    for common, target, a, b in _ADDS:
+        best, choice = _sign_search(
+            u[common][a], u[common][b], u[common][target], _ADD_ORDER
+        )
+        s1, s2 = _SIGNS[choice]
+        lc = labels[common]
+        signs[f"thm5b_add[{lc}->{labels[target]}]"] = (
+            f"{s1}·{lc}{labels[a]} {s2}·{lc}{labels[b]}"
+        )
+        worst = max(worst, best)
     residuals["thm5b_add"] = worst
 
     principal = tuple(
-        TangencySpinorNumeric(u=u[(i, j)], source=(labels[i], labels[j]))
-        for i in range(n)
-        for j in range(i + 1, n)
+        TangencySpinorNumeric(u=u[i][j], source=(labels[i], labels[j])) for i, j in _PAIRS
     )
     return ConfigurationReport(
         disks=disks,

@@ -63,5 +63,7 @@ class CollinearTangencyPoints(SpintileError):
 
 
 class FloatOverflow(SpintileError):
-    """An exact value is too large to become a float where floats are
-    needed: SVG coordinates and inexact curvature roots."""
+    """An exact value, or a quantity computed from it, is outside the
+    float range where floats are needed: SVG coordinates, inexact
+    curvature roots and placed disks (including a placement whose
+    triangle floats cannot resolve)."""

@@ -195,7 +195,20 @@ class TestVerify:
         monkeypatch.setenv("DESCARTES_TOLERANCE", "1e-18")
         assert run(["verify", "--curvatures", "2,3,6,23", "--tolerance", "1e-6"]) == 0
 
-    @pytest.mark.parametrize("curvatures", ["1,1,1,1e400", "1e-400,1,1,1", "1e-310,1,1,1"])
+    @pytest.mark.parametrize(
+        "curvatures",
+        [
+            "1,1,1,1e400",
+            "1e-400,1,1,1",
+            "1e-310,1,1,1",
+            # finite floats whose placement squares or heights leave the range
+            "1e300,1e300,1e300,1",
+            "5.6e-309,1,1,1",
+            "1e-300,1,1,1",
+            # a height lost to rounding next to two far larger radii
+            "1,1,1e16,1",
+        ],
+    )
     def test_curvatures_beyond_the_float_range_fail_cleanly(self, curvatures, capsys):
         assert run(["verify", "--curvatures", curvatures]) == 1
         assert capsys.readouterr().err.startswith("FloatOverflow: ")
@@ -355,6 +368,25 @@ class TestEntryPoint:
     def test_module_invocation_float_overflow(self):
         result = subprocess.run(
             [sys.executable, "-m", "spintile.cli", "verify", "--curvatures", "1e400,1,1,1"],
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 1
+        assert result.stderr.startswith("FloatOverflow: ")
+        assert "Traceback" not in result.stderr
+
+    def test_degenerate_float_placement_fails_cleanly_under_optimize(self):
+        # -O strips asserts: the placement check must raise by itself
+        result = subprocess.run(
+            [
+                sys.executable,
+                "-O",
+                "-m",
+                "spintile.cli",
+                "verify",
+                "--curvatures",
+                "1e300,1e300,1e300,1",
+            ],
             capture_output=True,
             text=True,
         )

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
+import math
 import random
 from fractions import Fraction
 
@@ -13,6 +16,7 @@ from spintile import (
     NonPositiveCurvature,
     NotTangent,
     PlacedDisk,
+    SpintileError,
     Spinor,
     Symbol,
     ZeroCurvature,
@@ -32,6 +36,8 @@ from spintile import (
     tangency_spinor,
     verify_spinor_laws,
 )
+from spintile.cli import _realize_quadruple
+from spintile.disks import _ADD_ORDER, _sign_search
 
 # one hand-checkable frame: the (2, 3, 6) triple inscribed in the unit
 # circle (curvature -1 about the origin), with 23 in the middle gap
@@ -353,6 +359,157 @@ class TestSpinorLaws:
         assert payload["spinors"][0]["pair"] == ["A", "B"]
         assert set(payload["law_residuals"]) == set(report.law_residuals)
         assert payload["sign_assignment"]
+
+
+def _report_lines():
+    """One line per report (or error) over a fixed seeded set: 200
+    families with |entry| <= 30, both roots, each at scale 1, 1e-6 and
+    1e6, placed as ``spintile verify`` places them and graded at three
+    tolerances."""
+    rng = random.Random("verify_spinor_laws report bits")
+    families = 0
+    while families < 200:
+        a = Spinor(rng.randint(-30, 30), rng.randint(-30, 30))
+        b = Spinor(rng.randint(-30, 30), rng.randint(-30, 30))
+        if cross(a, b) == 0:
+            continue
+        families += 1
+        family = from_spinor_pair(a, b)
+        for root in (family.d1, family.d2):
+            for scale in (1, Fraction(1, 10**6), 10**6):
+                curvatures = [scale * v for v in (*family.shared_curvatures, root)]
+                try:
+                    disks, _ = _realize_quadruple(curvatures)
+                    for tolerance in (1e-18, 1e-9, 5e-2):
+                        report = verify_spinor_laws(disks, tolerance)
+                        yield json.dumps(report.to_json_dict())
+                except SpintileError as exc:
+                    yield f"{type(exc).__name__}: {exc}"
+
+
+class TestReportBits:
+    """The law check's reports are pinned bit for bit: every residual,
+    spinor component (with the sign of zero), sign choice and its key
+    order, verdict and error message.  A change to the arithmetic, or
+    to the order of its floating-point operations, shows here."""
+
+    def test_seeded_reports_digest(self):
+        text = "\n".join(_report_lines())
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "9075e8684695095d76bb4bc23afece985d6092657d316ea671fd1a2a20d740eb"
+        )
+
+    def test_figure_quadruple_residuals_and_signs(self):
+        placed = place_configuration(2, 3, 6)
+        report = verify_spinor_laws(placed + (realize_fourth(placed, 23),))
+        assert {name: repr(value) for name, value in report.law_residuals.items()} == {
+            "prop1": "7.105427357601002e-15",
+            "thm2": "3.552713678800501e-15",
+            "thm3": "4.973799150320701e-14",
+            "thm4_curl": "9.930136612989092e-16",
+            "thm5a_div": "9.485749680535094e-16",
+            "thm5b_add": "9.485749680535094e-16",
+        }
+        assert list(report.law_residuals) == [
+            "prop1", "thm2", "thm3", "thm4_curl", "thm5a_div", "thm5b_add"
+        ]
+        assert list(report.sign_assignment.items()) == [
+            ("thm4_curl[BCD]", "+BC +1·CD -1·DB"),
+            ("thm4_curl[ACD]", "+AC -1·CD +1·DA"),
+            ("thm4_curl[ABD]", "+AB -1·BD -1·DA"),
+            ("thm4_curl[ABC]", "+AB -1·BC -1·CA"),
+            ("thm5a_div[->A]", "+B -1·C +1·D"),
+            ("thm5a_div[->B]", "+A +1·C -1·D"),
+            ("thm5a_div[->C]", "+A +1·B -1·D"),
+            ("thm5a_div[->D]", "+A -1·B -1·C"),
+            ("thm5b_add[A->B]", "-1·AC +1·AD"),
+            ("thm5b_add[A->C]", "-1·AB +1·AD"),
+            ("thm5b_add[A->D]", "+1·AB +1·AC"),
+            ("thm5b_add[B->A]", "-1·BC +1·BD"),
+            ("thm5b_add[B->C]", "-1·BA +1·BD"),
+            ("thm5b_add[B->D]", "+1·BA +1·BC"),
+            ("thm5b_add[C->A]", "-1·CB +1·CD"),
+            ("thm5b_add[C->B]", "-1·CA +1·CD"),
+            ("thm5b_add[C->D]", "+1·CA +1·CB"),
+            ("thm5b_add[D->A]", "+1·DB -1·DC"),
+            ("thm5b_add[D->B]", "+1·DA +1·DC"),
+            ("thm5b_add[D->C]", "-1·DA +1·DB"),
+        ]
+        # A and B sit on the x axis: the imaginary part is +0.0, not -0.0
+        assert [(s.source, repr(s.u)) for s in report.spinors] == [
+            (("A", "B"), "(2.23606797749979, 0.0)"),
+            (("A", "C"), "(2.6832815729997477, 0.8944271909999159)"),
+            (("A", "D"), "(4.919349550499537, 0.8944271909999162)"),
+            (("B", "C"), "(1.3416407864998738, 2.6832815729997477)"),
+            (("B", "D"), "(1.341640786499874, 4.919349550499538)"),
+            (("C", "D"), "(3.577708763999663, -4.024922359499621)"),
+        ]
+
+    @pytest.mark.parametrize(
+        "moved, message",
+        [
+            (0, "center gap 0.33333333333333326 vs |r1+r2| 0.8333333333333333"),
+            (1, "center gap 1.3333333333333333 vs |r1+r2| 0.8333333333333333"),
+            (2, "center gap 1.1080513425729772 vs |r1+r2| 0.6666666666666666"),
+            (3, "center gap 1.026676323001422 vs |r1+r2| 0.5434782608695652"),
+        ],
+    )
+    def test_non_tangent_input_names_the_first_failing_pair(self, moved, message):
+        placed = place_configuration(2, 3, 6)
+        disks = list(placed + (realize_fourth(placed, 23),))
+        x, y = disks[moved].center
+        disks[moved] = PlacedDisk.from_curvature(disks[moved].curvature, (x + 0.5, y))
+        with pytest.raises(NotTangent) as caught:
+            verify_spinor_laws(disks)
+        assert str(caught.value) == f"{message} exceeds tolerance 1e-09"
+
+    def test_wrong_argument_lengths_rejected(self):
+        placed = place_configuration(2, 3, 6)
+        with pytest.raises(ValueError, match="3 disks and 5 labels"):
+            verify_spinor_laws(placed, labels=("A", "B", "C", "D", "E"))
+
+
+def _loop_sign_search(vector):
+    """The sign search as a plain double loop over (s1, s2) = ±1 with
+    ``vector(s1, s2)`` the candidate; the first strict minimum wins."""
+    best, best_signs = math.inf, (1, 1)
+    for s1 in (1.0, -1.0):
+        for s2 in (1.0, -1.0):
+            size = math.hypot(*vector(s1, s2))
+            if size < best:
+                best, best_signs = size, (int(s1), int(s2))
+    return best, best_signs
+
+
+class TestSignSearch:
+    """``_sign_search`` equals the loop forms of thm4/thm5a
+    (x + s2·b + s3·c) and thm5b (s1·a + s2·b − g) bit for bit, ties,
+    signed zeros and non-finite components included."""
+
+    SPECIAL = (0.0, -0.0, 1.0, -1.0, 2.0, -3.0, 1e308, -1e308, math.inf, math.nan)
+    POSITION = {(1, 1): 0, (1, -1): 1, (-1, 1): 2, (-1, -1): 3}
+
+    def test_matches_the_loop_forms(self):
+        rng = random.Random(20261018)
+        for n in range(10000):
+            special = n % 2
+            x, b, c = (
+                tuple(
+                    rng.choice(self.SPECIAL) if special else rng.uniform(-10.0, 10.0)
+                    for _ in range(2)
+                )
+                for _ in range(3)
+            )
+            best, signs = _loop_sign_search(
+                lambda s2, s3: (x[0] + s2 * b[0] + s3 * c[0], x[1] + s2 * b[1] + s3 * c[1])
+            )
+            found, position = _sign_search(x, b, c)
+            assert (repr(found), position) == (repr(best), self.POSITION[signs])
+            best, signs = _loop_sign_search(
+                lambda s1, s2: (s1 * x[0] + s2 * b[0] - c[0], s1 * x[1] + s2 * b[1] - c[1])
+            )
+            found, position = _sign_search(x, b, c, _ADD_ORDER)
+            assert (repr(found), position) == (repr(best), self.POSITION[signs])
 
 
 class TestRoundTrip:
