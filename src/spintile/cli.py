@@ -16,22 +16,23 @@ the default numeric tolerance of 1e-9; a --tolerance flag beats both.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import re
 import sys
 from fractions import Fraction
+from typing import Iterator
 
 from . import enumeration, svg
 from .disks import (
     DEFAULT_TOLERANCE,
     PlacedDisk,
     midcircle_through_tangencies,
-    place_configuration,
-    realize_fourth,
+    place_quadruple,
     verify_spinor_laws,
 )
-from .errors import NonPositiveCurvature, SpintileError
+from .errors import InvalidPayload, SpintileError
 from .quadruples import from_spinor_pair, fourth_curvatures
 from .spinors import Spinor, cross
 from .tessellation import (
@@ -159,41 +160,16 @@ def _cmd_quad(args: argparse.Namespace) -> int:
     return 0
 
 
-def _realize_quadruple(
-    curvatures: list[Fraction],
-) -> tuple[tuple[PlacedDisk, ...], tuple[str, ...]]:
-    """Place three positive curvatures, realize the remaining one, and
-    restore the input order for reporting.
-
-    Placement always runs at the library default tolerance: the user's
-    verification tolerance grades the law residuals, not the setup step.
-    """
-    order = ["A", "B", "C", "D"]
-    positives = [i for i, v in enumerate(curvatures) if v > 0]
-    if len(positives) < 3:
-        raise NonPositiveCurvature(
-            "need at least three positive curvatures to place a configuration"
-        )
-    base = positives[:3]
-    fourth = next(i for i in range(4) if i not in base)
-    placed_base = place_configuration(*(curvatures[i] for i in base))
-    fourth_disk = realize_fourth(placed_base, curvatures[fourth])
-    by_index: dict[int, PlacedDisk] = dict(zip(base, placed_base))
-    by_index[fourth] = fourth_disk
-    disks = tuple(by_index[i] for i in range(4))
-    return disks, tuple(order)
-
-
 def _cmd_verify(args: argparse.Namespace) -> int:
     tolerance = args.tolerance if args.tolerance is not None else _env_tolerance()
-    disks, labels = _realize_quadruple(args.curvatures)
-    report = verify_spinor_laws(disks, tolerance, labels)
+    disks = place_quadruple(args.curvatures)
+    report = verify_spinor_laws(disks, tolerance)
     if args.json:
         print(json.dumps(report.to_json_dict(), indent=2))
     else:
         quad_text = ",".join(str(v) for v in args.curvatures)
         print(f"quadruple ({quad_text}) placed:")
-        for label, disk in zip(labels, disks):
+        for label, disk in zip(report.labels, disks):
             print(
                 f"  {label}: center ({disk.center[0]:.12g}, {disk.center[1]:.12g}) "
                 f"radius {disk.radius:.12g}"
@@ -229,9 +205,22 @@ def _disk_from_json(payload: dict) -> PlacedDisk:
     )
 
 
+@contextlib.contextmanager
+def _malformed_payload(path: str) -> Iterator[None]:
+    """Turn text that is not JSON, a missing or ill-typed field, one that
+    does not parse, or a disk that ``PlacedDisk`` refuses into
+    ``InvalidPayload``."""
+    try:
+        yield
+    except (AttributeError, IndexError, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        raise InvalidPayload(f"{path}: malformed payload ({type(exc).__name__}: {exc})") from None
+
+
 def _cmd_render(args: argparse.Namespace) -> int:
-    with open(args.from_json) as handle:
+    with open(args.from_json) as handle, _malformed_payload(args.from_json):
         payload = json.load(handle)
+    if not isinstance(payload, dict):
+        raise InvalidPayload(f"{args.from_json} does not hold a JSON object")
     options = svg.RenderOptions(
         width_px=args.width_px,
         show_labels=not args.no_labels,
@@ -239,13 +228,16 @@ def _cmd_render(args: argparse.Namespace) -> int:
         show_spinor_arrows=args.spinor_arrows,
     )
     if "tiles" in payload:
-        tess = build_tessellation(
-            Spinor.parse(payload["a"]), Spinor.parse(payload["b"])
-        )
-        document = svg.render_tessellation(tess, options)
+        with _malformed_payload(args.from_json):
+            pair = (Spinor.parse(payload["a"]), Spinor.parse(payload["b"]))
+        document = svg.render_tessellation(build_tessellation(*pair), options)
     elif "disks" in payload:
-        disks = [_disk_from_json(entry) for entry in payload["disks"]]
-        labels = [str(entry.get("label", i)) for i, entry in enumerate(payload["disks"])]
+        with _malformed_payload(args.from_json):
+            entries = payload["disks"]
+            disks = [_disk_from_json(entry) for entry in entries]
+            labels = [str(entry.get("label", i)) for i, entry in enumerate(entries)]
+        if not disks:
+            raise InvalidPayload(f"{args.from_json}: the payload lists no disks to render")
         midcircles = []
         if args.midcircles:
             for skip in range(len(disks)):
@@ -343,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     enum = add_command("enumerate", "enumerate spinor-pair families")
     enum.add_argument("--bound", type=_positive_int, required=True)
     enum.add_argument("--primitive", action="store_true")
-    enum.add_argument("--format", choices=("csv", "jsonl"), default="csv")
+    enum.add_argument("--format", choices=tuple(enumeration.FORMATS), default="csv")
     enum.add_argument("--out", metavar="PATH")
     enum.add_argument("--shard", type=_parse_shard, default=enumeration.Shard())
     enum.add_argument(

@@ -338,6 +338,26 @@ def realize_fourth(
     return PlacedDisk.from_curvature(value, (best.real, best.imag))
 
 
+def place_quadruple(
+    curvatures: Sequence[Rational | float],
+) -> tuple[PlacedDisk, PlacedDisk, PlacedDisk, PlacedDisk]:
+    """Four disks in input order: the first three positive curvatures
+    placed by ``place_configuration``, the other one realized against
+    them by ``realize_fourth`` at the library default tolerance, since a
+    caller's tolerance grades the laws, not this setup step."""
+    if len(curvatures) != 4:
+        raise ValueError(f"need 4 curvatures, got {len(curvatures)}")
+    # positives first, each side in input order
+    order = sorted(range(4), key=lambda i: not curvatures[i] > 0)
+    if not curvatures[order[2]] > 0:
+        raise NonPositiveCurvature(
+            "need at least three positive curvatures to place a configuration"
+        )
+    placed = place_configuration(*(curvatures[i] for i in order[:3]))
+    disks = (*placed, realize_fourth(placed, curvatures[order[3]]))
+    return tuple(disk for _, disk in sorted(zip(order, disks)))
+
+
 def circle_through_points(
     p1: tuple[float, float], p2: tuple[float, float], p3: tuple[float, float]
 ) -> tuple[tuple[float, float], float]:

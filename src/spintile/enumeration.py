@@ -4,7 +4,7 @@ Walks integer spinor pairs a = (m1, n1), b = (m2, n2) over the box
 [-bound, bound]^4 in lexicographic order, skipping pairs where either
 spinor is zero (they generate nothing but zeros), and emits one record
 per pair carrying both curvature roots plus the canonical (sorted,
-gcd-reduced) form of the quadruple.
+gcd-reduced) form of the quadruple, both from ``spintile.quadruples``.
 
 Output is deterministic: the same job always produces byte-identical
 files.  Sharded runs partition the emitted stream round-robin by record
@@ -33,6 +33,8 @@ import tempfile
 from dataclasses import dataclass, field
 from typing import IO, Callable, Iterable, Iterator, NamedTuple
 
+from .quadruples import canonical_form, pair_curvatures
+
 CSV_HEADER = "m1,n1,m2,n2,A,B,C,D1,D2,canonical,primitive"
 
 
@@ -60,8 +62,7 @@ class EnumerationJob:
     def __post_init__(self) -> None:
         if self.bound < 1:
             raise ValueError(f"bound must be at least 1, got {self.bound}")
-        if self.output_format not in ("csv", "jsonl"):
-            raise ValueError(f"unknown output format {self.output_format!r}")
+        _record_format(self.output_format)
 
 
 class QuadrupleRecord(NamedTuple):
@@ -82,24 +83,11 @@ class QuadrupleRecord(NamedTuple):
 
 
 def _record(a: tuple[int, int, int], b: tuple[int, int, int]) -> QuadrupleRecord:
-    """The record of the pair of lattice points ``a`` and ``b``; D1 is the
-    larger root.  The all-zero quadruple has gcd 0: it stays as it is and
-    is not primitive."""
-    m1, n1, norm_a = a
-    m2, n2, norm_b = b
-    dot = m1 * m2 + n1 * n2
-    twist = abs(2 * (m1 * n2 - m2 * n1))
-    big_a = norm_b + dot
-    big_b = norm_a + dot
-    base = big_a + norm_a
-    d1 = base + twist
-    entries = sorted((big_a, big_b, -dot, d1))
-    common = math.gcd(*entries)
-    if common > 1:
-        w, x, y, z = entries
-        entries = [w // common, x // common, y // common, z // common]
+    """The record of the pair of lattice points ``a`` and ``b``."""
+    big_a, big_b, big_c, d1, d2 = pair_curvatures(a, b)
+    canonical, primitive = canonical_form(big_a, big_b, big_c, d1)
     return QuadrupleRecord(
-        m1, n1, m2, n2, big_a, big_b, -dot, d1, base - twist, tuple(entries), common == 1
+        a[0], a[1], b[0], b[1], big_a, big_b, big_c, d1, d2, canonical, primitive
     )
 
 
@@ -111,10 +99,6 @@ def _is_primitive(a: tuple[int, int, int], b: tuple[int, int, int]) -> bool:
     m1, n1, norm_a = a
     m2, n2, norm_b = b
     return math.gcd(norm_a, norm_b, m1 * m2 + n1 * n2, 2 * (m1 * n2 - m2 * n1)) == 1
-
-
-def _record_for_pair(m1: int, n1: int, m2: int, n2: int) -> QuadrupleRecord:
-    return _record((m1, n1, m1 * m1 + n1 * n1), (m2, n2, m2 * m2 + n2 * n2))
 
 
 def enumerate_records(job: EnumerationJob) -> Iterator[QuadrupleRecord]:
@@ -179,20 +163,48 @@ def _json_line(record: QuadrupleRecord) -> str:
     )
 
 
+class RecordFormat(NamedTuple):
+    """An output format: its header line ("" for none) and the writer of
+    a record line, neither with its newline, and the grammar template of
+    that line: exactly what the writer writes, newline included, each INT
+    one integer.  Groups 1-9 are m1 .. D2, groups 10-13 the canonical
+    entries and group 14 the primitive flag."""
+
+    header: str
+    line: Callable[[QuadrupleRecord], str]
+    template: str
+
+
+FORMATS = {
+    "csv": RecordFormat(
+        CSV_HEADER,
+        _csv_line,
+        r"INT,INT,INT,INT,INT,INT,INT,INT,INT,INT:INT:INT:INT,(true|false)\n",
+    ),
+    "jsonl": RecordFormat(
+        "",
+        _json_line,
+        r'\{"m1":INT,"n1":INT,"m2":INT,"n2":INT,"A":INT,"B":INT,"C":INT,"D1":INT,"D2":INT,'
+        r'"canonical":\[INT,INT,INT,INT\],"primitive":(true|false)\}\n',
+    ),
+}
+
+
+def _record_format(fmt: str) -> RecordFormat:
+    if fmt not in FORMATS:
+        raise ValueError(f"unknown output format {fmt!r}")
+    return FORMATS[fmt]
+
+
 def write_stream(records: Iterable[QuadrupleRecord], handle: IO[str], fmt: str) -> int:
     """Write records to an open text handle; returns the record count."""
+    header, line, _ = _record_format(fmt)
+    if header:
+        handle.write(header + "\n")
     count = 0
-    if fmt == "csv":
-        handle.write(CSV_HEADER + "\n")
-        for record in records:
-            handle.write(_csv_line(record) + "\n")
-            count += 1
-    elif fmt == "jsonl":
-        for record in records:
-            handle.write(_json_line(record) + "\n")
-            count += 1
-    else:
-        raise ValueError(f"unknown output format {fmt!r}")
+    for record in records:
+        handle.write(line(record) + "\n")
+        count += 1
     return count
 
 
@@ -218,43 +230,30 @@ def _atomic_write(path: str, write: Callable[[IO[str]], int]) -> int:
     return count
 
 
-# One grammar per format: exactly the line ``_csv_line`` / ``_json_line``
-# writes, newline included, with each INT one integer.  In both, groups
-# 1-9 are m1 .. D2, groups 10-13 the canonical entries and group 14 the
-# primitive flag.
-_LINE_TEMPLATES = {
-    "csv": r"INT,INT,INT,INT,INT,INT,INT,INT,INT,INT:INT:INT:INT,(true|false)\n",
-    "jsonl": (
-        r'\{"m1":INT,"n1":INT,"m2":INT,"n2":INT,"A":INT,"B":INT,"C":INT,"D1":INT,"D2":INT,'
-        r'"canonical":\[INT,INT,INT,INT\],"primitive":(true|false)\}\n'
-    ),
-}
-
-
 @functools.cache
 def _line_grammar(fmt: str) -> re.Pattern[str]:
     """The compiled grammar of the format's record line.  Compiled on
     first use, so that importing the package (every CLI call) does not
     pay for it."""
-    if fmt not in _LINE_TEMPLATES:
-        raise ValueError(f"unknown output format {fmt!r}")
-    return re.compile(_LINE_TEMPLATES[fmt].replace("INT", "(0|-?[1-9][0-9]*)"))
+    return re.compile(_record_format(fmt).template.replace("INT", "(0|-?[1-9][0-9]*)"))
 
 
 def _record_lines(path: str, fmt: str) -> Iterator[tuple[re.Match[str], str]]:
     """Each record line of a file with its grammar match.
 
-    Blank lines are skipped and a csv file must start with the header.
+    Blank lines are skipped, and a file of a format with a header line
+    must start with it.
     Any other line not spelled exactly as ``enumerate`` writes it raises
     ``ValueError`` naming the file and the line.
     """
     fullmatch = _line_grammar(fmt).fullmatch
+    header = _record_format(fmt).header
     with open(path, "r", newline="") as handle:
         lines = enumerate(handle, 1)
-        if fmt == "csv":
-            header = next((line for _, line in lines if line.strip()), "")
-            if header.rstrip("\n") != CSV_HEADER:
-                raise ValueError(f"{path} does not start with the expected csv header")
+        if header:
+            first = next((line for _, line in lines if line.strip()), "")
+            if first.rstrip("\n") != header:
+                raise ValueError(f"{path} does not start with the expected {fmt} header")
         for number, line in lines:
             found = fullmatch(line)
             if found is None:
@@ -290,10 +289,9 @@ def _keyed_lines(path: str, fmt: str) -> Iterator[_Keyed]:
 def _write_merged(merged: Iterable[_Keyed], handle: IO[str], fmt: str) -> int:
     """Copy the merged lines through, checking that their generator keys
     strictly increase; returns the record count."""
-    if fmt == "csv":
-        handle.write(CSV_HEADER + "\n")
-    elif fmt != "jsonl":
-        raise ValueError(f"unknown output format {fmt!r}")
+    header = _record_format(fmt).header
+    if header:
+        handle.write(header + "\n")
     count = 0
     previous: tuple[int, ...] = ()
     write = handle.write

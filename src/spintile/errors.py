@@ -67,3 +67,7 @@ class FloatOverflow(SpintileError):
     float range where floats are needed: SVG coordinates, inexact
     curvature roots and placed disks (including a placement whose
     triangle floats cannot resolve)."""
+
+
+class InvalidPayload(SpintileError):
+    """A JSON payload to render is malformed, or holds no disks."""

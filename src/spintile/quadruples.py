@@ -87,11 +87,17 @@ def fourth_curvatures(a: Rational, b: Rational, c: Rational) -> FourthCurvatures
     root = _exact_sqrt(disc)
     if root is not None:
         return FourthCurvatures(base + 2 * root, base - 2 * root, True)
+    # 4**shift lifts a disc below the float range; in range it scales exactly
+    shift = max(0, (disc.denominator.bit_length() - disc.numerator.bit_length()) // 2)
     try:
-        spread = 2 * math.sqrt(disc)
-        return FourthCurvatures(float(base) + spread, float(base) - spread, False)
+        spread = 2 * math.ldexp(math.sqrt(disc * 4**shift), -shift)
+        # base ± spread cancels on the root of the other sign than base:
+        # that one is the exact product D1·D2 = base² − 4·disc over this one
+        near = float(base) + math.copysign(spread, base)
     except OverflowError:
         raise FloatOverflow("curvatures too large for the inexact float roots") from None
+    far = float((base * base - 4 * disc) / Fraction(near)) if near else 0.0
+    return FourthCurvatures(*((near, far) if base > 0 else (far, near)), False)
 
 
 @dataclass(frozen=True)
@@ -120,24 +126,33 @@ class QuadrupleFamily:
         return self.quadruple_2.d
 
 
+def pair_curvatures(
+    a: tuple[Rational, Rational, Rational], b: tuple[Rational, Rational, Rational]
+) -> tuple[Rational, Rational, Rational, Rational, Rational]:
+    """Curvatures (A, B, C, D1, D2), D1 the larger root, of the spinors
+    ``a`` and ``b`` given as ``(m, n, m² + n²)``: exact on ``int`` and
+    ``Fraction`` alike, and ``int`` for integer spinors."""
+    m1, n1, norm_a = a
+    m2, n2, norm_b = b
+    ab = m1 * m2 + n1 * n2
+    twist = abs(2 * (m1 * n2 - m2 * n1))
+    big_a = norm_b + ab
+    base = big_a + norm_a
+    return big_a, norm_a + ab, -ab, base + twist, base - twist
+
+
 def from_spinor_pair(a: Spinor, b: Spinor) -> QuadrupleFamily:
     """Build the quadruple family of a spinor pair.
 
     Both returned quadruples have residual zero by construction; the
     product D1·D2 equals (|a|² + |b|² + a·b)² − 4(a×b)².
     """
-    ab = dot(a, b)
-    big_a = norm_sq(b) + ab
-    big_b = norm_sq(a) + ab
-    big_c = -ab
-    base = norm_sq(a) + norm_sq(b) + ab
-    twist = 2 * cross(a, b)
-    d_first, d_second = base + twist, base - twist
-    if d_first < d_second:
-        d_first, d_second = d_second, d_first
+    big_a, big_b, big_c, d1, d2 = pair_curvatures(
+        (a.x, a.y, norm_sq(a)), (b.x, b.y, norm_sq(b))
+    )
     return QuadrupleFamily(
-        quadruple_1=DescartesQuadruple(big_a, big_b, big_c, d_first),
-        quadruple_2=DescartesQuadruple(big_a, big_b, big_c, d_second),
+        quadruple_1=DescartesQuadruple(big_a, big_b, big_c, d1),
+        quadruple_2=DescartesQuadruple(big_a, big_b, big_c, d2),
         generator_a=a,
         generator_b=b,
     )
@@ -180,23 +195,22 @@ def apollonian_flip(
     return DescartesQuadruple(*entries)
 
 
-def canonicalize(quadruple: DescartesQuadruple) -> tuple[DescartesQuadruple, bool]:
-    """Sorted, gcd-reduced form of an integer quadruple.
+def canonical_form(a: int, b: int, c: int, d: int) -> tuple[tuple[int, int, int, int], bool]:
+    """Four integer curvatures ascending and divided by their gcd, and
+    whether that gcd was 1.  The all-zero quadruple stays as it is and is
+    not primitive."""
+    w, x, y, z = sorted((a, b, c, d))
+    common = math.gcd(w, x, y, z)
+    if common > 1:
+        return (w // common, x // common, y // common, z // common), False
+    return (w, x, y, z), common == 1
 
-    Returns the primitive representative (entries ascending, divided by
-    the gcd of their absolute values) and a flag telling whether the
-    input was already primitive.  The all-zero quadruple is returned
-    unchanged with flag False.
-    """
-    entries = []
+
+def canonicalize(quadruple: DescartesQuadruple) -> tuple[DescartesQuadruple, bool]:
+    """The :func:`canonical_form` of an integer quadruple, as a quadruple
+    and the flag telling whether the input was already primitive."""
     for value in quadruple.as_tuple():
-        frac = Fraction(value)
-        if frac.denominator != 1:
+        if value.denominator != 1:
             raise NonIntegral(f"canonical form needs integer curvatures, got {value}")
-        entries.append(int(frac))
-    entries.sort()
-    common = math.gcd(*(abs(v) for v in entries))
-    if common == 0:
-        return DescartesQuadruple(*entries), False
-    reduced = [v // common for v in entries]
-    return DescartesQuadruple(*reduced), common == 1
+    reduced, primitive = canonical_form(*(int(v) for v in quadruple.as_tuple()))
+    return DescartesQuadruple(*reduced), primitive

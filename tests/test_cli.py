@@ -123,6 +123,10 @@ class TestSolve:
         assert run(["solve", "--curvatures", "1,1,-1"]) == 1
         assert "ComplexSolutions" in capsys.readouterr().err
 
+    def test_inexact_smaller_root_keeps_its_digits(self, capsys):
+        assert run(["solve", "--curvatures", "1e150,1e150,1"]) == 0
+        assert capsys.readouterr().out.strip() == "4e+150, -1.0 (inexact)"
+
     def test_huge_inexact_roots_fail_cleanly(self, capsys):
         assert run(["solve", "--curvatures", "1e200,1e200,1"]) == 1
         assert capsys.readouterr().err.startswith("FloatOverflow: ")
@@ -323,6 +327,29 @@ class TestRender:
         payload_path.write_text('{"foo": 1}')
         assert run(["render", "--from-json", str(payload_path), "--out", "x.svg"]) == 2
         assert "neither" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            # radius and curvature disagree
+            '{"disks": [{"center": [0, 0], "radius": 0.5, "curvature": 3.0}]}',
+            '{"disks": [{"center": [0, 0], "curvature": 2.0}]}',
+            '{"disks": [{"center": 0, "radius": 0.5, "curvature": 2.0}]}',
+            '{"disks": [7]}',
+            '{"disks": []}',
+            '{"tiles": [], "a": "1,x", "b": "-1,2"}',
+            '{"tiles": [], "b": "-1,2"}',
+            "not json",
+            "[1, 2]",
+        ],
+    )
+    def test_malformed_payload_is_a_typed_error(self, tmp_path, capsys, text):
+        payload_path = tmp_path / "bad.json"
+        payload_path.write_text(text)
+        out_path = tmp_path / "bad.svg"
+        assert run(["render", "--from-json", str(payload_path), "--out", str(out_path)]) == 1
+        assert capsys.readouterr().err.startswith("InvalidPayload: ")
+        assert not out_path.exists()
 
     def test_missing_input_file_is_io_error(self, tmp_path, capsys):
         missing = tmp_path / "nope.json"

@@ -29,6 +29,7 @@ from spintile import (
     midcircle_through_tangencies,
     norm_sq,
     place_configuration,
+    place_quadruple,
     realize_fourth,
     scaled_tolerance,
     symbol_join,
@@ -36,7 +37,6 @@ from spintile import (
     tangency_spinor,
     verify_spinor_laws,
 )
-from spintile.cli import _realize_quadruple
 from spintile.disks import _ADD_ORDER, _sign_search
 
 # one hand-checkable frame: the (2, 3, 6) triple inscribed in the unit
@@ -259,6 +259,25 @@ class TestPlacement:
         with pytest.raises(ZeroCurvature):
             realize_fourth(placed, 0)
 
+    def test_quadruple_comes_back_in_input_order(self):
+        # -1 is realized against the three positive curvatures after it
+        disks = place_quadruple((-1, 2, 3, 6))
+        assert tuple(disk.curvature for disk in disks) == (-1.0, 2.0, 3.0, 6.0)
+        placed = place_configuration(2, 3, 6)
+        assert disks[1:] == placed
+        assert disks[0] == realize_fourth(placed, -1)
+
+    def test_quadruple_needs_three_positive_curvatures(self):
+        with pytest.raises(
+            NonPositiveCurvature,
+            match="^need at least three positive curvatures to place a configuration$",
+        ):
+            place_quadruple((-1, 0, 1, 1))
+
+    def test_quadruple_needs_four_curvatures(self):
+        with pytest.raises(ValueError, match="need 4 curvatures, got 3"):
+            place_quadruple((2, 3, 6))
+
 
 class TestMidcircles:
     def test_inner_triple(self):
@@ -379,7 +398,7 @@ def _report_lines():
             for scale in (1, Fraction(1, 10**6), 10**6):
                 curvatures = [scale * v for v in (*family.shared_curvatures, root)]
                 try:
-                    disks, _ = _realize_quadruple(curvatures)
+                    disks = place_quadruple(curvatures)
                     for tolerance in (1e-18, 1e-9, 5e-2):
                         report = verify_spinor_laws(disks, tolerance)
                         yield json.dumps(report.to_json_dict())

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import os
@@ -24,7 +25,7 @@ from spintile.enumeration import (
     _csv_line,
     _json_line,
     _line_grammar,
-    _record_for_pair,
+    _record,
     write_stream,
 )
 
@@ -85,6 +86,19 @@ class TestJobValidation:
         with pytest.raises(ValueError):
             EnumerationJob(bound=1, output_format="xml")
 
+    def test_every_entry_point_refuses_an_unknown_format(self, tmp_path):
+        path = str(tmp_path / "records.csv")
+        write_records(enumerate_records(EnumerationJob(bound=1)), path, "csv")
+        refusals = [
+            lambda: EnumerationJob(bound=1, output_format="xml"),
+            lambda: write_stream([], io.StringIO(), "xml"),
+            lambda: read_records(path, "xml"),
+            lambda: merge_shards([path], str(tmp_path / "merged.xml"), "xml"),
+        ]
+        for refuse in refusals:
+            with pytest.raises(ValueError, match="^unknown output format 'xml'$"):
+                refuse()
+
     def test_shard_must_be_consistent(self):
         with pytest.raises(ValueError):
             Shard(index=3, count=3)
@@ -104,7 +118,7 @@ class TestStream:
         assert expected_record_count(1, include_zero=True) == 81
 
     def test_figure_pair_record(self):
-        record = _record_for_pair(3, 0, -1, 2)
+        record = _record((3, 0, 9), (-1, 2, 5))
         assert (record.a, record.b, record.c) == (2, 6, 3)
         assert (record.d1, record.d2) == (23, -1)
         assert record.canonical == (2, 3, 6, 23)
@@ -125,6 +139,11 @@ class TestStream:
         zero_record = next(r for r in records if r.generator_key() == (0, 0, 0, 0))
         assert zero_record.canonical == (0, 0, 0, 0)
         assert not zero_record.primitive
+
+    def test_records_hold_ints(self):
+        for record in enumerate_records(EnumerationJob(bound=2, include_zero=True)):
+            *values, canonical, _ = record
+            assert all(type(v) is int for v in (*values, *canonical))
 
     def test_primitive_only_filters(self):
         everything = list(enumerate_records(EnumerationJob(bound=2)))
@@ -157,11 +176,11 @@ class TestCanonicalForms:
 
 class TestFormats:
     def test_csv_line_frozen(self):
-        record = _record_for_pair(-2, -2, -2, -2)
+        record = _record((-2, -2, 8), (-2, -2, 8))
         assert _csv_line(record) == "-2,-2,-2,-2,16,16,-8,24,24,-1:2:2:3,false"
 
     def test_json_line_frozen(self):
-        record = _record_for_pair(3, 0, -1, 2)
+        record = _record((3, 0, 9), (-1, 2, 5))
         assert _json_line(record) == (
             '{"m1":3,"n1":0,"m2":-1,"n2":2,"A":2,"B":6,"C":3,"D1":23,"D2":-1,'
             '"canonical":[2,3,6,23],"primitive":true}'
@@ -188,7 +207,7 @@ class TestFormats:
         assert read_records(path, fmt) == records
 
     def test_zero_record_csv_line_frozen(self):
-        assert _csv_line(_record_for_pair(0, 0, 0, 0)) == "0,0,0,0,0,0,0,0,0,0:0:0:0,false"
+        assert _csv_line(_record((0, 0, 0), (0, 0, 0))) == "0,0,0,0,0,0,0,0,0,0:0:0:0,false"
 
     def test_csv_header_frozen(self):
         assert CSV_HEADER == "m1,n1,m2,n2,A,B,C,D1,D2,canonical,primitive"
@@ -220,7 +239,7 @@ class TestAtomicWrites:
         target = tmp_path / "out.csv"
 
         def exploding():
-            yield _record_for_pair(1, 0, 0, 1)
+            yield _record((1, 0, 1), (0, 1, 1))
             raise RuntimeError("midway")
 
         with pytest.raises(RuntimeError):

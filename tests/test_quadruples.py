@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from spintile import (
@@ -15,6 +17,7 @@ from spintile import (
     NonIntegral,
     Spinor,
     apollonian_flip,
+    canonical_form,
     canonicalize,
     cross,
     descartes_residual,
@@ -23,11 +26,28 @@ from spintile import (
     from_spinor_pair,
     from_spinor_triple,
     norm_sq,
+    pair_curvatures,
 )
 
 nonzero_int_spinors = st.builds(
     Spinor, st.integers(-60, 60), st.integers(-60, 60)
 ).filter(lambda u: not u.is_zero())
+
+small_fractions = st.fractions(min_value=-60, max_value=60, max_denominator=12)
+nonzero_rational_spinors = st.builds(Spinor, small_fractions, small_fractions).filter(
+    lambda u: not u.is_zero()
+)
+
+
+def decimal_roots(a: Fraction, b: Fraction, c: Fraction) -> tuple[float, float]:
+    """Both roots of the circle identity at 400 significant digits,
+    rounded once to floats."""
+    with localcontext() as context:
+        context.prec = 400
+        a, b, c = (Decimal(v.numerator) / Decimal(v.denominator) for v in (a, b, c))
+        base = a + b + c
+        spread = 2 * (a * b + b * c + c * a).sqrt()
+        return float(base + spread), float(base - spread)
 
 
 class TestResidual:
@@ -83,6 +103,39 @@ class TestFourthCurvatures:
         with pytest.raises(ComplexSolutions):
             fourth_curvatures(1, 1, -1)
 
+    @pytest.mark.parametrize(
+        "curvatures",
+        [
+            ("1e150", "1e150", "1"),
+            ("1", "1", "1"),
+            ("-1", "-1", "-1"),
+            ("1/3", "1", "2"),
+            ("-1e140", "-1e140", "-3"),
+            ("1e-100", "1e-100", "1e-108"),
+            # a discriminant below the float range
+            ("1e-200", "1e-200", "1e-210"),
+        ],
+    )
+    def test_inexact_roots_match_a_decimal_reference(self, curvatures):
+        exact = [Fraction(v) for v in curvatures]
+        roots = fourth_curvatures(*exact)
+        assert not roots.exact
+        for value, reference in zip(roots[:2], decimal_roots(*exact)):
+            assert math.isclose(value, reference, rel_tol=1e-14)
+
+    @given(
+        st.lists(st.integers(-(10**6), 10**6), min_size=3, max_size=3),
+        st.integers(-280, 140),
+    )
+    def test_inexact_roots_match_a_decimal_reference_at_every_scale(self, entries, exponent):
+        exact = [Fraction(v) * Fraction(10) ** exponent for v in entries]
+        a, b, c = exact
+        disc = a * b + b * c + c * a
+        assume(disc > 0 and math.isqrt(disc.numerator) ** 2 != disc.numerator)
+        roots = fourth_curvatures(*exact)
+        for value, reference in zip(roots[:2], decimal_roots(*exact)):
+            assert math.isclose(value, reference, rel_tol=1e-14)
+
     @given(nonzero_int_spinors, nonzero_int_spinors)
     def test_roots_match_spinor_construction(self, a, b):
         family = from_spinor_pair(a, b)
@@ -101,6 +154,21 @@ class TestFromSpinorPair:
         family = from_spinor_pair(Spinor(1, 0), Spinor(0, 1))
         assert family.quadruple_1.as_tuple() == (1, 1, 0, 4)
         assert family.quadruple_2.as_tuple() == (1, 1, 0, 0)
+
+    @given(nonzero_int_spinors, nonzero_int_spinors)
+    def test_integer_spinors_give_int_curvatures(self, a, b):
+        family = from_spinor_pair(a, b)
+        values = (*family.quadruple_1.as_tuple(), family.d2)
+        assert all(type(v) is int for v in values)
+
+    @given(nonzero_rational_spinors, nonzero_rational_spinors)
+    def test_kernel_matches_the_spinor_formulas(self, a, b):
+        ab = dot(a, b)
+        base = norm_sq(a) + norm_sq(b) + ab
+        twist = 2 * abs(cross(a, b))
+        assert pair_curvatures((a.x, a.y, norm_sq(a)), (b.x, b.y, norm_sq(b))) == (
+            norm_sq(b) + ab, norm_sq(a) + ab, -ab, base + twist, base - twist
+        )
 
     def test_parallel_generators_collapse_roots(self):
         family = from_spinor_pair(Spinor(2, 1), Spinor(4, 2))
@@ -148,7 +216,10 @@ class TestFromSpinorTriple:
         with pytest.raises(CurlViolation):
             from_spinor_triple(Spinor(1, 0), Spinor(0, 1), Spinor(1, 1))
 
-    @given(nonzero_int_spinors, nonzero_int_spinors)
+    @given(
+        st.one_of(nonzero_int_spinors, nonzero_rational_spinors),
+        st.one_of(nonzero_int_spinors, nonzero_rational_spinors),
+    )
     def test_agrees_with_pair_construction(self, a, b):
         c = -a - b
         big_a, big_b, big_c, d1, d2 = from_spinor_triple(a, b, c)
@@ -203,6 +274,11 @@ class TestCanonicalize:
         reduced, primitive = canonicalize(DescartesQuadruple(0, 0, 0, 0))
         assert reduced.as_tuple() == (0, 0, 0, 0)
         assert not primitive
+
+    def test_canonical_form_of_plain_ints(self):
+        assert canonical_form(23, 6, 3, 2) == ((2, 3, 6, 23), True)
+        assert canonical_form(16, 0, 4, 4) == ((0, 1, 1, 4), False)
+        assert canonical_form(0, 0, 0, 0) == ((0, 0, 0, 0), False)
 
     def test_rational_input_rejected(self):
         scaled = DescartesQuadruple(
