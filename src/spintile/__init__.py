@@ -5,172 +5,113 @@ The library has an exact half (rational spinors, tiles, curvatures,
 symbols) and a numeric half (placed disks, tangency spinors, law
 verification); the two meet in tests that drive every quantity down
 both paths.
+
+The package is lazy (PEP 562): ``from spintile import X`` imports only the
+submodule that defines ``X``, on first use, so a command-line call loads
+only the code its subcommand runs.
 """
 
-from .errors import (
-    CollinearTangencyPoints,
-    ComplexSolutions,
-    CurlViolation,
-    DegenerateInput,
-    FloatOverflow,
-    InvalidPayload,
-    NegativeOrientation,
-    NoConsistentPlacement,
-    NonIntegral,
-    NonIntegralVertices,
-    NonPositiveCurvature,
-    NotTangent,
-    SpintileError,
-    ZeroCurvature,
-    ZeroRadius,
-)
-from .spinors import PythTriple, Spinor, cross, dot, euclid_square, norm_sq, star
-from .quadruples import (
-    DescartesQuadruple,
-    FourthCurvatures,
-    QuadrupleFamily,
-    apollonian_flip,
-    canonical_form,
-    canonicalize,
-    descartes_residual,
-    fourth_curvatures,
-    from_spinor_pair,
-    from_spinor_triple,
-    pair_curvatures,
-)
-from .tessellation import (
-    ObservationResult,
-    TessellationReport,
-    Tessellation,
-    Tile,
-    TileClass,
-    build_tessellation,
-    butterfly_areas,
-    check_observations,
-    dodecagon_boundary,
-    observation_constant,
-    polygon_area,
-    summarize,
-    tessellation_to_json_dict,
-    tile_area_pick,
-    tile_area_shoelace,
-    vertex_set,
-)
-from .disks import (
-    DEFAULT_TOLERANCE,
-    ConfigurationReport,
-    PlacedDisk,
-    Symbol,
-    TangencySpinorNumeric,
-    circle_through_points,
-    midcircle_through_tangencies,
-    place_configuration,
-    place_quadruple,
-    realize_fourth,
-    scaled_tolerance,
-    symbol_join,
-    tangency_point,
-    tangency_spinor,
-    verify_spinor_laws,
-)
-from .enumeration import (
-    CSV_HEADER,
-    EnumerationJob,
-    QuadrupleRecord,
-    Shard,
-    dedup_canonical,
-    enumerate_records,
-    expected_record_count,
-    merge_shards,
-    read_records,
-    write_records,
-)
-from .svg import (
-    DEFAULT_PALETTE,
-    RenderOptions,
-    render_configuration,
-    render_tessellation,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CSV_HEADER",
-    "CollinearTangencyPoints",
-    "ComplexSolutions",
-    "ConfigurationReport",
-    "CurlViolation",
-    "DEFAULT_PALETTE",
-    "DEFAULT_TOLERANCE",
-    "DegenerateInput",
-    "DescartesQuadruple",
-    "EnumerationJob",
-    "FloatOverflow",
-    "FourthCurvatures",
-    "InvalidPayload",
-    "NegativeOrientation",
-    "NoConsistentPlacement",
-    "NonIntegral",
-    "NonIntegralVertices",
-    "NonPositiveCurvature",
-    "NotTangent",
-    "ObservationResult",
-    "PlacedDisk",
-    "PythTriple",
-    "QuadrupleFamily",
-    "QuadrupleRecord",
-    "RenderOptions",
-    "Shard",
-    "Spinor",
-    "SpintileError",
-    "Symbol",
-    "TangencySpinorNumeric",
-    "Tessellation",
-    "TessellationReport",
-    "Tile",
-    "TileClass",
-    "ZeroCurvature",
-    "ZeroRadius",
-    "apollonian_flip",
-    "build_tessellation",
-    "butterfly_areas",
-    "canonical_form",
-    "canonicalize",
-    "check_observations",
-    "circle_through_points",
-    "cross",
-    "dedup_canonical",
-    "descartes_residual",
-    "dodecagon_boundary",
-    "dot",
-    "enumerate_records",
-    "euclid_square",
-    "expected_record_count",
-    "fourth_curvatures",
-    "from_spinor_pair",
-    "from_spinor_triple",
-    "merge_shards",
-    "midcircle_through_tangencies",
-    "norm_sq",
-    "observation_constant",
-    "pair_curvatures",
-    "place_configuration",
-    "place_quadruple",
-    "polygon_area",
-    "read_records",
-    "realize_fourth",
-    "render_configuration",
-    "render_tessellation",
-    "scaled_tolerance",
-    "star",
-    "summarize",
-    "symbol_join",
-    "tangency_point",
-    "tangency_spinor",
-    "tessellation_to_json_dict",
-    "tile_area_pick",
-    "tile_area_shoelace",
-    "verify_spinor_laws",
-    "vertex_set",
-    "write_records",
-]
+# each exported name, under the submodule that defines it
+_EXPORTS = {
+    "errors": (
+        "CollinearTangencyPoints",
+        "ComplexSolutions",
+        "CurlViolation",
+        "DegenerateInput",
+        "FloatOverflow",
+        "InvalidPayload",
+        "NegativeOrientation",
+        "NoConsistentPlacement",
+        "NonIntegral",
+        "NonIntegralVertices",
+        "NonPositiveCurvature",
+        "NotTangent",
+        "SpintileError",
+        "ZeroCurvature",
+        "ZeroRadius",
+    ),
+    "spinors": ("PythTriple", "Spinor", "cross", "dot", "euclid_square", "norm_sq", "star"),
+    "quadruples": (
+        "DescartesQuadruple",
+        "FourthCurvatures",
+        "QuadrupleFamily",
+        "apollonian_flip",
+        "canonical_form",
+        "canonicalize",
+        "descartes_residual",
+        "fourth_curvatures",
+        "from_spinor_pair",
+        "from_spinor_triple",
+        "pair_curvatures",
+    ),
+    "tessellation": (
+        "ObservationResult",
+        "TessellationReport",
+        "Tessellation",
+        "Tile",
+        "TileClass",
+        "build_tessellation",
+        "butterfly_areas",
+        "check_observations",
+        "dodecagon_boundary",
+        "observation_constant",
+        "polygon_area",
+        "summarize",
+        "tessellation_to_json_dict",
+        "tile_area_pick",
+        "tile_area_shoelace",
+        "vertex_set",
+    ),
+    "disks": (
+        "DEFAULT_TOLERANCE",
+        "ConfigurationReport",
+        "PlacedDisk",
+        "Symbol",
+        "TangencySpinorNumeric",
+        "circle_through_points",
+        "midcircle_through_tangencies",
+        "place_configuration",
+        "place_quadruple",
+        "realize_fourth",
+        "scaled_tolerance",
+        "symbol_join",
+        "tangency_point",
+        "tangency_spinor",
+        "verify_spinor_laws",
+    ),
+    "enumeration": (
+        "CSV_HEADER",
+        "EnumerationJob",
+        "QuadrupleRecord",
+        "Shard",
+        "dedup_canonical",
+        "enumerate_records",
+        "expected_record_count",
+        "merge_shards",
+        "read_records",
+        "write_records",
+    ),
+    "svg": ("DEFAULT_PALETTE", "RenderOptions", "render_configuration", "render_tessellation"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    """Import an exported name, or a submodule, on first use and keep it."""
+    if name in _EXPORTS:
+        return import_module(f"{__name__}.{name}")
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{_MODULE_OF[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

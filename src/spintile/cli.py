@@ -11,51 +11,53 @@ Subcommands:
 Exit codes: 0 success, 1 domain/math failure (error name on stderr),
 2 usage error.  The environment variable DESCARTES_TOLERANCE overrides
 the default numeric tolerance of 1e-9; a --tolerance flag beats both.
+Either must be a positive finite number.
+
+Start-up is most of the wall time of one call, so each handler imports
+what its subcommand runs, ``json`` included, and a call loads only that:
+``quad`` and ``solve`` load ``quadruples``, ``verify`` loads ``disks``,
+``tess`` loads ``tessellation`` (and ``svg`` with ``--svg``),
+``enumerate`` loads ``enumeration``, and ``render`` loads ``svg`` with
+``tessellation`` or ``disks``.  All of them load ``spinors``.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import json
+import itertools
+import math
 import os
 import re
 import sys
 from fractions import Fraction
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
-from . import enumeration, svg
-from .disks import (
-    DEFAULT_TOLERANCE,
-    PlacedDisk,
-    midcircle_through_tangencies,
-    place_quadruple,
-    verify_spinor_laws,
-)
 from .errors import InvalidPayload, SpintileError
-from .quadruples import from_spinor_pair, fourth_curvatures
 from .spinors import Spinor, cross
-from .tessellation import (
-    build_tessellation,
-    butterfly_areas,
-    check_observations,
-    observation_constant,
-    summarize,
-    tessellation_to_json_dict,
-)
+
+if TYPE_CHECKING:
+    from .enumeration import Shard
 
 
-def _env_tolerance() -> float:
+def _tolerance(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}")
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be a positive finite number, got {text!r}")
+    return value
+
+
+def _env_tolerance() -> float | None:
     raw = os.environ.get("DESCARTES_TOLERANCE")
     if raw is None:
-        return DEFAULT_TOLERANCE
+        return None
     try:
-        value = float(raw)
-    except ValueError:
-        raise SystemExit(f"invalid DESCARTES_TOLERANCE {raw!r}")
-    if value <= 0:
-        raise SystemExit(f"DESCARTES_TOLERANCE must be positive, got {raw!r}")
-    return value
+        return _tolerance(raw)
+    except argparse.ArgumentTypeError as exc:
+        raise SystemExit(f"DESCARTES_TOLERANCE: {exc}")
 
 
 def _parse_spinor(text: str) -> Spinor:
@@ -78,12 +80,25 @@ def _parse_rationals(text: str, expected: int) -> list[Fraction]:
 
 
 def _cmd_tess(args: argparse.Namespace) -> int:
+    from .tessellation import (
+        build_tessellation,
+        butterfly_areas,
+        check_observations,
+        observation_constant,
+        summarize,
+        tessellation_to_json_dict,
+    )
+
     tess = build_tessellation(args.a, args.b)
     if args.svg is not None:
-        document = svg.render_tessellation(tess)
+        from .svg import render_tessellation
+
+        document = render_tessellation(tess)
         with open(args.svg, "w") as handle:
             handle.write(document)
     if args.json:
+        import json
+
         print(json.dumps(tessellation_to_json_dict(tess), indent=2))
         return 0
     report = summarize(tess)
@@ -122,9 +137,13 @@ def _cmd_tess(args: argparse.Namespace) -> int:
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
+    from .quadruples import fourth_curvatures
+
     a, b, c = args.curvatures
     result = fourth_curvatures(a, b, c)
     if args.json:
+        import json
+
         payload = {
             "curvatures": [str(a), str(b), str(c)],
             "larger": str(result.larger) if result.exact else result.larger,
@@ -139,9 +158,13 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _cmd_quad(args: argparse.Namespace) -> int:
+    from .quadruples import from_spinor_pair
+
     family = from_spinor_pair(args.a, args.b)
     a_curv, b_curv, c_curv = family.shared_curvatures
     if args.json:
+        import json
+
         payload = {
             "a": family.generator_a.format(),
             "b": family.generator_b.format(),
@@ -161,10 +184,14 @@ def _cmd_quad(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    tolerance = args.tolerance if args.tolerance is not None else _env_tolerance()
+    from .disks import DEFAULT_TOLERANCE, place_quadruple, verify_spinor_laws
+
+    tolerance = args.tolerance or _env_tolerance() or DEFAULT_TOLERANCE
     disks = place_quadruple(args.curvatures)
     report = verify_spinor_laws(disks, tolerance)
     if args.json:
+        import json
+
         print(json.dumps(report.to_json_dict(), indent=2))
     else:
         quad_text = ",".join(str(v) for v in args.curvatures)
@@ -182,6 +209,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
+    from . import enumeration
+
     job = enumeration.EnumerationJob(
         bound=args.bound,
         primitive_only=args.primitive,
@@ -197,14 +226,6 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _disk_from_json(payload: dict) -> PlacedDisk:
-    return PlacedDisk(
-        center=(float(payload["center"][0]), float(payload["center"][1])),
-        radius=float(payload["radius"]),
-        curvature=float(payload["curvature"]),
-    )
-
-
 @contextlib.contextmanager
 def _malformed_payload(path: str) -> Iterator[None]:
     """Turn text that is not JSON, a missing or ill-typed field, one that
@@ -217,6 +238,10 @@ def _malformed_payload(path: str) -> Iterator[None]:
 
 
 def _cmd_render(args: argparse.Namespace) -> int:
+    import json
+
+    from . import svg
+
     with open(args.from_json) as handle, _malformed_payload(args.from_json):
         payload = json.load(handle)
     if not isinstance(payload, dict):
@@ -228,22 +253,33 @@ def _cmd_render(args: argparse.Namespace) -> int:
         show_spinor_arrows=args.spinor_arrows,
     )
     if "tiles" in payload:
+        from .tessellation import build_tessellation
+
         with _malformed_payload(args.from_json):
             pair = (Spinor.parse(payload["a"]), Spinor.parse(payload["b"]))
         document = svg.render_tessellation(build_tessellation(*pair), options)
     elif "disks" in payload:
+        from .disks import PlacedDisk, midcircle_through_tangencies
+
         with _malformed_payload(args.from_json):
             entries = payload["disks"]
-            disks = [_disk_from_json(entry) for entry in entries]
+            disks = [
+                PlacedDisk(
+                    center=(float(entry["center"][0]), float(entry["center"][1])),
+                    radius=float(entry["radius"]),
+                    curvature=float(entry["curvature"]),
+                )
+                for entry in entries
+            ]
             labels = [str(entry.get("label", i)) for i, entry in enumerate(entries)]
         if not disks:
             raise InvalidPayload(f"{args.from_json}: the payload lists no disks to render")
         midcircles = []
-        if args.midcircles:
-            for skip in range(len(disks)):
-                triple = [d for i, d in enumerate(disks) if i != skip]
-                if len(triple) == 3:
-                    midcircles.append(midcircle_through_tangencies(*triple))
+        if args.midcircles and len(disks) <= 4:
+            # one per triple of mutually tangent disks; four disks give the
+            # triples without disk 0, 1, 2 and 3, in that order
+            triples = reversed(tuple(itertools.combinations(disks, 3)))
+            midcircles = [midcircle_through_tangencies(*triple) for triple in triples]
         document = svg.render_configuration(disks, midcircles, options, labels)
     else:
         raise SystemExit("json payload has neither 'tiles' nor 'disks'")
@@ -252,10 +288,12 @@ def _cmd_render(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_shard(text: str) -> enumeration.Shard:
+def _parse_shard(text: str) -> Shard:
+    from .enumeration import Shard
+
     try:
         index_text, count_text = text.split("/")
-        return enumeration.Shard(index=int(index_text), count=int(count_text))
+        return Shard(index=int(index_text), count=int(count_text))
     except (ValueError, TypeError) as exc:
         raise argparse.ArgumentTypeError(f"shard must look like 'i/k': {exc}")
 
@@ -278,6 +316,21 @@ def _width_px(text: str) -> int:
     if value < 64:
         raise argparse.ArgumentTypeError(f"width must be at least 64px, got {value}")
     return value
+
+
+class _FormatNames:
+    """The ``--format`` choices, ``enumeration.FORMATS``, imported only
+    when argparse checks a value or lists them."""
+
+    def __contains__(self, name: object) -> bool:
+        from .enumeration import FORMATS
+
+        return name in FORMATS
+
+    def __iter__(self) -> Iterator[str]:
+        from .enumeration import FORMATS
+
+        return iter(FORMATS)
 
 
 # values like "-1,2" or "-1/2,2/3" must parse as option values, not flags
@@ -328,16 +381,18 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         metavar="A,B,C,D",
     )
-    verify.add_argument("--tolerance", type=float, default=None)
+    verify.add_argument("--tolerance", type=_tolerance, default=None)
     verify.add_argument("--json", action="store_true")
     verify.set_defaults(func=_cmd_verify)
 
     enum = add_command("enumerate", "enumerate spinor-pair families")
     enum.add_argument("--bound", type=_positive_int, required=True)
     enum.add_argument("--primitive", action="store_true")
-    enum.add_argument("--format", choices=tuple(enumeration.FORMATS), default="csv")
+    # set after add_argument, which would list the choices at once
+    enum.add_argument("--format", default="csv").choices = _FormatNames()
     enum.add_argument("--out", metavar="PATH")
-    enum.add_argument("--shard", type=_parse_shard, default=enumeration.Shard())
+    # a string default goes through _parse_shard only when enumerate runs
+    enum.add_argument("--shard", type=_parse_shard, default="0/1")
     enum.add_argument(
         "--include-zero",
         action="store_true",

@@ -37,11 +37,11 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from typing import Mapping, Sequence
 
+from ._frozen import frozen
 from .errors import (
     CollinearTangencyPoints,
     FloatOverflow,
@@ -64,7 +64,7 @@ def scaled_tolerance(tolerance: float, magnitude: float) -> float:
     return tolerance * max(1.0, abs(magnitude) / _TOLERANCE_KNEE)
 
 
-@dataclass(frozen=True)
+@frozen
 class Symbol:
     """Exact disk representation: center times curvature, plus curvature."""
 
@@ -118,7 +118,7 @@ def symbol_join(s1: Symbol, s2: Symbol) -> PythTriple:
     )
 
 
-@dataclass(frozen=True)
+@frozen
 class PlacedDisk:
     """A disk realized in the plane with float coordinates."""
 
@@ -147,7 +147,7 @@ class PlacedDisk:
         return complex(self.center[0], self.center[1])
 
 
-@dataclass(frozen=True)
+@frozen
 class TangencySpinorNumeric:
     """Principal-branch tangency spinor of an ordered disk pair."""
 
@@ -437,7 +437,7 @@ def _sign_search(
     return best, choice
 
 
-@dataclass(frozen=True)
+@frozen
 class ConfigurationReport:
     """Result of checking all six spinor laws on four placed disks."""
 

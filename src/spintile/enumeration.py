@@ -30,15 +30,15 @@ import math
 import os
 import re
 import tempfile
-from dataclasses import dataclass, field
 from typing import IO, Callable, Iterable, Iterator, NamedTuple
 
+from ._frozen import Factory, frozen
 from .quadruples import canonical_form, pair_curvatures
 
 CSV_HEADER = "m1,n1,m2,n2,A,B,C,D1,D2,canonical,primitive"
 
 
-@dataclass(frozen=True)
+@frozen
 class Shard:
     """One slice of a round-robin partition: records with
     index % count == index_of_this_shard."""
@@ -51,12 +51,12 @@ class Shard:
             raise ValueError(f"invalid shard {self.index}/{self.count}")
 
 
-@dataclass(frozen=True)
+@frozen
 class EnumerationJob:
     bound: int
     primitive_only: bool = False
     output_format: str = "csv"
-    shard: Shard = field(default_factory=Shard)
+    shard: Shard = Factory(Shard)
     include_zero: bool = False
 
     def __post_init__(self) -> None:

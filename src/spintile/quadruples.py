@@ -15,10 +15,10 @@ with the two D-roots coming from the two orientations of the pair.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Union
 
+from ._frozen import frozen
 from .errors import ComplexSolutions, CurlViolation, FloatOverflow, NonIntegral
 from .spinors import Rational, Spinor, _exact, cross, dot, int_if_whole, norm_sq
 
@@ -31,7 +31,7 @@ def descartes_residual(a: Rational, b: Rational, c: Rational, d: Rational) -> Ra
     return 2 * (a * a + b * b + c * c + d * d) - s * s
 
 
-@dataclass(frozen=True)
+@frozen
 class DescartesQuadruple:
     """Curvatures of four mutually tangent circles, validated exactly."""
 
@@ -87,20 +87,21 @@ def fourth_curvatures(a: Rational, b: Rational, c: Rational) -> FourthCurvatures
     root = _exact_sqrt(disc)
     if root is not None:
         return FourthCurvatures(base + 2 * root, base - 2 * root, True)
-    # 4**shift lifts a disc below the float range; in range it scales exactly
-    shift = max(0, (disc.denominator.bit_length() - disc.numerator.bit_length()) // 2)
+    # 4**shift brings a disc beyond the float range, below or above, to
+    # about 1, exactly; the square root then scales back by 2**-shift
+    shift = (disc.denominator.bit_length() - disc.numerator.bit_length()) // 2
     try:
-        spread = 2 * math.ldexp(math.sqrt(disc * 4**shift), -shift)
+        spread = 2 * math.ldexp(math.sqrt(disc * Fraction(4) ** shift), -shift)
         # base ± spread cancels on the root of the other sign than base:
         # that one is the exact product D1·D2 = base² − 4·disc over this one
         near = float(base) + math.copysign(spread, base)
+        far = float((base * base - 4 * disc) / Fraction(near)) if near else 0.0
     except OverflowError:
         raise FloatOverflow("curvatures too large for the inexact float roots") from None
-    far = float((base * base - 4 * disc) / Fraction(near)) if near else 0.0
     return FourthCurvatures(*((near, far) if base > 0 else (far, near)), False)
 
 
-@dataclass(frozen=True)
+@frozen
 class QuadrupleFamily:
     """The two Descartes quadruples generated by one spinor pair.
 

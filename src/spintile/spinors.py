@@ -22,9 +22,10 @@ on fast ``int`` arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
+
+from ._frozen import frozen
 
 Rational = Union[int, Fraction]
 
@@ -47,7 +48,7 @@ def int_if_whole(value: Rational) -> Rational:
     return value.numerator if value.denominator == 1 else value
 
 
-@dataclass(frozen=True)
+@frozen
 class Spinor:
     """An exact point/vector of the spinor plane."""
 
@@ -124,7 +125,7 @@ def norm_sq(u: Spinor) -> Rational:
     return u.x * u.x + u.y * u.y
 
 
-@dataclass(frozen=True)
+@frozen
 class PythTriple:
     """An exact triple (a, b, c) with a² + b² = c² and c ≥ 0.
 

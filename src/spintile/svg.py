@@ -9,13 +9,15 @@ individually flipped back so they stay readable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
-from .disks import PlacedDisk
+from ._frozen import Factory, frozen
 from .errors import FloatOverflow
 from .tessellation import Tessellation, Tile, TileClass, dodecagon_boundary
+
+if TYPE_CHECKING:  # annotations only: rendering a tessellation needs no disks
+    from .disks import PlacedDisk
 
 DEFAULT_PALETTE: Mapping[TileClass, str] = {
     TileClass.YELLOW_SQUARE: "#f0d264",
@@ -27,15 +29,13 @@ DEFAULT_PALETTE: Mapping[TileClass, str] = {
 _MARGIN = 0.08  # fraction of the larger extent kept clear around content
 
 
-@dataclass(frozen=True)
+@frozen
 class RenderOptions:
     width_px: int = 640
     show_labels: bool = True
     show_midcircles: bool = False
     show_spinor_arrows: bool = False
-    palette: Mapping[TileClass, str] = field(
-        default_factory=lambda: dict(DEFAULT_PALETTE)
-    )
+    palette: Mapping[TileClass, str] = Factory(lambda: dict(DEFAULT_PALETTE))
 
     def __post_init__(self) -> None:
         if self.width_px < 64:

@@ -29,10 +29,10 @@ give the remaining tangency-point circles.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
+from ._frozen import frozen
 from .errors import DegenerateInput, NegativeOrientation, NonIntegralVertices
 from .quadruples import descartes_residual
 from .spinors import ZERO, Rational, Spinor, cross, dot, int_if_whole, norm_sq, star
@@ -45,7 +45,7 @@ class TileClass(enum.Enum):
     LIGHT_RED = "light_red"
 
 
-@dataclass(frozen=True)
+@frozen
 class Tile:
     """One parallelogram: anchor plus two edge vectors.
 
@@ -112,7 +112,7 @@ def tile_area_pick(tile: Tile) -> Rational:
     return int_if_whole(Fraction(2 * interior + boundary - 2, 2))
 
 
-@dataclass(frozen=True)
+@frozen
 class Tessellation:
     a: Spinor
     b: Spinor
@@ -185,7 +185,7 @@ def polygon_area(points: tuple[Spinor, ...]) -> Rational:
     return int_if_whole(Fraction(twice, 2))
 
 
-@dataclass(frozen=True)
+@frozen
 class TessellationReport:
     """Exact area bookkeeping and the induced Descartes curvatures."""
 
@@ -274,7 +274,7 @@ def butterfly_areas(tess: Tessellation) -> tuple[Rational, Rational, Rational]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
+@frozen
 class ObservationResult:
     name: str
     passed: bool

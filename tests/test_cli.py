@@ -127,8 +127,14 @@ class TestSolve:
         assert run(["solve", "--curvatures", "1e150,1e150,1"]) == 0
         assert capsys.readouterr().out.strip() == "4e+150, -1.0 (inexact)"
 
+    def test_discriminant_beyond_the_float_range(self, capsys):
+        # A·B + B·C + C·A is about 1e400, but both roots are floats
+        assert run(["solve", "--curvatures", "1e200,1e200,1"]) == 0
+        assert capsys.readouterr().out.strip() == "4e+200, -1.0 (inexact)"
+
     def test_huge_inexact_roots_fail_cleanly(self, capsys):
-        assert run(["solve", "--curvatures", "1e200,1e200,1"]) == 1
+        # the larger root, about 1.2e309, is itself beyond the float range
+        assert run(["solve", "--curvatures", "1e308,1e308,1e308"]) == 1
         assert capsys.readouterr().err.startswith("FloatOverflow: ")
 
     def test_json(self, capsys):
@@ -217,11 +223,16 @@ class TestVerify:
         assert run(["verify", "--curvatures", curvatures]) == 1
         assert capsys.readouterr().err.startswith("FloatOverflow: ")
 
-    @pytest.mark.parametrize("bad", ["banana", "-1e-9", "0"])
+    @pytest.mark.parametrize("bad", ["banana", "-1e-9", "0", "nan", "inf"])
     def test_invalid_env_tolerance_is_usage_error(self, capsys, monkeypatch, bad):
         monkeypatch.setenv("DESCARTES_TOLERANCE", bad)
         assert run(["verify", "--curvatures", "2,3,6,23"]) == 2
         assert "DESCARTES_TOLERANCE" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad", ["banana", "-1", "0", "nan", "inf"])
+    def test_invalid_tolerance_flag_is_usage_error(self, capsys, bad):
+        assert run(["verify", "--curvatures", "2,3,6,23", "--tolerance", bad]) == 2
+        assert "argument --tolerance" in capsys.readouterr().err
 
 
 class TestEnumerate:
@@ -321,6 +332,22 @@ class TestRender:
         svg_text = out_path.read_text()
         assert svg_text.count('class="disk"') == 4
         assert svg_text.count('class="midcircle"') == 4
+
+    def test_three_disk_payload_draws_its_midcircle(self, tmp_path, capsys):
+        assert run(["verify", "--curvatures", "2,3,6,23", "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        payload["disks"] = payload["disks"][:3]
+        payload_path = tmp_path / "triple.json"
+        payload_path.write_text(json.dumps(payload))
+        out_path = tmp_path / "triple.svg"
+        argv = ["render", "--from-json", str(payload_path), "--out", str(out_path)]
+        assert run([*argv, "--midcircles"]) == 0
+        svg_text = out_path.read_text()
+        assert svg_text.count('class="disk"') == 3
+        (midcircle,) = [line for line in svg_text.splitlines() if 'class="midcircle"' in line]
+        # the circle through the tangency points of curvatures 2, 3, 6 has
+        # curvature sqrt(2·3 + 3·6 + 6·2) = 6
+        assert 'r="0.166666666667"' in midcircle
 
     def test_unrecognized_payload_is_usage_error(self, tmp_path, capsys):
         payload_path = tmp_path / "odd.json"

@@ -114,6 +114,9 @@ class TestFourthCurvatures:
             ("1e-100", "1e-100", "1e-108"),
             # a discriminant below the float range
             ("1e-200", "1e-200", "1e-210"),
+            # and above it
+            ("1e200", "1e200", "1"),
+            ("-1e250", "-1e250", "-3"),
         ],
     )
     def test_inexact_roots_match_a_decimal_reference(self, curvatures):
@@ -125,7 +128,7 @@ class TestFourthCurvatures:
 
     @given(
         st.lists(st.integers(-(10**6), 10**6), min_size=3, max_size=3),
-        st.integers(-280, 140),
+        st.integers(-280, 200),
     )
     def test_inexact_roots_match_a_decimal_reference_at_every_scale(self, entries, exponent):
         exact = [Fraction(v) * Fraction(10) ** exponent for v in entries]
