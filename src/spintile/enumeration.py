@@ -216,9 +216,13 @@ def write_records(records: Iterable[QuadrupleRecord], path: str, fmt: str) -> in
 def _atomic_write(path: str, write: Callable[[IO[str]], int]) -> int:
     """Run ``write`` on a temp file beside ``path`` and rename it into
     place; on any failure the temp file is removed.  Returns what
-    ``write`` returns."""
+    ``write`` returns.  When the temp file cannot be made, the
+    ``OSError`` names ``path``."""
     directory = os.path.dirname(os.path.abspath(path))
-    descriptor, temp_path = tempfile.mkstemp(dir=directory, suffix=".part")
+    try:
+        descriptor, temp_path = tempfile.mkstemp(dir=directory, suffix=".part")
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from None
     try:
         with os.fdopen(descriptor, "w", newline="") as handle:
             count = write(handle)

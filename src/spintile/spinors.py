@@ -94,14 +94,17 @@ class Spinor:
     __mul__ = __rmul__
 
 
+_store = object.__setattr__
+
+
 def _spinor(x: Rational, y: Rational) -> Spinor:
     """A Spinor from components that are exact by construction: sums,
     differences and products of ints and Fractions.  Skips the
-    validation of the public constructor."""
+    validation of the public constructor, and stores the fields as the
+    generated ``__init__`` does (see ``_frozen``), so reads stay fast."""
     spinor = object.__new__(Spinor)
-    fields = spinor.__dict__
-    fields["x"] = x
-    fields["y"] = y
+    _store(spinor, "x", x)
+    _store(spinor, "y", y)
     return spinor
 
 

@@ -9,12 +9,11 @@ individually flipped back so they stay readable.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 from ._frozen import Factory, frozen
 from .errors import FloatOverflow
-from .tessellation import Tessellation, Tile, TileClass, dodecagon_boundary
+from .tessellation import Tessellation, Tile, TileClass
 
 if TYPE_CHECKING:  # annotations only: rendering a tessellation needs no disks
     from .disks import PlacedDisk
@@ -100,10 +99,21 @@ def _hatch_defs(palette: Mapping[TileClass, str], unit: float) -> list[str]:
     return lines
 
 
-def _tile_polygon(tile: Tile, palette: Mapping[TileClass, str], stroke: float) -> str:
-    points = " ".join(
-        f"{_fmt(float(v.x))},{_fmt(float(v.y))}" for v in tile.vertices
-    )
+def _corner_floats(tile: Tile) -> list[float]:
+    """``[x0, y0, …, x3, y3]``: the tile's vertex cycle as floats.
+
+    Each is an int coordinate of the lattice form over its scale; int
+    true division is correctly rounded, so it is the same float as
+    ``float()`` of the exact vertex coordinate.
+    """
+    scale, *corners = tile._lattice
+    return [value / scale for value in corners]
+
+
+def _tile_polygon(
+    tile: Tile, corners: Sequence[float], palette: Mapping[TileClass, str], stroke: float
+) -> str:
+    points = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in zip(corners[0::2], corners[1::2]))
     if tile.signed_area < 0:
         fill = f"url(#hatch_{tile.tile_class.value})"
     else:
@@ -131,25 +141,26 @@ def _flipped_text(x: float, y: float, size: float, content: str) -> str:
 def render_tessellation(tess: Tessellation, options: RenderOptions | None = None) -> str:
     """Render the fifteen tiles; labels carry the exact areas."""
     options = options or RenderOptions()
-    corners = [v for tile in tess.tiles for v in tile.vertices]
-    corners.extend(dodecagon_boundary(tess))
-    # every drawn point lies in the hull of these corners, so this is the
-    # one conversion to float that can overflow
+    # every drawn point lies in the hull of the tile corners, which
+    # include the twelve dodecagon points, so this is the one conversion
+    # to float that can overflow
     try:
-        xs = [float(v.x) for v in corners]
-        ys = [float(v.y) for v in corners]
+        floats = [_corner_floats(tile) for tile in tess.tiles]
     except OverflowError:
         raise FloatOverflow("tessellation coordinates too large to draw as floats") from None
-    box_x, box_y, box_w, box_h = _viewbox(xs, ys)
+    box_x, box_y, box_w, box_h = _viewbox(
+        [x for corners in floats for x in corners[0::2]],
+        [y for corners in floats for y in corners[1::2]],
+    )
     extent = max(box_w, box_h)
     stroke = extent * 0.004
     body: list[str] = []
     body.extend(_hatch_defs(options.palette, stroke))
     body.append('<g transform="scale(1,-1)">')
-    for tile in tess.tiles:
-        body.append(_tile_polygon(tile, options.palette, stroke))
+    for tile, corners in zip(tess.tiles, floats):
+        body.append(_tile_polygon(tile, corners, options.palette, stroke))
     if options.show_spinor_arrows:
-        for name, vector in (("a", tess.a), ("b", tess.b), ("c", tess.c)):
+        for vector in (tess.a, tess.b, tess.c):
             body.append(
                 f'<line x1="0.000000000000" y1="0.000000000000" '
                 f'x2="{_fmt(float(vector.x))}" y2="{_fmt(float(vector.y))}" '
@@ -158,11 +169,12 @@ def render_tessellation(tess: Tessellation, options: RenderOptions | None = None
             )
     if options.show_labels:
         for tile in tess.tiles:
-            center = tile.anchor + Fraction(1, 2) * (tile.edge1 + tile.edge2)
+            # the centre is the midpoint of the diagonal from the anchor
+            scale, x0, y0, _, _, x2, y2, _, _ = tile._lattice
             body.append(
                 _flipped_text(
-                    float(center.x),
-                    float(center.y),
+                    (x0 + x2) / (2 * scale),
+                    (y0 + y2) / (2 * scale),
                     extent * 0.035,
                     str(tile.signed_area),
                 )

@@ -24,6 +24,14 @@ D = A+B+C+2G and D′ = A+B+C−2G complete (A, B, C) to curvature
 quadruples with zero residual, G is the curvature of the circle through
 the mutual tangency points of A, B, C, and the squares shifted by ±G
 give the remaining tangency-point circles.
+
+Rational pairs run on integers as integer pairs do.  Each tile clears
+its denominators once: it scales its six coordinates by L, their lcm,
+and keeps the integer vertex cycle (L = 1 for an integer tile).  The
+vertices, the signed area, the shoelace area, the congruence keys and
+the SVG coordinates are then sums and products of ints, divided by L
+or L² at the end; a ``Fraction`` is built only for a value that is
+reported, and a whole value comes back as ``int``.
 """
 
 from __future__ import annotations
@@ -31,11 +39,12 @@ from __future__ import annotations
 import enum
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 
 from ._frozen import frozen
 from .errors import DegenerateInput, NegativeOrientation, NonIntegralVertices
 from .quadruples import descartes_residual
-from .spinors import ZERO, Rational, Spinor, cross, dot, int_if_whole, norm_sq, star
+from .spinors import ZERO, Rational, Spinor, _spinor, cross, int_if_whole, star
 
 
 class TileClass(enum.Enum):
@@ -60,18 +69,55 @@ class Tile:
     edge2: Spinor
 
     @cached_property
+    def _lattice(self) -> tuple[int, ...]:
+        """``(L, x0, y0, x1, y1, x2, y2, x3, y3)``: the vertex cycle scaled
+        by L, the lcm of the six coordinate denominators, so that every
+        coordinate is an int (L = 1 for an integer tile)."""
+        ax, ay = self.anchor.x, self.anchor.y
+        e1x, e1y = self.edge1.x, self.edge1.y
+        e2x, e2y = self.edge2.x, self.edge2.y
+        # spelled out rather than looped: every tile of every pair runs this
+        scale = lcm(
+            ax.denominator, ay.denominator,
+            e1x.denominator, e1y.denominator,
+            e2x.denominator, e2y.denominator,
+        )
+        ax = ax.numerator * (scale // ax.denominator)
+        ay = ay.numerator * (scale // ay.denominator)
+        e1x = e1x.numerator * (scale // e1x.denominator)
+        e1y = e1y.numerator * (scale // e1y.denominator)
+        e2x = e2x.numerator * (scale // e2x.denominator)
+        e2y = e2y.numerator * (scale // e2y.denominator)
+        bx, by = ax + e1x, ay + e1y
+        return (scale, ax, ay, bx, by, bx + e2x, by + e2y, ax + e2x, ay + e2y)
+
+    @cached_property
     def vertices(self) -> tuple[Spinor, Spinor, Spinor, Spinor]:
-        second = self.anchor + self.edge1
-        return (self.anchor, second, second + self.edge2, self.anchor + self.edge2)
+        scale, _, _, x1, y1, x2, y2, x3, y3 = self._lattice
+        return (
+            self.anchor,
+            _spinor(_over(x1, scale), _over(y1, scale)),
+            _spinor(_over(x2, scale), _over(y2, scale)),
+            _spinor(_over(x3, scale), _over(y3, scale)),
+        )
 
     @cached_property
     def signed_area(self) -> Rational:
-        return cross(self.edge1, self.edge2)
+        scale, x0, y0, x1, y1, _, _, x3, y3 = self._lattice
+        return _over((x1 - x0) * (y3 - y0) - (x3 - x0) * (y1 - y0), scale * scale)
+
+
+def _over(numerator: int, denominator: int) -> Rational:
+    """The exact quotient: an ``int`` when whole, else a ``Fraction``."""
+    quotient, remainder = divmod(numerator, denominator)
+    return Fraction(numerator, denominator) if remainder else quotient
 
 
 def tile_area_shoelace(tile: Tile) -> Rational:
     """Signed area from the vertex cycle; independent of the edge form."""
-    return polygon_area(tile.vertices)
+    scale, x0, y0, x1, y1, x2, y2, x3, y3 = tile._lattice
+    twice = (x0 * y1 - x1 * y0) + (x1 * y2 - x2 * y1) + (x2 * y3 - x3 * y2) + (x3 * y0 - x0 * y3)
+    return _over(twice, 2 * scale * scale)
 
 
 def tile_area_pick(tile: Tile) -> Rational:
@@ -284,8 +330,15 @@ class ObservationResult:
 def _congruence_key(tile: Tile) -> tuple:
     """Invariant separating parallelograms up to rigid motion: sorted
     squared edge lengths plus |edge dot product|."""
-    n1, n2 = norm_sq(tile.edge1), norm_sq(tile.edge2)
-    return (min(n1, n2), max(n1, n2), abs(dot(tile.edge1, tile.edge2)))
+    scale, x0, y0, x1, y1, _, _, x3, y3 = tile._lattice
+    e1x, e1y, e2x, e2y = x1 - x0, y1 - y0, x3 - x0, y3 - y0
+    n1, n2 = e1x * e1x + e1y * e1y, e2x * e2x + e2y * e2y
+    square = scale * scale
+    return (
+        _over(min(n1, n2), square),
+        _over(max(n1, n2), square),
+        _over(abs(e1x * e2x + e1y * e2y), square),
+    )
 
 
 def check_observations(tess: Tessellation) -> list[ObservationResult]:

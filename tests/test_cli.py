@@ -283,6 +283,13 @@ class TestEnumerate:
         merge_shards(shard_paths, str(merged), "csv")
         assert merged.read_bytes() == reference.read_bytes()
 
+    def test_unwritable_out_names_the_requested_path(self, tmp_path, capsys):
+        path = tmp_path / "missing" / "x.csv"
+        assert run(["enumerate", "--bound", "1", "--out", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("i/o error: ") and str(path) in err
+        assert "x.csv" in err and ".part" not in err
+
     @pytest.mark.parametrize("bad", ["3/3", "-1/2", "x", "1"])
     def test_invalid_shard_is_usage_error(self, bad):
         assert run(["enumerate", "--bound", "1", "--shard", bad]) == 2

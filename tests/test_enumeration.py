@@ -255,6 +255,18 @@ class TestAtomicWrites:
         assert content.startswith(CSV_HEADER)
         assert "stale" not in content
 
+    def test_unwritable_directory_names_the_requested_path(self, tmp_path):
+        shard = tmp_path / "shard.csv"
+        write_records(enumerate_records(EnumerationJob(bound=1)), str(shard), "csv")
+        target = str(tmp_path / "missing" / "merged.csv")
+        for write in (
+            lambda: write_records(enumerate_records(EnumerationJob(bound=1)), target, "csv"),
+            lambda: merge_shards([str(shard)], target, "csv"),
+        ):
+            with pytest.raises(FileNotFoundError) as caught:
+                write()
+            assert caught.value.filename == target
+
 
 def write_shards(
     directory, bound: int, count: int, fmt: str, include_zero: bool = False

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import hashlib
+import io
+import random
+from contextlib import redirect_stdout
 from fractions import Fraction
 
 import pytest
@@ -20,21 +24,38 @@ from spintile import (
     check_observations,
     cross,
     dodecagon_boundary,
+    dot,
+    norm_sq,
     observation_constant,
     polygon_area,
+    render_tessellation,
     summarize,
     tessellation_to_json_dict,
     tile_area_pick,
     tile_area_shoelace,
     vertex_set,
 )
+from spintile.cli import run
 from spintile.spinors import ZERO
+from spintile.svg import RenderOptions, _corner_floats
+from spintile.tessellation import _congruence_key
 
 int_spinors = st.builds(Spinor, st.integers(-9, 9), st.integers(-9, 9))
+
+# magnitudes up to 1e12, ints and rationals with denominators up to 1e4
+wide_components = st.one_of(
+    st.integers(-(10**12), 10**12),
+    st.builds(Fraction, st.integers(-(10**12), 10**12), st.integers(1, 10**4)),
+)
+wide_spinors = st.builds(Spinor, wide_components, wide_components)
 
 
 def generic_pairs():
     return st.tuples(int_spinors, int_spinors).filter(lambda p: cross(*p) != 0)
+
+
+def wide_pairs():
+    return st.tuples(wide_spinors, wide_spinors).filter(lambda p: cross(*p) != 0)
 
 
 @pytest.fixture(scope="module")
@@ -88,6 +109,38 @@ class TestTileGeometryIsKept:
         assert tile == fresh and fresh == tile
         assert hash(tile) == hash(fresh) == before
         assert len({tile, fresh}) == 1
+
+
+class TestIntegerForm:
+    """Each tile computes on its coordinates scaled to ints; every value
+    must still be exactly the one the Spinor arithmetic defines."""
+
+    @staticmethod
+    def assert_matches_definitions(tile):
+        anchor, edge1, edge2 = tile.anchor, tile.edge1, tile.edge2
+        corners = (anchor, anchor + edge1, anchor + edge1 + edge2, anchor + edge2)
+        n1, n2 = norm_sq(edge1), norm_sq(edge2)
+        assert tile.vertices == corners
+        assert tile.signed_area == cross(edge1, edge2)
+        assert tile_area_shoelace(tile) == polygon_area(corners)
+        assert _congruence_key(tile) == (min(n1, n2), max(n1, n2), abs(dot(edge1, edge2)))
+        assert _corner_floats(tile) == [float(value) for v in corners for value in (v.x, v.y)]
+
+    @given(wide_pairs())
+    def test_tiles_of_int_and_rational_pairs(self, pair):
+        for tile in build_tessellation(*pair).tiles:
+            self.assert_matches_definitions(tile)
+
+    @given(st.builds(Tile, st.just("t"), st.sampled_from(TileClass), *[wide_spinors] * 3))
+    def test_hand_built_tiles(self, tile):
+        self.assert_matches_definitions(tile)
+
+    def test_hand_built_rational_tile(self):
+        anchor, edge1 = Spinor(Fraction(1, 2), 0), Spinor(Fraction(2, 3), 1)
+        tile = Tile("t", TileClass.GREEN, anchor, edge1, Spinor(0, 1))
+        self.assert_matches_definitions(tile)
+        assert tile.vertices[2] == Spinor(Fraction(7, 6), 2)
+        assert tile.signed_area == Fraction(2, 3)
 
 
 class TestFigureAreas:
@@ -186,6 +239,21 @@ class TestBoundary:
 
     def test_boundary_area_equals_tile_sum(self, figure):
         assert polygon_area(dodecagon_boundary(figure)) == 80
+
+    @pytest.mark.parametrize("pair", [(Spinor(3, 0), Spinor(-1, 2)), (Spinor(2, 1), Spinor(1, -3))])
+    def test_boundary_points_are_tile_vertices_unfolded_and_folded(self, pair):
+        tess = build_tessellation(*pair)
+        corners = {v for tile in tess.tiles for v in tile.vertices}
+        assert set(dodecagon_boundary(tess)) <= corners
+
+    @given(st.one_of(generic_pairs(), wide_pairs()))
+    def test_boundary_points_are_tile_vertices(self, pair):
+        # x + z⋆ is a corner of the green tile anchored at x, the other
+        # three of the light red anchored at x + x⋆; so the tile corners
+        # alone bound the drawing
+        tess = build_tessellation(*pair)
+        corners = {v for tile in tess.tiles for v in tile.vertices}
+        assert set(dodecagon_boundary(tess)) <= corners
 
     @given(generic_pairs())
     def test_tile_sum_equals_boundary_area(self, pair):
@@ -290,3 +358,68 @@ class TestJson:
         assert report["curvature_Dprime"] == "-1"
         assert report["midcircles_with_D"] == ["15", "11", "14"]
         assert report["descartes_residual_D"] == "0"
+
+
+def _bits_pairs():
+    """200 seeded pairs as ``spintile tess`` reads them: small ints, ints
+    up to 1e12, rationals with denominators up to 1e4, folded pairs and
+    whole values written as fractions."""
+    rng = random.Random("tessellation bits")
+
+    def small():
+        return rng.randint(-9, 9)
+
+    def huge():
+        return rng.randint(-(10**12), 10**12)
+
+    def rational():
+        return Fraction(rng.randint(-(10**6), 10**6), rng.randint(1, 10**4))
+
+    def spelled(value):
+        # whole values as fractions ("12/4"), the others as p/q
+        if isinstance(value, int):
+            scale = rng.randint(2, 9)
+            return f"{value * scale}/{scale}"
+        return str(value)
+
+    kinds = [(small, str)] * 50 + [(huge, str)] * 40 + [(rational, str)] * 50
+    kinds += [(small, spelled)] * 20 + [(rational, spelled)] * 10
+    for make, text in kinds:
+        while True:
+            a, b = Spinor(make(), make()), Spinor(make(), make())
+            if cross(a, b) != 0:
+                break
+        yield f"{text(a.x)},{text(a.y)}", f"{text(b.x)},{text(b.y)}"
+    folded = 0
+    while folded < 30:
+        a, b = Spinor(small(), rational()), Spinor(small(), small())
+        if cross(a, b) != 0 and build_tessellation(a, b).has_overlap:
+            folded += 1
+            yield f"{a.x},{a.y}", f"{b.x},{b.y}"
+
+
+def _tessellation_lines():
+    """The ``tess`` text, ``tess --json`` and two SVGs of each pair."""
+    arrows = RenderOptions(show_spinor_arrows=True, show_labels=False)
+    for a_text, b_text in _bits_pairs():
+        for extra in ([], ["--json"]):
+            out = io.StringIO()
+            with redirect_stdout(out):
+                assert run(["tess", f"--a={a_text}", f"--b={b_text}", *extra]) == 0
+            yield out.getvalue()
+        tess = build_tessellation(Spinor.parse(a_text), Spinor.parse(b_text))
+        yield render_tessellation(tess)
+        yield render_tessellation(tess, arrows)
+
+
+class TestTessellationBits:
+    """The tessellation outputs are pinned bit for bit: every exact value
+    printed by ``tess`` and ``tess --json``, and every SVG coordinate,
+    label and viewBox.  A change to the exact arithmetic, to the floats
+    drawn from it or to the bounding box shows here."""
+
+    def test_seeded_outputs_digest(self):
+        text = "\n".join(_tessellation_lines())
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "b702fff3e487e75c56e409068cf770413a4c146f46a0cd012289dbeb1f7841f2"
+        )
