@@ -249,7 +249,6 @@ def _cmd_render(args: argparse.Namespace) -> int:
     options = svg.RenderOptions(
         width_px=args.width_px,
         show_labels=not args.no_labels,
-        show_midcircles=args.midcircles,
         show_spinor_arrows=args.spinor_arrows,
     )
     if "tiles" in payload:

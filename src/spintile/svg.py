@@ -26,10 +26,15 @@ DEFAULT_PALETTE: Mapping[TileClass, str] = {
 }
 
 _MARGIN = 0.08  # fraction of the larger extent kept clear around content
+# a label from a payload is any string: escape what XML text reserves
+_XML_TEXT = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;"})
 
 
 @frozen
 class RenderOptions:
+    """How a scene is drawn.  ``show_midcircles`` is read by nothing:
+    ``render_configuration`` draws whatever midcircles it is given."""
+
     width_px: int = 640
     show_labels: bool = True
     show_midcircles: bool = False
@@ -237,7 +242,7 @@ def render_configuration(
             size = min(extent * 0.04, max(abs(disk.radius) * 0.6, extent * 0.012))
             text = _curvature_label(disk.curvature)
             if labels is not None:
-                text = f"{labels[index]}={text}"
+                text = f"{labels[index].translate(_XML_TEXT)}={text}"
             body.append(_flipped_text(disk.center[0], label_y, size, text))
     body.append("</g>")
     flipped_box = (box_x, -(box_y + box_h), box_w, box_h)

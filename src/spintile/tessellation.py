@@ -26,25 +26,25 @@ the mutual tangency points of A, B, C, and the squares shifted by ±G
 give the remaining tangency-point circles.
 
 Rational pairs run on integers as integer pairs do.  Each tile clears
-its denominators once: it scales its six coordinates by L, their lcm,
-and keeps the integer vertex cycle (L = 1 for an integer tile).  The
-vertices, the signed area, the shoelace area, the congruence keys and
-the SVG coordinates are then sums and products of ints, divided by L
-or L² at the end; a ``Fraction`` is built only for a value that is
-reported, and a whole value comes back as ``int``.
+its denominators once, when it is made: it scales its six coordinates
+by L, their lcm, and keeps the integer vertex cycle (L = 1 for an
+integer tile), its vertices and its signed area.  These, the shoelace
+area, the congruence keys, the lattice-point count and the SVG
+coordinates are sums and products of ints, divided by L or L² at the
+end; a ``Fraction`` is built only for a value that is reported, and a
+whole value comes back as ``int``.
 """
 
 from __future__ import annotations
 
 import enum
 from fractions import Fraction
-from functools import cached_property
 from math import lcm
 
 from ._frozen import frozen
 from .errors import DegenerateInput, NegativeOrientation, NonIntegralVertices
 from .quadruples import descartes_residual
-from .spinors import ZERO, Rational, Spinor, _spinor, cross, int_if_whole, star
+from .spinors import ZERO, Rational, Spinor, _spinor, _store, cross, int_if_whole, star
 
 
 class TileClass(enum.Enum):
@@ -58,7 +58,7 @@ class TileClass(enum.Enum):
 class Tile:
     """One parallelogram: anchor plus two edge vectors.
 
-    The vertices and the signed area are computed on first use and kept;
+    The vertices and the signed area are computed when the tile is made;
     equality and hashing still see only the five fields.
     """
 
@@ -68,11 +68,10 @@ class Tile:
     edge1: Spinor
     edge2: Spinor
 
-    @cached_property
-    def _lattice(self) -> tuple[int, ...]:
-        """``(L, x0, y0, x1, y1, x2, y2, x3, y3)``: the vertex cycle scaled
-        by L, the lcm of the six coordinate denominators, so that every
-        coordinate is an int (L = 1 for an integer tile)."""
+    def __post_init__(self) -> None:
+        # ``_lattice`` is (L, x0, y0, x1, y1, x2, y2, x3, y3): the vertex
+        # cycle scaled by L, the lcm of the six coordinate denominators, so
+        # that every coordinate is an int (L = 1 for an integer tile)
         ax, ay = self.anchor.x, self.anchor.y
         e1x, e1y = self.edge1.x, self.edge1.y
         e2x, e2y = self.edge2.x, self.edge2.y
@@ -89,22 +88,17 @@ class Tile:
         e2x = e2x.numerator * (scale // e2x.denominator)
         e2y = e2y.numerator * (scale // e2y.denominator)
         bx, by = ax + e1x, ay + e1y
-        return (scale, ax, ay, bx, by, bx + e2x, by + e2y, ax + e2x, ay + e2y)
-
-    @cached_property
-    def vertices(self) -> tuple[Spinor, Spinor, Spinor, Spinor]:
-        scale, _, _, x1, y1, x2, y2, x3, y3 = self._lattice
-        return (
+        cx, cy = bx + e2x, by + e2y
+        dx, dy = ax + e2x, ay + e2y
+        _store(self, "_lattice", (scale, ax, ay, bx, by, cx, cy, dx, dy))
+        _store(self, "signed_area", _over(e1x * e2y - e2x * e1y, scale * scale))
+        vertices = (
             self.anchor,
-            _spinor(_over(x1, scale), _over(y1, scale)),
-            _spinor(_over(x2, scale), _over(y2, scale)),
-            _spinor(_over(x3, scale), _over(y3, scale)),
+            _spinor(_over(bx, scale), _over(by, scale)),
+            _spinor(_over(cx, scale), _over(cy, scale)),
+            _spinor(_over(dx, scale), _over(dy, scale)),
         )
-
-    @cached_property
-    def signed_area(self) -> Rational:
-        scale, x0, y0, x1, y1, _, _, x3, y3 = self._lattice
-        return _over((x1 - x0) * (y3 - y0) - (x3 - x0) * (y1 - y0), scale * scale)
+        _store(self, "vertices", vertices)
 
 
 def _over(numerator: int, denominator: int) -> Rational:
@@ -128,34 +122,30 @@ def tile_area_pick(tile: Tile) -> Rational:
     edge pair: q = anchor + s·edge1 + t·edge2 lies inside the tile
     exactly when 0 ≤ s, t ≤ 1.
     """
-    coords: list[int] = []
-    for vertex in tile.vertices:
-        for value in (vertex.x, vertex.y):
-            whole = int_if_whole(value)
-            if not isinstance(whole, int):
-                raise NonIntegralVertices(f"vertex coordinate {value} is not an integer")
-            coords.append(whole)
-    area2 = int(tile.signed_area)
-    if area2 <= 0:
-        raise NegativeOrientation(f"tile {tile.label} has signed area {tile.signed_area}")
+    scale, x0, y0, x1, y1, x2, y2, x3, y3 = tile._lattice
+    # the vertices include the anchor and differ by the edges, so they
+    # are all integers exactly when the six coordinates are: when L = 1
+    if scale != 1:
+        raise NonIntegralVertices(f"tile {tile.label} has a vertex that is not an integer point")
+    area = tile.signed_area
+    if area <= 0:
+        raise NegativeOrientation(f"tile {tile.label} has signed area {area}")
 
-    ax, ay = int(tile.anchor.x), int(tile.anchor.y)
-    e1x, e1y = int(tile.edge1.x), int(tile.edge1.y)
-    e2x, e2y = int(tile.edge2.x), int(tile.edge2.y)
-    xs, ys = coords[0::2], coords[1::2]
+    e1x, e1y, e2x, e2y = x1 - x0, y1 - y0, x3 - x0, y3 - y0
+    xs, ys = (x0, x1, x2, x3), (y0, y1, y2, y3)
     interior = boundary = 0
     for qx in range(min(xs), max(xs) + 1):
-        dx = qx - ax
+        dx = qx - x0
         for qy in range(min(ys), max(ys) + 1):
-            dy = qy - ay
+            dy = qy - y0
             s_scaled = dx * e2y - e2x * dy
             t_scaled = e1x * dy - dx * e1y
-            if 0 <= s_scaled <= area2 and 0 <= t_scaled <= area2:
-                if 0 < s_scaled < area2 and 0 < t_scaled < area2:
+            if 0 <= s_scaled <= area and 0 <= t_scaled <= area:
+                if 0 < s_scaled < area and 0 < t_scaled < area:
                     interior += 1
                 else:
                     boundary += 1
-    return int_if_whole(Fraction(2 * interior + boundary - 2, 2))
+    return _over(2 * interior + boundary - 2, 2)
 
 
 @frozen

@@ -356,6 +356,18 @@ class TestRender:
         # curvature sqrt(2·3 + 3·6 + 6·2) = 6
         assert 'r="0.166666666667"' in midcircle
 
+    def test_payload_labels_are_escaped(self, tmp_path, capsys):
+        assert run(["verify", "--curvatures", "2,3,6,23", "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        payload["disks"][0]["label"] = "A&B<c>"
+        payload_path = tmp_path / "labels.json"
+        payload_path.write_text(json.dumps(payload))
+        out_path = tmp_path / "labels.svg"
+        assert run(["render", "--from-json", str(payload_path), "--out", str(out_path)]) == 0
+        root = ET.fromstring(out_path.read_text())
+        texts = [element.text for element in root.iter("{http://www.w3.org/2000/svg}text")]
+        assert texts[0] == "A&B<c>=2"
+
     def test_unrecognized_payload_is_usage_error(self, tmp_path, capsys):
         payload_path = tmp_path / "odd.json"
         payload_path.write_text('{"foo": 1}')

@@ -208,6 +208,20 @@ class TestAreaRoutes:
         tile = Tile("t", TileClass.GREEN, Spinor(Fraction(1, 2), 0), Spinor(1, 0), Spinor(0, 1))
         with pytest.raises(NonIntegralVertices):
             tile_area_pick(tile)
+        # an integer anchor with a fractional edge
+        tile = Tile("t", TileClass.GREEN, Spinor(2, -1), Spinor(1, Fraction(1, 3)), Spinor(0, 1))
+        with pytest.raises(NonIntegralVertices):
+            tile_area_pick(tile)
+        # fractional and folded: the vertices are refused first
+        tile = Tile("t", TileClass.GREEN, ZERO, Spinor(0, Fraction(1, 2)), Spinor(1, 0))
+        assert tile.signed_area < 0
+        with pytest.raises(NonIntegralVertices):
+            tile_area_pick(tile)
+        # whole values spelled as fractions are integer points
+        one = Fraction(1, 1)
+        tile = Tile("t", TileClass.GREEN, Spinor(-one, one), Spinor(2 * one, one), Spinor(-one, 3 * one))
+        assert tile._lattice[0] == 1
+        assert tile_area_pick(tile) == 7
 
     def test_pick_rejects_negative_orientation(self):
         tile = Tile("t", TileClass.GREEN, ZERO, Spinor(0, 1), Spinor(1, 0))
