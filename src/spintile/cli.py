@@ -229,12 +229,24 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 @contextlib.contextmanager
 def _malformed_payload(path: str) -> Iterator[None]:
     """Turn text that is not JSON, a missing or ill-typed field, one that
-    does not parse, or a disk that ``PlacedDisk`` refuses into
-    ``InvalidPayload``."""
+    does not parse or is beyond the float range, or a disk that
+    ``PlacedDisk`` refuses into ``InvalidPayload``."""
     try:
         yield
-    except (AttributeError, IndexError, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+    except (ArithmeticError, AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
         raise InvalidPayload(f"{path}: malformed payload ({type(exc).__name__}: {exc})") from None
+
+
+def _finite(value: object) -> float:
+    """A number of a disk payload as a finite float.  ``json`` reads
+    ``NaN`` and ``Infinity``, and ``float`` takes a boolean as 0 or 1:
+    both are refused."""
+    if isinstance(value, bool):
+        raise TypeError(f"expected a number, got {value!r}")
+    result = float(value)
+    if not math.isfinite(result):
+        raise ValueError(f"expected a finite number, got {value!r}")
+    return result
 
 
 def _cmd_render(args: argparse.Namespace) -> int:
@@ -264,9 +276,9 @@ def _cmd_render(args: argparse.Namespace) -> int:
             entries = payload["disks"]
             disks = [
                 PlacedDisk(
-                    center=(float(entry["center"][0]), float(entry["center"][1])),
-                    radius=float(entry["radius"]),
-                    curvature=float(entry["curvature"]),
+                    center=(_finite(entry["center"][0]), _finite(entry["center"][1])),
+                    radius=_finite(entry["radius"]),
+                    curvature=_finite(entry["curvature"]),
                 )
                 for entry in entries
             ]
@@ -332,8 +344,9 @@ class _FormatNames:
         return iter(FORMATS)
 
 
-# values like "-1,2" or "-1/2,2/3" must parse as option values, not flags
-_NEGATIVE_VALUE = re.compile(r"^-\d+([,/.]\S*)?$|^-\d*\.\d+\S*$")
+# values like "-1,2", "-1/2,2/3" or "-1e5,2" must parse as option values,
+# not flags
+_NEGATIVE_VALUE = re.compile(r"^-\d+([eE][-+]?\d+)?([,/.]\S*)?$|^-\d*\.\d+\S*$")
 
 
 def build_parser() -> argparse.ArgumentParser:

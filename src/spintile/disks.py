@@ -97,25 +97,21 @@ def symbol_join(s1: Symbol, s2: Symbol) -> PythTriple:
     """Coordinatewise join of two externally tangent symbols.
 
     The result (β₁ẋ₂ − β₂ẋ₁, β₁ẏ₂ − β₂ẏ₁, β₁ + β₂) is a Pythagorean
-    triple exactly when the disks are tangent; external tangency also
-    needs β₁ + β₂ > 0 (a disk nested inside an unbounded disk's hole is
-    internally tangent and is rejected).
+    triple exactly when the disks are tangent: it is β₁β₂ times (centre
+    gap, r₁ + r₂).  External tangency also needs β₁ + β₂ > 0 (a disk
+    nested inside an unbounded disk's hole is internally tangent and is
+    rejected).
     """
-    c1x, c1y = s1.center()
-    c2x, c2y = s2.center()
-    gap_sq = (c2x - c1x) ** 2 + (c2y - c1y) ** 2
-    radius_sum = s1.radius() + s2.radius()
-    if gap_sq != radius_sum * radius_sum:
-        raise NotTangent(
-            f"center gap² {gap_sq} differs from (r1+r2)² {radius_sum * radius_sum}"
-        )
     if s1.beta + s2.beta <= 0:
         raise NotTangent("tangency is internal (curvatures sum to a nonpositive value)")
-    return PythTriple(
-        s1.beta * s2.x_dot - s2.beta * s1.x_dot,
-        s1.beta * s2.y_dot - s2.beta * s1.y_dot,
-        s1.beta + s2.beta,
-    )
+    try:
+        return PythTriple(
+            s1.beta * s2.x_dot - s2.beta * s1.x_dot,
+            s1.beta * s2.y_dot - s2.beta * s1.y_dot,
+            s1.beta + s2.beta,
+        )
+    except ValueError as exc:
+        raise NotTangent(f"disks are not tangent: their join is {exc}") from None
 
 
 @frozen
@@ -185,7 +181,12 @@ def _spinor(c1: complex, r1: float, c2: complex, r2: float) -> tuple[float, floa
     The reversed pair needs its own call: multiplying by i instead
     would change the sign of zero components.
     """
-    u = cmath.sqrt((c2 - c1) / (r1 * r2))
+    try:
+        u = cmath.sqrt((c2 - c1) / (r1 * r2))
+    except ZeroDivisionError:
+        raise FloatOverflow(
+            f"radii {r1!r} and {r2!r}: their product is below the float range"
+        ) from None
     re, im = u.real, u.imag
     if re < 0 or (re == 0 and im < 0):
         return (-re, -im)
@@ -348,8 +349,8 @@ def place_quadruple(
     if len(curvatures) != 4:
         raise ValueError(f"need 4 curvatures, got {len(curvatures)}")
     # positives first, each side in input order
-    order = sorted(range(4), key=lambda i: not curvatures[i] > 0)
-    if not curvatures[order[2]] > 0:
+    order = sorted(range(4), key=lambda i: not _is_positive(curvatures[i]))
+    if not _is_positive(curvatures[order[2]]):
         raise NonPositiveCurvature(
             "need at least three positive curvatures to place a configuration"
         )
@@ -529,7 +530,8 @@ def verify_spinor_laws(
     residual table instead of rejecting the configuration outright.
     Each unordered pair's tangency is tested once, in the order AB, AC,
     AD, BC, BD, CD; the spinors of both orders of the pair come from
-    their own difference quotients.
+    their own difference quotients, and its tangency point, which two
+    thm3 midcircles share, is computed with them.
     """
     disks = tuple(disks)
     labels = tuple(labels)
@@ -541,13 +543,16 @@ def verify_spinor_laws(
     centers = [disk.center_complex() for disk in disks]
     radii = [disk.radius for disk in disks]
     curvatures = [disk.curvature for disk in disks]
-    # u[i][j] is the spinor of the ordered pair (i, j)
+    # u[i][j] is the spinor of the ordered pair (i, j); for i < j,
+    # touch[i][j] is where disks i and j touch
     u: list[list] = [[None] * 4 for _ in range(4)]
+    touch: list[list] = [[None] * 4 for _ in range(4)]
     for i, j in _PAIRS:
         ci, ri, cj, rj = centers[i], radii[i], centers[j], radii[j]
         _require_tangent(ci, ri, cj, rj, detect)
         u[i][j] = _spinor(ci, ri, cj, rj)
         u[j][i] = _spinor(cj, rj, ci, ri)
+        touch[i][j] = tangency_point(disks[i], disks[j])
 
     residuals: dict[str, float] = {}
     signs: dict[str, str] = {}
@@ -567,20 +572,10 @@ def verify_spinor_laws(
     residuals["thm2"] = worst
 
     # |dot of two spinors out of one disk| = curvature of the circle
-    # through the triple's tangency points (computed independently).
-    # The six points are computed once, in the order the four midcircles
-    # first need them, so that errors from a degenerate pair or midcircle
-    # surface in the order midcircle_through_tangencies would raise them.
-    d0, d1, d2, d3 = disks
-    p12, p13, p23 = tangency_point(d1, d2), tangency_point(d1, d3), tangency_point(d2, d3)
-    mids = [_midcircle_curvature(p12, p13, p23)]
-    p02, p03 = tangency_point(d0, d2), tangency_point(d0, d3)
-    mids.append(_midcircle_curvature(p02, p03, p23))
-    p01 = tangency_point(d0, d1)
-    mids.append(_midcircle_curvature(p01, p03, p13))
-    mids.append(_midcircle_curvature(p01, p02, p12))
+    # through the triple's tangency points (computed independently)
     worst = 0.0
-    for mid, apexes in zip(mids, _APEXES):
+    for (i, j, k), apexes in zip(_TRIPLES, _APEXES):
+        mid = _midcircle_curvature(touch[i][j], touch[i][k], touch[j][k])
         for apex, a, b in apexes:
             (x1, y1), (x2, y2) = u[apex][a], u[apex][b]
             worst = max(worst, abs(abs(x1 * x2 + y1 * y2) - mid))

@@ -64,9 +64,10 @@ class CollinearTangencyPoints(SpintileError):
 
 class FloatOverflow(SpintileError):
     """An exact value, or a quantity computed from it, is outside the
-    float range where floats are needed: SVG coordinates, inexact
-    curvature roots and placed disks (including a placement whose
-    triangle floats cannot resolve)."""
+    float range where floats are needed: SVG coordinates and drawing
+    extents, inexact curvature roots, placed disks (including a
+    placement whose triangle floats cannot resolve) and the radius
+    products of their tangency spinors."""
 
 
 class InvalidPayload(SpintileError):

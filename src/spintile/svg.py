@@ -9,6 +9,7 @@ individually flipped back so they stay readable.
 
 from __future__ import annotations
 
+import math
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 from ._frozen import Factory, frozen
@@ -69,16 +70,24 @@ def _viewbox(
 
 
 def _svg_document(
-    body: list[str], box: tuple[float, float, float, float], width_px: int
+    defs: list[str], body: list[str], box: tuple[float, float, float, float], width_px: int
 ) -> str:
+    """The document: ``defs``, then ``body`` drawn in math coordinates
+    inside the one y-flipped group, framed by ``box``, the drawing's
+    extent (x, y, width, height) in math coordinates."""
     x, y, w, h = box
-    height_px = max(1, round(width_px * h / w))
+    # the y-flip group negates the box's y-range
+    top = -(y + h)
+    ratio = width_px * h / w
+    if not all(math.isfinite(value) for value in (x, top, w, h, ratio)):
+        raise FloatOverflow("drawing extent is beyond the float range")
     head = (
         '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{width_px}" height="{height_px}" '
-        f'viewBox="{_fmt(x)} {_fmt(y)} {_fmt(w)} {_fmt(h)}">'
+        f'width="{width_px}" height="{max(1, round(ratio))}" '
+        f'viewBox="{_fmt(x)} {_fmt(top)} {_fmt(w)} {_fmt(h)}">'
     )
-    return "\n".join(['<?xml version="1.0" encoding="UTF-8"?>', head, *body, "</svg>"]) + "\n"
+    lines = ['<?xml version="1.0" encoding="UTF-8"?>', head, *defs, '<g transform="scale(1,-1)">']
+    return "\n".join([*lines, *body, "</g>", "</svg>"]) + "\n"
 
 
 def _hatch_defs(palette: Mapping[TileClass, str], unit: float) -> list[str]:
@@ -153,15 +162,13 @@ def render_tessellation(tess: Tessellation, options: RenderOptions | None = None
         floats = [_corner_floats(tile) for tile in tess.tiles]
     except OverflowError:
         raise FloatOverflow("tessellation coordinates too large to draw as floats") from None
-    box_x, box_y, box_w, box_h = _viewbox(
+    box = _viewbox(
         [x for corners in floats for x in corners[0::2]],
         [y for corners in floats for y in corners[1::2]],
     )
-    extent = max(box_w, box_h)
+    extent = max(box[2], box[3])
     stroke = extent * 0.004
     body: list[str] = []
-    body.extend(_hatch_defs(options.palette, stroke))
-    body.append('<g transform="scale(1,-1)">')
     for tile, corners in zip(tess.tiles, floats):
         body.append(_tile_polygon(tile, corners, options.palette, stroke))
     if options.show_spinor_arrows:
@@ -184,10 +191,7 @@ def render_tessellation(tess: Tessellation, options: RenderOptions | None = None
                     str(tile.signed_area),
                 )
             )
-    body.append("</g>")
-    # the y-flip group negates the box's y-range
-    flipped_box = (box_x, -(box_y + box_h), box_w, box_h)
-    return _svg_document(body, flipped_box, options.width_px)
+    return _svg_document(_hatch_defs(options.palette, stroke), body, box, options.width_px)
 
 
 def _curvature_label(value: float) -> str:
@@ -216,11 +220,10 @@ def render_configuration(
         reach = abs(disk.radius)
         xs.extend((disk.center[0] - reach, disk.center[0] + reach))
         ys.extend((disk.center[1] - reach, disk.center[1] + reach))
-    box_x, box_y, box_w, box_h = _viewbox(xs, ys)
-    extent = max(box_w, box_h)
+    box = _viewbox(xs, ys)
+    extent = max(box[2], box[3])
     stroke = extent * 0.004
     body: list[str] = []
-    body.append('<g transform="scale(1,-1)">')
     for disk in disks:
         body.append(
             f'<circle class="disk" cx="{_fmt(disk.center[0])}" cy="{_fmt(disk.center[1])}" '
@@ -244,6 +247,4 @@ def render_configuration(
             if labels is not None:
                 text = f"{labels[index].translate(_XML_TEXT)}={text}"
             body.append(_flipped_text(disk.center[0], label_y, size, text))
-    body.append("</g>")
-    flipped_box = (box_x, -(box_y + box_h), box_w, box_h)
-    return _svg_document(body, flipped_box, options.width_px)
+    return _svg_document([], body, box, options.width_px)

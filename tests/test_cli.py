@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import random
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -86,9 +87,12 @@ class TestTess:
 
     def test_svg_of_huge_coordinates_fails_cleanly(self, tmp_path, capsys):
         path = tmp_path / "huge.svg"
-        assert run(["tess", "--a", "1e400,0", "--b", "0,1", "--svg", str(path)]) == 1
-        assert capsys.readouterr().err.startswith("FloatOverflow: ")
-        assert not path.exists()
+        # corners beyond the float range, then finite corners whose extent
+        # is beyond it
+        for pair in (["--a", "1e400,0", "--b", "0,1"], ["--a=-1e308,1", "--b=1,1"]):
+            assert run(["tess", *pair, "--svg", str(path)]) == 1, pair
+            assert capsys.readouterr().err.startswith("FloatOverflow: "), pair
+            assert not path.exists(), pair
 
 
 class TestParser:
@@ -110,6 +114,10 @@ class TestSolve:
 
     def test_negative_leading_curvature_parses(self, capsys):
         assert run(["solve", "--curvatures", "-1,2,2"]) == 0
+        assert capsys.readouterr().out.strip() == "3, 3 (exact)"
+
+    def test_negative_leading_curvature_in_exponent_notation_parses(self, capsys):
+        assert run(["solve", "--curvatures", "-1e0,2,2"]) == 0
         assert capsys.readouterr().out.strip() == "3, 3 (exact)"
 
     def test_inexact_roots(self, capsys):
@@ -167,6 +175,12 @@ class TestQuad:
             "D2": "-1",
         }
 
+    def test_negative_exponent_value_is_not_a_flag(self, capsys):
+        assert run(["quad", "--a=-1e5,2", "--b", "1,1"]) == 0
+        expected = capsys.readouterr().out
+        assert run(["quad", "--a", "-1e5,2", "--b", "1,1"]) == 0
+        assert capsys.readouterr().out == expected
+
 
 class TestVerify:
     def test_passing_quadruple(self, capsys):
@@ -217,6 +231,9 @@ class TestVerify:
             "1e-300,1,1,1",
             # a height lost to rounding next to two far larger radii
             "1,1,1e16,1",
+            # a genuine quadruple (10**159 times that of (1, -30), (-26, -5))
+            # whose radius products are below the float range
+            "825e159,1025e159,-124e159,156e159",
         ],
     )
     def test_curvatures_beyond_the_float_range_fail_cleanly(self, curvatures, capsys):
@@ -387,6 +404,14 @@ class TestRender:
             '{"tiles": [], "b": "-1,2"}',
             "not json",
             "[1, 2]",
+            # numbers json reads but a disk cannot hold
+            '{"disks": [{"center": [NaN, 0], "radius": 1, "curvature": 1}]}',
+            '{"disks": [{"center": [Infinity, 0], "radius": 1, "curvature": 1}]}',
+            '{"disks": [{"center": [0, 0], "radius": true, "curvature": 1}]}',
+            pytest.param(
+                '{"disks": [{"center": [1%s, 0], "radius": 1, "curvature": 1}]}' % ("0" * 400),
+                id="integer-beyond-the-float-range",
+            ),
         ],
     )
     def test_malformed_payload_is_a_typed_error(self, tmp_path, capsys, text):
@@ -417,6 +442,53 @@ class TestRender:
             ]
         )
         assert code == 2
+
+
+class TestSweep:
+    """Seeded argv over the subcommands that compute: every call ends in
+    an exit code, whatever its values."""
+
+    POOL = (
+        "0", "1", "-1", "3/7", "-22/7", "0.5", "-2.25",
+        "1e159", "-1e159", "1e-159", "1e308", "-1e308", "1e-308",
+        "1e400", "-1e400", "1e-400",
+        "12345678901234567890", "-98765432109876543210",
+        "x", "1/0", "nan", "",
+    )
+
+    def argvs(self, seed: int, count: int, svg: str) -> list[list[str]]:
+        rng = random.Random(seed)
+
+        def values(n: int) -> str:
+            return ",".join(rng.choice(self.POOL) for _ in range(n))
+
+        def option(name: str, value: str) -> list[str]:
+            return [f"--{name}={value}"] if rng.random() < 0.5 else [f"--{name}", value]
+
+        out = []
+        for _ in range(count):
+            command = rng.choice(("tess", "quad", "solve", "verify"))
+            if command in ("tess", "quad"):
+                argv = [command, *option("a", values(2)), *option("b", values(2))]
+                if command == "tess":
+                    argv += rng.choice(([], ["--json"], ["--svg", svg]))
+            elif command == "solve":
+                argv = [command, *option("curvatures", values(3))]
+            else:
+                argv = [command, *option("curvatures", values(4))] + rng.choice(([], ["--json"]))
+            out.append(argv)
+        return out
+
+    def test_no_subcommand_lets_an_exception_escape(self, tmp_path):
+        escaped = []
+        for argv in self.argvs(1, 300, str(tmp_path / "sweep.svg")):
+            try:
+                code = run(argv)
+            except Exception as exc:  # anything but an exit code is a failure
+                code = repr(exc)
+            if code not in (0, 1, 2):
+                escaped.append((argv, code))
+        assert escaped == []
 
 
 class TestEntryPoint:

@@ -128,7 +128,7 @@ class TestSymbolJoin:
         assert triple.as_tuple() == (3, -4, 5)
 
     def test_non_tangent_pair_rejected(self):
-        with pytest.raises(NotTangent):
+        with pytest.raises(NotTangent, match="not a Pythagorean triple"):
             symbol_join(FRAME_SYMBOLS[23], FRAME_SYMBOLS[-1])
 
     def test_internal_tangency_rejected(self):
