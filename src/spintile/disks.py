@@ -127,6 +127,17 @@ class PlacedDisk:
             raise ZeroRadius("a placed disk needs a nonzero radius")
         if self.curvature == 0.0:
             raise ZeroCurvature("a placed disk needs a nonzero curvature")
+        (x, y), radius, curvature = self.center, self.radius, self.curvature
+        isfinite = math.isfinite
+        try:
+            finite = isfinite(x) and isfinite(y) and isfinite(radius) and isfinite(curvature)
+        except OverflowError:  # an int beyond the float range
+            finite = False
+        if not finite:
+            raise FloatOverflow(
+                f"center {self.center!r}, radius {self.radius!r} and curvature "
+                f"{self.curvature!r} of a placed disk must all be finite"
+            )
         product = self.radius * self.curvature
         if abs(product - 1.0) > 1e-12:
             raise ValueError(

@@ -1,16 +1,23 @@
 """The fifteen-tile square-and-parallelogram tessellation of a spinor pair.
 
 Two non-parallel spinors a, b (with c = −a − b closing the triple) tile a
-dodecagon with fifteen parallelograms in four color classes:
+dodecagon with fifteen parallelograms in four color classes.  Member x of
+the triple, with y and z following it cyclically, carries five of them,
+and the tiles come class by class, each class in member order (a, b, c):
 
-* three squares at the origin, one per triple member: (0; x, x⋆),
-  area |x|²;
-* three central red parallelograms between consecutive squares:
-  (0; x⋆, y), area −x·y — these are the curvatures A, B, C;
-* six green parallelograms, one per square flank: all share the signed
-  area G = a×b;
-* three outer light-red parallelograms anchored at x + x⋆, congruent to
-  the central reds.
+* tiles 0–2, the squares (0; x, x⋆), area |x|²;
+* tiles 3–5, the central reds (0; x⋆, y), area −x·y — these are the
+  curvatures A, B, C;
+* tiles 6–11, the greens (x⋆; x, y) and (x; z⋆, x⋆), which all share the
+  signed area G = a×b;
+* tiles 12–14, the light reds (x + x⋆; z⋆, y), congruent to the central
+  reds.
+
+Counting members i mod 3, red i has its edges along squares i and
+i + 1; red i + 1 meets square i only at the origin, and its area is the
+curvature opposite member i, so (A, B, C) are the reds of members
+(b, c, a); the plain green of member i is congruent to the starred
+green of member i + 1.
 
 Every tile is stored as (anchor; edge1, edge2) with vertices anchor,
 anchor+edge1, anchor+edge1+edge2, anchor+edge2, so its signed area is
@@ -170,6 +177,18 @@ class Tessellation:
         raise KeyError(label)
 
 
+# Member i of the triple (a, b, c), with j = i + 1 and k = i + 2 mod 3,
+# makes tile i (its square), 3 + i (its central red), 6 + 2i and 7 + 2i
+# (its plain and starred greens) and 12 + i (its light red).  The roles
+# are index arithmetic: red i has its edges along squares i and j; red j
+# meets square i only at the origin, and its area is the curvature
+# opposite member i; the plain green of member i pairs with the starred
+# green of member j.  Keying on roles rather than on shared vertices
+# keeps them well defined for folded layouts, where distinct tiles can
+# land on the same points.
+_CYCLE = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
+
+
 def build_tessellation(a: Spinor, b: Spinor) -> Tessellation:
     """Lay out the fifteen tiles of the pair (a, b).
 
@@ -179,33 +198,26 @@ def build_tessellation(a: Spinor, b: Spinor) -> Tessellation:
     if cross(a, b) == 0:
         raise DegenerateInput(f"spinors {a.format()} and {b.format()} are parallel")
     c = -(a + b)
-    sa, sb, sc = star(a), star(b), star(c)
-    tiles = (
-        Tile("sq_a", TileClass.YELLOW_SQUARE, ZERO, a, sa),
-        Tile("sq_b", TileClass.YELLOW_SQUARE, ZERO, b, sb),
-        Tile("sq_c", TileClass.YELLOW_SQUARE, ZERO, c, sc),
-        Tile("red_a*b", TileClass.RED_CENTRAL, ZERO, sa, b),
-        Tile("red_b*c", TileClass.RED_CENTRAL, ZERO, sb, c),
-        Tile("red_c*a", TileClass.RED_CENTRAL, ZERO, sc, a),
-        Tile("green_ab", TileClass.GREEN, sa, a, b),
-        Tile("green_c*a*", TileClass.GREEN, a, sc, sa),
-        Tile("green_bc", TileClass.GREEN, sb, b, c),
-        Tile("green_a*b*", TileClass.GREEN, b, sa, sb),
-        Tile("green_ca", TileClass.GREEN, sc, c, a),
-        Tile("green_b*c*", TileClass.GREEN, c, sb, sc),
-        Tile("lred_c*b", TileClass.LIGHT_RED, a + sa, sc, b),
-        Tile("lred_a*c", TileClass.LIGHT_RED, b + sb, sa, c),
-        Tile("lred_b*a", TileClass.LIGHT_RED, c + sc, sb, a),
-    )
-    return Tessellation(a=a, b=b, c=c, tiles=tiles)
+    triple = (a, b, c)
+    starred = (star(a), star(b), star(c))
+    squares, reds, greens, light_reds = [], [], [], []
+    for i, j, k in _CYCLE:
+        x, y, sx, sz = triple[i], triple[j], starred[i], starred[k]
+        nx, ny, nz = "abc"[i], "abc"[j], "abc"[k]
+        squares.append(Tile(f"sq_{nx}", TileClass.YELLOW_SQUARE, ZERO, x, sx))
+        reds.append(Tile(f"red_{nx}*{ny}", TileClass.RED_CENTRAL, ZERO, sx, y))
+        greens.append(Tile(f"green_{nx}{ny}", TileClass.GREEN, sx, x, y))
+        greens.append(Tile(f"green_{nz}*{nx}*", TileClass.GREEN, x, sz, sx))
+        light_reds.append(Tile(f"lred_{nz}*{ny}", TileClass.LIGHT_RED, x + sx, sz, y))
+    return Tessellation(a=a, b=b, c=c, tiles=(*squares, *reds, *greens, *light_reds))
 
 
 def dodecagon_boundary(tess: Tessellation) -> tuple[Spinor, ...]:
     """The twelve outer vertices, in cyclic order for positive pairs."""
     points: list[Spinor] = []
     triple = (tess.a, tess.b, tess.c)
-    for i in range(3):
-        x, y, z = triple[i], triple[(i + 1) % 3], triple[(i + 2) % 3]
+    for i, j, k in _CYCLE:
+        x, y, z = triple[i], triple[j], triple[k]
         sx, sz = star(x), star(z)
         points.extend((x + sz, x + sx + sz, x + sx + y + sz, x + sx + y))
     return tuple(points)
@@ -248,18 +260,12 @@ def summarize(tess: Tessellation) -> TessellationReport:
     D (resp. D′) are the square areas plus (resp. minus) the green area,
     in (a, b, c) order.
     """
-    squares = tuple(t.signed_area for t in tess.tiles_of(TileClass.YELLOW_SQUARE))
-    red_a = tess.tile("red_b*c").signed_area
-    red_b = tess.tile("red_c*a").signed_area
-    red_c = tess.tile("red_a*b").signed_area
-    greens = [t.signed_area for t in tess.tiles_of(TileClass.GREEN)]
-    green = greens[0]
-    assert all(g == green for g in greens)
-    light = (
-        tess.tile("lred_c*b").signed_area,
-        tess.tile("lred_a*c").signed_area,
-        tess.tile("lred_b*a").signed_area,
-    )
+    areas = [t.signed_area for t in tess.tiles]
+    squares = tuple(areas[0:3])
+    red_c, red_a, red_b = areas[3:6]
+    green = areas[6]
+    assert all(g == green for g in areas[6:12])
+    light = tuple(areas[12:15])
     base = red_a + red_b + red_c
     curv_d = base + 2 * green
     curv_d_prime = base - 2 * green
@@ -279,21 +285,6 @@ def summarize(tess: Tessellation) -> TessellationReport:
     )
 
 
-# Which central red shares each square's sides, and which one touches it
-# only at the origin.  The pairing is fixed by the construction (square on
-# x has sides along x and x⋆; the reds drawn against those sides carry x
-# or x⋆ as an edge; the third red touches only at the origin).  Keying on
-# roles rather than recomputed vertex coincidences keeps the pairing
-# well defined even for folded layouts where distinct tiles can land on
-# the same points.
-_SIDE_REDS = {
-    "sq_a": ("red_c*a", "red_a*b"),
-    "sq_b": ("red_a*b", "red_b*c"),
-    "sq_c": ("red_b*c", "red_c*a"),
-}
-_OPPOSITE_RED = {"sq_a": "red_b*c", "sq_b": "red_c*a", "sq_c": "red_a*b"}
-
-
 def vertex_set(tile: Tile) -> frozenset[tuple[Rational, Rational]]:
     return frozenset((v.x, v.y) for v in tile.vertices)
 
@@ -302,12 +293,8 @@ def butterfly_areas(tess: Tessellation) -> tuple[Rational, Rational, Rational]:
     """Area of each butterfly: a square, its opposite central red, and
     the two greens between them.  All three equal D, computed here from
     the actual member tiles rather than the summary."""
-    green = tess.tiles_of(TileClass.GREEN)[0].signed_area
-    out = []
-    for square in tess.tiles_of(TileClass.YELLOW_SQUARE):
-        red = tess.tile(_OPPOSITE_RED[square.label])
-        out.append(square.signed_area + red.signed_area + 2 * green)
-    return tuple(out)
+    areas = [t.signed_area for t in tess.tiles]
+    return tuple(areas[i] + areas[3 + j] + 2 * areas[6] for i, j, _ in _CYCLE)
 
 
 @frozen
@@ -334,26 +321,21 @@ def _congruence_key(tile: Tile) -> tuple:
 def check_observations(tess: Tessellation) -> list[ObservationResult]:
     """The five structural facts the layout always satisfies."""
     results: list[ObservationResult] = []
-    greens = tess.tiles_of(TileClass.GREEN)
-    squares = tess.tiles_of(TileClass.YELLOW_SQUARE)
+    tiles = tess.tiles
+    areas = [t.signed_area for t in tiles]
 
-    green_areas = [t.signed_area for t in greens]
+    greens = areas[6:12]
     results.append(
         ObservationResult(
             "greens_equal_area",
-            all(g == green_areas[0] for g in green_areas),
-            f"areas {sorted(set(str(g) for g in green_areas))}",
+            all(g == greens[0] for g in greens),
+            f"areas {sorted(set(str(g) for g in greens))}",
         )
     )
 
-    pair_labels = (
-        ("green_ab", "green_a*b*"),
-        ("green_bc", "green_b*c*"),
-        ("green_ca", "green_c*a*"),
-    )
     pairs_congruent = all(
-        _congruence_key(tess.tile(first)) == _congruence_key(tess.tile(second))
-        for first, second in pair_labels
+        _congruence_key(tiles[6 + 2 * i]) == _congruence_key(tiles[7 + 2 * j])
+        for i, j, _ in _CYCLE
     )
     results.append(
         ObservationResult(
@@ -363,8 +345,8 @@ def check_observations(tess: Tessellation) -> list[ObservationResult]:
         )
     )
 
-    light_keys = sorted(_congruence_key(t) for t in tess.tiles_of(TileClass.LIGHT_RED))
-    red_keys = sorted(_congruence_key(t) for t in tess.tiles_of(TileClass.RED_CENTRAL))
+    light_keys = sorted(_congruence_key(t) for t in tiles[12:15])
+    red_keys = sorted(_congruence_key(t) for t in tiles[3:6])
     results.append(
         ObservationResult(
             "light_reds_congruent_to_reds",
@@ -373,23 +355,18 @@ def check_observations(tess: Tessellation) -> list[ObservationResult]:
         )
     )
 
-    adjacency_holds = True
-    witness_parts = []
-    for square in squares:
-        adjacent = [tess.tile(label) for label in _SIDE_REDS[square.label]]
-        total = sum(r.signed_area for r in adjacent)
-        witness_parts.append(f"{square.label}: {square.signed_area} vs {total}")
-        if len(adjacent) != 2 or total != square.signed_area:
-            adjacency_holds = False
+    # square i lies between its side reds k and i
+    sides = [areas[3 + k] + areas[3 + i] for i, _, k in _CYCLE]
     results.append(
-        ObservationResult("square_equals_adjacent_reds", adjacency_holds, "; ".join(witness_parts))
+        ObservationResult(
+            "square_equals_adjacent_reds",
+            sides == areas[0:3],
+            "; ".join(f"{tiles[i].label}: {areas[i]} vs {sides[i]}" for i in range(3)),
+        )
     )
 
-    constants = []
-    for square in squares:
-        red = tess.tile(_OPPOSITE_RED[square.label])
-        constants.append(square.signed_area + red.signed_area)
-    expected = sum(t.signed_area for t in tess.tiles_of(TileClass.RED_CENTRAL))
+    constants = [areas[i] + areas[3 + j] for i, j, _ in _CYCLE]
+    expected = observation_constant(tess)
     results.append(
         ObservationResult(
             "square_plus_opposite_red_constant",
@@ -402,8 +379,7 @@ def check_observations(tess: Tessellation) -> list[ObservationResult]:
 
 def observation_constant(tess: Tessellation) -> Rational:
     """The shared value of square + opposite red, which is A + B + C."""
-    reds = tess.tiles_of(TileClass.RED_CENTRAL)
-    return sum(t.signed_area for t in reds)
+    return sum(t.signed_area for t in tess.tiles[3:6])
 
 
 def tessellation_to_json_dict(tess: Tessellation) -> dict:

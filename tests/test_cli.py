@@ -4,9 +4,12 @@ from __future__ import annotations
 
 import json
 import random
+import re
+import shlex
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
@@ -489,6 +492,43 @@ class TestSweep:
             if code not in (0, 1, 2):
                 escaped.append((argv, code))
         assert escaped == []
+
+
+def _readme_examples() -> list[tuple[str, list[str]]]:
+    """Each fenced ``$ spintile …`` block of README.md that runs one
+    command and writes no file: the command and its printed lines."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    examples = []
+    for block in re.findall(r"^```[^\n]*\n(.*?)^```$", text, flags=re.M | re.S):
+        command, *lines = block.splitlines()
+        if not command.startswith("$ spintile "):
+            continue
+        if any(line.startswith("$ ") for line in lines) or re.search(r">|--out|--svg", command):
+            continue
+        examples.append((command[2:], lines))
+    return examples
+
+
+class TestReadme:
+    """The README examples are what the command line prints; a ``...``
+    line, indented or not, stands for any run of lines."""
+
+    def test_examples_are_found(self):
+        assert [shlex.split(command)[1] for command, _ in _readme_examples()] == [
+            "tess", "solve", "quad", "verify", "enumerate",
+        ]
+
+    @pytest.mark.parametrize(
+        "command, lines",
+        [pytest.param(command, lines, id=command.split()[1]) for command, lines in _readme_examples()],
+    )
+    def test_example_output(self, command, lines, capsys):
+        assert run(shlex.split(command)[1:]) == 0
+        pattern = "".join(
+            r"(?:.*\n)*?" if line.strip() == "..." else re.escape(line) + r"\n" for line in lines
+        )
+        out = capsys.readouterr().out
+        assert re.fullmatch(pattern, out), out
 
 
 class TestEntryPoint:

@@ -12,6 +12,7 @@ import pytest
 
 from spintile import (
     CollinearTangencyPoints,
+    FloatOverflow,
     NoConsistentPlacement,
     NonPositiveCurvature,
     NotTangent,
@@ -154,6 +155,20 @@ class TestPlacedDisk:
     def test_negative_curvature_round_trip(self):
         disk = PlacedDisk.from_curvature(-1.0, (0.0, 0.0))
         assert disk.radius == -1.0
+
+    @pytest.mark.parametrize(
+        "center, radius, curvature",
+        [
+            ((0.0, 0.0), math.nan, math.nan),
+            ((math.inf, 0.0), 1.0, 1.0),
+            ((math.nan, 0.0), 1.0, 1.0),
+            # an int centre beyond the float range
+            ((10**400, 0.0), 1.0, 1.0),
+        ],
+    )
+    def test_non_finite_values_rejected(self, center, radius, curvature):
+        with pytest.raises(FloatOverflow):
+            PlacedDisk(center=center, radius=radius, curvature=curvature)
 
 
 class TestTangencySpinor:

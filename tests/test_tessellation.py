@@ -17,6 +17,7 @@ from spintile import (
     NegativeOrientation,
     NonIntegralVertices,
     Spinor,
+    Tessellation,
     Tile,
     TileClass,
     build_tessellation,
@@ -181,6 +182,51 @@ class TestFigureAreas:
         ]
 
 
+class TestObservationsCanFail:
+    """Each observation reads the tiles of its roles: a tile of another
+    area in a role fails the observations that read that role, and only
+    those."""
+
+    @staticmethod
+    def verdicts(tess, index):
+        # the tile at ``index`` with its second edge doubled: same label
+        # and class, twice the area
+        tiles = list(tess.tiles)
+        old = tiles[index]
+        tiles[index] = Tile(old.label, old.tile_class, old.anchor, old.edge1, old.edge2 + old.edge2)
+        swapped = Tessellation(a=tess.a, b=tess.b, c=tess.c, tiles=tuple(tiles))
+        return {r.name: r.passed for r in check_observations(swapped)}
+
+    def test_figure_witnesses(self, figure):
+        assert [r.witness for r in check_observations(figure)] == [
+            "areas ['6']",
+            "each plain green matches its starred partner",
+            "light [(5, 8, 6), (5, 9, 6), (8, 9, 6)] vs central [(5, 8, 6), (5, 9, 6), (8, 9, 6)]",
+            "sq_a: 9 vs 9; sq_b: 5 vs 5; sq_c: 8 vs 8",
+            "sums ['11', '11', '11'], reds total 11",
+        ]
+
+    def test_a_green_of_another_area_fails(self, figure):
+        assert figure.tiles[6].label == "green_ab"
+        assert self.verdicts(figure, 6) == {
+            "greens_equal_area": False,
+            "greens_pair_up_congruent": False,
+            "light_reds_congruent_to_reds": True,
+            "square_equals_adjacent_reds": True,
+            "square_plus_opposite_red_constant": True,
+        }
+
+    def test_a_central_red_of_another_area_fails(self, figure):
+        assert figure.tiles[3].label == "red_a*b"
+        assert self.verdicts(figure, 3) == {
+            "greens_equal_area": True,
+            "greens_pair_up_congruent": True,
+            "light_reds_congruent_to_reds": False,
+            "square_equals_adjacent_reds": False,
+            "square_plus_opposite_red_constant": False,
+        }
+
+
 class TestUnitPair:
     def test_summary_values(self):
         report = summarize(build_tessellation(Spinor(1, 0), Spinor(0, 1)))
@@ -324,18 +370,19 @@ class TestStructure:
     @pytest.mark.parametrize("pair", [(Spinor(3, 0), Spinor(-1, 2)), (Spinor(3, 1), Spinor(-2, 3))])
     def test_adjacency_labels_match_geometry_for_positive_layouts(self, pair):
         # on layouts with every tile positively oriented, the role-based
-        # pairing coincides with literal shared vertices: a square meets
-        # each side red in two points and its opposite red only at 0
-        from spintile.tessellation import _OPPOSITE_RED, _SIDE_REDS
+        # pairing coincides with literal shared vertices: square i meets
+        # its side reds i and i - 1 in two points and its opposite red
+        # i + 1 only at 0
+        from spintile.tessellation import _CYCLE
 
         tess = build_tessellation(*pair)
         assert not tess.has_overlap
-        for square in tess.tiles_of(TileClass.YELLOW_SQUARE):
-            for label in _SIDE_REDS[square.label]:
-                shared = vertex_set(square) & vertex_set(tess.tile(label))
-                assert len(shared) == 2
-            opposite = tess.tile(_OPPOSITE_RED[square.label])
-            assert vertex_set(square) & vertex_set(opposite) == {(0, 0)}
+        reds = tess.tiles[3:6]
+        for i, j, k in _CYCLE:
+            square = tess.tiles[i]
+            for red in (reds[k], reds[i]):
+                assert len(vertex_set(square) & vertex_set(red)) == 2
+            assert vertex_set(square) & vertex_set(reds[j]) == {(0, 0)}
 
 
 class TestOverlap:
