@@ -23,6 +23,7 @@ _EXPORTS = {
         "CurlViolation",
         "DegenerateInput",
         "FloatOverflow",
+        "InconsistentTiles",
         "InvalidPayload",
         "NegativeOrientation",
         "NoConsistentPlacement",

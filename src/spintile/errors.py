@@ -23,6 +23,11 @@ class NegativeOrientation(SpintileError):
     """Lattice-point area counting needs a positively oriented tile."""
 
 
+class InconsistentTiles(SpintileError):
+    """Tiles that share a role disagree: the six greens of a
+    tessellation have more than one area."""
+
+
 class ComplexSolutions(SpintileError):
     """No real fourth curvature exists (negative discriminant)."""
 

@@ -124,10 +124,17 @@ def _corner_floats(tile: Tile) -> list[float]:
     return [value / scale for value in corners]
 
 
+# the four corners of a tile, formatted as ``_fmt`` formats each value
+_POLYGON_POINTS = " ".join(["%.12f,%.12f"] * 4)
+
+
 def _tile_polygon(
     tile: Tile, corners: Sequence[float], palette: Mapping[TileClass, str], stroke: float
 ) -> str:
-    points = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in zip(corners[0::2], corners[1::2]))
+    # one format call for all eight values; every value has exactly 12
+    # decimals and a "-" only as its sign, so the replace meets only
+    # whole negative zeros
+    points = (_POLYGON_POINTS % tuple(corners)).replace("-0.000000000000", "0.000000000000")
     if tile.signed_area < 0:
         fill = f"url(#hatch_{tile.tile_class.value})"
     else:

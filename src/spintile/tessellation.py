@@ -35,21 +35,22 @@ give the remaining tangency-point circles.
 Rational pairs run on integers as integer pairs do.  Each tile clears
 its denominators once, when it is made: it scales its six coordinates
 by L, their lcm, and keeps the integer vertex cycle (L = 1 for an
-integer tile), its vertices and its signed area.  These, the shoelace
-area, the congruence keys, the lattice-point count and the SVG
-coordinates are sums and products of ints, divided by L or L² at the
-end; a ``Fraction`` is built only for a value that is reported, and a
-whole value comes back as ``int``.
+integer tile) and its signed area.  The ``Spinor`` vertices are built
+from that cycle only when ``Tile.vertices`` is read.  The signed area,
+the shoelace area, the congruence keys, the lattice-point count, the
+JSON vertices and the SVG coordinates are sums and products of ints,
+divided by L or L² at the end; a ``Fraction`` is built only for a value
+that is reported, and a whole value comes back as ``int``.
 """
 
 from __future__ import annotations
 
 import enum
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from ._frozen import frozen
-from .errors import DegenerateInput, NegativeOrientation, NonIntegralVertices
+from .errors import DegenerateInput, InconsistentTiles, NegativeOrientation, NonIntegralVertices
 from .quadruples import descartes_residual
 from .spinors import ZERO, Rational, Spinor, _spinor, _store, cross, int_if_whole, star
 
@@ -65,8 +66,9 @@ class TileClass(enum.Enum):
 class Tile:
     """One parallelogram: anchor plus two edge vectors.
 
-    The vertices and the signed area are computed when the tile is made;
-    equality and hashing still see only the five fields.
+    The integer form and the signed area are computed when the tile is
+    made; the ``Spinor`` vertices are built from the integer form when
+    read.  Equality and hashing see only the five fields.
     """
 
     label: str
@@ -99,13 +101,18 @@ class Tile:
         dx, dy = ax + e2x, ay + e2y
         _store(self, "_lattice", (scale, ax, ay, bx, by, cx, cy, dx, dy))
         _store(self, "signed_area", _over(e1x * e2y - e2x * e1y, scale * scale))
-        vertices = (
+
+    @property
+    def vertices(self) -> tuple[Spinor, Spinor, Spinor, Spinor]:
+        """The vertex cycle, built from ``_lattice`` on each read: only
+        callers that want ``Spinor`` vertices pay for them."""
+        scale, _, _, bx, by, cx, cy, dx, dy = self._lattice
+        return (
             self.anchor,
             _spinor(_over(bx, scale), _over(by, scale)),
             _spinor(_over(cx, scale), _over(cy, scale)),
             _spinor(_over(dx, scale), _over(dy, scale)),
         )
-        _store(self, "vertices", vertices)
 
 
 def _over(numerator: int, denominator: int) -> Rational:
@@ -121,38 +128,65 @@ def tile_area_shoelace(tile: Tile) -> Rational:
     return _over(twice, 2 * scale * scale)
 
 
-def tile_area_pick(tile: Tile) -> Rational:
-    """Area by direct lattice-point count: interior + boundary/2 − 1.
+def _pick_counts(tile: Tile) -> tuple[int, int]:
+    """``(interior, boundary)``: the lattice points strictly inside the
+    tile and those on its edges.
 
-    Requires integer vertices and positive orientation.  Points are
-    classified by their affine coordinates (s, t) with respect to the
-    edge pair: q = anchor + s·edge1 + t·edge2 lies inside the tile
-    exactly when 0 ≤ s, t ≤ 1.
+    Requires integer vertices and positive orientation.  Each edge holds
+    gcd(ex, ey) lattice steps, so the boundary holds 2·(gcd(e1) +
+    gcd(e2)) points.  The point anchor + (dx, dy) is interior exactly
+    when its scaled affine coordinates s = dx·e2y − e2x·dy and
+    t = e1x·dy − dx·e1y lie strictly between 0 and the area.  Each of
+    the two conditions is a strip c0 + c1·dx + k·dy, made to have k > 0
+    by taking area − value where k < 0; in a column dx each strip bounds
+    dy from both sides, and the interior of the column is the overlap.
+    A strip with k = 0 (a vertical edge pair) bounds only dx, as the
+    column range does already.
     """
-    scale, x0, y0, x1, y1, x2, y2, x3, y3 = tile._lattice
+    scale, x0, y0, x1, y1, x2, _, x3, y3 = tile._lattice
     # the vertices include the anchor and differ by the edges, so they
     # are all integers exactly when the six coordinates are: when L = 1
     if scale != 1:
         raise NonIntegralVertices(f"tile {tile.label} has a vertex that is not an integer point")
-    area = tile.signed_area
+    e1x, e1y, e2x, e2y = x1 - x0, y1 - y0, x3 - x0, y3 - y0
+    area = e1x * e2y - e2x * e1y
     if area <= 0:
         raise NegativeOrientation(f"tile {tile.label} has signed area {area}")
 
-    e1x, e1y, e2x, e2y = x1 - x0, y1 - y0, x3 - x0, y3 - y0
-    xs, ys = (x0, x1, x2, x3), (y0, y1, y2, y3)
-    interior = boundary = 0
-    for qx in range(min(xs), max(xs) + 1):
-        dx = qx - x0
-        for qy in range(min(ys), max(ys) + 1):
-            dy = qy - y0
-            s_scaled = dx * e2y - e2x * dy
-            t_scaled = e1x * dy - dx * e1y
-            if 0 <= s_scaled <= area and 0 <= t_scaled <= area:
-                if 0 < s_scaled < area and 0 < t_scaled < area:
-                    interior += 1
-                else:
-                    boundary += 1
-    return _over(2 * interior + boundary - 2, 2)
+    # each strip (c0, c1, k) reads 0 < c0 + c1·dx + k·dy < area with k > 0
+    strips = []
+    for c1, k in ((e2y, -e2x), (-e1y, e1x)):
+        if k > 0:
+            strips.append((0, c1, k))
+        elif k < 0:
+            strips.append((area, -c1, -k))
+    if len(strips) == 1:
+        strips *= 2
+    (a0, a1, ak), (b0, b1, bk) = strips
+    # in column dx, a strip admits dy from (k − c0 − c1·dx) // k up to,
+    # but not including, (area − 1 + k − c0 − c1·dx) // k
+    a_low, a_high = ak - a0, area - 1 + ak - a0
+    b_low, b_high = bk - b0, area - 1 + bk - b0
+    # a column strictly inside the x-range meets the open tile in an
+    # interval of positive length, so no column counts below zero
+    interior = 0
+    for dx in range(min(x0, x1, x2, x3) - x0 + 1, max(x0, x1, x2, x3) - x0):
+        low = max((a_low - a1 * dx) // ak, (b_low - b1 * dx) // bk)
+        high = min((a_high - a1 * dx) // ak, (b_high - b1 * dx) // bk)
+        interior += high - low
+    return interior, 2 * (gcd(e1x, e1y) + gcd(e2x, e2y))
+
+
+def tile_area_pick(tile: Tile) -> int:
+    """Area by Pick's theorem: interior + boundary/2 − 1.
+
+    Requires integer vertices and positive orientation.  The interior
+    points are counted column by column, in time linear in the tile's
+    width, and the boundary points by the gcd of each edge; see
+    ``_pick_counts``.
+    """
+    interior, boundary = _pick_counts(tile)
+    return (2 * interior + boundary - 2) // 2
 
 
 @frozen
@@ -254,6 +288,9 @@ class TessellationReport:
 def summarize(tess: Tessellation) -> TessellationReport:
     """Collect tile areas and the curvature data they encode.
 
+    Raises InconsistentTiles when the six greens differ in area, which
+    no tessellation from ``build_tessellation`` does.
+
     The red areas come back in the order (A, B, C) = (red b⋆c, red c⋆a,
     red a⋆b), matching the curvature labels of the disk picture; the
     light reds repeat them in the same order.  Mid-circle curvatures with
@@ -264,7 +301,9 @@ def summarize(tess: Tessellation) -> TessellationReport:
     squares = tuple(areas[0:3])
     red_c, red_a, red_b = areas[3:6]
     green = areas[6]
-    assert all(g == green for g in areas[6:12])
+    if any(g != green for g in areas[7:12]):
+        greens = ", ".join(f"{t.label} {t.signed_area}" for t in tess.tiles[6:12])
+        raise InconsistentTiles(f"the six greens must share one area, got {greens}")
     light = tuple(areas[12:15])
     base = red_a + red_b + red_c
     curv_d = base + 2 * green
@@ -382,6 +421,25 @@ def observation_constant(tess: Tessellation) -> Rational:
     return sum(t.signed_area for t in tess.tiles[3:6])
 
 
+def _over_text(numerator: int, denominator: int) -> str:
+    """``str(_over(numerator, denominator))`` for a positive denominator,
+    written from the reduced ints without building a ``Fraction``."""
+    common = gcd(numerator, denominator)
+    if common == denominator:
+        return str(numerator // common)
+    return f"{numerator // common}/{denominator // common}"
+
+
+def _vertex_texts(tile: Tile) -> list[str]:
+    """The ``"x,y"`` text of each vertex, as ``Spinor.format`` writes it,
+    read from the integer form without building a ``Spinor``."""
+    scale, x0, y0, x1, y1, x2, y2, x3, y3 = tile._lattice
+    if scale == 1:
+        return [f"{x0},{y0}", f"{x1},{y1}", f"{x2},{y2}", f"{x3},{y3}"]
+    texts = [_over_text(value, scale) for value in (x0, y0, x1, y1, x2, y2, x3, y3)]
+    return [f"{texts[i]},{texts[i + 1]}" for i in (0, 2, 4, 6)]
+
+
 def tessellation_to_json_dict(tess: Tessellation) -> dict:
     """Exact JSON form: every rational rendered as a fraction string."""
     report = summarize(tess)
@@ -394,7 +452,7 @@ def tessellation_to_json_dict(tess: Tessellation) -> dict:
             {
                 "label": t.label,
                 "class": t.tile_class.value,
-                "vertices": [v.format() for v in t.vertices],
+                "vertices": _vertex_texts(t),
                 "area": str(t.signed_area),
             }
             for t in tess.tiles

@@ -40,8 +40,8 @@ EXPORTS = (
     "CSV_HEADER CollinearTangencyPoints ComplexSolutions ConfigurationReport "
     "CurlViolation DEFAULT_PALETTE DEFAULT_TOLERANCE DegenerateInput "
     "DescartesQuadruple EnumerationJob FloatOverflow FourthCurvatures "
-    "InvalidPayload NegativeOrientation NoConsistentPlacement NonIntegral "
-    "NonIntegralVertices NonPositiveCurvature NotTangent ObservationResult "
+    "InconsistentTiles InvalidPayload NegativeOrientation NoConsistentPlacement "
+    "NonIntegral NonIntegralVertices NonPositiveCurvature NotTangent ObservationResult "
     "PlacedDisk PythTriple QuadrupleFamily QuadrupleRecord RenderOptions Shard "
     "Spinor SpintileError Symbol TangencySpinorNumeric Tessellation "
     "TessellationReport Tile TileClass ZeroCurvature ZeroRadius apollonian_flip "

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import re
 import xml.etree.ElementTree as ET
+from fractions import Fraction
 
 import pytest
 
@@ -18,6 +19,7 @@ from spintile import (
     render_configuration,
     render_tessellation,
 )
+from spintile.svg import _corner_floats, _fmt
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
@@ -56,6 +58,19 @@ class TestDeterminism:
 
     def test_no_negative_zero_in_output(self, figure_svg):
         assert "-0.000000000000" not in figure_svg
+
+    def test_tiny_negative_corners_are_written_as_zero(self):
+        # corners of about -1e-14 round to a negative zero at 12 decimals
+        tess = build_tessellation(Spinor(Fraction(-1, 10**14), 1), Spinor(1, Fraction(-3, 10**15)))
+        document = render_tessellation(tess)
+        assert "-0.000000000000" not in document
+        tiny = 0
+        for tile, points in zip(tess.tiles, re.findall(r'<polygon [^>]*points="([^"]*)"', document)):
+            corners = _corner_floats(tile)
+            tiny += sum(1 for value in corners if -5e-13 < value < 0)
+            pairs = zip(corners[0::2], corners[1::2])
+            assert points == " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in pairs)
+        assert tiny > 0
 
 
 class TestTessellationOutput:

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import hashlib
+import importlib.util
 import io
 import random
 from contextlib import redirect_stdout
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -14,6 +16,7 @@ from hypothesis import strategies as st
 
 from spintile import (
     DegenerateInput,
+    InconsistentTiles,
     NegativeOrientation,
     NonIntegralVertices,
     Spinor,
@@ -39,7 +42,7 @@ from spintile import (
 from spintile.cli import run
 from spintile.spinors import ZERO
 from spintile.svg import RenderOptions, _corner_floats
-from spintile.tessellation import _congruence_key
+from spintile.tessellation import _congruence_key, _pick_counts
 
 int_spinors = st.builds(Spinor, st.integers(-9, 9), st.integers(-9, 9))
 
@@ -57,6 +60,75 @@ def generic_pairs():
 
 def wide_pairs():
     return st.tuples(wide_spinors, wide_spinors).filter(lambda p: cross(*p) != 0)
+
+
+def brute_pick_counts(tile):
+    """``(interior, boundary)`` by testing every lattice point of the
+    bounding box: q = anchor + s·edge1 + t·edge2 lies in the tile exactly
+    when 0 ≤ s, t ≤ 1.  The oracle for ``_pick_counts``; it needs an
+    integer, positively oriented tile."""
+    _, x0, y0, x1, y1, x2, y2, x3, y3 = tile._lattice
+    e1x, e1y, e2x, e2y = x1 - x0, y1 - y0, x3 - x0, y3 - y0
+    area = e1x * e2y - e2x * e1y
+    xs, ys = (x0, x1, x2, x3), (y0, y1, y2, y3)
+    interior = boundary = 0
+    for qx in range(min(xs), max(xs) + 1):
+        dx = qx - x0
+        for qy in range(min(ys), max(ys) + 1):
+            dy = qy - y0
+            s_scaled = dx * e2y - e2x * dy
+            t_scaled = e1x * dy - dx * e1y
+            if 0 <= s_scaled <= area and 0 <= t_scaled <= area:
+                if 0 < s_scaled < area and 0 < t_scaled < area:
+                    interior += 1
+                else:
+                    boundary += 1
+    return interior, boundary
+
+
+def _positive(anchor, edge1, edge2):
+    """A tile on the edges in the order that orients it positively."""
+    if cross(edge1, edge2) < 0:
+        edge1, edge2 = edge2, edge1
+    return Tile("t", TileClass.GREEN, anchor, edge1, edge2)
+
+
+_entries = st.integers(-60, 60)
+_nonzero = _entries.filter(bool)
+_edges = st.one_of(
+    st.builds(Spinor, _entries, _entries),
+    st.builds(Spinor, st.just(0), _nonzero),  # vertical
+    st.builds(Spinor, _nonzero, st.just(0)),  # horizontal
+)
+
+
+@st.composite
+def _thin_edges(draw):
+    # the second edge a multiple of the first, nudged by at most one
+    # step: the tile is long and one or two lattice rows wide
+    x, y = draw(st.integers(-20, 20)), draw(st.integers(-20, 20))
+    factor = draw(st.integers(-3, 3))
+    nudge = Spinor(draw(st.integers(-1, 1)), draw(st.integers(-1, 1)))
+    return Spinor(x, y), factor * Spinor(x, y) + nudge
+
+
+lattice_tiles = st.one_of(
+    st.builds(_positive, st.builds(Spinor, _entries, _entries), _edges, _edges),
+    st.builds(
+        lambda anchor, edges: _positive(anchor, *edges),
+        st.builds(Spinor, _entries, _entries),
+        _thin_edges(),
+    ),
+).filter(lambda t: t.signed_area != 0)
+
+
+def _bench_inputs():
+    """The benchmark's seeded input generators, loaded from its file."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("bench_inputs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(scope="module")
@@ -98,7 +170,10 @@ class TestTileGeometryIsKept:
         # large entries, so that a recomputed area would be a new int object
         tess = build_tessellation(Spinor(10**20 + 3, 1), Spinor(-1, 10**20))
         tile = tess.tile("green_ab")
-        assert tile.vertices is tile.vertices
+        # the area is stored when the tile is made; the vertices are
+        # built from the integer form on each read, so they are equal
+        # from read to read but not the same object
+        assert tile.vertices == tile.vertices
         assert tile.signed_area is tile.signed_area
 
     def test_equality_and_hash_ignore_the_cache(self):
@@ -188,14 +263,16 @@ class TestObservationsCanFail:
     those."""
 
     @staticmethod
-    def verdicts(tess, index):
+    def swapped(tess, index):
         # the tile at ``index`` with its second edge doubled: same label
         # and class, twice the area
         tiles = list(tess.tiles)
         old = tiles[index]
         tiles[index] = Tile(old.label, old.tile_class, old.anchor, old.edge1, old.edge2 + old.edge2)
-        swapped = Tessellation(a=tess.a, b=tess.b, c=tess.c, tiles=tuple(tiles))
-        return {r.name: r.passed for r in check_observations(swapped)}
+        return Tessellation(a=tess.a, b=tess.b, c=tess.c, tiles=tuple(tiles))
+
+    def verdicts(self, tess, index):
+        return {r.name: r.passed for r in check_observations(self.swapped(tess, index))}
 
     def test_figure_witnesses(self, figure):
         assert [r.witness for r in check_observations(figure)] == [
@@ -215,6 +292,15 @@ class TestObservationsCanFail:
             "square_equals_adjacent_reds": True,
             "square_plus_opposite_red_constant": True,
         }
+
+    def test_summary_refuses_greens_of_two_areas(self, figure):
+        # a typed error, not an assert, so that it holds under python -O
+        with pytest.raises(InconsistentTiles) as caught:
+            summarize(self.swapped(figure, 6))
+        assert str(caught.value) == (
+            "the six greens must share one area, got green_ab 12, green_c*a* 6, "
+            "green_bc 6, green_a*b* 6, green_ca 6, green_b*c* 6"
+        )
 
     def test_a_central_red_of_another_area_fails(self, figure):
         assert figure.tiles[3].label == "red_a*b"
@@ -286,6 +372,32 @@ class TestAreaRoutes:
     )
     def test_pick_matches_shoelace_on_lattice_parallelograms(self, tile):
         assert tile_area_pick(tile) == tile_area_shoelace(tile) == tile.signed_area
+
+    @given(lattice_tiles)
+    def test_pick_counts_match_the_point_by_point_count(self, tile):
+        assert _pick_counts(tile) == brute_pick_counts(tile)
+        assert tile_area_pick(tile) == tile.signed_area
+
+    def test_pick_counts_match_on_the_benchmark_pairs(self):
+        inputs = _bench_inputs()
+        tiles = 0
+        for seed in (1, 2, 3):
+            for kind, a_text, b_text in inputs.tess_pairs(seed):
+                a, b = Spinor.parse(a_text), Spinor.parse(b_text)
+                if kind != "small" or not inputs.fully_positive((a.x, a.y), (b.x, b.y)):
+                    continue
+                for tile in build_tessellation(a, b).tiles:
+                    assert _pick_counts(tile) == brute_pick_counts(tile), (a_text, b_text, tile.label)
+                    tiles += 1
+        assert tiles == 3 * 60 * 15
+
+    def test_pick_counts_a_tall_thin_tile_by_its_one_column(self):
+        # area 1 in a bounding box about 2·10^9 rows tall, with one
+        # column between its sides: no interior point, and the four
+        # corners on the boundary
+        tile = Tile("t", TileClass.GREEN, Spinor(-7, 5), Spinor(1, 10**9), Spinor(1, 10**9 + 1))
+        assert _pick_counts(tile) == (0, 4)
+        assert tile_area_pick(tile) == 1
 
 
 class TestBoundary:
