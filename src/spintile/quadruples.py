@@ -10,6 +10,13 @@ and every pair of integer spinors (a, b) produces an integral solution
     D = |a|² + |b|² + a·b ± 2(a×b)
 
 with the two D-roots coming from the two orientations of the pair.
+
+Rational curvatures are checked on ints: ``DescartesQuadruple`` tests
+the identity on its four curvatures scaled by the lcm of their
+denominators, and ``from_spinor_pair`` scales the pair's four
+coordinates by the lcm of theirs, L, so that a rational pair runs the
+integer kernel.  Only the reported curvatures are divided by L², and a
+whole one comes back as ``int``.
 """
 
 from __future__ import annotations
@@ -20,7 +27,7 @@ from typing import NamedTuple, Union
 
 from ._frozen import frozen
 from .errors import ComplexSolutions, CurlViolation, FloatOverflow, NonIntegral
-from .spinors import Rational, Spinor, _exact, cross, dot, int_if_whole, norm_sq
+from .spinors import Rational, Spinor, _exact, _over, cross, dot, int_if_whole, norm_sq
 
 ExactOrFloat = Union[int, Fraction, float]
 
@@ -43,8 +50,19 @@ class DescartesQuadruple:
     def __post_init__(self) -> None:
         for name in ("a", "b", "c", "d"):
             object.__setattr__(self, name, _exact(getattr(self, name), "curvature"))
-        residual = descartes_residual(self.a, self.b, self.c, self.d)
-        if residual != 0:
+        a, b, c, d = self.a, self.b, self.c, self.d
+        # the residual is homogeneous of degree two, so it vanishes on the
+        # curvatures exactly when it does on them scaled to ints by the lcm
+        # of their denominators
+        scale = math.lcm(a.denominator, b.denominator, c.denominator, d.denominator)
+        cleared = descartes_residual(
+            a.numerator * (scale // a.denominator),
+            b.numerator * (scale // b.denominator),
+            c.numerator * (scale // c.denominator),
+            d.numerator * (scale // d.denominator),
+        )
+        if cleared != 0:
+            residual = descartes_residual(a, b, c, d)
             raise ValueError(f"not a Descartes quadruple (residual {residual})")
 
     def as_tuple(self) -> tuple[Rational, Rational, Rational, Rational]:
@@ -146,11 +164,22 @@ def from_spinor_pair(a: Spinor, b: Spinor) -> QuadrupleFamily:
     """Build the quadruple family of a spinor pair.
 
     Both returned quadruples have residual zero by construction; the
-    product D1·D2 equals (|a|² + |b|² + a·b)² − 4(a×b)².
+    product D1·D2 equals (|a|² + |b|² + a·b)² − 4(a×b)².  The four
+    coordinates are scaled to ints by L, the lcm of their denominators,
+    once: the curvatures are then ints over L², and whole ones come back
+    as ``int``.
     """
-    big_a, big_b, big_c, d1, d2 = pair_curvatures(
-        (a.x, a.y, norm_sq(a)), (b.x, b.y, norm_sq(b))
-    )
+    ax, ay, bx, by = a.x, a.y, b.x, b.y
+    scale = math.lcm(ax.denominator, ay.denominator, bx.denominator, by.denominator)
+    m1 = ax.numerator * (scale // ax.denominator)
+    n1 = ay.numerator * (scale // ay.denominator)
+    m2 = bx.numerator * (scale // bx.denominator)
+    n2 = by.numerator * (scale // by.denominator)
+    curvatures = pair_curvatures((m1, n1, m1 * m1 + n1 * n1), (m2, n2, m2 * m2 + n2 * n2))
+    if scale != 1:
+        square = scale * scale
+        curvatures = [_over(value, square) for value in curvatures]
+    big_a, big_b, big_c, d1, d2 = curvatures
     return QuadrupleFamily(
         quadruple_1=DescartesQuadruple(big_a, big_b, big_c, d1),
         quadruple_2=DescartesQuadruple(big_a, big_b, big_c, d2),

@@ -48,6 +48,15 @@ def int_if_whole(value: Rational) -> Rational:
     return value.numerator if value.denominator == 1 else value
 
 
+def _over(numerator: int, denominator: int) -> Rational:
+    """The exact quotient of two ints, the denominator positive: an
+    ``int`` when whole, else a ``Fraction``."""
+    if denominator == 1:
+        return numerator
+    quotient, remainder = divmod(numerator, denominator)
+    return Fraction(numerator, denominator) if remainder else quotient
+
+
 @frozen
 class Spinor:
     """An exact point/vector of the spinor plane."""

@@ -93,15 +93,15 @@ def _svg_document(
 def _hatch_defs(palette: Mapping[TileClass, str], unit: float) -> list[str]:
     """One hatch pattern per tile class, used for negatively oriented tiles."""
     lines = ["<defs>"]
-    step = unit * 6
+    step, width = _fmt(unit * 6), _fmt(unit)
     for tile_class in TileClass:
         color = palette[tile_class]
         lines.append(
             f'<pattern id="hatch_{tile_class.value}" patternUnits="userSpaceOnUse" '
-            f'width="{_fmt(step)}" height="{_fmt(step)}">'
-            f'<rect width="{_fmt(step)}" height="{_fmt(step)}" fill="{color}"/>'
-            f'<path d="M 0 0 L {_fmt(step)} {_fmt(step)}" stroke="#333333" '
-            f'stroke-width="{_fmt(unit)}"/>'
+            f'width="{step}" height="{step}">'
+            f'<rect width="{step}" height="{step}" fill="{color}"/>'
+            f'<path d="M 0 0 L {step} {step}" stroke="#333333" '
+            f'stroke-width="{width}"/>'
             "</pattern>"
         )
     lines.append(
@@ -129,31 +129,33 @@ _POLYGON_POINTS = " ".join(["%.12f,%.12f"] * 4)
 
 
 def _tile_polygon(
-    tile: Tile, corners: Sequence[float], palette: Mapping[TileClass, str], stroke: float
+    tile: Tile, corners: Sequence[float], palette: Mapping[TileClass, str], stroke: str
 ) -> str:
+    """The tile's polygon; ``stroke`` is the stroke width as formatted."""
     # one format call for all eight values; every value has exactly 12
     # decimals and a "-" only as its sign, so the replace meets only
     # whole negative zeros
     points = (_POLYGON_POINTS % tuple(corners)).replace("-0.000000000000", "0.000000000000")
-    if tile.signed_area < 0:
+    if tile._cross < 0:
         fill = f"url(#hatch_{tile.tile_class.value})"
     else:
         fill = palette[tile.tile_class]
     return (
         f'<polygon class="{tile.tile_class.value}" points="{points}" '
-        f'fill="{fill}" stroke="#333333" stroke-width="{_fmt(stroke)}"/>'
+        f'fill="{fill}" stroke="#333333" stroke-width="{stroke}"/>'
     )
 
 
-def _flipped_text(x: float, y: float, size: float, content: str) -> str:
-    """Upright text at math point (x, y), for use inside the y-flip group.
+def _flipped_text(x: float, y: float, size: str, content: str) -> str:
+    """Upright text at math point (x, y), for use inside the y-flip group;
+    ``size`` is the font size as formatted.
 
     The inner scale(1,-1) cancels the group flip, so the composed
     transform is a pure translation to the flipped point.
     """
     return (
         f'<text transform="translate({_fmt(x)},{_fmt(y)}) scale(1,-1)" '
-        f'font-family="sans-serif" font-size="{_fmt(size)}" '
+        f'font-family="sans-serif" font-size="{size}" '
         f'text-anchor="middle" dominant-baseline="middle" '
         f'fill="#1a1a1a">{content}</text>'
     )
@@ -175,18 +177,22 @@ def render_tessellation(tess: Tessellation, options: RenderOptions | None = None
     )
     extent = max(box[2], box[3])
     stroke = extent * 0.004
+    # each width and size is the same for every element: format it once
+    stroke_text = _fmt(stroke)
     body: list[str] = []
     for tile, corners in zip(tess.tiles, floats):
-        body.append(_tile_polygon(tile, corners, options.palette, stroke))
+        body.append(_tile_polygon(tile, corners, options.palette, stroke_text))
     if options.show_spinor_arrows:
+        arrow_width = _fmt(stroke * 2)
         for vector in (tess.a, tess.b, tess.c):
             body.append(
                 f'<line x1="0.000000000000" y1="0.000000000000" '
                 f'x2="{_fmt(float(vector.x))}" y2="{_fmt(float(vector.y))}" '
-                f'stroke="#1561ad" stroke-width="{_fmt(stroke * 2)}" '
+                f'stroke="#1561ad" stroke-width="{arrow_width}" '
                 'marker-end="url(#arrow)"/>'
             )
     if options.show_labels:
+        size = _fmt(extent * 0.035)
         for tile in tess.tiles:
             # the centre is the midpoint of the diagonal from the anchor
             scale, x0, y0, _, _, x2, y2, _, _ = tile._lattice
@@ -194,7 +200,7 @@ def render_tessellation(tess: Tessellation, options: RenderOptions | None = None
                 _flipped_text(
                     (x0 + x2) / (2 * scale),
                     (y0 + y2) / (2 * scale),
-                    extent * 0.035,
+                    size,
                     str(tile.signed_area),
                 )
             )
@@ -253,5 +259,5 @@ def render_configuration(
             text = _curvature_label(disk.curvature)
             if labels is not None:
                 text = f"{labels[index].translate(_XML_TEXT)}={text}"
-            body.append(_flipped_text(disk.center[0], label_y, size, text))
+            body.append(_flipped_text(disk.center[0], label_y, _fmt(size), text))
     return _svg_document([], body, box, options.width_px)

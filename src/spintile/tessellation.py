@@ -34,13 +34,18 @@ give the remaining tangency-point circles.
 
 Rational pairs run on integers as integer pairs do.  Each tile clears
 its denominators once, when it is made: it scales its six coordinates
-by L, their lcm, and keeps the integer vertex cycle (L = 1 for an
-integer tile) and its signed area.  The ``Spinor`` vertices are built
-from that cycle only when ``Tile.vertices`` is read.  The signed area,
-the shoelace area, the congruence keys, the lattice-point count, the
-JSON vertices and the SVG coordinates are sums and products of ints,
-divided by L or L² at the end; a ``Fraction`` is built only for a value
-that is reported, and a whole value comes back as ``int``.
+by its L, their lcm, and keeps the integer vertex cycle (L = 1 for an
+integer tile), the cross product of its scaled edges and its signed
+area.  The ``Spinor`` vertices are built from that cycle only when
+``Tile.vertices`` is read.  The tessellation then puts its fifteen
+tiles on one scale, the lcm of their L, and keeps each signed area as
+an int over the square of that scale.  The summary, the butterflies,
+the observations with their congruence keys and the overlap flag are
+sums and products of those ints; the shoelace area, the lattice-point
+count, the JSON vertices and the SVG coordinates are those of each
+tile's own integer form.  A value is divided by its scale only where it
+is reported: a ``Fraction`` is built only then, and a whole value comes
+back as ``int``.
 """
 
 from __future__ import annotations
@@ -52,7 +57,7 @@ from math import gcd, lcm
 from ._frozen import frozen
 from .errors import DegenerateInput, InconsistentTiles, NegativeOrientation, NonIntegralVertices
 from .quadruples import descartes_residual
-from .spinors import ZERO, Rational, Spinor, _spinor, _store, cross, int_if_whole, star
+from .spinors import ZERO, Rational, Spinor, _over, _spinor, _store, cross, int_if_whole, star
 
 
 class TileClass(enum.Enum):
@@ -66,9 +71,10 @@ class TileClass(enum.Enum):
 class Tile:
     """One parallelogram: anchor plus two edge vectors.
 
-    The integer form and the signed area are computed when the tile is
-    made; the ``Spinor`` vertices are built from the integer form when
-    read.  Equality and hashing see only the five fields.
+    The integer form, its cross product and the signed area are
+    computed when the tile is made; the ``Spinor`` vertices are built
+    from the integer form when read.  Equality and hashing see only the
+    five fields.
     """
 
     label: str
@@ -80,7 +86,8 @@ class Tile:
     def __post_init__(self) -> None:
         # ``_lattice`` is (L, x0, y0, x1, y1, x2, y2, x3, y3): the vertex
         # cycle scaled by L, the lcm of the six coordinate denominators, so
-        # that every coordinate is an int (L = 1 for an integer tile)
+        # that every coordinate is an int (L = 1 for an integer tile);
+        # ``_cross`` is the signed area over L²
         ax, ay = self.anchor.x, self.anchor.y
         e1x, e1y = self.edge1.x, self.edge1.y
         e2x, e2y = self.edge2.x, self.edge2.y
@@ -99,8 +106,10 @@ class Tile:
         bx, by = ax + e1x, ay + e1y
         cx, cy = bx + e2x, by + e2y
         dx, dy = ax + e2x, ay + e2y
+        area = e1x * e2y - e2x * e1y
         _store(self, "_lattice", (scale, ax, ay, bx, by, cx, cy, dx, dy))
-        _store(self, "signed_area", _over(e1x * e2y - e2x * e1y, scale * scale))
+        _store(self, "_cross", area)
+        _store(self, "signed_area", _over(area, scale * scale))
 
     @property
     def vertices(self) -> tuple[Spinor, Spinor, Spinor, Spinor]:
@@ -113,12 +122,6 @@ class Tile:
             _spinor(_over(cx, scale), _over(cy, scale)),
             _spinor(_over(dx, scale), _over(dy, scale)),
         )
-
-
-def _over(numerator: int, denominator: int) -> Rational:
-    """The exact quotient: an ``int`` when whole, else a ``Fraction``."""
-    quotient, remainder = divmod(numerator, denominator)
-    return Fraction(numerator, denominator) if remainder else quotient
 
 
 def tile_area_shoelace(tile: Tile) -> Rational:
@@ -191,15 +194,35 @@ def tile_area_pick(tile: Tile) -> int:
 
 @frozen
 class Tessellation:
+    """The pair, its closing third spinor and the fifteen tiles.
+
+    The tiles are put on one integer scale when the tessellation is
+    made: ``_scale`` is L, the lcm of the tile scales, and ``_areas``
+    holds the signed area of each tile as an int over L².  The readers
+    below compute on those ints and divide by L² only a value that they
+    report.  Equality and hashing see only the four fields.
+    """
+
     a: Spinor
     b: Spinor
     c: Spinor
     tiles: tuple[Tile, ...]
 
+    def __post_init__(self) -> None:
+        tiles = self.tiles
+        # a set, as the tiles of a pair share one or a few scales
+        scale = lcm(*{tile._lattice[0] for tile in tiles})
+        if scale == 1:
+            areas = tuple([tile._cross for tile in tiles])
+        else:
+            areas = tuple([tile._cross * (scale // tile._lattice[0]) ** 2 for tile in tiles])
+        _store(self, "_scale", scale)
+        _store(self, "_areas", areas)
+
     @property
     def has_overlap(self) -> bool:
         """True when some tile is negatively oriented (the layout folds)."""
-        return any(tile.signed_area < 0 for tile in self.tiles)
+        return any(area < 0 for area in self._areas)
 
     def tiles_of(self, tile_class: TileClass) -> tuple[Tile, ...]:
         return tuple(t for t in self.tiles if t.tile_class is tile_class)
@@ -297,29 +320,34 @@ def summarize(tess: Tessellation) -> TessellationReport:
     D (resp. D′) are the square areas plus (resp. minus) the green area,
     in (a, b, c) order.
     """
-    areas = [t.signed_area for t in tess.tiles]
-    squares = tuple(areas[0:3])
-    red_c, red_a, red_b = areas[3:6]
+    tiles, areas = tess.tiles, tess._areas
     green = areas[6]
     if any(g != green for g in areas[7:12]):
-        greens = ", ".join(f"{t.label} {t.signed_area}" for t in tess.tiles[6:12])
+        greens = ", ".join(f"{t.label} {t.signed_area}" for t in tiles[6:12])
         raise InconsistentTiles(f"the six greens must share one area, got {greens}")
-    light = tuple(areas[12:15])
+    squares = areas[0:3]
+    red_c, red_a, red_b = areas[3:6]
     base = red_a + red_b + red_c
     curv_d = base + 2 * green
     curv_d_prime = base - 2 * green
+    square = tess._scale ** 2
+    # the residual is of degree two in the areas, so it lies over square²
+    residual_d = _over(descartes_residual(red_a, red_b, red_c, curv_d), square * square)
+    residual_d_prime = _over(descartes_residual(red_a, red_b, red_c, curv_d_prime), square * square)
+    # the tile areas are reported as each tile stores them
+    shown = [t.signed_area for t in tiles]
     return TessellationReport(
-        square_areas=squares,
-        red_areas=(red_a, red_b, red_c),
-        green_area=green,
-        light_red_areas=light,
-        curvature_d=curv_d,
-        curvature_d_prime=curv_d_prime,
-        midcircle_abc=green,
-        midcircles_with_d=tuple(sq + green for sq in squares),
-        midcircles_with_d_prime=tuple(sq - green for sq in squares),
-        descartes_residual_d=descartes_residual(red_a, red_b, red_c, curv_d),
-        descartes_residual_d_prime=descartes_residual(red_a, red_b, red_c, curv_d_prime),
+        square_areas=tuple(shown[0:3]),
+        red_areas=(shown[4], shown[5], shown[3]),
+        green_area=shown[6],
+        light_red_areas=tuple(shown[12:15]),
+        curvature_d=_over(curv_d, square),
+        curvature_d_prime=_over(curv_d_prime, square),
+        midcircle_abc=shown[6],
+        midcircles_with_d=tuple(_over(sq + green, square) for sq in squares),
+        midcircles_with_d_prime=tuple(_over(sq - green, square) for sq in squares),
+        descartes_residual_d=residual_d,
+        descartes_residual_d_prime=residual_d_prime,
         has_overlap=tess.has_overlap,
     )
 
@@ -332,8 +360,8 @@ def butterfly_areas(tess: Tessellation) -> tuple[Rational, Rational, Rational]:
     """Area of each butterfly: a square, its opposite central red, and
     the two greens between them.  All three equal D, computed here from
     the actual member tiles rather than the summary."""
-    areas = [t.signed_area for t in tess.tiles]
-    return tuple(areas[i] + areas[3 + j] + 2 * areas[6] for i, j, _ in _CYCLE)
+    areas, square = tess._areas, tess._scale ** 2
+    return tuple(_over(areas[i] + areas[3 + j] + 2 * areas[6], square) for i, j, _ in _CYCLE)
 
 
 @frozen
@@ -343,37 +371,44 @@ class ObservationResult:
     witness: str
 
 
-def _congruence_key(tile: Tile) -> tuple:
+def _congruence_key(tile: Tile, scale: int) -> tuple[int, int, int]:
     """Invariant separating parallelograms up to rigid motion: sorted
-    squared edge lengths plus |edge dot product|."""
-    scale, x0, y0, x1, y1, _, _, x3, y3 = tile._lattice
-    e1x, e1y, e2x, e2y = x1 - x0, y1 - y0, x3 - x0, y3 - y0
+    squared edge lengths plus |edge dot product|, as ints over scale²,
+    for a ``scale`` that the tile's own scale divides."""
+    own, x0, y0, x1, y1, _, _, x3, y3 = tile._lattice
+    factor = scale // own
+    e1x, e1y = (x1 - x0) * factor, (y1 - y0) * factor
+    e2x, e2y = (x3 - x0) * factor, (y3 - y0) * factor
     n1, n2 = e1x * e1x + e1y * e1y, e2x * e2x + e2y * e2y
-    square = scale * scale
-    return (
-        _over(min(n1, n2), square),
-        _over(max(n1, n2), square),
-        _over(abs(e1x * e2x + e1y * e2y), square),
-    )
+    return (min(n1, n2), max(n1, n2), abs(e1x * e2x + e1y * e2y))
+
+
+def _keys_text(keys: list[tuple[int, int, int]], square: int) -> str:
+    """The list of congruence keys as it prints with each value over
+    ``square`` in its reported form."""
+    if square != 1:
+        keys = [tuple(_over(value, square) for value in key) for key in keys]
+    return str(keys)
 
 
 def check_observations(tess: Tessellation) -> list[ObservationResult]:
     """The five structural facts the layout always satisfies."""
     results: list[ObservationResult] = []
-    tiles = tess.tiles
-    areas = [t.signed_area for t in tiles]
+    tiles, areas = tess.tiles, tess._areas
+    scale = tess._scale
+    square = scale * scale
 
     greens = areas[6:12]
     results.append(
         ObservationResult(
             "greens_equal_area",
             all(g == greens[0] for g in greens),
-            f"areas {sorted(set(str(g) for g in greens))}",
+            f"areas {sorted(set(str(t.signed_area) for t in tiles[6:12]))}",
         )
     )
 
     pairs_congruent = all(
-        _congruence_key(tiles[6 + 2 * i]) == _congruence_key(tiles[7 + 2 * j])
+        _congruence_key(tiles[6 + 2 * i], scale) == _congruence_key(tiles[7 + 2 * j], scale)
         for i, j, _ in _CYCLE
     )
     results.append(
@@ -384,33 +419,37 @@ def check_observations(tess: Tessellation) -> list[ObservationResult]:
         )
     )
 
-    light_keys = sorted(_congruence_key(t) for t in tiles[12:15])
-    red_keys = sorted(_congruence_key(t) for t in tiles[3:6])
+    light_keys = sorted(_congruence_key(t, scale) for t in tiles[12:15])
+    red_keys = sorted(_congruence_key(t, scale) for t in tiles[3:6])
     results.append(
         ObservationResult(
             "light_reds_congruent_to_reds",
             light_keys == red_keys,
-            f"light {light_keys} vs central {red_keys}",
+            f"light {_keys_text(light_keys, square)} vs central {_keys_text(red_keys, square)}",
         )
     )
 
     # square i lies between its side reds k and i
-    sides = [areas[3 + k] + areas[3 + i] for i, _, k in _CYCLE]
+    sides = tuple(areas[3 + k] + areas[3 + i] for i, _, k in _CYCLE)
     results.append(
         ObservationResult(
             "square_equals_adjacent_reds",
             sides == areas[0:3],
-            "; ".join(f"{tiles[i].label}: {areas[i]} vs {sides[i]}" for i in range(3)),
+            "; ".join(
+                f"{tiles[i].label}: {tiles[i].signed_area} vs {_over(sides[i], square)}"
+                for i in range(3)
+            ),
         )
     )
 
     constants = [areas[i] + areas[3 + j] for i, j, _ in _CYCLE]
-    expected = observation_constant(tess)
+    expected = sum(areas[3:6])
     results.append(
         ObservationResult(
             "square_plus_opposite_red_constant",
             all(v == expected for v in constants),
-            f"sums {[str(v) for v in constants]}, reds total {expected}",
+            f"sums {[str(_over(v, square)) for v in constants]}, "
+            f"reds total {_over(expected, square)}",
         )
     )
     return results
@@ -418,7 +457,7 @@ def check_observations(tess: Tessellation) -> list[ObservationResult]:
 
 def observation_constant(tess: Tessellation) -> Rational:
     """The shared value of square + opposite red, which is A + B + C."""
-    return sum(t.signed_area for t in tess.tiles[3:6])
+    return _over(sum(tess._areas[3:6]), tess._scale ** 2)
 
 
 def _over_text(numerator: int, denominator: int) -> str:

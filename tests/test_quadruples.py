@@ -71,6 +71,37 @@ class TestResidual:
             DescartesQuadruple(2, 3, 6, 7)
         assert DescartesQuadruple(2, 3, 6, 23).as_tuple() == (2, 3, 6, 23)
 
+    @pytest.mark.parametrize(
+        ("entries", "residual"),
+        [
+            # the curvatures scaled by 1/5, 4th off the root
+            ((Fraction(2, 5), Fraction(3, 5), Fraction(6, 5), Fraction(7, 5)), "-128/25"),
+            # the numerators 2, 3, 6, 23 form a quadruple, the values do not
+            ((Fraction(2, 5), Fraction(3, 5), Fraction(6, 5), Fraction(23, 7)), "-5612/1225"),
+            ((Fraction(1, 6), Fraction(1, 6), Fraction(1, 4), Fraction(5, 3)), "35/48"),
+        ],
+    )
+    def test_rational_non_quadruples_raise_with_their_residual(self, entries, residual):
+        assert str(descartes_residual(*entries)) == residual
+        with pytest.raises(ValueError) as caught:
+            DescartesQuadruple(*entries)
+        assert str(caught.value) == f"not a Descartes quadruple (residual {residual})"
+
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            # (2, 3, 6, 23)/4: the reduced numerators 1, 3, 3, 23 are no quadruple
+            (Fraction(1, 2), Fraction(3, 4), Fraction(3, 2), Fraction(23, 4)),
+            # (2, 2, 3, 15)/12: the denominators 6 and 4 have lcm 12, not
+            # their maximum
+            (Fraction(1, 6), Fraction(1, 6), Fraction(1, 4), Fraction(5, 4)),
+            # whole values given as Fractions, with one int
+            (Fraction(2), Fraction(3), 6, Fraction(23)),
+        ],
+    )
+    def test_rational_quadruples_validate(self, entries):
+        assert DescartesQuadruple(*entries).as_tuple() == entries
+
     def test_constructor_rejects_floats(self):
         with pytest.raises(TypeError):
             DescartesQuadruple(2.0, 3, 6, 23)

@@ -11,7 +11,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from spintile import (
@@ -29,6 +29,7 @@ from spintile import (
     cross,
     dodecagon_boundary,
     dot,
+    from_spinor_pair,
     norm_sq,
     observation_constant,
     polygon_area,
@@ -199,7 +200,11 @@ class TestIntegerForm:
         assert tile.vertices == corners
         assert tile.signed_area == cross(edge1, edge2)
         assert tile_area_shoelace(tile) == polygon_area(corners)
-        assert _congruence_key(tile) == (min(n1, n2), max(n1, n2), abs(dot(edge1, edge2)))
+        key = (min(n1, n2), max(n1, n2), abs(dot(edge1, edge2)))
+        # the key is read as ints over the square of any multiple of the
+        # tile's own scale
+        for scale in (tile._lattice[0], 3 * tile._lattice[0]):
+            assert _congruence_key(tile, scale) == tuple(v * scale * scale for v in key)
         assert _corner_floats(tile) == [float(value) for v in corners for value in (v.x, v.y)]
 
     @given(wide_pairs())
@@ -531,6 +536,183 @@ class TestJson:
         assert report["curvature_Dprime"] == "-1"
         assert report["midcircles_with_D"] == ["15", "11", "14"]
         assert report["descartes_residual_D"] == "0"
+
+
+# rationals with denominators up to 1e4 and magnitudes up to 1e12
+rational_components = st.builds(
+    Fraction, st.integers(-(10**12), 10**12), st.integers(1, 10**4)
+)
+rational_spinors = st.builds(Spinor, rational_components, rational_components)
+
+
+def _whole(value):
+    """The value as the package reports it: ``int`` when whole."""
+    return value.numerator if value.denominator == 1 else value
+
+
+def reference_report(tess):
+    """The fields of ``summarize``, each value computed in ``Fraction``
+    arithmetic from the tile edges."""
+    areas = [cross(t.edge1, t.edge2) for t in tess.tiles]
+    squares = areas[0:3]
+    red_c, red_a, red_b = areas[3:6]
+    green = areas[6]
+    base = red_a + red_b + red_c
+    d, d_prime = base + 2 * green, base - 2 * green
+
+    def residual(fourth):
+        total = base + fourth
+        return 2 * (red_a**2 + red_b**2 + red_c**2 + fourth**2) - total * total
+
+    return {
+        "square_areas": squares,
+        "red_areas": [red_a, red_b, red_c],
+        "green_area": green,
+        "light_red_areas": areas[12:15],
+        "curvature_d": d,
+        "curvature_d_prime": d_prime,
+        "midcircle_abc": green,
+        "midcircles_with_d": [s + green for s in squares],
+        "midcircles_with_d_prime": [s - green for s in squares],
+        "descartes_residual_d": residual(d),
+        "descartes_residual_d_prime": residual(d_prime),
+    }
+
+
+def reference_observations(tess):
+    """``(name, passed, witness)`` of each observation, from ``Fraction``
+    areas and congruence keys."""
+    tiles = tess.tiles
+    areas = [cross(t.edge1, t.edge2) for t in tiles]
+
+    def key(tile):
+        n1, n2 = norm_sq(tile.edge1), norm_sq(tile.edge2)
+        values = (min(n1, n2), max(n1, n2), abs(dot(tile.edge1, tile.edge2)))
+        return tuple(_whole(v) for v in values)
+
+    greens = sorted(set(str(g) for g in areas[6:12]))
+    light = sorted(key(t) for t in tiles[12:15])
+    central = sorted(key(t) for t in tiles[3:6])
+    sides = [areas[5] + areas[3], areas[3] + areas[4], areas[4] + areas[5]]
+    constants = [areas[0] + areas[4], areas[1] + areas[5], areas[2] + areas[3]]
+    reds = areas[3] + areas[4] + areas[5]
+    return [
+        ("greens_equal_area", len(greens) == 1, f"areas {greens}"),
+        (
+            "greens_pair_up_congruent",
+            [key(tiles[i]) for i in (6, 8, 10)] == [key(tiles[i]) for i in (9, 11, 7)],
+            "each plain green matches its starred partner",
+        ),
+        ("light_reds_congruent_to_reds", light == central, f"light {light} vs central {central}"),
+        (
+            "square_equals_adjacent_reds",
+            sides == areas[0:3],
+            "; ".join(f"{tiles[i].label}: {areas[i]} vs {sides[i]}" for i in range(3)),
+        ),
+        (
+            "square_plus_opposite_red_constant",
+            all(v == reds for v in constants),
+            f"sums {[str(v) for v in constants]}, reds total {reds}",
+        ),
+    ]
+
+
+# the JSON names of the summary fields whose names differ
+_JSON_NAMES = {
+    "curvature_d": "curvature_D",
+    "curvature_d_prime": "curvature_Dprime",
+    "midcircle_abc": "midcircle_ABC",
+    "midcircles_with_d": "midcircles_with_D",
+    "midcircles_with_d_prime": "midcircles_with_Dprime",
+    "descartes_residual_d": "descartes_residual_D",
+    "descartes_residual_d_prime": "descartes_residual_Dprime",
+}
+
+
+def reference_json(tess):
+    """``tessellation_to_json_dict`` from ``Spinor`` vertices and the
+    reference report."""
+    tiles = []
+    for t in tess.tiles:
+        corners = (t.anchor, t.anchor + t.edge1, t.anchor + t.edge1 + t.edge2, t.anchor + t.edge2)
+        tiles.append({
+            "label": t.label,
+            "class": t.tile_class.value,
+            "vertices": [v.format() for v in corners],
+            "area": str(cross(t.edge1, t.edge2)),
+        })
+    return {
+        "a": tess.a.format(),
+        "b": tess.b.format(),
+        "c": tess.c.format(),
+        "has_overlap": any(cross(t.edge1, t.edge2) < 0 for t in tess.tiles),
+        "tiles": tiles,
+        "report": {
+            _JSON_NAMES.get(name, name): [str(v) for v in value] if isinstance(value, list) else str(value)
+            for name, value in reference_report(tess).items()
+        },
+    }
+
+
+def assert_reported(ours, reference):
+    """Equal as values and as text, and ``int`` exactly when whole."""
+    assert list(ours) == list(reference)
+    assert [str(v) for v in ours] == [str(v) for v in reference]
+    for value in ours:
+        assert type(value) is (int if value.denominator == 1 else Fraction)
+
+
+class TestRationalPairsMatchFractionArithmetic:
+    """A rational pair runs on one integer scale per tessellation; every
+    reported value must be the one ``Fraction`` arithmetic gives, for
+    the pair and for its swap, which folds when the pair does not."""
+
+    @given(rational_spinors, rational_spinors)
+    def test_reports_match_the_fraction_reference(self, a, b):
+        assume(cross(a, b) != 0)
+        for x, y in ((a, b), (b, a)):
+            tess = build_tessellation(x, y)
+            report = summarize(tess)
+            reference = reference_report(tess)
+            for name, value in reference.items():
+                ours = getattr(report, name)
+                if isinstance(value, list):
+                    assert_reported(ours, value)
+                else:
+                    assert_reported([ours], [value])
+            overlap = any(cross(t.edge1, t.edge2) < 0 for t in tess.tiles)
+            assert report.has_overlap is tess.has_overlap is overlap
+            assert_reported(butterfly_areas(tess), [reference["curvature_d"]] * 3)
+            reds = sum(cross(t.edge1, t.edge2) for t in tess.tiles[3:6])
+            assert_reported([observation_constant(tess)], [reds])
+            assert [
+                (r.name, r.passed, r.witness) for r in check_observations(tess)
+            ] == reference_observations(tess)
+            assert tessellation_to_json_dict(tess) == reference_json(tess)
+
+            family = from_spinor_pair(x, y)
+            ab, twist = dot(x, y), abs(2 * cross(x, y))
+            big_a, big_b = norm_sq(y) + ab, norm_sq(x) + ab
+            total = big_a + big_b - ab
+            assert_reported(family.quadruple_1.as_tuple(), [big_a, big_b, -ab, total + twist])
+            assert_reported(family.quadruple_2.as_tuple(), [big_a, big_b, -ab, total - twist])
+
+    def test_whole_values_of_a_rational_pair_are_ints(self):
+        a, b = Spinor.parse("1/2,1/2"), Spinor.parse("3/2,-1/2")
+        tess = build_tessellation(a, b)
+        report = summarize(tess)
+        assert (report.descartes_residual_d, report.descartes_residual_d_prime) == (0, 0)
+        assert type(report.descartes_residual_d) is int
+        assert type(report.descartes_residual_d_prime) is int
+        assert report.midcircles_with_d[2] == 3 and type(report.midcircles_with_d[2]) is int
+        family = from_spinor_pair(a, b)
+        assert repr(family.quadruple_1) == (
+            "DescartesQuadruple(a=3, b=1, c=Fraction(-1, 2), d=Fraction(11, 2))"
+        )
+        # A + B + C = |a|² + |b|² + a·b is whole for this pair
+        whole = build_tessellation(a, Spinor.parse("1/2,-1/2"))
+        assert observation_constant(whole) == 1
+        assert type(observation_constant(whole)) is int
 
 
 def _bits_pairs():
