@@ -13,8 +13,9 @@ Exit codes: 0 success, 1 domain/math failure (error name on stderr),
 the default numeric tolerance of 1e-9; a --tolerance flag beats both.
 Either must be a positive finite number.
 
-Start-up is most of the wall time of one call, so each handler imports
-what its subcommand runs, ``json`` included, and a call loads only that:
+Start-up is most of the wall time of one call, so a call builds only
+its own subcommand's arguments, and its handler imports only what that
+subcommand runs, ``json`` included:
 ``quad`` and ``solve`` load ``quadruples``, ``verify`` loads ``disks``,
 ``tess`` loads ``tessellation`` (and ``svg`` with ``--svg``),
 ``enumerate`` loads ``enumeration``, and ``render`` loads ``svg`` with
@@ -79,6 +80,12 @@ def _parse_rationals(text: str, expected: int) -> list[Fraction]:
         raise argparse.ArgumentTypeError(str(exc))
 
 
+def _print_json(payload: object) -> None:
+    import json
+
+    print(json.dumps(payload, indent=2))
+
+
 def _cmd_tess(args: argparse.Namespace) -> int:
     from .tessellation import (
         build_tessellation,
@@ -97,9 +104,7 @@ def _cmd_tess(args: argparse.Namespace) -> int:
         with open(args.svg, "w") as handle:
             handle.write(document)
     if args.json:
-        import json
-
-        print(json.dumps(tessellation_to_json_dict(tess), indent=2))
+        _print_json(tessellation_to_json_dict(tess))
         return 0
     report = summarize(tess)
     butterflies = butterfly_areas(tess)
@@ -142,15 +147,13 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     a, b, c = args.curvatures
     result = fourth_curvatures(a, b, c)
     if args.json:
-        import json
-
         payload = {
             "curvatures": [str(a), str(b), str(c)],
             "larger": str(result.larger) if result.exact else result.larger,
             "smaller": str(result.smaller) if result.exact else result.smaller,
             "exact": result.exact,
         }
-        print(json.dumps(payload, indent=2))
+        _print_json(payload)
         return 0
     kind = "exact" if result.exact else "inexact"
     print(f"{result.larger}, {result.smaller} ({kind})")
@@ -163,8 +166,6 @@ def _cmd_quad(args: argparse.Namespace) -> int:
     family = from_spinor_pair(args.a, args.b)
     a_curv, b_curv, c_curv = family.shared_curvatures
     if args.json:
-        import json
-
         payload = {
             "a": family.generator_a.format(),
             "b": family.generator_b.format(),
@@ -174,7 +175,7 @@ def _cmd_quad(args: argparse.Namespace) -> int:
             "D1": str(family.d1),
             "D2": str(family.d2),
         }
-        print(json.dumps(payload, indent=2))
+        _print_json(payload)
         return 0
     print(
         f"A={a_curv} B={b_curv} C={c_curv} D1={family.d1} D2={family.d2}"
@@ -190,9 +191,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     disks = place_quadruple(args.curvatures)
     report = verify_spinor_laws(disks, tolerance)
     if args.json:
-        import json
-
-        print(json.dumps(report.to_json_dict(), indent=2))
+        _print_json(report.to_json_dict())
     else:
         quad_text = ",".join(str(v) for v in args.curvatures)
         print(f"quadruple ({quad_text}) placed:")
@@ -329,27 +328,81 @@ def _width_px(text: str) -> int:
     return value
 
 
-class _FormatNames:
-    """The ``--format`` choices, ``enumeration.FORMATS``, imported only
-    when argparse checks a value or lists them."""
-
-    def __contains__(self, name: object) -> bool:
-        from .enumeration import FORMATS
-
-        return name in FORMATS
-
-    def __iter__(self) -> Iterator[str]:
-        from .enumeration import FORMATS
-
-        return iter(FORMATS)
-
-
 # values like "-1,2", "-1/2,2/3" or "-1e5,2" must parse as option values,
 # not flags
 _NEGATIVE_VALUE = re.compile(r"^-\d+([eE][-+]?\d+)?([,/.]\S*)?$|^-\d*\.\d+\S*$")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _pair_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--a", type=_parse_spinor, required=True, metavar="X,Y")
+    parser.add_argument("--b", type=_parse_spinor, required=True, metavar="X,Y")
+    parser.add_argument("--json", action="store_true")
+
+
+def _tess_arguments(parser: argparse.ArgumentParser) -> None:
+    _pair_arguments(parser)
+    parser.add_argument("--svg", metavar="PATH", help="also write an SVG rendering")
+
+
+def _curvatures_argument(parser: argparse.ArgumentParser, count: int) -> None:
+    parser.add_argument(
+        "--curvatures",
+        type=lambda t: _parse_rationals(t, count),
+        required=True,
+        metavar=",".join("ABCD"[:count]),
+    )
+
+
+def _solve_arguments(parser: argparse.ArgumentParser) -> None:
+    _curvatures_argument(parser, 3)
+    parser.add_argument("--json", action="store_true")
+
+
+def _verify_arguments(parser: argparse.ArgumentParser) -> None:
+    _curvatures_argument(parser, 4)
+    parser.add_argument("--tolerance", type=_tolerance, default=None)
+    parser.add_argument("--json", action="store_true")
+
+
+def _enumerate_arguments(parser: argparse.ArgumentParser) -> None:
+    from .enumeration import FORMATS
+
+    parser.add_argument("--bound", type=_positive_int, required=True)
+    parser.add_argument("--primitive", action="store_true")
+    parser.add_argument("--format", default="csv", choices=FORMATS)
+    parser.add_argument("--out", metavar="PATH")
+    # a string default goes through _parse_shard only when enumerate runs
+    parser.add_argument("--shard", type=_parse_shard, default="0/1")
+    parser.add_argument(
+        "--include-zero", action="store_true", help="keep pairs containing the zero spinor"
+    )
+
+
+def _render_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--from-json", required=True, metavar="PATH")
+    parser.add_argument("--out", required=True, metavar="PATH")
+    parser.add_argument("--midcircles", action="store_true")
+    parser.add_argument("--width-px", type=_width_px, default=640)
+    parser.add_argument("--no-labels", action="store_true")
+    parser.add_argument("--spinor-arrows", action="store_true")
+
+
+# each subcommand once, in the order --help lists them: its help line,
+# its handler and the function that adds its arguments
+_COMMANDS = {
+    "tess": ("tessellate a spinor pair", _cmd_tess, _tess_arguments),
+    "solve": ("solve for the fourth curvature", _cmd_solve, _solve_arguments),
+    "quad": ("quadruple family of a spinor pair", _cmd_quad, _pair_arguments),
+    "verify": ("place a quadruple and check all laws", _cmd_verify, _verify_arguments),
+    "enumerate": ("enumerate spinor-pair families", _cmd_enumerate, _enumerate_arguments),
+    "render": ("render a JSON payload to SVG", _cmd_render, _render_arguments),
+}
+
+
+def build_parser(command: str) -> argparse.ArgumentParser:
+    """The parser of a call to ``command``.  It lists every subcommand,
+    for ``--help`` and the ``invalid choice`` error, but only ``command``
+    gets its arguments."""
     parser = argparse.ArgumentParser(
         prog="spintile",
         description="Exact tessellations of spinor pairs and the tangent-circle "
@@ -357,78 +410,24 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser._negative_number_matcher = _NEGATIVE_VALUE
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_command(name: str, help_text: str) -> argparse.ArgumentParser:
-        command = sub.add_parser(name, help=help_text)
-        command._negative_number_matcher = _NEGATIVE_VALUE
-        return command
-
-    tess = add_command("tess", "tessellate a spinor pair")
-    tess.add_argument("--a", type=_parse_spinor, required=True, metavar="X,Y")
-    tess.add_argument("--b", type=_parse_spinor, required=True, metavar="X,Y")
-    tess.add_argument("--json", action="store_true")
-    tess.add_argument("--svg", metavar="PATH", help="also write an SVG rendering")
-    tess.set_defaults(func=_cmd_tess)
-
-    solve = add_command("solve", "solve for the fourth curvature")
-    solve.add_argument(
-        "--curvatures",
-        type=lambda t: _parse_rationals(t, 3),
-        required=True,
-        metavar="A,B,C",
-    )
-    solve.add_argument("--json", action="store_true")
-    solve.set_defaults(func=_cmd_solve)
-
-    quad = add_command("quad", "quadruple family of a spinor pair")
-    quad.add_argument("--a", type=_parse_spinor, required=True, metavar="X,Y")
-    quad.add_argument("--b", type=_parse_spinor, required=True, metavar="X,Y")
-    quad.add_argument("--json", action="store_true")
-    quad.set_defaults(func=_cmd_quad)
-
-    verify = add_command("verify", "place a quadruple and check all laws")
-    verify.add_argument(
-        "--curvatures",
-        type=lambda t: _parse_rationals(t, 4),
-        required=True,
-        metavar="A,B,C,D",
-    )
-    verify.add_argument("--tolerance", type=_tolerance, default=None)
-    verify.add_argument("--json", action="store_true")
-    verify.set_defaults(func=_cmd_verify)
-
-    enum = add_command("enumerate", "enumerate spinor-pair families")
-    enum.add_argument("--bound", type=_positive_int, required=True)
-    enum.add_argument("--primitive", action="store_true")
-    # set after add_argument, which would list the choices at once
-    enum.add_argument("--format", default="csv").choices = _FormatNames()
-    enum.add_argument("--out", metavar="PATH")
-    # a string default goes through _parse_shard only when enumerate runs
-    enum.add_argument("--shard", type=_parse_shard, default="0/1")
-    enum.add_argument(
-        "--include-zero",
-        action="store_true",
-        help="keep pairs containing the zero spinor",
-    )
-    enum.set_defaults(func=_cmd_enumerate)
-
-    render = add_command("render", "render a JSON payload to SVG")
-    render.add_argument("--from-json", required=True, metavar="PATH")
-    render.add_argument("--out", required=True, metavar="PATH")
-    render.add_argument("--midcircles", action="store_true")
-    render.add_argument("--width-px", type=_width_px, default=640)
-    render.add_argument("--no-labels", action="store_true")
-    render.add_argument("--spinor-arrows", action="store_true")
-    render.set_defaults(func=_cmd_render)
+    for name, (help_text, _, add_arguments) in _COMMANDS.items():
+        subparser = sub.add_parser(name, help=help_text)
+        if name == command:
+            subparser._negative_number_matcher = _NEGATIVE_VALUE
+            add_arguments(subparser)
     return parser
 
 
 def run(argv: list[str] | None = None) -> int:
     """Parse and execute; returns the process exit code."""
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    # argparse takes the first argument that is not an option as the
+    # subcommand; the top-level parser has no option that takes a value
+    command = next((arg for arg in argv if not arg.startswith("-")), "")
     try:
-        args = parser.parse_args(argv)
-        return args.func(args)
+        args = build_parser(command).parse_args(argv)
+        _, handler, _ = _COMMANDS[args.command]
+        return handler(args)
     except SystemExit as exc:
         # argparse exits with 2 on usage errors; our own SystemExit
         # carries either a code or a message treated as a usage problem

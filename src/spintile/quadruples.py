@@ -32,6 +32,19 @@ from .spinors import Rational, Spinor, _exact, _over, cross, dot, int_if_whole, 
 ExactOrFloat = Union[int, Fraction, float]
 
 
+def _cleared(a: Rational, b: Rational, c: Rational, d: Rational) -> tuple[int, int, int, int, int]:
+    """L, the lcm of the denominators of four rationals, and the four
+    times L, as ints."""
+    scale = math.lcm(a.denominator, b.denominator, c.denominator, d.denominator)
+    return (
+        scale,
+        a.numerator * (scale // a.denominator),
+        b.numerator * (scale // b.denominator),
+        c.numerator * (scale // c.denominator),
+        d.numerator * (scale // d.denominator),
+    )
+
+
 def descartes_residual(a: Rational, b: Rational, c: Rational, d: Rational) -> Rational:
     """2·(sum of squares) − (sum)²; zero exactly on Descartes quadruples."""
     s = a + b + c + d
@@ -54,14 +67,8 @@ class DescartesQuadruple:
         # the residual is homogeneous of degree two, so it vanishes on the
         # curvatures exactly when it does on them scaled to ints by the lcm
         # of their denominators
-        scale = math.lcm(a.denominator, b.denominator, c.denominator, d.denominator)
-        cleared = descartes_residual(
-            a.numerator * (scale // a.denominator),
-            b.numerator * (scale // b.denominator),
-            c.numerator * (scale // c.denominator),
-            d.numerator * (scale // d.denominator),
-        )
-        if cleared != 0:
+        _, *cleared = _cleared(a, b, c, d)
+        if descartes_residual(*cleared) != 0:
             residual = descartes_residual(a, b, c, d)
             raise ValueError(f"not a Descartes quadruple (residual {residual})")
 
@@ -169,12 +176,7 @@ def from_spinor_pair(a: Spinor, b: Spinor) -> QuadrupleFamily:
     once: the curvatures are then ints over L², and whole ones come back
     as ``int``.
     """
-    ax, ay, bx, by = a.x, a.y, b.x, b.y
-    scale = math.lcm(ax.denominator, ay.denominator, bx.denominator, by.denominator)
-    m1 = ax.numerator * (scale // ax.denominator)
-    n1 = ay.numerator * (scale // ay.denominator)
-    m2 = bx.numerator * (scale // bx.denominator)
-    n2 = by.numerator * (scale // by.denominator)
+    scale, m1, n1, m2, n2 = _cleared(a.x, a.y, b.x, b.y)
     curvatures = pair_curvatures((m1, n1, m1 * m1 + n1 * n1), (m2, n2, m2 * m2 + n2 * n2))
     if scale != 1:
         square = scale * scale

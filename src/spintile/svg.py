@@ -221,8 +221,11 @@ def render_configuration(
 
     A negative-curvature disk is drawn as its boundary circle with the
     absolute radius; its label sits near the top of that circle rather
-    than at the center it does not contain.
+    than at the center it does not contain.  ``labels``, when given,
+    holds one label per disk.
     """
+    if labels is not None and len(labels) != len(disks):
+        raise ValueError(f"need one label per disk, got {len(disks)} disks and {len(labels)} labels")
     options = options or RenderOptions()
     everything = list(disks) + list(midcircles)
     if not everything:

@@ -91,7 +91,8 @@ class Tile:
         ax, ay = self.anchor.x, self.anchor.y
         e1x, e1y = self.edge1.x, self.edge1.y
         e2x, e2y = self.edge2.x, self.edge2.y
-        # spelled out rather than looped: every tile of every pair runs this
+        # spelled out, not looped or shared with a helper: the fifteen tiles
+        # of every pair run this
         scale = lcm(
             ax.denominator, ay.denominator,
             e1x.denominator, e1y.denominator,

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import json
 import random
 import re
@@ -98,7 +99,137 @@ class TestTess:
             assert not path.exists(), pair
 
 
+def _choices(*names: str) -> str:
+    """Choices as this Python's argparse lists them in an ``invalid
+    choice`` error: older releases quote them (3.13.0 does), newer ones
+    do not (3.13.13)."""
+    probe = argparse.ArgumentParser(exit_on_error=False)
+    probe.add_argument("name", choices=["a"])
+    with pytest.raises(argparse.ArgumentError) as error:
+        probe.parse_args(["b"])
+    quoted = "'a'" in str(error.value)
+    return ", ".join(f"'{name}'" if quoted else name for name in names)
+
+
+_USAGE = "usage: spintile [-h] {tess,solve,quad,verify,enumerate,render} ...\n"
+_TESS_USAGE = "usage: spintile tess [-h] --a X,Y --b X,Y [--json] [--svg PATH]\n"
+_ENUMERATE_USAGE = """\
+usage: spintile enumerate [-h] --bound BOUND [--primitive]
+                          [--format {csv,jsonl}] [--out PATH] [--shard SHARD]
+                          [--include-zero]
+"""
+
+# what the parser prints at 80 columns: each subcommand's help, and the
+# usage errors of the top level, of a missing option and of a bad choice
+_HELP = {
+    "--help": _USAGE + """
+Exact tessellations of spinor pairs and the tangent-circle configurations they
+encode.
+
+positional arguments:
+  {tess,solve,quad,verify,enumerate,render}
+    tess                tessellate a spinor pair
+    solve               solve for the fourth curvature
+    quad                quadruple family of a spinor pair
+    verify              place a quadruple and check all laws
+    enumerate           enumerate spinor-pair families
+    render              render a JSON payload to SVG
+
+options:
+  -h, --help            show this help message and exit
+""",
+    "tess --help": _TESS_USAGE + """
+options:
+  -h, --help  show this help message and exit
+  --a X,Y
+  --b X,Y
+  --json
+  --svg PATH  also write an SVG rendering
+""",
+    "solve --help": """\
+usage: spintile solve [-h] --curvatures A,B,C [--json]
+
+options:
+  -h, --help          show this help message and exit
+  --curvatures A,B,C
+  --json
+""",
+    "quad --help": """\
+usage: spintile quad [-h] --a X,Y --b X,Y [--json]
+
+options:
+  -h, --help  show this help message and exit
+  --a X,Y
+  --b X,Y
+  --json
+""",
+    "verify --help": """\
+usage: spintile verify [-h] --curvatures A,B,C,D [--tolerance TOLERANCE]
+                       [--json]
+
+options:
+  -h, --help            show this help message and exit
+  --curvatures A,B,C,D
+  --tolerance TOLERANCE
+  --json
+""",
+    "enumerate --help": _ENUMERATE_USAGE + """
+options:
+  -h, --help            show this help message and exit
+  --bound BOUND
+  --primitive
+  --format {csv,jsonl}
+  --out PATH
+  --shard SHARD
+  --include-zero        keep pairs containing the zero spinor
+""",
+    "render --help": """\
+usage: spintile render [-h] --from-json PATH --out PATH [--midcircles]
+                       [--width-px WIDTH_PX] [--no-labels] [--spinor-arrows]
+
+options:
+  -h, --help           show this help message and exit
+  --from-json PATH
+  --out PATH
+  --midcircles
+  --width-px WIDTH_PX
+  --no-labels
+  --spinor-arrows
+""",
+}
+
+_USAGE_ERRORS = {
+    "": _USAGE + "spintile: error: the following arguments are required: command\n",
+    "bogus": _USAGE
+    + "spintile: error: argument command: invalid choice: 'bogus' (choose from "
+    + _choices("tess", "solve", "quad", "verify", "enumerate", "render")
+    + ")\n",
+    "tess --a 1,2": _TESS_USAGE
+    + "spintile tess: error: the following arguments are required: --b\n",
+    # an option before the subcommand: the subcommand still parses its own
+    "--json quad --a 3,0 --b -1,2": _USAGE + "spintile: error: unrecognized arguments: --json\n",
+    "enumerate --bound 1 --format xml": _ENUMERATE_USAGE
+    + "spintile enumerate: error: argument --format: invalid choice: 'xml' (choose from "
+    + _choices("csv", "jsonl")
+    + ")\n",
+}
+
+
 class TestParser:
+    @pytest.fixture(autouse=True)
+    def columns(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+
+    @pytest.mark.parametrize("command", list(_HELP))
+    def test_help(self, command, capsys):
+        assert run(command.split()) == 0
+        assert capsys.readouterr() == (_HELP[command], "")
+
+    @pytest.mark.parametrize("command", list(_USAGE_ERRORS))
+    def test_usage_error(self, command, capsys):
+        assert run(command.split()) == 2
+        assert capsys.readouterr() == ("", _USAGE_ERRORS[command])
+
     def test_no_arguments(self):
         assert run([]) == 2
 

@@ -15,6 +15,7 @@ from spintile import (
     build_tessellation,
     midcircle_through_tangencies,
     place_configuration,
+    place_quadruple,
     realize_fourth,
     render_configuration,
     render_tessellation,
@@ -178,6 +179,15 @@ class TestConfigurationOutput:
         svg = render_configuration(disks, labels=("A", "B", "C", "D"))
         texts = {t.text for t in all_elements(svg, "text")}
         assert texts == {"A=2", "B=3", "C=6", "D=23"}
+
+    @pytest.mark.parametrize("labels", [("A",), ("A", "B", "C", "D", "E")], ids=["fewer", "more"])
+    @pytest.mark.parametrize("show_labels", [True, False])
+    def test_label_count_must_match_disk_count(self, labels, show_labels):
+        # fewer labels ended in a bare IndexError, more were dropped
+        disks = place_quadruple([2, 3, 6, 23])
+        expected = f"need one label per disk, got 4 disks and {len(labels)} labels"
+        with pytest.raises(ValueError, match=f"^{expected}$"):
+            render_configuration(disks, (), RenderOptions(show_labels=show_labels), labels)
 
     def test_circles_fit_inside_viewbox(self, configuration_pieces):
         disks, mids = configuration_pieces
