@@ -9,17 +9,18 @@ gcd-reduced) form of the quadruple, both from ``spintile.quadruples``.
 Output is deterministic: the same job always produces byte-identical
 files.  Sharded runs partition the emitted stream round-robin by record
 index, so a merge of all shards reproduces the unsharded file exactly.
-Shard K/N builds only its own records: unfiltered it decodes its pair
-indices directly, and with ``primitive_only`` a gcd-only scan finds the
-emitted index of each pair, so a shard does about 1/N of the work.
-``merge_shards`` streams a k-way merge of lines with memory flat in the
-stream length.  It accepts exactly the lines this module writes: each
-line must match its format's compiled grammar (no added spaces, extra
-keys or other spellings of a value), its first four integers are its
-generator key, and it is copied through unchanged.  The keys must
-strictly increase along the merged stream, so a shard out of stream
-order, or a record in two shards, is rejected.  ``read_records`` parses
-with the same grammars.
+One walk serves every job: it visits each pair, skips the non-primitive
+ones when ``primitive_only`` is set (a gcd-only test), numbers the
+pairs it emits, and builds a record only for those of its own shard.
+Each format is one line template, from which both its writer and its
+grammar are made.  ``merge_shards`` streams a k-way merge of lines with
+memory flat in the stream length.  It accepts exactly the lines this
+module writes: each line must match its format's compiled grammar (no
+added spaces, extra keys or other spellings of a value), its first four
+integers are its generator key, and it is copied through unchanged.
+The keys must strictly increase along the merged stream, so a shard out
+of stream order, or a record in two shards, is rejected.
+``read_records`` parses with the same grammars.
 """
 
 from __future__ import annotations
@@ -47,8 +48,10 @@ class Shard:
     count: int = 1
 
     def __post_init__(self) -> None:
-        if self.count < 1 or not 0 <= self.index < self.count:
-            raise ValueError(f"invalid shard {self.index}/{self.count}")
+        # ``type(...) is int`` refuses a float and a bool alike
+        ints = type(self.index) is int and type(self.count) is int
+        if not ints or self.count < 1 or not 0 <= self.index < self.count:
+            raise ValueError(f"invalid shard {self.index!r}/{self.count!r}")
 
 
 @frozen
@@ -60,8 +63,8 @@ class EnumerationJob:
     include_zero: bool = False
 
     def __post_init__(self) -> None:
-        if self.bound < 1:
-            raise ValueError(f"bound must be at least 1, got {self.bound}")
+        if type(self.bound) is not int or self.bound < 1:
+            raise ValueError(f"bound must be an integer of at least 1, got {self.bound!r}")
         _record_format(self.output_format)
 
 
@@ -104,30 +107,23 @@ def _is_primitive(a: tuple[int, int, int], b: tuple[int, int, int]) -> bool:
 def enumerate_records(job: EnumerationJob) -> Iterator[QuadrupleRecord]:
     """Stream records for the job, honoring its shard and filters.
 
-    Unfiltered, the pair with index ``i`` is ``points[i // size],
-    points[i % size]``, so a shard walks only its own indices.  With
-    ``primitive_only`` the round-robin runs over the emitted index: a
-    gcd-only scan numbers the primitive pairs and full records are built
-    only for the shard's own.
+    The round-robin runs over the emitted index: the walk numbers the
+    pairs it emits (with ``primitive_only``, those that pass the gcd-only
+    test) and builds full records only for the shard's own.
     """
     span = range(-job.bound, job.bound + 1)
     # the spinors of the box as (m, n, m² + n²), in lexicographic order
     points = [(m, n, m * m + n * n) for m in span for n in span if job.include_zero or m or n]
-    size = len(points)
     index, count = job.shard.index, job.shard.count
-    if not job.primitive_only:
-        for row, a in enumerate(points):
-            # row ``row`` holds the indices row*size .. row*size + size - 1
-            for b in points[(index - row * size) % count :: count]:
-                yield _record(a, b)
-        return
+    primitive_only = job.primitive_only
     emitted = 0
     for a in points:
         for b in points:
-            if _is_primitive(a, b):
-                if emitted % count == index:
-                    yield _record(a, b)
-                emitted += 1
+            if primitive_only and not _is_primitive(a, b):
+                continue
+            if emitted % count == index:
+                yield _record(a, b)
+            emitted += 1
 
 
 def expected_record_count(bound: int, include_zero: bool = False) -> int:
@@ -144,50 +140,32 @@ def dedup_canonical(records: Iterable[QuadrupleRecord]) -> list[tuple[int, int, 
     return sorted(unique, key=lambda c: (sum(c), c))
 
 
-def _csv_line(record: QuadrupleRecord) -> str:
-    m1, n1, m2, n2, a, b, c, d1, d2, (w, x, y, z), primitive = record
-    return (
-        f"{m1},{n1},{m2},{n2},{a},{b},{c},{d1},{d2},"
-        f"{w}:{x}:{y}:{z},{'true' if primitive else 'false'}"
-    )
-
-
-def _json_line(record: QuadrupleRecord) -> str:
-    """The record as ``json.dumps(payload, separators=(",", ":"))`` would
-    write it, formatted directly."""
-    m1, n1, m2, n2, a, b, c, d1, d2, (w, x, y, z), primitive = record
-    return (
-        f'{{"m1":{m1},"n1":{n1},"m2":{m2},"n2":{n2},"A":{a},"B":{b},"C":{c},'
-        f'"D1":{d1},"D2":{d2},"canonical":[{w},{x},{y},{z}],'
-        f'"primitive":{"true" if primitive else "false"}}}'
-    )
-
-
 class RecordFormat(NamedTuple):
-    """An output format: its header line ("" for none) and the writer of
-    a record line, neither with its newline, and the grammar template of
-    that line: exactly what the writer writes, newline included, each INT
-    one integer.  Groups 1-9 are m1 .. D2, groups 10-13 the canonical
-    entries and group 14 the primitive flag."""
+    """An output format: its header line ("" for none) and the template of
+    a record line, neither with its newline.  The template's fourteen
+    ``%s`` slots are m1 .. D2, the four canonical entries and the
+    primitive flag, ``true`` or ``false``."""
 
     header: str
-    line: Callable[[QuadrupleRecord], str]
     template: str
 
 
+# the jsonl line is what ``json.dumps(payload, separators=(",", ":"))``
+# writes for the record
 FORMATS = {
-    "csv": RecordFormat(
-        CSV_HEADER,
-        _csv_line,
-        r"INT,INT,INT,INT,INT,INT,INT,INT,INT,INT:INT:INT:INT,(true|false)\n",
-    ),
+    "csv": RecordFormat(CSV_HEADER, "%s,%s,%s,%s,%s,%s,%s,%s,%s,%s:%s:%s:%s,%s"),
     "jsonl": RecordFormat(
         "",
-        _json_line,
-        r'\{"m1":INT,"n1":INT,"m2":INT,"n2":INT,"A":INT,"B":INT,"C":INT,"D1":INT,"D2":INT,'
-        r'"canonical":\[INT,INT,INT,INT\],"primitive":(true|false)\}\n',
+        '{"m1":%s,"n1":%s,"m2":%s,"n2":%s,"A":%s,"B":%s,"C":%s,"D1":%s,"D2":%s,'
+        '"canonical":[%s,%s,%s,%s],"primitive":%s}',
     ),
 }
+
+
+def _line(template: str, record: QuadrupleRecord) -> str:
+    """The record written into a format's line template."""
+    m1, n1, m2, n2, a, b, c, d1, d2, (w, x, y, z), primitive = record
+    return template % (m1, n1, m2, n2, a, b, c, d1, d2, w, x, y, z, "true" if primitive else "false")
 
 
 def _record_format(fmt: str) -> RecordFormat:
@@ -198,12 +176,12 @@ def _record_format(fmt: str) -> RecordFormat:
 
 def write_stream(records: Iterable[QuadrupleRecord], handle: IO[str], fmt: str) -> int:
     """Write records to an open text handle; returns the record count."""
-    header, line, _ = _record_format(fmt)
+    header, template = _record_format(fmt)
     if header:
         handle.write(header + "\n")
     count = 0
     for record in records:
-        handle.write(line(record) + "\n")
+        handle.write(_line(template, record) + "\n")
         count += 1
     return count
 
@@ -216,8 +194,8 @@ def write_records(records: Iterable[QuadrupleRecord], path: str, fmt: str) -> in
 def _atomic_write(path: str, write: Callable[[IO[str]], int]) -> int:
     """Run ``write`` on a temp file beside ``path`` and rename it into
     place; on any failure the temp file is removed.  Returns what
-    ``write`` returns.  When the temp file cannot be made, the
-    ``OSError`` names ``path``."""
+    ``write`` returns.  When the temp file cannot be made or renamed,
+    the ``OSError`` names ``path``."""
     directory = os.path.dirname(os.path.abspath(path))
     try:
         descriptor, temp_path = tempfile.mkstemp(dir=directory, suffix=".part")
@@ -226,7 +204,10 @@ def _atomic_write(path: str, write: Callable[[IO[str]], int]) -> int:
     try:
         with os.fdopen(descriptor, "w", newline="") as handle:
             count = write(handle)
-        os.replace(temp_path, path)
+        try:
+            os.replace(temp_path, path)
+        except OSError as exc:
+            raise OSError(exc.errno, exc.strerror, path) from None
     except BaseException:
         if os.path.exists(temp_path):
             os.unlink(temp_path)
@@ -236,10 +217,13 @@ def _atomic_write(path: str, write: Callable[[IO[str]], int]) -> int:
 
 @functools.cache
 def _line_grammar(fmt: str) -> re.Pattern[str]:
-    """The compiled grammar of the format's record line.  Compiled on
-    first use, so that importing the package (every CLI call) does not
-    pay for it."""
-    return re.compile(_record_format(fmt).template.replace("INT", "(0|-?[1-9][0-9]*)"))
+    """The compiled grammar of the format's record line, newline included:
+    its template with each integer slot a group of one integer (groups
+    1-13) and the flag slot the group ``(true|false)`` (group 14).
+    Compiled on first use, so that importing the package (every CLI
+    call) does not pay for it."""
+    pattern = re.escape(_record_format(fmt).template).replace("%s", "(0|-?[1-9][0-9]*)", 13)
+    return re.compile(pattern.replace("%s", "(true|false)") + "\n")
 
 
 def _record_lines(path: str, fmt: str) -> Iterator[tuple[re.Match[str], str]]:

@@ -21,13 +21,18 @@ from spintile import (
     read_records,
     write_records,
 )
+from spintile import enumeration
 from spintile.enumeration import (
-    _csv_line,
-    _json_line,
+    FORMATS,
+    QuadrupleRecord,
+    _line,
     _line_grammar,
     _record,
     write_stream,
 )
+from spintile.cli import run
+
+CSV, JSONL = FORMATS["csv"].template, FORMATS["jsonl"].template
 
 
 def brute_force_primitives(limit: int) -> set[tuple[int, int, int, int]]:
@@ -98,6 +103,26 @@ class TestJobValidation:
         for refuse in refusals:
             with pytest.raises(ValueError, match="^unknown output format 'xml'$"):
                 refuse()
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: Shard(0.5, 2),
+            lambda: Shard(1.0, 2),
+            lambda: Shard(0, 2.0),
+            lambda: Shard(True, 2),
+            lambda: EnumerationJob(bound=2.5),
+            lambda: EnumerationJob(bound=2.0),
+            lambda: EnumerationJob(bound=True),
+        ],
+        ids=["index-0.5", "index-1.0", "count-2.0", "index-True", "bound-2.5", "bound-2.0",
+             "bound-True"],
+    )
+    def test_shard_and_bound_must_be_ints(self, make):
+        # a float index never equals ``emitted % count``, so it would
+        # silently select no records
+        with pytest.raises(ValueError):
+            make()
 
     def test_shard_must_be_consistent(self):
         with pytest.raises(ValueError):
@@ -177,11 +202,11 @@ class TestCanonicalForms:
 class TestFormats:
     def test_csv_line_frozen(self):
         record = _record((-2, -2, 8), (-2, -2, 8))
-        assert _csv_line(record) == "-2,-2,-2,-2,16,16,-8,24,24,-1:2:2:3,false"
+        assert _line(CSV, record) == "-2,-2,-2,-2,16,16,-8,24,24,-1:2:2:3,false"
 
     def test_json_line_frozen(self):
         record = _record((3, 0, 9), (-1, 2, 5))
-        assert _json_line(record) == (
+        assert _line(JSONL, record) == (
             '{"m1":3,"n1":0,"m2":-1,"n2":2,"A":2,"B":6,"C":3,"D1":23,"D2":-1,'
             '"canonical":[2,3,6,23],"primitive":true}'
         )
@@ -192,14 +217,14 @@ class TestFormats:
             payload = dict(zip(("m1", "n1", "m2", "n2", "A", "B", "C", "D1", "D2"), record[:9]))
             payload["canonical"] = list(record.canonical)
             payload["primitive"] = record.primitive
-            assert _json_line(record) == json.dumps(payload, separators=(",", ":"))
+            assert _line(JSONL, record) == json.dumps(payload, separators=(",", ":"))
 
-    @pytest.mark.parametrize("fmt, line_of", [("csv", _csv_line), ("jsonl", _json_line)])
-    def test_every_written_line_matches_its_grammar(self, fmt, line_of, tmp_path):
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_every_written_line_matches_its_grammar(self, fmt, tmp_path):
         records = list(enumerate_records(EnumerationJob(bound=2, include_zero=True)))
         grammar = _line_grammar(fmt)
         for record in records:
-            found = grammar.fullmatch(line_of(record) + "\n")
+            found = grammar.fullmatch(_line(FORMATS[fmt].template, record) + "\n")
             assert found is not None
             assert tuple(map(int, found.group(1, 2, 3, 4))) == record.generator_key()
         path = str(tmp_path / f"records.{fmt}")
@@ -207,7 +232,28 @@ class TestFormats:
         assert read_records(path, fmt) == records
 
     def test_zero_record_csv_line_frozen(self):
-        assert _csv_line(_record((0, 0, 0), (0, 0, 0))) == "0,0,0,0,0,0,0,0,0,0:0:0:0,false"
+        assert _line(CSV, _record((0, 0, 0), (0, 0, 0))) == "0,0,0,0,0,0,0,0,0,0:0:0:0,false"
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_large_and_zero_entries_round_trip(self, fmt, tmp_path):
+        big = 10**30
+        # 18 records with distinct generators, in stream order
+        records = sorted(
+            QuadrupleRecord(m1, n1, m2, n2, m1, -n1, 0, big, -big, (-big, 0, 0, big), n1 == 0)
+            for m1 in (-big, 0, big)
+            for n1 in (-big, 0, big)
+            for m2, n2 in ((0, 0), (big, -big))
+        )
+        whole = tmp_path / f"whole.{fmt}"
+        assert write_records(records, str(whole), fmt) == len(records)
+        assert read_records(str(whole), fmt) == records
+        shards = [str(tmp_path / f"shard{k}.{fmt}") for k in range(3)]
+        for k, path in enumerate(shards):
+            write_records(records[k::3], path, fmt)
+        merged = tmp_path / f"merged.{fmt}"
+        assert merge_shards(shards, str(merged), fmt) == len(records)
+        assert merged.read_bytes() == whole.read_bytes()
+        assert read_records(str(merged), fmt) == records
 
     def test_csv_header_frozen(self):
         assert CSV_HEADER == "m1,n1,m2,n2,A,B,C,D1,D2,canonical,primitive"
@@ -235,6 +281,20 @@ class TestFormats:
 
 
 class TestAtomicWrites:
+    def test_rename_onto_a_directory_names_it(self, tmp_path, capsys):
+        target = tmp_path / "taken"
+        target.mkdir()
+        assert run(["enumerate", "--bound", "1", "--out", str(target)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("i/o error: ") and err.endswith(f": {str(target)!r}\n")
+        shard = tmp_path / "shard.csv"
+        write_records(enumerate_records(EnumerationJob(bound=1)), str(shard), "csv")
+        with pytest.raises(OSError) as caught:
+            merge_shards([str(shard)], str(target), "csv")
+        assert caught.value.filename == str(target)
+        assert sorted(os.listdir(tmp_path)) == ["shard.csv", "taken"]
+        assert os.listdir(target) == []
+
     def test_failure_leaves_no_partial_file(self, tmp_path):
         target = tmp_path / "out.csv"
 
@@ -379,6 +439,23 @@ class TestSharding:
         assert not merged.exists()
         with pytest.raises(ValueError, match=f"line {index + 1}:"):
             read_records(shard_paths[1], fmt)
+
+    @pytest.mark.parametrize("primitive_only", [False, True])
+    @pytest.mark.parametrize("count, index", [(1, 0), (3, 0), (3, 1), (3, 2)])
+    def test_a_shard_builds_only_its_own_records(self, monkeypatch, primitive_only, count, index):
+        calls = 0
+        build = enumeration._record
+
+        def counted(a, b):
+            nonlocal calls
+            calls += 1
+            return build(a, b)
+
+        monkeypatch.setattr(enumeration, "_record", counted)
+        job = EnumerationJob(bound=2, primitive_only=primitive_only, shard=Shard(index, count))
+        records = list(enumerate_records(job))
+        assert records
+        assert calls == len(records)
 
     def test_sharded_primitive_filter_applies_before_slicing(self):
         whole = list(enumerate_records(EnumerationJob(bound=1, primitive_only=True)))
