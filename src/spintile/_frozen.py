@@ -1,10 +1,10 @@
 """Immutable value classes, built at import for a fraction of the cost.
 
 ``@frozen`` gives a class the methods of a frozen dataclass, written from
-its annotated fields in order: ``__init__`` (defaults, ``Factory``
-defaults, then ``__post_init__`` when the class has one), a
-dataclass-style ``__repr__``, ``__eq__`` and ``__hash__`` over the field
-tuple, and an ``AttributeError`` on assignment or deletion.  The methods
+its annotated fields in order: ``__init__`` (defaults, then
+``__post_init__`` when the class has one), a dataclass-style
+``__repr__``, ``__eq__`` and ``__hash__`` over the field tuple, and an
+``AttributeError`` on assignment or deletion.  The methods
 are generated as source, as the standard library's ``dataclass`` does,
 so they run as fast as its methods; that module itself imports
 ``inspect`` and ``ast``, which would cost every command-line call
@@ -18,15 +18,6 @@ from __future__ import annotations
 _MISSING = object()
 
 
-class Factory:
-    """A field default made afresh for each instance by ``make()``."""
-
-    __slots__ = ("make",)
-
-    def __init__(self, make) -> None:
-        self.make = make
-
-
 def _refuse_assignment(self, name: str, value: object) -> None:
     raise AttributeError(f"cannot assign to field {name!r}")
 
@@ -38,22 +29,16 @@ def _refuse_deletion(self, name: str) -> None:
 def frozen(cls: type) -> type:
     """Add the frozen-dataclass methods to ``cls``; see the module."""
     names = tuple(cls.__dict__.get("__annotations__", ()))
-    namespace = {"MISSING": _MISSING, "store": object.__setattr__}
+    namespace = {"store": object.__setattr__}
     params, body = [], []
     for name in names:
         default = cls.__dict__.get(name, _MISSING)
-        value = name
-        if isinstance(default, Factory):
-            namespace[f"make_{name}"] = default.make
-            delattr(cls, name)
-            params.append(f"{name}=MISSING")
-            value = f"make_{name}() if {name} is MISSING else {name}"
-        elif default is not _MISSING:
+        if default is not _MISSING:
             namespace[f"default_{name}"] = default
             params.append(f"{name}=default_{name}")
         else:
             params.append(name)
-        body.append(f"store(self, {name!r}, {value})")
+        body.append(f"store(self, {name!r}, {name})")
     if hasattr(cls, "__post_init__"):
         body.append("self.__post_init__()")
     mine = "".join(f"self.{name}, " for name in names)

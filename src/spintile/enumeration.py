@@ -33,7 +33,7 @@ import re
 import tempfile
 from typing import IO, Callable, Iterable, Iterator, NamedTuple
 
-from ._frozen import Factory, frozen
+from ._frozen import frozen
 from .quadruples import canonical_form, pair_curvatures
 
 CSV_HEADER = "m1,n1,m2,n2,A,B,C,D1,D2,canonical,primitive"
@@ -59,12 +59,17 @@ class EnumerationJob:
     bound: int
     primitive_only: bool = False
     output_format: str = "csv"
-    shard: Shard = Factory(Shard)
+    # a Shard is immutable, so every job may share this one
+    shard: Shard = Shard()
     include_zero: bool = False
 
     def __post_init__(self) -> None:
         if type(self.bound) is not int or self.bound < 1:
             raise ValueError(f"bound must be an integer of at least 1, got {self.bound!r}")
+        for name in ("primitive_only", "include_zero"):
+            value = getattr(self, name)
+            if type(value) is not bool:
+                raise ValueError(f"{name} must be a bool, got {value!r}")
         _record_format(self.output_format)
 
 
@@ -135,7 +140,11 @@ def expected_record_count(bound: int, include_zero: bool = False) -> int:
 
 
 def dedup_canonical(records: Iterable[QuadrupleRecord]) -> list[tuple[int, int, int, int]]:
-    """Distinct canonical quadruples, ascending by (sum, entries)."""
+    """Distinct canonical quadruples, ascending by (sum, entries).
+
+    A record's ``canonical`` is the canonical form of (A, B, C, D1) only,
+    so the D2 quadruple of a record is here only when some record has it
+    as its D1 one: this is not the set of the run's quadruples."""
     unique = {record.canonical for record in records}
     return sorted(unique, key=lambda c: (sum(c), c))
 

@@ -11,12 +11,14 @@ and every pair of integer spinors (a, b) produces an integral solution
 
 with the two D-roots coming from the two orientations of the pair.
 
-Rational curvatures are checked on ints: ``DescartesQuadruple`` tests
-the identity on its four curvatures scaled by the lcm of their
-denominators, and ``from_spinor_pair`` scales the pair's four
-coordinates by the lcm of theirs, L, so that a rational pair runs the
-integer kernel.  Only the reported curvatures are divided by L², and a
-whole one comes back as ``int``.
+Every exact curvature is computed on ints: the rationals a function
+reads are scaled once by L, the lcm of their denominators, and only a
+value it reports is divided back, a whole one coming back as ``int``.
+``DescartesQuadruple`` tests the identity on its four curvatures times
+L, ``fourth_curvatures`` takes the discriminant of its three as an int
+over L², and ``from_spinor_pair`` runs the integer kernel
+``pair_curvatures`` on the pair's four coordinates times L, as
+``from_spinor_triple`` does through it.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from typing import NamedTuple, Union
 
 from ._frozen import frozen
 from .errors import ComplexSolutions, CurlViolation, FloatOverflow, NonIntegral
-from .spinors import Rational, Spinor, _exact, _over, cross, dot, int_if_whole, norm_sq
+from .spinors import Rational, Spinor, _exact, _over, cross
 
 ExactOrFloat = Union[int, Fraction, float]
 
@@ -64,28 +66,17 @@ class DescartesQuadruple:
         for name in ("a", "b", "c", "d"):
             object.__setattr__(self, name, _exact(getattr(self, name), "curvature"))
         a, b, c, d = self.a, self.b, self.c, self.d
-        # the residual is homogeneous of degree two, so it vanishes on the
-        # curvatures exactly when it does on them scaled to ints by the lcm
-        # of their denominators
-        _, *cleared = _cleared(a, b, c, d)
-        if descartes_residual(*cleared) != 0:
-            residual = descartes_residual(a, b, c, d)
+        # the residual is homogeneous of degree two: on the curvatures
+        # scaled to ints by L, the lcm of their denominators, it is L²
+        # times the residual of the curvatures
+        scale, *cleared = _cleared(a, b, c, d)
+        residual = descartes_residual(*cleared)
+        if residual != 0:
+            residual = _over(residual, scale * scale)
             raise ValueError(f"not a Descartes quadruple (residual {residual})")
 
     def as_tuple(self) -> tuple[Rational, Rational, Rational, Rational]:
         return (self.a, self.b, self.c, self.d)
-
-
-def _exact_sqrt(q: Rational) -> Rational | None:
-    """Exact square root of a nonnegative rational, or None if irrational."""
-    frac = Fraction(q)
-    num, den = frac.numerator, frac.denominator
-    if num < 0:
-        return None
-    root_num, root_den = math.isqrt(num), math.isqrt(den)
-    if root_num * root_num != num or root_den * root_den != den:
-        return None
-    return int_if_whole(Fraction(root_num, root_den))
 
 
 class FourthCurvatures(NamedTuple):
@@ -105,13 +96,21 @@ def fourth_curvatures(a: Rational, b: Rational, c: Rational) -> FourthCurvatures
     FloatOverflow when the float roots would overflow.
     """
     a, b, c = (_exact(v, "curvature") for v in (a, b, c))
-    disc = a * b + b * c + c * a
-    if disc < 0:
-        raise ComplexSolutions(f"discriminant {disc} < 0 for curvatures ({a}, {b}, {c})")
-    base = a + b + c
-    root = _exact_sqrt(disc)
-    if root is not None:
-        return FourthCurvatures(base + 2 * root, base - 2 * root, True)
+    # the curvatures times L are ints; the discriminant is then an int
+    # over L², a rational square exactly when that int is a square
+    scale, big_a, big_b, big_c, _ = _cleared(a, b, c, 0)
+    square = scale * scale
+    cleared_disc = big_a * big_b + big_b * big_c + big_c * big_a
+    if cleared_disc < 0:
+        raise ComplexSolutions(
+            f"discriminant {_over(cleared_disc, square)} < 0 for curvatures ({a}, {b}, {c})"
+        )
+    total = big_a + big_b + big_c
+    root = math.isqrt(cleared_disc)
+    if root * root == cleared_disc:
+        spread = 2 * root
+        return FourthCurvatures(_over(total + spread, scale), _over(total - spread, scale), True)
+    disc, base = Fraction(cleared_disc, square), Fraction(total, scale)
     # 4**shift brings a disc beyond the float range, below or above, to
     # about 1, exactly; the square root then scales back by 2**-shift
     shift = (disc.denominator.bit_length() - disc.numerator.bit_length()) // 2
@@ -201,16 +200,13 @@ def from_spinor_triple(
     total = a + b + c
     if not total.is_zero():
         raise CurlViolation(f"spinor triple must sum to zero, got {total.format()}")
-    twist = cross(a, b)
-    # zero sum forces the three pairwise crosses to coincide
-    assert twist == cross(b, c) == cross(c, a)
-    big_a = -dot(b, c)
-    big_b = -dot(c, a)
-    big_c = -dot(a, b)
-    half_sum = Fraction(norm_sq(a) + norm_sq(b) + norm_sq(c), 2)
-    d1 = int_if_whole(half_sum + 2 * twist)
-    d2 = int_if_whole(half_sum - 2 * twist)
-    return (big_a, big_b, big_c, d1, d2)
+    # with c = −(a + b), −b·c, −c·a and −a·b are the pair's A, B and C, and
+    # (|a|² + |b|² + |c|²)/2 = |a|² + |b|² + a·b is the mean of its roots
+    family = from_spinor_pair(a, b)
+    d1, d2 = family.d1, family.d2
+    if cross(a, b) < 0:
+        d1, d2 = d2, d1
+    return (*family.shared_curvatures, d1, d2)
 
 
 def apollonian_flip(

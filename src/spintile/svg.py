@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, Mapping, Sequence
 
-from ._frozen import Factory, frozen
+from ._frozen import frozen
 from .errors import FloatOverflow
 from .tessellation import Tessellation, Tile, TileClass
 
@@ -40,7 +40,6 @@ class RenderOptions:
     show_labels: bool = True
     show_midcircles: bool = False
     show_spinor_arrows: bool = False
-    palette: Mapping[TileClass, str] = Factory(lambda: dict(DEFAULT_PALETTE))
 
     def __post_init__(self) -> None:
         if self.width_px < 64:
@@ -90,12 +89,12 @@ def _svg_document(
     return "\n".join([*lines, *body, "</g>", "</svg>"]) + "\n"
 
 
-def _hatch_defs(palette: Mapping[TileClass, str], unit: float) -> list[str]:
+def _hatch_defs(unit: float) -> list[str]:
     """One hatch pattern per tile class, used for negatively oriented tiles."""
     lines = ["<defs>"]
     step, width = _fmt(unit * 6), _fmt(unit)
     for tile_class in TileClass:
-        color = palette[tile_class]
+        color = DEFAULT_PALETTE[tile_class]
         lines.append(
             f'<pattern id="hatch_{tile_class.value}" patternUnits="userSpaceOnUse" '
             f'width="{step}" height="{step}">'
@@ -128,9 +127,7 @@ def _corner_floats(tile: Tile) -> list[float]:
 _POLYGON_POINTS = " ".join(["%.12f,%.12f"] * 4)
 
 
-def _tile_polygon(
-    tile: Tile, corners: Sequence[float], palette: Mapping[TileClass, str], stroke: str
-) -> str:
+def _tile_polygon(tile: Tile, corners: Sequence[float], stroke: str) -> str:
     """The tile's polygon; ``stroke`` is the stroke width as formatted."""
     # one format call for all eight values; every value has exactly 12
     # decimals and a "-" only as its sign, so the replace meets only
@@ -139,7 +136,7 @@ def _tile_polygon(
     if tile._cross < 0:
         fill = f"url(#hatch_{tile.tile_class.value})"
     else:
-        fill = palette[tile.tile_class]
+        fill = DEFAULT_PALETTE[tile.tile_class]
     return (
         f'<polygon class="{tile.tile_class.value}" points="{points}" '
         f'fill="{fill}" stroke="#333333" stroke-width="{stroke}"/>'
@@ -181,7 +178,7 @@ def render_tessellation(tess: Tessellation, options: RenderOptions | None = None
     stroke_text = _fmt(stroke)
     body: list[str] = []
     for tile, corners in zip(tess.tiles, floats):
-        body.append(_tile_polygon(tile, corners, options.palette, stroke_text))
+        body.append(_tile_polygon(tile, corners, stroke_text))
     if options.show_spinor_arrows:
         arrow_width = _fmt(stroke * 2)
         for vector in (tess.a, tess.b, tess.c):
@@ -204,7 +201,7 @@ def render_tessellation(tess: Tessellation, options: RenderOptions | None = None
                     str(tile.signed_area),
                 )
             )
-    return _svg_document(_hatch_defs(options.palette, stroke), body, box, options.width_px)
+    return _svg_document(_hatch_defs(stroke), body, box, options.width_px)
 
 
 def _curvature_label(value: float) -> str:

@@ -114,13 +114,16 @@ class TestJobValidation:
             lambda: EnumerationJob(bound=2.5),
             lambda: EnumerationJob(bound=2.0),
             lambda: EnumerationJob(bound=True),
+            lambda: EnumerationJob(bound=1, primitive_only="false"),
+            lambda: EnumerationJob(bound=1, include_zero=1),
         ],
         ids=["index-0.5", "index-1.0", "count-2.0", "index-True", "bound-2.5", "bound-2.0",
-             "bound-True"],
+             "bound-True", "primitive_only-str", "include_zero-1"],
     )
     def test_shard_and_bound_must_be_ints(self, make):
         # a float index never equals ``emitted % count``, so it would
-        # silently select no records
+        # silently select no records; the filters must be bools, since
+        # a truthy "false" would keep only the 48 primitive records of 64
         with pytest.raises(ValueError):
             make()
 

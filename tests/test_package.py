@@ -219,11 +219,11 @@ FROZEN = {
     ),
     RenderOptions: (
         lambda: RenderOptions(),
-        "width_px show_labels show_midcircles show_spinor_arrows palette",
+        "width_px show_labels show_midcircles show_spinor_arrows",
     ),
 }
 # a dict field makes these unhashable, as it makes a frozen dataclass
-UNHASHABLE = {ConfigurationReport, RenderOptions}
+UNHASHABLE = {ConfigurationReport}
 
 
 @pytest.mark.parametrize("cls", FROZEN, ids=lambda cls: cls.__name__)
@@ -275,10 +275,6 @@ class TestFrozenDefaults:
     def test_keyword_arguments_and_defaults(self):
         job = EnumerationJob(bound=3, include_zero=True)
         assert (job.primitive_only, job.output_format, job.shard) == (False, "csv", Shard(0, 1))
-
-    def test_factory_defaults_are_fresh(self):
-        first, second = RenderOptions(), RenderOptions()
-        assert first.palette == second.palette and first.palette is not second.palette
 
     def test_post_init_still_validates(self):
         with pytest.raises(TypeError):

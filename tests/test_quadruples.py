@@ -79,6 +79,10 @@ class TestResidual:
             # the numerators 2, 3, 6, 23 form a quadruple, the values do not
             ((Fraction(2, 5), Fraction(3, 5), Fraction(6, 5), Fraction(23, 7)), "-5612/1225"),
             ((Fraction(1, 6), Fraction(1, 6), Fraction(1, 4), Fraction(5, 3)), "35/48"),
+            # the residual of the ints times 2, -8, reduces over 2² to a whole -2
+            ((Fraction(1, 2),) * 4, "-2"),
+            ((Fraction(2), Fraction(3), Fraction(6), Fraction(7)), "-128"),
+            ((Fraction(1, 2), Fraction(1, 3), 1, 1), "-119/36"),
         ],
     )
     def test_rational_non_quadruples_raise_with_their_residual(self, entries, residual):
@@ -109,8 +113,12 @@ class TestResidual:
 
 class TestFourthCurvatures:
     def test_integral_pair_of_roots(self):
-        roots = fourth_curvatures(2, 3, 6)
-        assert roots == (23, -1, True)
+        # whole roots are ints, whatever type the curvatures came as
+        whole = [(2, 3, 6), (Fraction(2), Fraction(3), Fraction(6)), (Fraction(4, 2), 3, "6")]
+        for curvatures in whole:
+            roots = fourth_curvatures(*curvatures)
+            assert roots == (23, -1, True)
+            assert type(roots.larger) is type(roots.smaller) is int
 
     def test_double_root(self):
         roots = fourth_curvatures(-1, 2, 2)
@@ -170,12 +178,22 @@ class TestFourthCurvatures:
         for value, reference in zip(roots[:2], decimal_roots(*exact)):
             assert math.isclose(value, reference, rel_tol=1e-14)
 
-    @given(nonzero_int_spinors, nonzero_int_spinors)
-    def test_roots_match_spinor_construction(self, a, b):
+    @given(
+        nonzero_int_spinors,
+        nonzero_int_spinors,
+        st.one_of(
+            st.sampled_from([Fraction(1, 10**6), Fraction(1, 10**3), 1, 10**3, 10**6, 10**12]),
+            st.builds(Fraction, st.integers(1, 10**9), st.integers(1, 10**9)),
+        ),
+    )
+    def test_roots_match_spinor_construction(self, a, b, k):
+        # k from 1e-6 to 1e12, and a random p/q
         family = from_spinor_pair(a, b)
-        roots = fourth_curvatures(*family.shared_curvatures)
+        roots = fourth_curvatures(*(k * value for value in family.shared_curvatures))
         assert roots.exact
-        assert (roots.larger, roots.smaller) == (family.d1, family.d2)
+        assert (roots.larger, roots.smaller) == (k * family.d1, k * family.d2)
+        for root in roots[:2]:
+            assert type(root) is (int if root.denominator == 1 else Fraction)
 
 
 class TestFromSpinorPair:
@@ -244,7 +262,13 @@ class TestFromSpinorTriple:
     def test_example_triple(self):
         a, b = Spinor(2, 1), Spinor(1, -3)
         c = -a - b
+        # a×b = −7, so D1 − D2 = −28: the smaller root comes first
         assert from_spinor_triple(a, b, c) == (9, 4, 1, 0, 28)
+        assert from_spinor_triple(b, a, c) == (4, 9, 1, 28, 0)
+        half = Fraction(1, 2)
+        quartered = from_spinor_triple(half * a, half * b, half * c)
+        assert quartered == (Fraction(9, 4), 1, Fraction(1, 4), 0, 7)
+        assert [type(value) for value in quartered] == [Fraction, int, Fraction, int, int]
 
     def test_nonzero_sum_raises(self):
         with pytest.raises(CurlViolation):

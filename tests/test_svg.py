@@ -11,7 +11,6 @@ import pytest
 from spintile import (
     RenderOptions,
     Spinor,
-    TileClass,
     build_tessellation,
     midcircle_through_tangencies,
     place_configuration,
@@ -126,18 +125,6 @@ class TestTessellationOutput:
         ]
         negative = [t for t in tess.tiles if t.signed_area < 0]
         assert len(hatched) == len(negative) > 0
-
-    def test_palette_override(self):
-        tess = build_tessellation(Spinor(3, 0), Spinor(-1, 2))
-        palette = {
-            TileClass.YELLOW_SQUARE: "#111111",
-            TileClass.RED_CENTRAL: "#222222",
-            TileClass.GREEN: "#333333",
-            TileClass.LIGHT_RED: "#444444",
-        }
-        svg = render_tessellation(tess, RenderOptions(palette=palette))
-        fills = {p.get("fill") for p in all_elements(svg, "polygon")}
-        assert fills == set(palette.values())
 
     def test_spinor_arrows_optional(self):
         tess = build_tessellation(Spinor(3, 0), Spinor(-1, 2))
