@@ -298,31 +298,34 @@ def _cmd_render(args: argparse.Namespace) -> int:
     return 0
 
 
+def _int(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
 def _parse_shard(text: str) -> Shard:
     from .enumeration import Shard
 
+    index, _, count = text.partition("/")
     try:
-        index_text, count_text = text.split("/")
-        return Shard(index=int(index_text), count=int(count_text))
-    except (ValueError, TypeError) as exc:
-        raise argparse.ArgumentTypeError(f"shard must look like 'i/k': {exc}")
+        return Shard(index=int(index), count=int(count))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"shard must look like 'i/k' with 0 <= i < k, got {text!r}"
+        ) from None
 
 
 def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc))
+    value = _int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return value
 
 
 def _width_px(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc))
+    value = _int(text)
     if value < 64:
         raise argparse.ArgumentTypeError(f"width must be at least 64px, got {value}")
     return value

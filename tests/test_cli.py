@@ -118,6 +118,10 @@ usage: spintile enumerate [-h] --bound BOUND [--primitive]
                           [--format {csv,jsonl}] [--out PATH] [--shard SHARD]
                           [--include-zero]
 """
+_RENDER_USAGE = """\
+usage: spintile render [-h] --from-json PATH --out PATH [--midcircles]
+                       [--width-px WIDTH_PX] [--no-labels] [--spinor-arrows]
+"""
 
 # what the parser prints at 80 columns: each subcommand's help, and the
 # usage errors of the top level, of a missing option and of a bad choice
@@ -183,10 +187,7 @@ options:
   --shard SHARD
   --include-zero        keep pairs containing the zero spinor
 """,
-    "render --help": """\
-usage: spintile render [-h] --from-json PATH --out PATH [--midcircles]
-                       [--width-px WIDTH_PX] [--no-labels] [--spinor-arrows]
-
+    "render --help": _RENDER_USAGE + """
 options:
   -h, --help           show this help message and exit
   --from-json PATH
@@ -212,6 +213,21 @@ _USAGE_ERRORS = {
     + "spintile enumerate: error: argument --format: invalid choice: 'xml' (choose from "
     + _choices("csv", "jsonl")
     + ")\n",
+    # a typed argument's error names the text it refused
+    **{
+        f"enumerate --bound 1 --shard {bad}": _ENUMERATE_USAGE
+        + "spintile enumerate: error: argument --shard: shard must look like 'i/k' with "
+        + f"0 <= i < k, got '{bad}'\n"
+        for bad in ("x", "1", "1/2/3", "a/b", "3/3", "-1/2", "1.0/2")
+    },
+    "enumerate --bound abc": _ENUMERATE_USAGE
+    + "spintile enumerate: error: argument --bound: invalid int value: 'abc'\n",
+    "enumerate --bound 1.5": _ENUMERATE_USAGE
+    + "spintile enumerate: error: argument --bound: invalid int value: '1.5'\n",
+    "enumerate --bound 0": _ENUMERATE_USAGE
+    + "spintile enumerate: error: argument --bound: must be at least 1, got 0\n",
+    "render --from-json p.json --out x.svg --width-px wide": _RENDER_USAGE
+    + "spintile render: error: argument --width-px: invalid int value: 'wide'\n",
 }
 
 

@@ -62,6 +62,12 @@ def brute_force_primitives(limit: int) -> set[tuple[int, int, int, int]]:
     return found
 
 
+def orbit_key(record: QuadrupleRecord) -> tuple[int, int, int, int]:
+    """(|a|², |b|², a·b, |a×b|) of the record's generators."""
+    m1, n1, m2, n2 = record.generator_key()
+    return (m1 * m1 + n1 * n1, m2 * m2 + n2 * n2, m1 * m2 + n1 * n2, abs(m1 * n2 - m2 * n1))
+
+
 def assert_round_robin(bound: int, count: int, primitive_only: bool = False) -> None:
     """Shard K of ``count`` holds exactly the records of the unsharded
     stream whose index is K modulo ``count``, in stream order."""
@@ -446,19 +452,21 @@ class TestSharding:
     @pytest.mark.parametrize("primitive_only", [False, True])
     @pytest.mark.parametrize("count, index", [(1, 0), (3, 0), (3, 1), (3, 2)])
     def test_a_shard_builds_only_its_own_records(self, monkeypatch, primitive_only, count, index):
+        # the kernel runs once for each orbit key among the shard's own
+        # records, and never for a pair of another shard
         calls = 0
-        build = enumeration._record
+        build = enumeration._tail
 
         def counted(a, b):
             nonlocal calls
             calls += 1
             return build(a, b)
 
-        monkeypatch.setattr(enumeration, "_record", counted)
+        monkeypatch.setattr(enumeration, "_tail", counted)
         job = EnumerationJob(bound=2, primitive_only=primitive_only, shard=Shard(index, count))
         records = list(enumerate_records(job))
         assert records
-        assert calls == len(records)
+        assert calls == len({orbit_key(record) for record in records}) < len(records)
 
     def test_sharded_primitive_filter_applies_before_slicing(self):
         whole = list(enumerate_records(EnumerationJob(bound=1, primitive_only=True)))
@@ -469,3 +477,106 @@ class TestSharding:
         assert sorted(
             (r.generator_key() for piece in pieces for r in piece)
         ) == [r.generator_key() for r in whole]
+
+
+def oracle_stream(bound: int, primitive_only: bool, include_zero: bool) -> list[QuadrupleRecord]:
+    """The unsharded stream as a walk with no cache builds it: every pair
+    through ``_record``, the filter read off the record's own flag."""
+    span = range(-bound, bound + 1)
+    points = [(m, n, m * m + n * n) for m in span for n in span if include_zero or m or n]
+    records = (_record(a, b) for a in points for b in points)
+    return [record for record in records if record.primitive or not primitive_only]
+
+
+def oracle_lines(records: list[QuadrupleRecord], fmt: str) -> list[str]:
+    """Each record's line as ``_line`` spells it."""
+    template = FORMATS[fmt].template
+    return [_line(template, record) + "\n" for record in records]
+
+
+def with_header(lines: list[str], fmt: str) -> str:
+    header = FORMATS[fmt].header
+    return (header + "\n" if header else "") + "".join(lines)
+
+
+def written(records, fmt: str) -> str:
+    handle = io.StringIO()
+    write_stream(records, handle, fmt)
+    return handle.getvalue()
+
+
+class TestOrbitCaches:
+    """The walk and the writer cache each record tail by its orbit; the
+    bytes must be those of the cache-free oracle, within the cap and past
+    it."""
+
+    @pytest.mark.parametrize("cap", [enumeration._CACHE_SIZE, 3], ids=["cap", "past-cap"])
+    @pytest.mark.parametrize(
+        "bound, include_zero", [(1, False), (1, True), (2, False), (2, True), (3, False),
+                                (3, True), (4, False), (6, False)]
+    )
+    def test_every_job_matches_the_oracle(self, monkeypatch, cap, bound, include_zero):
+        monkeypatch.setattr(enumeration, "_CACHE_SIZE", cap)
+        for primitive_only in (False, True):
+            stream = oracle_stream(bound, primitive_only, include_zero)
+            for fmt in FORMATS:
+                lines = oracle_lines(stream, fmt)
+                for count in (1, 3, 4):
+                    for index in range(count):
+                        job = EnumerationJob(
+                            bound=bound,
+                            primitive_only=primitive_only,
+                            output_format=fmt,
+                            shard=Shard(index, count),
+                            include_zero=include_zero,
+                        )
+                        expected = with_header(lines[index::count], fmt)
+                        assert written(enumerate_records(job), fmt) == expected, job
+
+    def test_a_bound_past_the_cap_matches_the_oracle(self, monkeypatch, tmp_path):
+        # bound 6 has 3,492 orbit keys: a cap of 1,000 fills midway
+        monkeypatch.setattr(enumeration, "_CACHE_SIZE", 1000)
+        job = EnumerationJob(bound=6)
+        path = tmp_path / "records.csv"
+        assert write_records(enumerate_records(job), str(path), "csv") == 28224
+        assert path.read_text() == with_header(oracle_lines(oracle_stream(6, False, False), "csv"), "csv")
+
+    def test_a_full_cache_stops_inserting(self, monkeypatch):
+        # with room for three entries, both caches keep the first three
+        # tails of the stream, and every other record past them computes
+        # and formats its tail afresh
+        monkeypatch.setattr(enumeration, "_CACHE_SIZE", 3)
+        calls = {"_tail": 0, "_fields": 0}
+        for name in calls:
+
+            def counted(*args, name=name, build=getattr(enumeration, name)):
+                calls[name] += 1
+                return build(*args)
+
+            monkeypatch.setattr(enumeration, name, counted)
+        records = list(enumerate_records(EnumerationJob(bound=2)))
+        written(records, "csv")
+        keys = [orbit_key(record) for record in records]
+        kept = list(dict.fromkeys(keys))[:3]
+        fresh = len(kept) + sum(key not in kept for key in keys)
+        assert calls == {"_tail": fresh, "_fields": fresh}
+
+    @pytest.mark.parametrize("cap", [enumeration._CACHE_SIZE, 1], ids=["cap", "past-cap"])
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_the_writer_keys_tails_by_their_own_values(self, monkeypatch, cap, fmt):
+        # records that share an orbit key, some with a hand-altered tail,
+        # each write their own line
+        monkeypatch.setattr(enumeration, "_CACHE_SIZE", cap)
+        twins = [_record((3, 0, 9), (-1, 2, 5)), _record((0, 3, 9), (-2, -1, 5))]
+        assert orbit_key(twins[0]) == orbit_key(twins[1])
+        records = []
+        for record in twins:
+            records += [
+                record,
+                record._replace(d2=7),
+                record._replace(canonical=(1, 2, 3, 4)),
+                record._replace(primitive=False),
+                record._replace(a=-record.a, b=10**30),
+                record._replace(canonical=[2, 3, 6, 23]),
+            ]
+        assert written(records, fmt) == with_header(oracle_lines(records, fmt), fmt)
