@@ -4,7 +4,9 @@ Output is plain-text SVG assembled with fixed attribute order and fixed
 12-decimal coordinate formatting, so the same input always yields the
 same bytes.  Geometry is emitted in mathematical coordinates inside a
 single y-flipped group (SVG's y-axis points down); text labels are
-individually flipped back so they stay readable.
+individually flipped back so they stay readable.  The fifteen tiles of
+a pair share about 22 distinct corners among their 60, so each distinct
+corner coordinate is converted to a float and formatted once per render.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 
 from ._frozen import frozen
 from .errors import FloatOverflow
-from .tessellation import Tessellation, Tile, TileClass
+from .tessellation import Tessellation, TileClass, _cycles
 
 if TYPE_CHECKING:  # annotations only: rendering a tessellation needs no disks
     from .disks import PlacedDisk
@@ -52,6 +54,14 @@ def _fmt(value: float) -> str:
     if out == "-0.000000000000":
         return "0.000000000000"
     return out
+
+
+def _formatted(values: list[float]) -> list[str]:
+    """``_fmt`` of each value, in one format call."""
+    # every text has exactly 12 decimals and a "-" only as its sign, so
+    # the replace meets only whole negative zeros
+    text = ("%.12f " * len(values)) % tuple(values)
+    return text.replace("-0.000000000000 ", "0.000000000000 ").split()
 
 
 def _viewbox(
@@ -112,46 +122,29 @@ def _hatch_defs(unit: float) -> list[str]:
     return lines
 
 
-def _corner_floats(tile: Tile) -> list[float]:
-    """``[x0, y0, …, x3, y3]``: the tile's vertex cycle as floats.
-
-    Each is an int coordinate of the lattice form over its scale; int
-    true division is correctly rounded, so it is the same float as
-    ``float()`` of the exact vertex coordinate.
-    """
-    scale, *corners = tile._lattice
-    return [value / scale for value in corners]
-
-
-# the four corners of a tile, formatted as ``_fmt`` formats each value
-_POLYGON_POINTS = " ".join(["%.12f,%.12f"] * 4)
-
-
-def _tile_polygon(tile: Tile, corners: Sequence[float], stroke: str) -> str:
-    """The tile's polygon; ``stroke`` is the stroke width as formatted."""
-    # one format call for all eight values; every value has exactly 12
-    # decimals and a "-" only as its sign, so the replace meets only
-    # whole negative zeros
-    points = (_POLYGON_POINTS % tuple(corners)).replace("-0.000000000000", "0.000000000000")
-    if tile._cross < 0:
-        fill = f"url(#hatch_{tile.tile_class.value})"
-    else:
-        fill = DEFAULT_PALETTE[tile.tile_class]
-    return (
-        f'<polygon class="{tile.tile_class.value}" points="{points}" '
-        f'fill="{fill}" stroke="#333333" stroke-width="{stroke}"/>'
+# the polygon of a tile of each class, hatched when it is negatively
+# oriented, to be filled in with its eight corner coordinates and its
+# stroke width, as formatted
+_POLYGONS = {
+    (tile_class, negative): (
+        f'<polygon class="{tile_class.value}" points="%s,%s %s,%s %s,%s %s,%s" '
+        f'fill="{f"url(#hatch_{tile_class.value})" if negative else DEFAULT_PALETTE[tile_class]}" '
+        'stroke="#333333" stroke-width="%s"/>'
     )
+    for tile_class in TileClass
+    for negative in (False, True)
+}
 
 
-def _flipped_text(x: float, y: float, size: str, content: str) -> str:
+def _flipped_text(x: str, y: str, size: str, content: str) -> str:
     """Upright text at math point (x, y), for use inside the y-flip group;
-    ``size`` is the font size as formatted.
+    the coordinates and the font size ``size`` are as formatted.
 
     The inner scale(1,-1) cancels the group flip, so the composed
     transform is a pure translation to the flipped point.
     """
     return (
-        f'<text transform="translate({_fmt(x)},{_fmt(y)}) scale(1,-1)" '
+        f'<text transform="translate({x},{y}) scale(1,-1)" '
         f'font-family="sans-serif" font-size="{size}" '
         f'text-anchor="middle" dominant-baseline="middle" '
         f'fill="#1a1a1a">{content}</text>'
@@ -161,24 +154,29 @@ def _flipped_text(x: float, y: float, size: str, content: str) -> str:
 def render_tessellation(tess: Tessellation, options: RenderOptions | None = None) -> str:
     """Render the fifteen tiles; labels carry the exact areas."""
     options = options or RenderOptions()
+    scale = tess._scale
+    cycles = _cycles(tess)
+    xs = {x for cycle in cycles for x in cycle[0::2]}
+    ys = {y for cycle in cycles for y in cycle[1::2]}
+    distinct = list(xs | ys)
     # every drawn point lies in the hull of the tile corners, which
     # include the twelve dodecagon points, so this is the one conversion
-    # to float that can overflow
+    # to float that can overflow.  Int true division is correctly rounded
+    # and rounding is monotonic, so the extremes of the ints over L give
+    # the extremes of the corner floats
     try:
-        floats = [_corner_floats(tile) for tile in tess.tiles]
+        texts = dict(zip(distinct, _formatted([value / scale for value in distinct])))
+        box = _viewbox((min(xs) / scale, max(xs) / scale), (min(ys) / scale, max(ys) / scale))
     except OverflowError:
         raise FloatOverflow("tessellation coordinates too large to draw as floats") from None
-    box = _viewbox(
-        [x for corners in floats for x in corners[0::2]],
-        [y for corners in floats for y in corners[1::2]],
-    )
     extent = max(box[2], box[3])
     stroke = extent * 0.004
     # each width and size is the same for every element: format it once
     stroke_text = _fmt(stroke)
     body: list[str] = []
-    for tile, corners in zip(tess.tiles, floats):
-        body.append(_tile_polygon(tile, corners, stroke_text))
+    for tile, cycle, area in zip(tess.tiles, cycles, tess._areas):
+        corners = [texts[value] for value in cycle]
+        body.append(_POLYGONS[tile.tile_class, area < 0] % (*corners, stroke_text))
     if options.show_spinor_arrows:
         arrow_width = _fmt(stroke * 2)
         for vector in (tess.a, tess.b, tess.c):
@@ -190,17 +188,12 @@ def render_tessellation(tess: Tessellation, options: RenderOptions | None = None
             )
     if options.show_labels:
         size = _fmt(extent * 0.035)
-        for tile in tess.tiles:
-            # the centre is the midpoint of the diagonal from the anchor
-            scale, x0, y0, _, _, x2, y2, _, _ = tile._lattice
-            body.append(
-                _flipped_text(
-                    (x0 + x2) / (2 * scale),
-                    (y0 + y2) / (2 * scale),
-                    size,
-                    str(tile.signed_area),
-                )
-            )
+        # the centre of a tile is the midpoint of its diagonal from the anchor
+        half = 2 * scale
+        centre_xs = _formatted([(cycle[0] + cycle[4]) / half for cycle in cycles])
+        centre_ys = _formatted([(cycle[1] + cycle[5]) / half for cycle in cycles])
+        for x, y, area in zip(centre_xs, centre_ys, tess._areas):
+            body.append(_flipped_text(x, y, size, tess._text(area)))
     return _svg_document(_hatch_defs(stroke), body, box, options.width_px)
 
 
@@ -259,5 +252,5 @@ def render_configuration(
             text = _curvature_label(disk.curvature)
             if labels is not None:
                 text = f"{labels[index].translate(_XML_TEXT)}={text}"
-            body.append(_flipped_text(disk.center[0], label_y, _fmt(size), text))
+            body.append(_flipped_text(_fmt(disk.center[0]), _fmt(label_y), _fmt(size), text))
     return _svg_document([], body, box, options.width_px)

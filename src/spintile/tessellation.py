@@ -32,32 +32,38 @@ quadruples with zero residual, G is the curvature of the circle through
 the mutual tangency points of A, B, C, and the squares shifted by ±G
 give the remaining tangency-point circles.
 
-Rational pairs run on integers as integer pairs do.  Each tile clears
-its denominators once, when it is made: it scales its six coordinates
-by its L, their lcm, and keeps the integer vertex cycle (L = 1 for an
-integer tile), the cross product of its scaled edges and its signed
-area.  The ``Spinor`` vertices are built from that cycle only when
-``Tile.vertices`` is read.  The tessellation then puts its fifteen
-tiles on one scale, the lcm of their L, and keeps each signed area as
-an int over the square of that scale.  The summary, the butterflies,
-the observations with their congruence keys and the overlap flag are
-sums and products of those ints; the shoelace area, the lattice-point
-count, the JSON vertices and the SVG coordinates are those of each
-tile's own integer form.  A value is divided by its scale only where it
-is reported: a ``Fraction`` is built only then, and a whole value comes
-back as ``int``.
+Rational pairs run on integers as integer pairs do.  Every tile corner
+is an integer combination of a, b, c and their quarter turns, so
+``build_tessellation`` clears the pair once, by L, the lcm of the four
+denominators of a and b, and makes all fifteen tiles on L from ints:
+each keeps its vertex cycle times L, the cross product of its scaled
+edges and its signed area, which tiles of equal area share (L = 1 for
+an integer pair).  The ``Spinor`` vertices are built from that cycle
+only when ``Tile.vertices`` is read.  A tile made by hand with
+``Tile(...)`` clears its own six coordinates instead, and a
+tessellation of such tiles puts them on one scale, the lcm of theirs,
+which for built tiles is L.  The summary, the butterflies, the
+observations with their congruence keys and the overlap flag are sums
+and products of the areas as ints over the square of that scale; the
+shoelace area, the lattice-point count, the JSON vertices and the SVG
+coordinates are those of the integer cycles.  A value is divided by its
+scale only where it is reported, and once per tessellation for each
+distinct int: a ``Fraction`` is built only then, a text is written from
+the ints, and a whole value comes back as ``int``.  The JSON writes
+each distinct coordinate once.
 """
 
 from __future__ import annotations
 
 import enum
 from fractions import Fraction
+from functools import partial
 from math import gcd, lcm
 
 from ._frozen import frozen
 from .errors import DegenerateInput, InconsistentTiles, NegativeOrientation, NonIntegralVertices
-from .quadruples import descartes_residual
-from .spinors import ZERO, Rational, Spinor, _over, _spinor, _store, cross, int_if_whole, star
+from .quadruples import _cleared, descartes_residual
+from .spinors import ZERO, Rational, Spinor, _over, _spinor, _store, int_if_whole, star
 
 
 class TileClass(enum.Enum):
@@ -72,9 +78,10 @@ class Tile:
     """One parallelogram: anchor plus two edge vectors.
 
     The integer form, its cross product and the signed area are
-    computed when the tile is made; the ``Spinor`` vertices are built
-    from the integer form when read.  Equality and hashing see only the
-    five fields.
+    computed when the tile is made, or handed over by
+    ``build_tessellation``; the ``Spinor`` vertices are built from the
+    integer form when read.  Equality and hashing see only the five
+    fields.
     """
 
     label: str
@@ -85,30 +92,16 @@ class Tile:
 
     def __post_init__(self) -> None:
         # ``_lattice`` is (L, x0, y0, x1, y1, x2, y2, x3, y3): the vertex
-        # cycle scaled by L, the lcm of the six coordinate denominators, so
-        # that every coordinate is an int (L = 1 for an integer tile);
+        # cycle times L, an int that makes every coordinate an int (here
+        # the lcm of the six coordinate denominators, L = 1 for an integer
+        # tile; a tile of ``build_tessellation`` is on its pair's L);
         # ``_cross`` is the signed area over L²
-        ax, ay = self.anchor.x, self.anchor.y
-        e1x, e1y = self.edge1.x, self.edge1.y
-        e2x, e2y = self.edge2.x, self.edge2.y
-        # spelled out, not looped or shared with a helper: the fifteen tiles
-        # of every pair run this
-        scale = lcm(
-            ax.denominator, ay.denominator,
-            e1x.denominator, e1y.denominator,
-            e2x.denominator, e2y.denominator,
-        )
-        ax = ax.numerator * (scale // ax.denominator)
-        ay = ay.numerator * (scale // ay.denominator)
-        e1x = e1x.numerator * (scale // e1x.denominator)
-        e1y = e1y.numerator * (scale // e1y.denominator)
-        e2x = e2x.numerator * (scale // e2x.denominator)
-        e2y = e2y.numerator * (scale // e2y.denominator)
+        values = (self.anchor.x, self.anchor.y, self.edge1.x, self.edge1.y, self.edge2.x, self.edge2.y)
+        scale = lcm(*[value.denominator for value in values])
+        ax, ay, e1x, e1y, e2x, e2y = [value.numerator * (scale // value.denominator) for value in values]
         bx, by = ax + e1x, ay + e1y
-        cx, cy = bx + e2x, by + e2y
-        dx, dy = ax + e2x, ay + e2y
         area = e1x * e2y - e2x * e1y
-        _store(self, "_lattice", (scale, ax, ay, bx, by, cx, cy, dx, dy))
+        _store(self, "_lattice", (scale, ax, ay, bx, by, bx + e2x, by + e2y, ax + e2x, ay + e2y))
         _store(self, "_cross", area)
         _store(self, "signed_area", _over(area, scale * scale))
 
@@ -125,10 +118,34 @@ class Tile:
         )
 
 
+def _lattice_tile(
+    label: str, tile_class: TileClass, anchor: Spinor, edge1: Spinor, edge2: Spinor,
+    lattice: tuple[int, ...], area: int, signed_area: Rational,
+) -> Tile:
+    """A tile whose integer form its maker already has: the five fields,
+    the ``_lattice``, the cross product ``_cross`` over L² and the
+    ``signed_area`` are stored as given, and nothing is cleared."""
+    tile = object.__new__(Tile)
+    _store(tile, "label", label)
+    _store(tile, "tile_class", tile_class)
+    _store(tile, "anchor", anchor)
+    _store(tile, "edge1", edge1)
+    _store(tile, "edge2", edge2)
+    _store(tile, "_lattice", lattice)
+    _store(tile, "_cross", area)
+    _store(tile, "signed_area", signed_area)
+    return tile
+
+
 def tile_area_shoelace(tile: Tile) -> Rational:
-    """Signed area from the vertex cycle; independent of the edge form."""
+    """Signed area from the vertex cycle; independent of the edge form.
+
+    An area equal to the tile's signed area comes back as that stored
+    value, so that no second ``Fraction`` is built for it."""
     scale, x0, y0, x1, y1, x2, y2, x3, y3 = tile._lattice
     twice = (x0 * y1 - x1 * y0) + (x1 * y2 - x2 * y1) + (x2 * y3 - x3 * y2) + (x3 * y0 - x0 * y3)
+    if twice == 2 * tile._cross:
+        return tile.signed_area
     return _over(twice, 2 * scale * scale)
 
 
@@ -148,10 +165,13 @@ def _pick_counts(tile: Tile) -> tuple[int, int]:
     column range does already.
     """
     scale, x0, y0, x1, y1, x2, _, x3, y3 = tile._lattice
-    # the vertices include the anchor and differ by the edges, so they
-    # are all integers exactly when the six coordinates are: when L = 1
+    # the fourth vertex is x1 + x3 − x0, so the vertices are all integer
+    # points exactly when the first, second and last are
     if scale != 1:
-        raise NonIntegralVertices(f"tile {tile.label} has a vertex that is not an integer point")
+        if x0 % scale or y0 % scale or x1 % scale or y1 % scale or x3 % scale or y3 % scale:
+            raise NonIntegralVertices(f"tile {tile.label} has a vertex that is not an integer point")
+        x0, y0, x1, y1 = x0 // scale, y0 // scale, x1 // scale, y1 // scale
+        x2, x3, y3 = x2 // scale, x3 // scale, y3 // scale
     e1x, e1y, e2x, e2y = x1 - x0, y1 - y0, x3 - x0, y3 - y0
     area = e1x * e2y - e2x * e1y
     if area <= 0:
@@ -201,7 +221,8 @@ class Tessellation:
     made: ``_scale`` is L, the lcm of the tile scales, and ``_areas``
     holds the signed area of each tile as an int over L².  The readers
     below compute on those ints and divide by L² only a value that they
-    report.  Equality and hashing see only the four fields.
+    report, through ``_value`` and ``_text``, once per distinct int (see
+    ``_on_scale``).  Equality and hashing see only the four fields.
     """
 
     a: Spinor
@@ -217,8 +238,7 @@ class Tessellation:
             areas = tuple([tile._cross for tile in tiles])
         else:
             areas = tuple([tile._cross * (scale // tile._lattice[0]) ** 2 for tile in tiles])
-        _store(self, "_scale", scale)
-        _store(self, "_areas", areas)
+        _on_scale(self, scale, areas, {})
 
     @property
     def has_overlap(self) -> bool:
@@ -235,6 +255,38 @@ class Tessellation:
         raise KeyError(label)
 
 
+class _Reported(dict):
+    """A ``dict`` of ints whose missing keys fill themselves: ``make``
+    makes the entry of an int on its first read only."""
+
+    __slots__ = ("make",)
+
+    def __init__(self, make, known: dict | tuple = ()) -> None:
+        super().__init__(known)
+        self.make = make
+
+    def __missing__(self, numerator: int):
+        made = self[numerator] = self.make(numerator)
+        return made
+
+
+def _on_scale(tess: Tessellation, scale: int, areas: tuple[int, ...], values: dict) -> Tessellation:
+    """Store the common scale L of ``tess`` and its tile areas as ints
+    over L², and give it its two readers of an int over L²: ``_value``,
+    the value as reported, and ``_text``, its ``str``.  On L > 1 each is
+    made once per int, the values starting from ``values``."""
+    _store(tess, "_scale", scale)
+    _store(tess, "_areas", areas)
+    if scale == 1:
+        _store(tess, "_value", int)
+        _store(tess, "_text", str)
+    else:
+        square = scale * scale
+        _store(tess, "_value", _Reported(partial(_over, denominator=square), values).__getitem__)
+        _store(tess, "_text", _Reported(partial(_over_text, denominator=square)).__getitem__)
+    return tess
+
+
 # Member i of the triple (a, b, c), with j = i + 1 and k = i + 2 mod 3,
 # makes tile i (its square), 3 + i (its central red), 6 + 2i and 7 + 2i
 # (its plain and starred greens) and 12 + i (its light red).  The roles
@@ -245,6 +297,11 @@ class Tessellation:
 # keeps them well defined for folded layouts, where distinct tiles can
 # land on the same points.
 _CYCLE = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
+# the labels of the five tiles of each member, by the same cycle
+_LABELS = tuple(
+    (f"sq_{x}", f"red_{x}*{y}", f"green_{x}{y}", f"green_{z}*{x}*", f"lred_{z}*{y}")
+    for x, y, z in ("abc", "bca", "cab")
+)
 
 
 def build_tessellation(a: Spinor, b: Spinor) -> Tessellation:
@@ -252,22 +309,67 @@ def build_tessellation(a: Spinor, b: Spinor) -> Tessellation:
 
     Raises DegenerateInput when a×b = 0 (parallel or zero spinors leave
     nothing two-dimensional to tile).
+
+    Every corner is an integer combination of a, b, c and their quarter
+    turns, so the pair is cleared once, by L, the lcm of its four
+    denominators, and every tile is made on L from ints: its vertex
+    cycle, its cross product and its signed area, which equal tiles
+    share.
     """
-    if cross(a, b) == 0:
+    scale, ax, ay, bx, by = _cleared(a.x, a.y, b.x, b.y)
+    green = ax * by - bx * ay
+    if green == 0:
         raise DegenerateInput(f"spinors {a.format()} and {b.format()} are parallel")
-    c = -(a + b)
+    cx, cy = -ax - bx, -ay - by
+    c = _spinor(_over(cx, scale), _over(cy, scale))
     triple = (a, b, c)
     starred = (star(a), star(b), star(c))
-    squares, reds, greens, light_reds = [], [], [], []
+    members = ((ax, ay), (bx, by), (cx, cy))
+    norms = [x * x + y * y for x, y in members]
+    # red i is (0; x⋆, y), of area −x·y
+    reds = [-(members[i][0] * members[j][0] + members[i][1] * members[j][1]) for i, j, _ in _CYCLE]
+    areas = (*norms, *reds, *[green] * 6, reds[1], reds[2], reds[0])
+    if scale == 1:
+        values = {}
+        shown = areas
+    else:
+        square = scale * scale
+        values = {area: _over(area, square) for area in (*norms, *reds, green)}
+        shown = [values[area] for area in areas]
+    squares, red_tiles, greens, light_reds = [], [], [], []
     for i, j, k in _CYCLE:
+        (xx, xy), (yx, yy), (zx, zy) = members[i], members[j], members[k]
         x, y, sx, sz = triple[i], triple[j], starred[i], starred[k]
-        nx, ny, nz = "abc"[i], "abc"[j], "abc"[k]
-        squares.append(Tile(f"sq_{nx}", TileClass.YELLOW_SQUARE, ZERO, x, sx))
-        reds.append(Tile(f"red_{nx}*{ny}", TileClass.RED_CENTRAL, ZERO, sx, y))
-        greens.append(Tile(f"green_{nx}{ny}", TileClass.GREEN, sx, x, y))
-        greens.append(Tile(f"green_{nz}*{nx}*", TileClass.GREEN, x, sz, sx))
-        light_reds.append(Tile(f"lred_{nz}*{ny}", TileClass.LIGHT_RED, x + sx, sz, y))
-    return Tessellation(a=a, b=b, c=c, tiles=(*squares, *reds, *greens, *light_reds))
+        sq, red, plain, starred_green, light = _LABELS[i]
+        # x + x⋆, the anchor of the light red
+        px, py = xx - xy, xy + xx
+        squares.append(_lattice_tile(
+            sq, TileClass.YELLOW_SQUARE, ZERO, x, sx,
+            (scale, 0, 0, xx, xy, px, py, -xy, xx), areas[i], shown[i],
+        ))
+        red_tiles.append(_lattice_tile(
+            red, TileClass.RED_CENTRAL, ZERO, sx, y,
+            (scale, 0, 0, -xy, xx, yx - xy, yy + xx, yx, yy), areas[3 + i], shown[3 + i],
+        ))
+        greens.append(_lattice_tile(
+            plain, TileClass.GREEN, sx, x, y,
+            (scale, -xy, xx, px, py, px + yx, py + yy, yx - xy, yy + xx), green, shown[6],
+        ))
+        greens.append(_lattice_tile(
+            starred_green, TileClass.GREEN, x, sz, sx,
+            (scale, xx, xy, xx - zy, xy + zx, px - zy, py + zx, px, py), green, shown[6],
+        ))
+        light_reds.append(_lattice_tile(
+            light, TileClass.LIGHT_RED, _spinor(_over(px, scale), _over(py, scale)), sz, y,
+            (scale, px, py, px - zy, py + zx, px - zy + yx, py + zx + yy, px + yx, py + yy),
+            areas[12 + i], shown[12 + i],
+        ))
+    tess = object.__new__(Tessellation)
+    _store(tess, "a", a)
+    _store(tess, "b", b)
+    _store(tess, "c", c)
+    _store(tess, "tiles", (*squares, *red_tiles, *greens, *light_reds))
+    return _on_scale(tess, scale, areas, values)
 
 
 def dodecagon_boundary(tess: Tessellation) -> tuple[Spinor, ...]:
@@ -309,6 +411,32 @@ class TessellationReport:
     has_overlap: bool
 
 
+def _summary(tess: Tessellation) -> tuple[list[int], int, int]:
+    """The report of ``tess`` on ints: its values up to the residuals,
+    flattened in field order, each an int over L², and the two residuals,
+    ints over L⁴.
+
+    Raises InconsistentTiles when the six greens differ in area.
+    """
+    tiles, areas = tess.tiles, tess._areas
+    green = areas[6]
+    if any(g != green for g in areas[7:12]):
+        greens = ", ".join(f"{t.label} {t.signed_area}" for t in tiles[6:12])
+        raise InconsistentTiles(f"the six greens must share one area, got {greens}")
+    squares = areas[0:3]
+    red_c, red_a, red_b = areas[3:6]
+    base = red_a + red_b + red_c
+    curv_d = base + 2 * green
+    curv_d_prime = base - 2 * green
+    numerators = [
+        *squares, red_a, red_b, red_c, green, *areas[12:15], curv_d, curv_d_prime, green,
+        *[sq + green for sq in squares], *[sq - green for sq in squares],
+    ]
+    # the residual is of degree two in the areas, so it lies over L⁴
+    residual_d = descartes_residual(red_a, red_b, red_c, curv_d)
+    return numerators, residual_d, descartes_residual(red_a, red_b, red_c, curv_d_prime)
+
+
 def summarize(tess: Tessellation) -> TessellationReport:
     """Collect tile areas and the curvature data they encode.
 
@@ -321,34 +449,21 @@ def summarize(tess: Tessellation) -> TessellationReport:
     D (resp. D′) are the square areas plus (resp. minus) the green area,
     in (a, b, c) order.
     """
-    tiles, areas = tess.tiles, tess._areas
-    green = areas[6]
-    if any(g != green for g in areas[7:12]):
-        greens = ", ".join(f"{t.label} {t.signed_area}" for t in tiles[6:12])
-        raise InconsistentTiles(f"the six greens must share one area, got {greens}")
-    squares = areas[0:3]
-    red_c, red_a, red_b = areas[3:6]
-    base = red_a + red_b + red_c
-    curv_d = base + 2 * green
-    curv_d_prime = base - 2 * green
-    square = tess._scale ** 2
-    # the residual is of degree two in the areas, so it lies over square²
-    residual_d = _over(descartes_residual(red_a, red_b, red_c, curv_d), square * square)
-    residual_d_prime = _over(descartes_residual(red_a, red_b, red_c, curv_d_prime), square * square)
-    # the tile areas are reported as each tile stores them
-    shown = [t.signed_area for t in tiles]
+    numerators, residual_d, residual_d_prime = _summary(tess)
+    shown = list(map(tess._value, numerators))
+    fourth = tess._scale**4
     return TessellationReport(
         square_areas=tuple(shown[0:3]),
-        red_areas=(shown[4], shown[5], shown[3]),
+        red_areas=tuple(shown[3:6]),
         green_area=shown[6],
-        light_red_areas=tuple(shown[12:15]),
-        curvature_d=_over(curv_d, square),
-        curvature_d_prime=_over(curv_d_prime, square),
-        midcircle_abc=shown[6],
-        midcircles_with_d=tuple(_over(sq + green, square) for sq in squares),
-        midcircles_with_d_prime=tuple(_over(sq - green, square) for sq in squares),
-        descartes_residual_d=residual_d,
-        descartes_residual_d_prime=residual_d_prime,
+        light_red_areas=tuple(shown[7:10]),
+        curvature_d=shown[10],
+        curvature_d_prime=shown[11],
+        midcircle_abc=shown[12],
+        midcircles_with_d=tuple(shown[13:16]),
+        midcircles_with_d_prime=tuple(shown[16:19]),
+        descartes_residual_d=_over(residual_d, fourth),
+        descartes_residual_d_prime=_over(residual_d_prime, fourth),
         has_overlap=tess.has_overlap,
     )
 
@@ -361,8 +476,8 @@ def butterfly_areas(tess: Tessellation) -> tuple[Rational, Rational, Rational]:
     """Area of each butterfly: a square, its opposite central red, and
     the two greens between them.  All three equal D, computed here from
     the actual member tiles rather than the summary."""
-    areas, square = tess._areas, tess._scale ** 2
-    return tuple(_over(areas[i] + areas[3 + j] + 2 * areas[6], square) for i, j, _ in _CYCLE)
+    areas = tess._areas
+    return tuple(tess._value(areas[i] + areas[3 + j] + 2 * areas[6]) for i, j, _ in _CYCLE)
 
 
 @frozen
@@ -384,11 +499,11 @@ def _congruence_key(tile: Tile, scale: int) -> tuple[int, int, int]:
     return (min(n1, n2), max(n1, n2), abs(e1x * e2x + e1y * e2y))
 
 
-def _keys_text(keys: list[tuple[int, int, int]], square: int) -> str:
-    """The list of congruence keys as it prints with each value over
-    ``square`` in its reported form."""
-    if square != 1:
-        keys = [tuple(_over(value, square) for value in key) for key in keys]
+def _keys_text(keys: list[tuple[int, int, int]], tess: Tessellation) -> str:
+    """The list of congruence keys as it prints with each value, an int
+    over the square of the scale of ``tess``, in its reported form."""
+    if tess._scale != 1:
+        keys = [tuple(map(tess._value, key)) for key in keys]
     return str(keys)
 
 
@@ -396,15 +511,14 @@ def check_observations(tess: Tessellation) -> list[ObservationResult]:
     """The five structural facts the layout always satisfies."""
     results: list[ObservationResult] = []
     tiles, areas = tess.tiles, tess._areas
-    scale = tess._scale
-    square = scale * scale
+    scale, text = tess._scale, tess._text
 
     greens = areas[6:12]
     results.append(
         ObservationResult(
             "greens_equal_area",
             all(g == greens[0] for g in greens),
-            f"areas {sorted(set(str(t.signed_area) for t in tiles[6:12]))}",
+            f"areas {sorted([text(g) for g in set(greens)])}",
         )
     )
 
@@ -426,7 +540,7 @@ def check_observations(tess: Tessellation) -> list[ObservationResult]:
         ObservationResult(
             "light_reds_congruent_to_reds",
             light_keys == red_keys,
-            f"light {_keys_text(light_keys, square)} vs central {_keys_text(red_keys, square)}",
+            f"light {_keys_text(light_keys, tess)} vs central {_keys_text(red_keys, tess)}",
         )
     )
 
@@ -436,10 +550,7 @@ def check_observations(tess: Tessellation) -> list[ObservationResult]:
         ObservationResult(
             "square_equals_adjacent_reds",
             sides == areas[0:3],
-            "; ".join(
-                f"{tiles[i].label}: {tiles[i].signed_area} vs {_over(sides[i], square)}"
-                for i in range(3)
-            ),
+            "; ".join(f"{tiles[i].label}: {text(areas[i])} vs {text(sides[i])}" for i in range(3)),
         )
     )
 
@@ -449,8 +560,7 @@ def check_observations(tess: Tessellation) -> list[ObservationResult]:
         ObservationResult(
             "square_plus_opposite_red_constant",
             all(v == expected for v in constants),
-            f"sums {[str(_over(v, square)) for v in constants]}, "
-            f"reds total {_over(expected, square)}",
+            f"sums {[text(v) for v in constants]}, reds total {text(expected)}",
         )
     )
     return results
@@ -458,7 +568,7 @@ def check_observations(tess: Tessellation) -> list[ObservationResult]:
 
 def observation_constant(tess: Tessellation) -> Rational:
     """The shared value of square + opposite red, which is A + B + C."""
-    return _over(sum(tess._areas[3:6]), tess._scale ** 2)
+    return tess._value(sum(tess._areas[3:6]))
 
 
 def _over_text(numerator: int, denominator: int) -> str:
@@ -470,19 +580,43 @@ def _over_text(numerator: int, denominator: int) -> str:
     return f"{numerator // common}/{denominator // common}"
 
 
-def _vertex_texts(tile: Tile) -> list[str]:
-    """The ``"x,y"`` text of each vertex, as ``Spinor.format`` writes it,
-    read from the integer form without building a ``Spinor``."""
-    scale, x0, y0, x1, y1, x2, y2, x3, y3 = tile._lattice
-    if scale == 1:
-        return [f"{x0},{y0}", f"{x1},{y1}", f"{x2},{y2}", f"{x3},{y3}"]
-    texts = [_over_text(value, scale) for value in (x0, y0, x1, y1, x2, y2, x3, y3)]
-    return [f"{texts[i]},{texts[i + 1]}" for i in (0, 2, 4, 6)]
+def _vertex_texts(tess: Tessellation) -> list[list[str]]:
+    """The ``"x,y"`` text of each vertex of each tile, as
+    ``Spinor.format`` writes it, read from the integer cycles without
+    building a ``Spinor``: each distinct coordinate is written once."""
+    scale = tess._scale
+    cycles = _cycles(tess)
+    if scale != 1:
+        texts = {value: _over_text(value, scale) for value in set().union(*cycles)}
+        cycles = [[texts[value] for value in cycle] for cycle in cycles]
+    return [
+        [f"{x0},{y0}", f"{x1},{y1}", f"{x2},{y2}", f"{x3},{y3}"]
+        for x0, y0, x1, y1, x2, y2, x3, y3 in cycles
+    ]
+
+
+def _cycles(tess: Tessellation) -> list[tuple[int, ...]]:
+    """The vertex cycle ``(x0, y0, …, x3, y3)`` of each tile, as ints
+    over the scale L of ``tess``: on a tile of a scale below L, each
+    coordinate is brought up to L."""
+    scale = tess._scale
+    cycles = []
+    for tile in tess.tiles:
+        lattice = tile._lattice
+        if lattice[0] == scale:
+            cycles.append(lattice[1:])
+        else:
+            factor = scale // lattice[0]
+            cycles.append(tuple([value * factor for value in lattice[1:]]))
+    return cycles
 
 
 def tessellation_to_json_dict(tess: Tessellation) -> dict:
     """Exact JSON form: every rational rendered as a fraction string."""
-    report = summarize(tess)
+    numerators, residual_d, residual_d_prime = _summary(tess)
+    text = tess._text
+    shown = list(map(text, numerators))
+    fourth = tess._scale**4
     return {
         "a": tess.a.format(),
         "b": tess.b.format(),
@@ -492,22 +626,22 @@ def tessellation_to_json_dict(tess: Tessellation) -> dict:
             {
                 "label": t.label,
                 "class": t.tile_class.value,
-                "vertices": _vertex_texts(t),
-                "area": str(t.signed_area),
+                "vertices": vertices,
+                "area": text(area),
             }
-            for t in tess.tiles
+            for t, vertices, area in zip(tess.tiles, _vertex_texts(tess), tess._areas)
         ],
         "report": {
-            "square_areas": [str(v) for v in report.square_areas],
-            "red_areas": [str(v) for v in report.red_areas],
-            "green_area": str(report.green_area),
-            "light_red_areas": [str(v) for v in report.light_red_areas],
-            "curvature_D": str(report.curvature_d),
-            "curvature_Dprime": str(report.curvature_d_prime),
-            "midcircle_ABC": str(report.midcircle_abc),
-            "midcircles_with_D": [str(v) for v in report.midcircles_with_d],
-            "midcircles_with_Dprime": [str(v) for v in report.midcircles_with_d_prime],
-            "descartes_residual_D": str(report.descartes_residual_d),
-            "descartes_residual_Dprime": str(report.descartes_residual_d_prime),
+            "square_areas": shown[0:3],
+            "red_areas": shown[3:6],
+            "green_area": shown[6],
+            "light_red_areas": shown[7:10],
+            "curvature_D": shown[10],
+            "curvature_Dprime": shown[11],
+            "midcircle_ABC": shown[12],
+            "midcircles_with_D": shown[13:16],
+            "midcircles_with_Dprime": shown[16:19],
+            "descartes_residual_D": _over_text(residual_d, fourth),
+            "descartes_residual_Dprime": _over_text(residual_d_prime, fourth),
         },
     }

@@ -19,7 +19,7 @@ from spintile import (
     render_configuration,
     render_tessellation,
 )
-from spintile.svg import _corner_floats, _fmt
+from spintile.svg import _fmt
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
@@ -66,7 +66,8 @@ class TestDeterminism:
         assert "-0.000000000000" not in document
         tiny = 0
         for tile, points in zip(tess.tiles, re.findall(r'<polygon [^>]*points="([^"]*)"', document)):
-            corners = _corner_floats(tile)
+            # float() of a Fraction is correctly rounded, as int true division is
+            corners = [float(value) for vertex in tile.vertices for value in (vertex.x, vertex.y)]
             tiny += sum(1 for value in corners if -5e-13 < value < 0)
             pairs = zip(corners[0::2], corners[1::2])
             assert points == " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in pairs)

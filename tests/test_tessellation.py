@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import importlib.util
 import io
+import json
 import random
 from contextlib import redirect_stdout
 from fractions import Fraction
@@ -34,6 +35,7 @@ from spintile import (
     observation_constant,
     polygon_area,
     render_tessellation,
+    star,
     summarize,
     tessellation_to_json_dict,
     tile_area_pick,
@@ -42,8 +44,8 @@ from spintile import (
 )
 from spintile.cli import run
 from spintile.spinors import ZERO
-from spintile.svg import RenderOptions, _corner_floats
-from spintile.tessellation import _congruence_key, _pick_counts
+from spintile.svg import RenderOptions
+from spintile.tessellation import _congruence_key, _cycles, _pick_counts
 
 int_spinors = st.builds(Spinor, st.integers(-9, 9), st.integers(-9, 9))
 
@@ -63,12 +65,21 @@ def wide_pairs():
     return st.tuples(wide_spinors, wide_spinors).filter(lambda p: cross(*p) != 0)
 
 
+def partly_rational_pairs():
+    """One small integer spinor and one rational spinor of small
+    denominators, in either order: the integer spinor's square has
+    integer corners on the pair's scale."""
+    rational = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 4))
+    pairs = st.tuples(int_spinors, st.builds(Spinor, rational, rational), st.booleans())
+    return pairs.map(lambda p: p[1::-1] if p[2] else p[:2]).filter(lambda p: cross(*p) != 0)
+
+
 def brute_pick_counts(tile):
     """``(interior, boundary)`` by testing every lattice point of the
     bounding box: q = anchor + s·edge1 + t·edge2 lies in the tile exactly
     when 0 ≤ s, t ≤ 1.  The oracle for ``_pick_counts``; it needs an
-    integer, positively oriented tile."""
-    _, x0, y0, x1, y1, x2, y2, x3, y3 = tile._lattice
+    integer, positively oriented tile, and reads its exact vertices."""
+    x0, y0, x1, y1, x2, y2, x3, y3 = (int(value) for v in tile.vertices for value in (v.x, v.y))
     e1x, e1y, e2x, e2y = x1 - x0, y1 - y0, x3 - x0, y3 - y0
     area = e1x * e2y - e2x * e1y
     xs, ys = (x0, x1, x2, x3), (y0, y1, y2, y3)
@@ -193,7 +204,9 @@ class TestIntegerForm:
     must still be exactly the one the Spinor arithmetic defines."""
 
     @staticmethod
-    def assert_matches_definitions(tile):
+    def assert_matches_definitions(tile, tess=None):
+        # ``tess`` holds the tile; a tile made by hand is drawn alone
+        tess = tess or Tessellation(ZERO, ZERO, ZERO, (tile,))
         anchor, edge1, edge2 = tile.anchor, tile.edge1, tile.edge2
         corners = (anchor, anchor + edge1, anchor + edge1 + edge2, anchor + edge2)
         n1, n2 = norm_sq(edge1), norm_sq(edge2)
@@ -205,12 +218,17 @@ class TestIntegerForm:
         # tile's own scale
         for scale in (tile._lattice[0], 3 * tile._lattice[0]):
             assert _congruence_key(tile, scale) == tuple(v * scale * scale for v in key)
-        assert _corner_floats(tile) == [float(value) for v in corners for value in (v.x, v.y)]
+        # the SVG draws each corner coordinate as its int over the scale of
+        # the tessellation, divided once
+        cycle = _cycles(tess)[tess.tiles.index(tile)]
+        floats = [value / tess._scale for value in cycle]
+        assert floats == [float(value) for v in corners for value in (v.x, v.y)]
 
     @given(wide_pairs())
     def test_tiles_of_int_and_rational_pairs(self, pair):
-        for tile in build_tessellation(*pair).tiles:
-            self.assert_matches_definitions(tile)
+        tess = build_tessellation(*pair)
+        for tile in tess.tiles:
+            self.assert_matches_definitions(tile, tess)
 
     @given(st.builds(Tile, st.just("t"), st.sampled_from(TileClass), *[wide_spinors] * 3))
     def test_hand_built_tiles(self, tile):
@@ -222,6 +240,101 @@ class TestIntegerForm:
         self.assert_matches_definitions(tile)
         assert tile.vertices[2] == Spinor(Fraction(7, 6), 2)
         assert tile.signed_area == Fraction(2, 3)
+
+
+def public_tiles(a, b):
+    """The fifteen tiles of the pair as ``Tile(...)`` makes them from
+    fields built in ``Spinor`` arithmetic, in the order of the layout."""
+    c = -(a + b)
+    triple, starred = (a, b, c), (star(a), star(b), star(c))
+    squares, reds, greens, light_reds = [], [], [], []
+    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        x, y, sx, sz = triple[i], triple[j], starred[i], starred[k]
+        nx, ny, nz = "abc"[i], "abc"[j], "abc"[k]
+        squares.append(Tile(f"sq_{nx}", TileClass.YELLOW_SQUARE, ZERO, x, sx))
+        reds.append(Tile(f"red_{nx}*{ny}", TileClass.RED_CENTRAL, ZERO, sx, y))
+        greens.append(Tile(f"green_{nx}{ny}", TileClass.GREEN, sx, x, y))
+        greens.append(Tile(f"green_{nz}*{nx}*", TileClass.GREEN, x, sz, sx))
+        light_reds.append(Tile(f"lred_{nz}*{ny}", TileClass.LIGHT_RED, x + sx, sz, y))
+    return (*squares, *reds, *greens, *light_reds)
+
+
+def reported(value):
+    """A value and its type: equal values of another type differ."""
+    return (value, type(value))
+
+
+@st.composite
+def mixed_scale_pairs(draw):
+    # one spinor integral and one rational, in either order
+    whole = draw(st.builds(Spinor, st.integers(-(10**12), 10**12), st.integers(-(10**12), 10**12)))
+    pair = (whole, draw(rational_spinors))
+    if draw(st.booleans()):
+        pair = pair[::-1]
+    assume(cross(*pair) != 0)
+    return pair
+
+
+class TestBuiltTilesMatchPublicTiles:
+    """``build_tessellation`` makes every tile on the pair's scale and
+    hands it its integer form; each must be the tile ``Tile(...)`` makes
+    from the same fields, and a tessellation of tiles made by
+    ``Tile(...)``, each on a scale of its own, must write the same JSON
+    and SVG."""
+
+    @staticmethod
+    def assert_matches_public_tiles(a, b):
+        tess = build_tessellation(a, b)
+        assert tess.c == -(a + b)
+        references = public_tiles(a, b)
+        for tile, reference in zip(tess.tiles, references, strict=True):
+            public = Tile(tile.label, tile.tile_class, tile.anchor, tile.edge1, tile.edge2)
+            # the fields are those of the layout's definition
+            assert tile == reference and hash(tile) == hash(reference)
+            for other in (public, reference):
+                assert tile == other and other == tile
+                assert hash(tile) == hash(other)
+                assert reported(tile.signed_area) == reported(other.signed_area)
+                assert tile.vertices[1:] == other.vertices[1:]
+                assert [reported(v) for p in tile.vertices[1:] for v in (p.x, p.y)] == [
+                    reported(v) for p in other.vertices[1:] for v in (p.x, p.y)
+                ]
+                assert reported(tile_area_shoelace(tile)) == reported(tile_area_shoelace(other))
+            assert repr(tile) == repr(public)
+            assert tile.vertices == public.vertices
+        arrows = RenderOptions(show_spinor_arrows=True, show_labels=False)
+        for tiles in (references, tuple(Tile(t.label, t.tile_class, t.anchor, t.edge1, t.edge2) for t in tess.tiles)):
+            assembled = Tessellation(a=tess.a, b=tess.b, c=tess.c, tiles=tiles)
+            assert assembled == tess
+            assert json.dumps(tessellation_to_json_dict(assembled)) == json.dumps(tessellation_to_json_dict(tess))
+            assert render_tessellation(assembled) == render_tessellation(tess)
+            assert render_tessellation(assembled, arrows) == render_tessellation(tess, arrows)
+
+    @given(wide_pairs())
+    def test_wide_pairs(self, pair):
+        self.assert_matches_public_tiles(*pair)
+
+    @given(mixed_scale_pairs())
+    def test_pairs_of_an_integral_and_a_rational_spinor(self, pair):
+        self.assert_matches_public_tiles(*pair)
+
+    def test_tiles_of_a_pair_have_mixed_own_scales(self):
+        a, b = Spinor(Fraction(1, 2), 0), Spinor(-3, 2)
+        self.assert_matches_public_tiles(a, b)
+        assert {t._lattice[0] for t in public_tiles(a, b)} == {1, 2}
+        assert {t._lattice[0] for t in build_tessellation(a, b).tiles} == {2}
+
+    def test_equal_areas_share_one_reported_value(self):
+        tess = build_tessellation(Spinor(Fraction(1, 2), Fraction(2, 3)), Spinor(-1, Fraction(2, 5)))
+        greens = [t.signed_area for t in tess.tiles[6:12]]
+        assert all(area is greens[0] for area in greens)
+        # light red i repeats red i + 1
+        for i, j in ((0, 1), (1, 2), (2, 0)):
+            assert tess.tiles[12 + i].signed_area is tess.tiles[3 + j].signed_area
+        report = summarize(tess)
+        assert report.green_area is greens[0] is report.midcircle_abc
+        # each reader reports a value built once per tessellation
+        assert summarize(tess).curvature_d is report.curvature_d is butterfly_areas(tess)[0]
 
 
 class TestFigureAreas:
@@ -395,6 +508,37 @@ class TestAreaRoutes:
                     assert _pick_counts(tile) == brute_pick_counts(tile), (a_text, b_text, tile.label)
                     tiles += 1
         assert tiles == 3 * 60 * 15
+
+    def test_pick_on_the_integer_tile_of_a_partly_rational_pair(self):
+        # every tile is made on the pair's scale, 2: sq_b has integer
+        # corners on that scale and is counted, the other fourteen have
+        # a corner off the integer lattice
+        tess = build_tessellation(Spinor(Fraction(1, 2), 0), Spinor(-3, 2))
+        picked = {}
+        for tile in tess.tiles:
+            assert tile._lattice[0] == 2
+            try:
+                picked[tile.label] = tile_area_pick(tile)
+            except NonIntegralVertices:
+                picked[tile.label] = None
+        assert picked == {tile.label: None for tile in tess.tiles} | {"sq_b": 13}
+        assert _pick_counts(tess.tile("sq_b")) == brute_pick_counts(tess.tile("sq_b")) == (12, 4)
+
+    @given(partly_rational_pairs())
+    def test_pick_on_partly_rational_pairs(self, pair):
+        # a tile with integer corners is counted whatever the pair's
+        # scale; any other is refused, before its orientation is read
+        for tile in build_tessellation(*pair).tiles:
+            integer = all(value.denominator == 1 for v in tile.vertices for value in (v.x, v.y))
+            if not integer:
+                with pytest.raises(NonIntegralVertices):
+                    tile_area_pick(tile)
+            elif tile.signed_area <= 0:
+                with pytest.raises(NegativeOrientation):
+                    tile_area_pick(tile)
+            else:
+                assert _pick_counts(tile) == brute_pick_counts(tile)
+                assert tile_area_pick(tile) == tile.signed_area
 
     def test_pick_counts_a_tall_thin_tile_by_its_one_column(self):
         # area 1 in a bounding box about 2·10^9 rows tall, with one
@@ -753,10 +897,47 @@ def _bits_pairs():
             yield f"{a.x},{a.y}", f"{b.x},{b.y}"
 
 
-def _tessellation_lines():
+def _mixed_scale_pairs():
+    """150 seeded pairs whose tiles do not all share one own scale, as
+    ``spintile tess`` reads them: one spinor integral and the other
+    rational, every coordinate over a denominator of its own, and whole
+    values written as fractions beside rationals."""
+    rng = random.Random("mixed-scale tessellation bits")
+    denominators = (2, 3, 4, 5, 6, 7, 9, 10, 12, 1009)
+
+    def small():
+        return str(rng.randint(-9, 9))
+
+    def rational():
+        return str(Fraction(rng.randint(-(10**6), 10**6), rng.choice(denominators)))
+
+    def over_one_of_its_own():
+        return f"{rng.randint(-60, 60)}/{rng.choice(denominators)}"
+
+    def spelled():
+        # a whole value as a fraction ("12/4") or a rational
+        if rng.random() < 0.5:
+            scale = rng.randint(2, 9)
+            return f"{rng.randint(-40, 40) * scale}/{scale}"
+        return rational()
+
+    yield "1/2,0", "-3,2"
+    kinds = [(small, rational), (rational, small)] * 25 + [(over_one_of_its_own,) * 2] * 50
+    kinds += [(spelled, spelled)] * 49
+    for first, second in kinds:
+        while True:
+            a_text, b_text = f"{first()},{first()}", f"{second()},{second()}"
+            if rng.random() < 0.5:
+                a_text, b_text = b_text, a_text
+            if cross(Spinor.parse(a_text), Spinor.parse(b_text)) != 0:
+                break
+        yield a_text, b_text
+
+
+def _tessellation_lines(pairs):
     """The ``tess`` text, ``tess --json`` and two SVGs of each pair."""
     arrows = RenderOptions(show_spinor_arrows=True, show_labels=False)
-    for a_text, b_text in _bits_pairs():
+    for a_text, b_text in pairs:
         for extra in ([], ["--json"]):
             out = io.StringIO()
             with redirect_stdout(out):
@@ -774,7 +955,15 @@ class TestTessellationBits:
     drawn from it or to the bounding box shows here."""
 
     def test_seeded_outputs_digest(self):
-        text = "\n".join(_tessellation_lines())
+        text = "\n".join(_tessellation_lines(_bits_pairs()))
         assert hashlib.sha256(text.encode()).hexdigest() == (
             "b702fff3e487e75c56e409068cf770413a4c146f46a0cd012289dbeb1f7841f2"
+        )
+
+    def test_mixed_scale_outputs_digest(self):
+        # pairs whose fifteen tiles have different own scales: each tile
+        # is reported on the pair's scale, as each value would be on its own
+        text = "\n".join(_tessellation_lines(_mixed_scale_pairs()))
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "10b3a4edb5bfd68386bc576d0c59019d7ad94f1b07a8635e87c2fa3d50478824"
         )
