@@ -4,9 +4,11 @@ Output is plain-text SVG assembled with fixed attribute order and fixed
 12-decimal coordinate formatting, so the same input always yields the
 same bytes.  Geometry is emitted in mathematical coordinates inside a
 single y-flipped group (SVG's y-axis points down); text labels are
-individually flipped back so they stay readable.  The fifteen tiles of
-a pair share about 22 distinct corners among their 60, so each distinct
-corner coordinate is converted to a float and formatted once per render.
+individually flipped back so they stay readable.  A tessellation is
+drawn from its one integer form, each corner an int over its scale.
+The fifteen tiles of a pair share about 22 distinct corners among their
+60, so each distinct corner coordinate is converted to a float and
+formatted once per render.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 
 from ._frozen import frozen
 from .errors import FloatOverflow
-from .tessellation import Tessellation, TileClass, _cycles
+from .tessellation import Tessellation, TileClass
 
 if TYPE_CHECKING:  # annotations only: rendering a tessellation needs no disks
     from .disks import PlacedDisk
@@ -87,7 +89,10 @@ def _svg_document(
     x, y, w, h = box
     # the y-flip group negates the box's y-range
     top = -(y + h)
-    ratio = width_px * h / w
+    try:
+        ratio = width_px * h / w
+    except OverflowError:  # an int width_px with no float
+        raise FloatOverflow("image width is beyond the float range") from None
     if not all(math.isfinite(value) for value in (x, top, w, h, ratio)):
         raise FloatOverflow("drawing extent is beyond the float range")
     head = (
@@ -154,10 +159,9 @@ def _flipped_text(x: str, y: str, size: str, content: str) -> str:
 def render_tessellation(tess: Tessellation, options: RenderOptions | None = None) -> str:
     """Render the fifteen tiles; labels carry the exact areas."""
     options = options or RenderOptions()
-    scale = tess._scale
-    cycles = _cycles(tess)
-    xs = {x for cycle in cycles for x in cycle[0::2]}
-    ys = {y for cycle in cycles for y in cycle[1::2]}
+    scale, lattices = tess._scale, tess._lattices
+    xs = {x for lattice in lattices for x in lattice[1::2]}
+    ys = {y for lattice in lattices for y in lattice[2::2]}
     distinct = list(xs | ys)
     # every drawn point lies in the hull of the tile corners, which
     # include the twelve dodecagon points, so this is the one conversion
@@ -174,8 +178,8 @@ def render_tessellation(tess: Tessellation, options: RenderOptions | None = None
     # each width and size is the same for every element: format it once
     stroke_text = _fmt(stroke)
     body: list[str] = []
-    for tile, cycle, area in zip(tess.tiles, cycles, tess._areas):
-        corners = [texts[value] for value in cycle]
+    for tile, lattice, area in zip(tess.tiles, lattices, tess._areas):
+        corners = [texts[value] for value in lattice[1:]]
         body.append(_POLYGONS[tile.tile_class, area < 0] % (*corners, stroke_text))
     if options.show_spinor_arrows:
         arrow_width = _fmt(stroke * 2)
@@ -190,8 +194,8 @@ def render_tessellation(tess: Tessellation, options: RenderOptions | None = None
         size = _fmt(extent * 0.035)
         # the centre of a tile is the midpoint of its diagonal from the anchor
         half = 2 * scale
-        centre_xs = _formatted([(cycle[0] + cycle[4]) / half for cycle in cycles])
-        centre_ys = _formatted([(cycle[1] + cycle[5]) / half for cycle in cycles])
+        centre_xs = _formatted([(lattice[1] + lattice[5]) / half for lattice in lattices])
+        centre_ys = _formatted([(lattice[2] + lattice[6]) / half for lattice in lattices])
         for x, y, area in zip(centre_xs, centre_ys, tess._areas):
             body.append(_flipped_text(x, y, size, tess._text(area)))
     return _svg_document(_hatch_defs(stroke), body, box, options.width_px)

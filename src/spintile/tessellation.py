@@ -40,17 +40,19 @@ each keeps its vertex cycle times L, the cross product of its scaled
 edges and its signed area, which tiles of equal area share (L = 1 for
 an integer pair).  The ``Spinor`` vertices are built from that cycle
 only when ``Tile.vertices`` is read.  A tile made by hand with
-``Tile(...)`` clears its own six coordinates instead, and a
-tessellation of such tiles puts them on one scale, the lcm of theirs,
-which for built tiles is L.  The summary, the butterflies, the
-observations with their congruence keys and the overlap flag are sums
-and products of the areas as ints over the square of that scale; the
-shoelace area, the lattice-point count, the JSON vertices and the SVG
-coordinates are those of the integer cycles.  A value is divided by its
-scale only where it is reported, and once per tessellation for each
-distinct int: a ``Fraction`` is built only then, a text is written from
-the ints, and a whole value comes back as ``int``.  The JSON writes
-each distinct coordinate once.
+``Tile(...)`` clears its own six coordinates instead.
+
+A tessellation holds one integer form, made with it: its scale, the lcm
+of its tiles' scales (L for a built pair), and each tile's vertex cycle
+and signed area as ints over that scale and its square.  Every reader of
+a tessellation (the summary, the butterflies, the observations with
+their congruence keys, the overlap flag, the JSON and the SVG) reads
+that form only, never a tile's own scale; the functions of one tile
+read the tile's own.  A value is divided by its scale only where it is
+reported, and once per tessellation for each distinct int: a
+``Fraction`` is built only then, a text is written from the ints, and a
+whole value comes back as ``int``.  The JSON writes each distinct
+coordinate once.
 """
 
 from __future__ import annotations
@@ -217,12 +219,13 @@ def tile_area_pick(tile: Tile) -> int:
 class Tessellation:
     """The pair, its closing third spinor and the fifteen tiles.
 
-    The tiles are put on one integer scale when the tessellation is
-    made: ``_scale`` is L, the lcm of the tile scales, and ``_areas``
-    holds the signed area of each tile as an int over L².  The readers
-    below compute on those ints and divide by L² only a value that they
-    report, through ``_value`` and ``_text``, once per distinct int (see
-    ``_on_scale``).  Equality and hashing see only the four fields.
+    Its one integer form is made with it: ``_scale`` is L, the lcm of
+    the tile scales; ``_lattices`` holds each tile's vertex cycle on L in
+    the form of ``Tile._lattice``, (L, x0, y0, …, x3, y3); ``_areas``
+    holds each signed area as an int over L².  The readers below read
+    only these, and divide by L or L² only a value they report, through
+    ``_value`` and ``_text``, once per distinct int (see ``_on_scale``).
+    Equality and hashing see only the four fields.
     """
 
     a: Spinor
@@ -231,14 +234,18 @@ class Tessellation:
     tiles: tuple[Tile, ...]
 
     def __post_init__(self) -> None:
-        tiles = self.tiles
         # a set, as the tiles of a pair share one or a few scales
-        scale = lcm(*{tile._lattice[0] for tile in tiles})
-        if scale == 1:
-            areas = tuple([tile._cross for tile in tiles])
-        else:
-            areas = tuple([tile._cross * (scale // tile._lattice[0]) ** 2 for tile in tiles])
-        _on_scale(self, scale, areas, {})
+        scale = lcm(*{tile._lattice[0] for tile in self.tiles})
+        lattices, areas = [], []
+        for tile in self.tiles:
+            lattice = tile._lattice
+            factor = scale // lattice[0]
+            if factor != 1:
+                lattice = (scale, *[value * factor for value in lattice[1:]])
+            lattices.append(lattice)
+            areas.append(tile._cross * factor * factor)
+        _on_scale(self, scale, tuple(areas))
+        _store(self, "_lattices", tuple(lattices))
 
     @property
     def has_overlap(self) -> bool:
@@ -261,8 +268,7 @@ class _Reported(dict):
 
     __slots__ = ("make",)
 
-    def __init__(self, make, known: dict | tuple = ()) -> None:
-        super().__init__(known)
+    def __init__(self, make) -> None:
         self.make = make
 
     def __missing__(self, numerator: int):
@@ -270,11 +276,11 @@ class _Reported(dict):
         return made
 
 
-def _on_scale(tess: Tessellation, scale: int, areas: tuple[int, ...], values: dict) -> Tessellation:
+def _on_scale(tess: Tessellation, scale: int, areas: tuple[int, ...]) -> None:
     """Store the common scale L of ``tess`` and its tile areas as ints
     over L², and give it its two readers of an int over L²: ``_value``,
     the value as reported, and ``_text``, its ``str``.  On L > 1 each is
-    made once per int, the values starting from ``values``."""
+    made once per int."""
     _store(tess, "_scale", scale)
     _store(tess, "_areas", areas)
     if scale == 1:
@@ -282,9 +288,8 @@ def _on_scale(tess: Tessellation, scale: int, areas: tuple[int, ...], values: di
         _store(tess, "_text", str)
     else:
         square = scale * scale
-        _store(tess, "_value", _Reported(partial(_over, denominator=square), values).__getitem__)
+        _store(tess, "_value", _Reported(partial(_over, denominator=square)).__getitem__)
         _store(tess, "_text", _Reported(partial(_over_text, denominator=square)).__getitem__)
-    return tess
 
 
 # Member i of the triple (a, b, c), with j = i + 1 and k = i + 2 mod 3,
@@ -313,7 +318,8 @@ def build_tessellation(a: Spinor, b: Spinor) -> Tessellation:
     Every corner is an integer combination of a, b, c and their quarter
     turns, so the pair is cleared once, by L, the lcm of its four
     denominators, and every tile is made on L from ints: its vertex
-    cycle, its cross product and its signed area, which equal tiles
+    cycle, which is also the tessellation's, its cross product and its
+    signed area, the value the tessellation reports, which equal tiles
     share.
     """
     scale, ax, ay, bx, by = _cleared(a.x, a.y, b.x, b.y)
@@ -329,13 +335,11 @@ def build_tessellation(a: Spinor, b: Spinor) -> Tessellation:
     # red i is (0; x⋆, y), of area −x·y
     reds = [-(members[i][0] * members[j][0] + members[i][1] * members[j][1]) for i, j, _ in _CYCLE]
     areas = (*norms, *reds, *[green] * 6, reds[1], reds[2], reds[0])
-    if scale == 1:
-        values = {}
-        shown = areas
-    else:
-        square = scale * scale
-        values = {area: _over(area, square) for area in (*norms, *reds, green)}
-        shown = [values[area] for area in areas]
+    tess = object.__new__(Tessellation)
+    _on_scale(tess, scale, areas)
+    # each tile reports its area as the tessellation does, so equal
+    # areas share one value
+    shown = list(map(tess._value, areas))
     squares, red_tiles, greens, light_reds = [], [], [], []
     for i, j, k in _CYCLE:
         (xx, xy), (yx, yy), (zx, zy) = members[i], members[j], members[k]
@@ -364,12 +368,14 @@ def build_tessellation(a: Spinor, b: Spinor) -> Tessellation:
             (scale, px, py, px - zy, py + zx, px - zy + yx, py + zx + yy, px + yx, py + yy),
             areas[12 + i], shown[12 + i],
         ))
-    tess = object.__new__(Tessellation)
+    tiles = (*squares, *red_tiles, *greens, *light_reds)
     _store(tess, "a", a)
     _store(tess, "b", b)
     _store(tess, "c", c)
-    _store(tess, "tiles", (*squares, *red_tiles, *greens, *light_reds))
-    return _on_scale(tess, scale, areas, values)
+    _store(tess, "tiles", tiles)
+    # every tile is made on L, so its lattice is its cycle on L
+    _store(tess, "_lattices", tuple([tile._lattice for tile in tiles]))
+    return tess
 
 
 def dodecagon_boundary(tess: Tessellation) -> tuple[Spinor, ...]:
@@ -487,14 +493,12 @@ class ObservationResult:
     witness: str
 
 
-def _congruence_key(tile: Tile, scale: int) -> tuple[int, int, int]:
+def _congruence_key(lattice: tuple[int, ...]) -> tuple[int, int, int]:
     """Invariant separating parallelograms up to rigid motion: sorted
-    squared edge lengths plus |edge dot product|, as ints over scale²,
-    for a ``scale`` that the tile's own scale divides."""
-    own, x0, y0, x1, y1, _, _, x3, y3 = tile._lattice
-    factor = scale // own
-    e1x, e1y = (x1 - x0) * factor, (y1 - y0) * factor
-    e2x, e2y = (x3 - x0) * factor, (y3 - y0) * factor
+    squared edge lengths plus |edge dot product| of the tile whose cycle
+    ``lattice`` holds on L, as ints over L²."""
+    _, x0, y0, x1, y1, _, _, x3, y3 = lattice
+    e1x, e1y, e2x, e2y = x1 - x0, y1 - y0, x3 - x0, y3 - y0
     n1, n2 = e1x * e1x + e1y * e1y, e2x * e2x + e2y * e2y
     return (min(n1, n2), max(n1, n2), abs(e1x * e2x + e1y * e2y))
 
@@ -510,8 +514,7 @@ def _keys_text(keys: list[tuple[int, int, int]], tess: Tessellation) -> str:
 def check_observations(tess: Tessellation) -> list[ObservationResult]:
     """The five structural facts the layout always satisfies."""
     results: list[ObservationResult] = []
-    tiles, areas = tess.tiles, tess._areas
-    scale, text = tess._scale, tess._text
+    tiles, lattices, areas, text = tess.tiles, tess._lattices, tess._areas, tess._text
 
     greens = areas[6:12]
     results.append(
@@ -523,7 +526,7 @@ def check_observations(tess: Tessellation) -> list[ObservationResult]:
     )
 
     pairs_congruent = all(
-        _congruence_key(tiles[6 + 2 * i], scale) == _congruence_key(tiles[7 + 2 * j], scale)
+        _congruence_key(lattices[6 + 2 * i]) == _congruence_key(lattices[7 + 2 * j])
         for i, j, _ in _CYCLE
     )
     results.append(
@@ -534,8 +537,8 @@ def check_observations(tess: Tessellation) -> list[ObservationResult]:
         )
     )
 
-    light_keys = sorted(_congruence_key(t, scale) for t in tiles[12:15])
-    red_keys = sorted(_congruence_key(t, scale) for t in tiles[3:6])
+    light_keys = sorted(map(_congruence_key, lattices[12:15]))
+    red_keys = sorted(map(_congruence_key, lattices[3:6]))
     results.append(
         ObservationResult(
             "light_reds_congruent_to_reds",
@@ -582,33 +585,17 @@ def _over_text(numerator: int, denominator: int) -> str:
 
 def _vertex_texts(tess: Tessellation) -> list[list[str]]:
     """The ``"x,y"`` text of each vertex of each tile, as
-    ``Spinor.format`` writes it, read from the integer cycles without
-    building a ``Spinor``: each distinct coordinate is written once."""
-    scale = tess._scale
-    cycles = _cycles(tess)
+    ``Spinor.format`` writes it, read from the tessellation's integer
+    cycles without building a ``Spinor``: each distinct coordinate is
+    written once."""
+    scale, lattices = tess._scale, tess._lattices
     if scale != 1:
-        texts = {value: _over_text(value, scale) for value in set().union(*cycles)}
-        cycles = [[texts[value] for value in cycle] for cycle in cycles]
+        texts = {value: _over_text(value, scale) for value in set().union(*lattices)}
+        lattices = [[texts[value] for value in lattice] for lattice in lattices]
     return [
         [f"{x0},{y0}", f"{x1},{y1}", f"{x2},{y2}", f"{x3},{y3}"]
-        for x0, y0, x1, y1, x2, y2, x3, y3 in cycles
+        for _, x0, y0, x1, y1, x2, y2, x3, y3 in lattices
     ]
-
-
-def _cycles(tess: Tessellation) -> list[tuple[int, ...]]:
-    """The vertex cycle ``(x0, y0, …, x3, y3)`` of each tile, as ints
-    over the scale L of ``tess``: on a tile of a scale below L, each
-    coordinate is brought up to L."""
-    scale = tess._scale
-    cycles = []
-    for tile in tess.tiles:
-        lattice = tile._lattice
-        if lattice[0] == scale:
-            cycles.append(lattice[1:])
-        else:
-            factor = scale // lattice[0]
-            cycles.append(tuple([value * factor for value in lattice[1:]]))
-    return cycles
 
 
 def tessellation_to_json_dict(tess: Tessellation) -> dict:

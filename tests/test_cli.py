@@ -487,6 +487,23 @@ class TestRender:
         assert capsys.readouterr().err.startswith("FloatOverflow: ")
         assert not out_path.exists()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["tess", "--a", "3,0", "--b", "-1,2", "--json"], ["verify", "--curvatures", "2,3,6,23", "--json"]],
+        ids=["tessellation", "disks"],
+    )
+    def test_width_beyond_the_float_range_fails_cleanly(self, tmp_path, capsys, argv):
+        assert run(argv) == 0
+        payload_path = tmp_path / "payload.json"
+        payload_path.write_text(capsys.readouterr().out)
+        out_path = tmp_path / "wide.svg"
+        wide = "1" + "0" * 400
+        assert run(["render", "--from-json", str(payload_path), "--out", str(out_path), "--width-px", wide]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("FloatOverflow: ")
+        assert "Traceback" not in err
+        assert not out_path.exists()
+
     def test_configuration_payload_with_midcircles(self, tmp_path, capsys):
         assert run(["verify", "--curvatures", "2,3,6,23", "--json"]) == 0
         payload_path = tmp_path / "config.json"

@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 from spintile import (
+    FloatOverflow,
     RenderOptions,
     Spinor,
     build_tessellation,
@@ -137,6 +138,16 @@ class TestTessellationOutput:
     def test_width_floor(self):
         with pytest.raises(ValueError):
             RenderOptions(width_px=32)
+
+
+def test_width_beyond_the_float_range_is_a_typed_error(configuration_pieces):
+    # the height is width_px·h/w in floats, and 10**400 has no float
+    options = RenderOptions(width_px=10**400)
+    disks, mids = configuration_pieces
+    with pytest.raises(FloatOverflow):
+        render_tessellation(build_tessellation(Spinor(3, 0), Spinor(-1, 2)), options)
+    with pytest.raises(FloatOverflow):
+        render_configuration(disks, mids, options)
 
 
 class TestConfigurationOutput:

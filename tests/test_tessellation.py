@@ -45,7 +45,7 @@ from spintile import (
 from spintile.cli import run
 from spintile.spinors import ZERO
 from spintile.svg import RenderOptions
-from spintile.tessellation import _congruence_key, _cycles, _pick_counts
+from spintile.tessellation import _congruence_key, _pick_counts
 
 int_spinors = st.builds(Spinor, st.integers(-9, 9), st.integers(-9, 9))
 
@@ -205,8 +205,16 @@ class TestIntegerForm:
 
     @staticmethod
     def assert_matches_definitions(tile, tess=None):
-        # ``tess`` holds the tile; a tile made by hand is drawn alone
-        tess = tess or Tessellation(ZERO, ZERO, ZERO, (tile,))
+        # ``tess`` holds the tile; a tile made by hand is put in a
+        # tessellation alone, on its own scale, and beside a tile of three
+        # times its own scale
+        if tess is None:
+            own = tile._lattice[0]
+            beside = Tile("u", TileClass.GREEN, Spinor(Fraction(1, 3 * own), 0), Spinor(1, 0), Spinor(0, 1))
+            holders = [Tessellation(ZERO, ZERO, ZERO, tiles) for tiles in ((tile,), (tile, beside))]
+            assert [holder._scale for holder in holders] == [own, 3 * own]
+        else:
+            holders = [tess]
         anchor, edge1, edge2 = tile.anchor, tile.edge1, tile.edge2
         corners = (anchor, anchor + edge1, anchor + edge1 + edge2, anchor + edge2)
         n1, n2 = norm_sq(edge1), norm_sq(edge2)
@@ -214,15 +222,15 @@ class TestIntegerForm:
         assert tile.signed_area == cross(edge1, edge2)
         assert tile_area_shoelace(tile) == polygon_area(corners)
         key = (min(n1, n2), max(n1, n2), abs(dot(edge1, edge2)))
-        # the key is read as ints over the square of any multiple of the
-        # tile's own scale
-        for scale in (tile._lattice[0], 3 * tile._lattice[0]):
-            assert _congruence_key(tile, scale) == tuple(v * scale * scale for v in key)
-        # the SVG draws each corner coordinate as its int over the scale of
-        # the tessellation, divided once
-        cycle = _cycles(tess)[tess.tiles.index(tile)]
-        floats = [value / tess._scale for value in cycle]
-        assert floats == [float(value) for v in corners for value in (v.x, v.y)]
+        for holder in holders:
+            # the tessellation holds the tile's cycle as ints over its scale
+            # L, the key as ints over L², and the SVG draws each corner
+            # coordinate as its int over L, divided once
+            scale, cycle = holder._scale, holder._lattices[holder.tiles.index(tile)]
+            assert cycle[0] == scale
+            assert _congruence_key(cycle) == tuple(v * scale * scale for v in key)
+            floats = [value / scale for value in cycle[1:]]
+            assert floats == [float(value) for v in corners for value in (v.x, v.y)]
 
     @given(wide_pairs())
     def test_tiles_of_int_and_rational_pairs(self, pair):
@@ -280,7 +288,7 @@ class TestBuiltTilesMatchPublicTiles:
     hands it its integer form; each must be the tile ``Tile(...)`` makes
     from the same fields, and a tessellation of tiles made by
     ``Tile(...)``, each on a scale of its own, must write the same JSON
-    and SVG."""
+    and SVG and report the same values, of the same types."""
 
     @staticmethod
     def assert_matches_public_tiles(a, b):
@@ -309,6 +317,12 @@ class TestBuiltTilesMatchPublicTiles:
             assert json.dumps(tessellation_to_json_dict(assembled)) == json.dumps(tessellation_to_json_dict(tess))
             assert render_tessellation(assembled) == render_tessellation(tess)
             assert render_tessellation(assembled, arrows) == render_tessellation(tess, arrows)
+            # the readers report the same values, of the same types: repr
+            # tells an int from an equal Fraction
+            for reader in (summarize, butterfly_areas, observation_constant):
+                ours, built = reader(assembled), reader(tess)
+                assert ours == built and repr(ours) == repr(built)
+            assert check_observations(assembled) == check_observations(tess)
 
     @given(wide_pairs())
     def test_wide_pairs(self, pair):
