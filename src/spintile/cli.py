@@ -34,7 +34,7 @@ import sys
 from fractions import Fraction
 from typing import TYPE_CHECKING, Iterator
 
-from .errors import InvalidPayload, SpintileError
+from .errors import CollinearTangencyPoints, InvalidPayload, SpintileError
 from .spinors import Spinor, cross
 
 if TYPE_CHECKING:
@@ -287,9 +287,11 @@ def _cmd_render(args: argparse.Namespace) -> int:
         midcircles = []
         if args.midcircles and len(disks) <= 4:
             # one per triple of mutually tangent disks; four disks give the
-            # triples without disk 0, 1, 2 and 3, in that order
-            triples = reversed(tuple(itertools.combinations(disks, 3)))
-            midcircles = [midcircle_through_tangencies(*triple) for triple in triples]
+            # triples without disk 0, 1, 2 and 3, in that order.  A triple
+            # whose tangency points lie on a line has no circle to draw.
+            for triple in reversed(tuple(itertools.combinations(disks, 3))):
+                with contextlib.suppress(CollinearTangencyPoints):
+                    midcircles.append(midcircle_through_tangencies(*triple))
         document = svg.render_configuration(disks, midcircles, options, labels)
     else:
         raise SystemExit("json payload has neither 'tiles' nor 'disks'")

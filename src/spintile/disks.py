@@ -23,7 +23,8 @@ The six verified laws, keyed by their wire names:
   of that disk.
 * thm3: for the two spinors leaving one disk of a tangent triple, |dot|
   equals the curvature of the circle through the triple's three tangency
-  points (checked against that circle computed independently).
+  points (checked against that circle computed independently).  Where
+  the three points lie on a line, that circle is the line: curvature 0.
 * thm4_curl: the three spinors around a tangent triple, with the right
   signs, sum to zero.
 * thm5a_div: the three spinors into one disk from the other three, with
@@ -376,11 +377,12 @@ def circle_through_points(
     """Center and radius of the circle through three points.
 
     Determinant form of the circumcircle; raises CollinearTangencyPoints
-    when the points span no triangle.
+    when the doubled area is at most 1e-12 of the points' squared extent,
+    a test without units that decides alike at every scale.
     """
     (x1, y1), (x2, y2), (x3, y3) = p1, p2, p3
     d = 2.0 * (x1 * (y2 - y3) + x2 * (y3 - y1) + x3 * (y1 - y2))
-    span = max(abs(x1 - x3), abs(y1 - y3), abs(x2 - x3), abs(y2 - y3), 1.0)
+    span = max(abs(x1 - x3), abs(y1 - y3), abs(x2 - x3), abs(y2 - y3))
     if abs(d) <= 1e-12 * span * span:
         raise CollinearTangencyPoints(f"points {p1}, {p2}, {p3} are collinear")
     s1 = x1 * x1 + y1 * y1
@@ -402,22 +404,11 @@ def _midcircle(
 def midcircle_through_tangencies(
     d1: PlacedDisk, d2: PlacedDisk, d3: PlacedDisk
 ) -> PlacedDisk:
-    """The circle through the three pairwise tangency points of a triple."""
+    """The circle through the three pairwise tangency points of a triple;
+    CollinearTangencyPoints where they lie on a line (curvature 0)."""
     return _midcircle(
         tangency_point(d1, d2), tangency_point(d1, d3), tangency_point(d2, d3)
     )
-
-
-def _midcircle_curvature(
-    p12: tuple[float, float], p13: tuple[float, float], p23: tuple[float, float]
-) -> float:
-    """Curvature of the circle through three tangency points; collinear
-    points mean that circle degenerated to a line, whose curvature is
-    zero."""
-    try:
-        return _midcircle(p12, p13, p23).curvature
-    except CollinearTangencyPoints:
-        return 0.0
 
 
 def _sign_search(
@@ -586,7 +577,12 @@ def verify_spinor_laws(
     # through the triple's tangency points (computed independently)
     worst = 0.0
     for (i, j, k), apexes in zip(_TRIPLES, _APEXES):
-        mid = _midcircle_curvature(touch[i][j], touch[i][k], touch[j][k])
+        try:
+            mid = _midcircle(touch[i][j], touch[i][k], touch[j][k]).curvature
+        except CollinearTangencyPoints:
+            # the tangency points lie on a line, the midcircle's limit:
+            # the law holds with that line's curvature, 0
+            mid = 0.0
         for apex, a, b in apexes:
             (x1, y1), (x2, y2) = u[apex][a], u[apex][b]
             worst = max(worst, abs(abs(x1 * x2 + y1 * y2) - mid))

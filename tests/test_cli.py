@@ -349,6 +349,12 @@ class TestVerify:
         assert payload["passed"] is True
         assert [d["label"] for d in payload["disks"]] == ["A", "B", "C", "D"]
 
+    def test_quadruple_at_scale_1e6_passes(self, capsys):
+        # 10**6 times (2645, -1456, 3456, 5661): radii near 1e-10, whose
+        # tangency points span far less than a unit
+        assert run(["verify", "--curvatures", "2645000000,-1456000000,3456000000,5661000000"]) == 0
+        assert "result: PASS" in capsys.readouterr().out
+
     def test_non_descartes_quadruple_fails(self, capsys):
         assert run(["verify", "--curvatures", "2,3,6,7"]) == 1
         assert "NoConsistentPlacement" in capsys.readouterr().err
@@ -523,6 +529,18 @@ class TestRender:
         svg_text = out_path.read_text()
         assert svg_text.count('class="disk"') == 4
         assert svg_text.count('class="midcircle"') == 4
+
+    def test_line_midcircle_is_not_drawn(self, tmp_path, capsys):
+        # the tangency points of (-1, 2, 2) lie on a line: 2·2 − 2 − 2 = 0
+        assert run(["verify", "--curvatures", "-1,2,2,3", "--json"]) == 0
+        payload_path = tmp_path / "line.json"
+        payload_path.write_text(capsys.readouterr().out)
+        out_path = tmp_path / "line.svg"
+        argv = ["render", "--from-json", str(payload_path), "--out", str(out_path)]
+        assert run([*argv, "--midcircles"]) == 0
+        svg_text = out_path.read_text()
+        assert svg_text.count('class="disk"') == 4
+        assert svg_text.count('class="midcircle"') == 3
 
     def test_three_disk_payload_draws_its_midcircle(self, tmp_path, capsys):
         assert run(["verify", "--curvatures", "2,3,6,23", "--json"]) == 0

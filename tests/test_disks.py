@@ -7,6 +7,7 @@ import json
 import math
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -314,6 +315,68 @@ class TestMidcircles:
         assert center == pytest.approx((0.0, 0.0), abs=1e-12)
         assert radius == pytest.approx(1.0)
 
+    @pytest.mark.parametrize(
+        "points",
+        [
+            ((1.0, 0.0), (0.0, 1.0), (-1.0, 0.0)),
+            # a triangle of doubled area about 1e-14 inside the unit box
+            ((0.3, 0.1), (0.3 + 1e-7, 0.1), (0.3, 0.1 + 1e-7)),
+            ((0.0, 0.0), (1.0, 1.0), (2.0, 2.0)),
+            ((0.5, -0.5), (0.5, -0.5), (0.5, -0.5)),
+        ],
+    )
+    def test_circle_through_points_at_every_scale(self, points):
+        # a power of 4 scales floats exactly, so the circle through the
+        # scaled points is the scaled circle bit for bit, or there is
+        # none at any scale
+        try:
+            (ux, uy), radius = circle_through_points(*points)
+        except CollinearTangencyPoints:
+            radius = None
+        for m in range(-30, 31):
+            k = 4.0**m
+            scaled = [(x * k, y * k) for x, y in points]
+            if radius is None:
+                with pytest.raises(CollinearTangencyPoints):
+                    circle_through_points(*scaled)
+            else:
+                assert circle_through_points(*scaled) == ((ux * k, uy * k), radius * k)
+
+    def test_line_oracle_over_scales(self):
+        # thm3's circle through a triple's tangency points has curvature
+        # sqrt(β1β2 + β2β3 + β3β1), and is a line exactly when that sum is
+        # 0: the closed form is the oracle, from scale 1e-6 to 1e12
+        rng = random.Random("midcircle line oracle")
+        families = lines = 0
+        while families < 400:
+            a = Spinor(rng.randint(-30, 30), rng.randint(-30, 30))
+            b = Spinor(rng.randint(-30, 30), rng.randint(-30, 30))
+            if cross(a, b) == 0:
+                continue
+            families += 1
+            family = from_spinor_pair(a, b)
+            for root in (family.d1, family.d2):
+                quadruple = (*family.shared_curvatures, root)
+                if 0 in quadruple:  # a line, not a disk, to place
+                    continue
+                for e in (-6, -3, 0, 3, 6, 9, 12):
+                    scale = Fraction(10) ** e
+                    disks = place_quadruple([scale * v for v in quadruple])
+                    bound = 1e-9 * float(scale) * max(abs(v) for v in quadruple)
+                    for triple in combinations(range(4), 3):
+                        b1, b2, b3 = (quadruple[i] for i in triple)
+                        square = b1 * b2 + b2 * b3 + b3 * b1
+                        where = (quadruple, e, triple)
+                        if square == 0:
+                            lines += 1
+                            with pytest.raises(CollinearTangencyPoints):
+                                midcircle_through_tangencies(*(disks[i] for i in triple))
+                            continue
+                        mid = midcircle_through_tangencies(*(disks[i] for i in triple))
+                        expected = float(scale) * math.sqrt(square)
+                        assert abs(mid.curvature - expected) <= bound, where
+        assert lines > 0
+
 
 class TestSpinorLaws:
     @pytest.mark.parametrize("fourth", [23, -1])
@@ -430,7 +493,7 @@ class TestReportBits:
     def test_seeded_reports_digest(self):
         text = "\n".join(_report_lines())
         assert hashlib.sha256(text.encode()).hexdigest() == (
-            "9075e8684695095d76bb4bc23afece985d6092657d316ea671fd1a2a20d740eb"
+            "00201ac68d3c309d9aa2730e4da83dc86550fb11ab5e9f6c15790f1447a21572"
         )
 
     def test_figure_quadruple_residuals_and_signs(self):
