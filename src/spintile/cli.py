@@ -34,7 +34,7 @@ import sys
 from fractions import Fraction
 from typing import TYPE_CHECKING, Iterator
 
-from .errors import CollinearTangencyPoints, InvalidPayload, SpintileError
+from .errors import CollinearTangencyPoints, InvalidPayload, NotTangent, SpintileError
 from .spinors import Spinor, cross
 
 if TYPE_CHECKING:
@@ -269,7 +269,12 @@ def _cmd_render(args: argparse.Namespace) -> int:
             pair = (Spinor.parse(payload["a"]), Spinor.parse(payload["b"]))
         document = svg.render_tessellation(build_tessellation(*pair), options)
     elif "disks" in payload:
-        from .disks import PlacedDisk, midcircle_through_tangencies
+        from .disks import (
+            DEFAULT_TOLERANCE,
+            PlacedDisk,
+            _require_tangent,
+            midcircle_through_tangencies,
+        )
 
         with _malformed_payload(args.from_json):
             entries = payload["disks"]
@@ -285,10 +290,24 @@ def _cmd_render(args: argparse.Namespace) -> int:
         if not disks:
             raise InvalidPayload(f"{args.from_json}: the payload lists no disks to render")
         midcircles = []
-        if args.midcircles and len(disks) <= 4:
-            # one per triple of mutually tangent disks; four disks give the
-            # triples without disk 0, 1, 2 and 3, in that order.  A triple
-            # whose tangency points lie on a line has no circle to draw.
+        if args.midcircles and 3 <= len(disks) <= 4:
+            # a midcircle passes through the points where a triple's disks
+            # touch, so every pair of a triple must touch; with at most four
+            # disks that is every pair
+            for (i, first), (j, second) in itertools.combinations(enumerate(disks), 2):
+                try:
+                    _require_tangent(
+                        first.center_complex(),
+                        first.radius,
+                        second.center_complex(),
+                        second.radius,
+                        DEFAULT_TOLERANCE,
+                    )
+                except NotTangent as exc:
+                    raise NotTangent(f"disks {labels[i]} and {labels[j]}: {exc}") from None
+            # one per triple; four disks give the triples without disk 0,
+            # 1, 2 and 3, in that order.  A triple whose tangency points lie
+            # on a line has no circle to draw.
             for triple in reversed(tuple(itertools.combinations(disks, 3))):
                 with contextlib.suppress(CollinearTangencyPoints):
                     midcircles.append(midcircle_through_tangencies(*triple))

@@ -31,11 +31,19 @@ The six verified laws, keyed by their wire names:
   the right signs, sum to zero.
 * thm5b_add: spinors out of a common disk add: u(X,A) ± u(X,B) = ±u(X,D)
   for the two disks A, B tangent to both X and D.
+
+What the law check reads is built once, not on every call: a placed
+disk stores its centre as a complex number when it is made (not a
+field, so equality, hash and repr are those of the centre tuple), and
+the keys and texts of the 20 sign choices are spelled once per tuple of
+label texts, in a small bounded table, since they depend on those texts
+only.  The 20 sign searches run as one loop over an index table.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import sys
 from fractions import Fraction
@@ -144,6 +152,9 @@ class PlacedDisk:
             raise ValueError(
                 f"radius {self.radius} and curvature {self.curvature} are inconsistent"
             )
+        # the centre as the geometry reads it; not a field, so ==, hash
+        # and repr still see the centre only as the tuple given
+        object.__setattr__(self, "_center", complex(x, y))
 
     @classmethod
     def from_curvature(cls, curvature: float, center: tuple[float, float]) -> PlacedDisk:
@@ -152,7 +163,7 @@ class PlacedDisk:
         return cls(center=center, radius=1.0 / curvature, curvature=float(curvature))
 
     def center_complex(self) -> complex:
-        return complex(self.center[0], self.center[1])
+        return self._center
 
 
 @frozen
@@ -216,7 +227,7 @@ def tangency_spinor(
     Its square is (c2 − c1)/(r1·r2); its squared norm is the sum of the
     curvatures (both up to the overall sign choice).
     """
-    c1, c2 = d1.center_complex(), d2.center_complex()
+    c1, c2 = d1._center, d2._center
     _require_tangent(c1, d1.radius, c2, d2.radius, tolerance)
     return TangencySpinorNumeric(u=_spinor(c1, d1.radius, c2, d2.radius), source=source)
 
@@ -229,10 +240,14 @@ def tangency_point(d1: PlacedDisk, d2: PlacedDisk) -> tuple[float, float]:
     one radius is negative (internal tangency), where the naive
     unit-vector walk lands on the wrong side.
     """
-    denom = d1.radius + d2.radius
+    return _tangency_point(d1._center, d1.radius, d2._center, d2.radius)
+
+
+def _tangency_point(c1: complex, r1: float, c2: complex, r2: float) -> tuple[float, float]:
+    denom = r1 + r2
     if denom == 0.0:
         raise NotTangent("coincident boundary circles have no single tangency point")
-    point = (d2.radius * d1.center_complex() + d1.radius * d2.center_complex()) / denom
+    point = (r2 * c1 + r1 * c2) / denom
     return (point.real, point.imag)
 
 
@@ -273,9 +288,7 @@ def place_configuration(
     disk_b = PlacedDisk.from_curvature(fb, (d, 0.0))
     disk_c = PlacedDisk.from_curvature(fc, (x, y))
     for first, second in ((disk_a, disk_b), (disk_a, disk_c), (disk_b, disk_c)):
-        _require_tangent(
-            first.center_complex(), first.radius, second.center_complex(), second.radius, 1e-12
-        )
+        _require_tangent(first._center, first.radius, second._center, second.radius, 1e-12)
     return (disk_a, disk_b, disk_c)
 
 
@@ -315,7 +328,7 @@ def realize_fourth(
         raise ZeroCurvature("curvature 0 describes a line; no disk to place")
     rd = 1.0 / value
     disk_a, disk_b, disk_c = placed
-    ca, cb = disk_a.center_complex(), disk_b.center_complex()
+    ca, cb = disk_a._center, disk_b._center
     axis = cb - ca
     gap = abs(axis)
     reach_a = abs(disk_a.radius + rd)
@@ -332,7 +345,7 @@ def realize_fourth(
     y = math.sqrt(height_sq)
     unit = axis / gap
     target = abs(disk_c.radius + rd)
-    cc = disk_c.center_complex()
+    cc = disk_c._center
     best: complex | None = None
     best_gap = math.inf
     # the on-axis offset 0.0 covers internally tangent loci, where the
@@ -417,7 +430,8 @@ def _sign_search(
     c: tuple[float, float],
     order: tuple[int, ...] = (0, 1, 2, 3),
 ) -> tuple[float, int]:
-    """Smallest |x + s2·b + s3·c| over the signs s2, s3 = ±1.
+    """Smallest |x + s2·b + s3·c| over the signs s2, s3 = ±1, the search
+    that ``verify_spinor_laws`` runs inline for each entry of ``_SEARCHES``.
 
     The candidates are summed left to right and taken in ``order`` from
     (+,+), (+,−), (−,+), (−,−); the first minimum wins, and position 0
@@ -512,6 +526,35 @@ _ADDS = tuple(
 _ADD_ORDER = (1, 3, 2, 0)
 # the signs of the candidates at positions 0..3 of a search order
 _SIGNS = (("+1", "+1"), ("+1", "-1"), ("-1", "+1"), ("-1", "-1"))
+# The 20 sign searches in report order, as _sign_search(x, b, c, order)
+# would run them: (law, x, b, c, order), where law 0, 1, 2 is thm4_curl,
+# thm5a_div, thm5b_add and the spinor u(i, j) is entry 4·i + j.
+_SEARCHES = (
+    *((0, 4 * i + j, 4 * j + k, 4 * k + i, (0, 1, 2, 3)) for i, j, k in _TRIPLES),
+    *((1, 4 * i + t, 4 * j + t, 4 * k + t, (0, 1, 2, 3)) for t, i, j, k in _SOURCES),
+    *((2, 4 * c + a, 4 * c + b, 4 * c + t, _ADD_ORDER) for c, t, a, b in _ADDS),
+)
+
+
+@functools.lru_cache(maxsize=16)
+def _sign_texts(labels: tuple[str, ...]) -> tuple[tuple[str, tuple[str, ...]], ...]:
+    """Per search of ``_SEARCHES``: its sign_assignment key, and its text
+    for each search position.  They depend on the label texts only, so
+    each tuple of label texts spells them once."""
+    table = []
+    for i, j, k in _TRIPLES:
+        li, lj, lk = labels[i], labels[j], labels[k]
+        texts = tuple(f"+{li}{lj} {s2}·{lj}{lk} {s3}·{lk}{li}" for s2, s3 in _SIGNS)
+        table.append((f"thm4_curl[{li}{lj}{lk}]", texts))
+    for target, i, j, k in _SOURCES:
+        li, lj, lk = labels[i], labels[j], labels[k]
+        texts = tuple(f"+{li} {s2}·{lj} {s3}·{lk}" for s2, s3 in _SIGNS)
+        table.append((f"thm5a_div[->{labels[target]}]", texts))
+    for common, target, a, b in _ADDS:
+        lc, la, lb = labels[common], labels[a], labels[b]
+        texts = tuple(f"{s1}·{lc}{la} {s2}·{lc}{lb}" for s1, s2 in _SIGNS)
+        table.append((f"thm5b_add[{lc}->{labels[target]}]", texts))
+    return tuple(table)
 
 
 def verify_spinor_laws(
@@ -542,96 +585,104 @@ def verify_spinor_laws(
             f"need 4 disks and 4 labels, got {len(disks)} disks and {len(labels)} labels"
         )
     detect = max(tolerance, DEFAULT_TOLERANCE)
-    centers = [disk.center_complex() for disk in disks]
+    centers = [disk._center for disk in disks]
     radii = [disk.radius for disk in disks]
     curvatures = [disk.curvature for disk in disks]
-    # u[i][j] is the spinor of the ordered pair (i, j); for i < j,
-    # touch[i][j] is where disks i and j touch
-    u: list[list] = [[None] * 4 for _ in range(4)]
-    touch: list[list] = [[None] * 4 for _ in range(4)]
+    # u[4·i + j] is the spinor of the ordered pair (i, j); for i < j,
+    # touch[4·i + j] is where disks i and j touch
+    u: list = [None] * 16
+    touch: list = [None] * 16
     for i, j in _PAIRS:
         ci, ri, cj, rj = centers[i], radii[i], centers[j], radii[j]
         _require_tangent(ci, ri, cj, rj, detect)
-        u[i][j] = _spinor(ci, ri, cj, rj)
-        u[j][i] = _spinor(cj, rj, ci, ri)
-        touch[i][j] = tangency_point(disks[i], disks[j])
+        u[4 * i + j] = _spinor(ci, ri, cj, rj)
+        u[4 * j + i] = _spinor(cj, rj, ci, ri)
+        touch[4 * i + j] = _tangency_point(ci, ri, cj, rj)
 
-    residuals: dict[str, float] = {}
-    signs: dict[str, str] = {}
+    # The running maxima below use ``if v > worst``, which, like max(),
+    # keeps the earlier value when v is NaN.
 
     # |u|² = βi + βj, for all unordered pairs
-    worst = 0.0
+    prop1 = 0.0
     for i, j in _PAIRS:
-        x, y = u[i][j]
-        worst = max(worst, abs(x * x + y * y - (curvatures[i] + curvatures[j])))
-    residuals["prop1"] = worst
+        x, y = u[4 * i + j]
+        v = abs(x * x + y * y - (curvatures[i] + curvatures[j]))
+        if v > prop1:
+            prop1 = v
 
     # |cross of two spinors out of one disk| = |curvature of that disk|
-    worst = 0.0
+    thm2 = 0.0
     for i, a, b in _FANS:
-        (x1, y1), (x2, y2) = u[i][a], u[i][b]
-        worst = max(worst, abs(abs(x1 * y2 - x2 * y1) - abs(curvatures[i])))
-    residuals["thm2"] = worst
+        (x1, y1), (x2, y2) = u[4 * i + a], u[4 * i + b]
+        v = abs(abs(x1 * y2 - x2 * y1) - abs(curvatures[i]))
+        if v > thm2:
+            thm2 = v
 
     # |dot of two spinors out of one disk| = curvature of the circle
     # through the triple's tangency points (computed independently)
-    worst = 0.0
+    thm3 = 0.0
     for (i, j, k), apexes in zip(_TRIPLES, _APEXES):
         try:
-            mid = _midcircle(touch[i][j], touch[i][k], touch[j][k]).curvature
+            mid = _midcircle(touch[4 * i + j], touch[4 * i + k], touch[4 * j + k]).curvature
         except CollinearTangencyPoints:
             # the tangency points lie on a line, the midcircle's limit:
             # the law holds with that line's curvature, 0
             mid = 0.0
         for apex, a, b in apexes:
-            (x1, y1), (x2, y2) = u[apex][a], u[apex][b]
-            worst = max(worst, abs(abs(x1 * x2 + y1 * y2) - mid))
-    residuals["thm3"] = worst
+            (x1, y1), (x2, y2) = u[4 * apex + a], u[4 * apex + b]
+            v = abs(abs(x1 * x2 + y1 * y2) - mid)
+            if v > thm3:
+                thm3 = v
 
-    # signed sum of the three spinors around a triple vanishes
-    worst = 0.0
-    for i, j, k in _TRIPLES:
-        best, choice = _sign_search(u[i][j], u[j][k], u[k][i])
-        s2, s3 = _SIGNS[choice]
-        li, lj, lk = labels[i], labels[j], labels[k]
-        signs[f"thm4_curl[{li}{lj}{lk}]"] = f"+{li}{lj} {s2}·{lj}{lk} {s3}·{lk}{li}"
-        worst = max(worst, best)
-    residuals["thm4_curl"] = worst
-
-    # signed sum of the three spinors into one disk vanishes
-    worst = 0.0
-    for target, i, j, k in _SOURCES:
-        best, choice = _sign_search(u[i][target], u[j][target], u[k][target])
-        s2, s3 = _SIGNS[choice]
-        signs[f"thm5a_div[->{labels[target]}]"] = (
-            f"+{labels[i]} {s2}·{labels[j]} {s3}·{labels[k]}"
+    # thm4_curl: the signed sum of the three spinors around a triple
+    # vanishes; thm5a_div: that of the three spinors into one disk;
+    # thm5b_add: spinors out of a common disk add up to the spinor toward
+    # the disk tangent to both.  Each search is _sign_search inlined.
+    worst = [0.0, 0.0, 0.0]
+    signs: dict[str, str] = {}
+    hypot = math.hypot
+    # keyed on the texts the labels format to: labels equal as values,
+    # such as 1 and 1.0, can still spell different texts
+    sign_texts = _sign_texts(tuple(map(format, labels)))
+    for (law, x, b, c, order), (key, texts) in zip(_SEARCHES, sign_texts):
+        (x0, x1), (b0, b1), (c0, c1) = u[x], u[b], u[c]
+        p0, p1 = x0 + b0, x1 + b1
+        m0, m1 = x0 - b0, x1 - b1
+        sizes = (
+            hypot(p0 + c0, p1 + c1),
+            hypot(p0 - c0, p1 - c1),
+            hypot(m0 + c0, m1 + c1),
+            hypot(m0 - c0, m1 - c1),
         )
-        worst = max(worst, best)
-    residuals["thm5a_div"] = worst
-
-    # spinors out of a common disk add up to the spinor toward the
-    # disk tangent to both
-    worst = 0.0
-    for common, target, a, b in _ADDS:
-        best, choice = _sign_search(
-            u[common][a], u[common][b], u[common][target], _ADD_ORDER
-        )
-        s1, s2 = _SIGNS[choice]
-        lc = labels[common]
-        signs[f"thm5b_add[{lc}->{labels[target]}]"] = (
-            f"{s1}·{lc}{labels[a]} {s2}·{lc}{labels[b]}"
-        )
-        worst = max(worst, best)
-    residuals["thm5b_add"] = worst
+        k0, k1, k2, k3 = order
+        best, choice = math.inf, 0
+        if sizes[k0] < best:
+            best = sizes[k0]
+        if sizes[k1] < best:
+            best, choice = sizes[k1], 1
+        if sizes[k2] < best:
+            best, choice = sizes[k2], 2
+        if sizes[k3] < best:
+            best, choice = sizes[k3], 3
+        signs[key] = texts[choice]
+        if best > worst[law]:
+            worst[law] = best
 
     principal = tuple(
-        TangencySpinorNumeric(u=u[i][j], source=(labels[i], labels[j])) for i, j in _PAIRS
+        TangencySpinorNumeric(u=u[4 * i + j], source=(labels[i], labels[j])) for i, j in _PAIRS
     )
     return ConfigurationReport(
         disks=disks,
         labels=labels,
         spinors=principal,
-        law_residuals=residuals,
+        law_residuals={
+            "prop1": prop1,
+            "thm2": thm2,
+            "thm3": thm3,
+            "thm4_curl": worst[0],
+            "thm5a_div": worst[1],
+            "thm5b_add": worst[2],
+        },
         sign_assignment=signs,
         tolerance=tolerance,
     )

@@ -8,7 +8,11 @@ individually flipped back so they stay readable.  A tessellation is
 drawn from its one integer form, each corner an int over its scale.
 The fifteen tiles of a pair share about 22 distinct corners among their
 60, so each distinct corner coordinate is converted to a float and
-formatted once per render.
+formatted once per render.  A disk configuration formats the numbers
+of its body (the stroke and dash widths, each circle, each label's
+place and size) in one call, which also writes each negative zero as
+zero; its lines then reuse those texts, and label texts go in as
+written.
 """
 
 from __future__ import annotations
@@ -221,40 +225,48 @@ def render_configuration(
     if labels is not None and len(labels) != len(disks):
         raise ValueError(f"need one label per disk, got {len(disks)} disks and {len(labels)} labels")
     options = options or RenderOptions()
-    everything = list(disks) + list(midcircles)
+    everything = (*disks, *midcircles)
     if not everything:
         raise ValueError("nothing to render")
+    # (x, y, |radius|) of each circle, disks first
+    circles = [(*disk.center, abs(disk.radius)) for disk in everything]
     xs: list[float] = []
     ys: list[float] = []
-    for disk in everything:
-        reach = abs(disk.radius)
-        xs.extend((disk.center[0] - reach, disk.center[0] + reach))
-        ys.extend((disk.center[1] - reach, disk.center[1] + reach))
+    for x, y, reach in circles:
+        xs += (x - reach, x + reach)
+        ys += (y - reach, y + reach)
     box = _viewbox(xs, ys)
     extent = max(box[2], box[3])
     stroke = extent * 0.004
+    # every number of the body goes through one format call: the widths,
+    # each circle, then each label's y and font size
+    numbers = [stroke, stroke * 4, stroke * 3]
+    for circle in circles:
+        numbers += circle
+    if options.show_labels:
+        for disk, (_, y, reach) in zip(disks, circles):
+            label_y = y + 0.9 * reach if disk.curvature < 0 else y
+            numbers += (label_y, min(extent * 0.04, max(reach * 0.6, extent * 0.012)))
+    texts = _formatted(numbers)
+    width, dash_on, dash_off = texts[:3]
+    count, end = len(disks), 3 + 3 * len(circles)
+    places = list(zip(texts[3:end:3], texts[4:end:3], texts[5:end:3]))
     body: list[str] = []
-    for disk in disks:
+    for x, y, r in places[:count]:
         body.append(
-            f'<circle class="disk" cx="{_fmt(disk.center[0])}" cy="{_fmt(disk.center[1])}" '
-            f'r="{_fmt(abs(disk.radius))}" fill="none" stroke="#20488c" '
-            f'stroke-width="{_fmt(stroke)}"/>'
+            f'<circle class="disk" cx="{x}" cy="{y}" r="{r}" fill="none" stroke="#20488c" '
+            f'stroke-width="{width}"/>'
         )
-    for disk in midcircles:
+    for x, y, r in places[count:]:
         body.append(
-            f'<circle class="midcircle" cx="{_fmt(disk.center[0])}" cy="{_fmt(disk.center[1])}" '
-            f'r="{_fmt(abs(disk.radius))}" fill="none" stroke="#b3432b" '
-            f'stroke-width="{_fmt(stroke)}" stroke-dasharray="{_fmt(stroke * 4)} {_fmt(stroke * 3)}"/>'
+            f'<circle class="midcircle" cx="{x}" cy="{y}" r="{r}" fill="none" stroke="#b3432b" '
+            f'stroke-width="{width}" stroke-dasharray="{dash_on} {dash_off}"/>'
         )
     if options.show_labels:
-        for index, disk in enumerate(disks):
-            if disk.curvature < 0:
-                label_y = disk.center[1] + 0.9 * abs(disk.radius)
-            else:
-                label_y = disk.center[1]
-            size = min(extent * 0.04, max(abs(disk.radius) * 0.6, extent * 0.012))
+        label_places = zip(disks, places, texts[end::2], texts[end + 1 :: 2])
+        for index, (disk, (x, _, _), y, size) in enumerate(label_places):
             text = _curvature_label(disk.curvature)
             if labels is not None:
                 text = f"{labels[index].translate(_XML_TEXT)}={text}"
-            body.append(_flipped_text(_fmt(disk.center[0]), _fmt(label_y), _fmt(size), text))
+            body.append(_flipped_text(x, y, size, text))
     return _svg_document([], body, box, options.width_px)

@@ -570,6 +570,24 @@ class TestRender:
         texts = [element.text for element in root.iter("{http://www.w3.org/2000/svg}text")]
         assert texts[0] == "A&B<c>=2"
 
+    @pytest.mark.parametrize("count", [3, 4])
+    def test_midcircles_of_disks_that_do_not_touch_are_refused(self, tmp_path, capsys, count):
+        assert run(["verify", "--curvatures", "2,3,6,23", "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        payload["disks"] = payload["disks"][:count]
+        payload["disks"][count - 1]["center"] = [5, 5]
+        payload_path = tmp_path / "apart.json"
+        payload_path.write_text(json.dumps(payload))
+        out_path = tmp_path / "apart.svg"
+        argv = ["render", "--from-json", str(payload_path), "--out", str(out_path)]
+        assert run([*argv, "--midcircles"]) == 1
+        moved = "CD"[count - 3]
+        assert capsys.readouterr().err.startswith(f"NotTangent: disks A and {moved}: center gap ")
+        assert not out_path.exists()
+        # without midcircles the disks are drawn where the payload puts them
+        assert run(argv) == 0
+        assert out_path.read_text().count('class="disk"') == count
+
     def test_unrecognized_payload_is_usage_error(self, tmp_path, capsys):
         payload_path = tmp_path / "odd.json"
         payload_path.write_text('{"foo": 1}')

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import math
 import random
+import re
+import xml.etree.ElementTree as ET
 from fractions import Fraction
 from itertools import combinations
 
@@ -18,6 +21,7 @@ from spintile import (
     NonPositiveCurvature,
     NotTangent,
     PlacedDisk,
+    RenderOptions,
     SpintileError,
     Spinor,
     Symbol,
@@ -33,13 +37,16 @@ from spintile import (
     place_configuration,
     place_quadruple,
     realize_fourth,
+    render_configuration,
     scaled_tolerance,
     symbol_join,
     tangency_point,
     tangency_spinor,
     verify_spinor_laws,
 )
-from spintile.disks import _ADD_ORDER, _sign_search
+from spintile.disks import _ADD_ORDER, _SEARCHES, _SIGNS, _sign_search
+
+SVG = "{http://www.w3.org/2000/svg}"
 
 # one hand-checkable frame: the (2, 3, 6) triple inscribed in the unit
 # circle (curvature -1 about the origin), with 23 in the middle gap
@@ -170,6 +177,23 @@ class TestPlacedDisk:
     def test_non_finite_values_rejected(self, center, radius, curvature):
         with pytest.raises(FloatOverflow):
             PlacedDisk(center=center, radius=radius, curvature=curvature)
+
+    @pytest.mark.parametrize(
+        "center", [(0.0, 1.5), (-0.0, 0.0), (0.0, -0.0), (3, -2), (-1e300, 5e-324)]
+    )
+    def test_stored_centre_is_not_seen(self, center):
+        # the complex centre kept for the geometry is no field: equality,
+        # hash and repr see the centre as given, signs of zero included
+        disk = PlacedDisk(center, 0.5, 2.0)
+        assert disk == PlacedDisk(center, 0.5, 2.0)
+        assert hash(disk) == hash((center, 0.5, 2.0))
+        assert repr(disk) == f"PlacedDisk(center={center!r}, radius=0.5, curvature=2.0)"
+        assert disk.center is center
+        stored, expected = disk.center_complex(), complex(*center)
+        assert stored == expected
+        assert [math.copysign(1.0, part) for part in (stored.real, stored.imag)] == [
+            math.copysign(1.0, part) for part in (expected.real, expected.imag)
+        ]
 
 
 class TestTangencySpinor:
@@ -458,11 +482,9 @@ class TestSpinorLaws:
         assert payload["sign_assignment"]
 
 
-def _report_lines():
-    """One line per report (or error) over a fixed seeded set: 200
-    families with |entry| <= 30, both roots, each at scale 1, 1e-6 and
-    1e6, placed as ``spintile verify`` places them and graded at three
-    tolerances."""
+def _seeded_curvatures():
+    """A fixed seeded set of quadruples: 200 families with |entry| <= 30,
+    both roots, each at scale 1, 1e-6 and 1e6."""
     rng = random.Random("verify_spinor_laws report bits")
     families = 0
     while families < 200:
@@ -474,14 +496,21 @@ def _report_lines():
         family = from_spinor_pair(a, b)
         for root in (family.d1, family.d2):
             for scale in (1, Fraction(1, 10**6), 10**6):
-                curvatures = [scale * v for v in (*family.shared_curvatures, root)]
-                try:
-                    disks = place_quadruple(curvatures)
-                    for tolerance in (1e-18, 1e-9, 5e-2):
-                        report = verify_spinor_laws(disks, tolerance)
-                        yield json.dumps(report.to_json_dict())
-                except SpintileError as exc:
-                    yield f"{type(exc).__name__}: {exc}"
+                yield [scale * v for v in (*family.shared_curvatures, root)]
+
+
+def _report_lines():
+    """One line per report (or error) over ``_seeded_curvatures``,
+    placed as ``spintile verify`` places them and graded at three
+    tolerances."""
+    for curvatures in _seeded_curvatures():
+        try:
+            disks = place_quadruple(curvatures)
+            for tolerance in (1e-18, 1e-9, 5e-2):
+                report = verify_spinor_laws(disks, tolerance)
+                yield json.dumps(report.to_json_dict())
+        except SpintileError as exc:
+            yield f"{type(exc).__name__}: {exc}"
 
 
 class TestReportBits:
@@ -566,6 +595,77 @@ class TestReportBits:
             verify_spinor_laws(placed, labels=("A", "B", "C", "D", "E"))
 
 
+# labels a payload may hold: XML's reserved characters, a format
+# character and the text of a negative zero, which stay as written
+ODD_LABELS = ("&", "<b>", "50%", "-0.000000000000")
+
+
+def _configuration_svg_lines():
+    """Each quadruple of ``_seeded_curvatures`` placed by ``place_quadruple``
+    and drawn with its midcircles (a line triple left out, as ``render
+    --midcircles`` does) and with none, labels on and off, with no labels,
+    the default ones and ``ODD_LABELS``; then its first three disks alone."""
+    default = ("A", "B", "C", "D")
+    for curvatures in _seeded_curvatures():
+        try:
+            disks = place_quadruple(curvatures)
+            midcircles = []
+            for skip in range(4):
+                with contextlib.suppress(CollinearTangencyPoints):
+                    midcircles.append(
+                        midcircle_through_tangencies(*(d for i, d in enumerate(disks) if i != skip))
+                    )
+            for drawn, labels in ((disks, default), (disks[:3], default[:3])):
+                for mids in (midcircles[len(disks) - len(drawn) :], ()):
+                    for options in (RenderOptions(), RenderOptions(show_labels=False)):
+                        for given in (None, labels, ODD_LABELS[: len(drawn)]):
+                            yield render_configuration(drawn, mids, options, given)
+        except SpintileError as exc:
+            yield f"{type(exc).__name__}: {exc}"
+
+
+class TestConfigurationBits:
+    """The configuration drawing and the sign texts of the law check are
+    pinned bit for bit: every circle, dash, label, font size and viewBox,
+    and every sign key and text for labels other than A, B, C, D."""
+
+    def test_seeded_svg_digest(self):
+        digest = hashlib.sha256()
+        for line in _configuration_svg_lines():
+            digest.update(line.encode())
+            digest.update(b"\n")
+        assert digest.hexdigest() == (
+            "8a7ed1dd1003db15ccaf917637c9b9b76f482df8baf53582bf9b0aa7d03225b0"
+        )
+
+    def test_odd_labels_keep_their_text(self):
+        disks = place_quadruple([2, 3, 6, 23])
+        document = render_configuration(disks, (), RenderOptions(), ODD_LABELS)
+        texts = [element.text for element in ET.fromstring(document).iter(f"{SVG}text")]
+        assert texts == ["&=2", "<b>=3", "50%=6", "-0.000000000000=23"]
+
+    def test_seeded_sign_assignments_for_other_labels(self):
+        labels = ("P", "Qq", "&", "-0")
+        lines = []
+        for curvatures in _seeded_curvatures():
+            with contextlib.suppress(SpintileError):
+                report = verify_spinor_laws(place_quadruple(curvatures), labels=labels)
+                lines.append(json.dumps(list(report.sign_assignment.items())))
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == "8d480d2d4dd0dd2f5e4045daa94d7e69b22ec23b9d68e2baaf5fe21159038cb8"
+
+    def test_figure_sign_assignment_for_other_labels(self):
+        report = verify_spinor_laws(place_quadruple([2, 3, 6, 23]), labels=("P", "Qq", "&", "-0"))
+        # every fourth entry: thm4_curl, thm5a_div and three thm5b_add
+        assert list(report.sign_assignment.items())[::4] == [
+            ("thm4_curl[Qq&-0]", "+Qq& +1·&-0 -1·-0Qq"),
+            ("thm5a_div[->P]", "+Qq -1·& +1·-0"),
+            ("thm5b_add[P->Qq]", "-1·P& +1·P-0"),
+            ("thm5b_add[Qq->&]", "-1·QqP +1·Qq-0"),
+            ("thm5b_add[&->-0]", "+1·&P +1·&Qq"),
+        ]
+
+
 def _loop_sign_search(vector):
     """The sign search as a plain double loop over (s1, s2) = ±1 with
     ``vector(s1, s2)`` the candidate; the first strict minimum wins."""
@@ -607,6 +707,40 @@ class TestSignSearch:
             )
             found, position = _sign_search(x, b, c, _ADD_ORDER)
             assert (repr(found), position) == (repr(best), self.POSITION[signs])
+
+    def test_the_law_check_runs_the_same_searches(self):
+        # verify_spinor_laws runs the searches of _SEARCHES inline: over the
+        # seeded quadruples its residuals and the signs of its texts are
+        # those of _sign_search on the spinors of each ordered pair
+        laws = ("thm4_curl", "thm5a_div", "thm5b_add")
+        for curvatures in _seeded_curvatures():
+            try:
+                disks = place_quadruple(curvatures)
+                report = verify_spinor_laws(disks)
+            except SpintileError:
+                continue
+            u = {
+                4 * i + j: tangency_spinor(disks[i], disks[j]).u
+                for i in range(4)
+                for j in range(4)
+                if i != j
+            }
+            worst = dict.fromkeys(laws, 0.0)
+            for (law, x, b, c, order), text in zip(_SEARCHES, report.sign_assignment.values()):
+                best, position = _sign_search(u[x], u[b], u[c], order)
+                assert re.findall("([+-]1)·", text) == list(_SIGNS[position])
+                worst[laws[law]] = max(worst[laws[law]], best)
+            assert [repr(worst[law]) for law in laws] == [
+                repr(report.law_residuals[law]) for law in laws
+            ]
+
+    def test_labels_spell_their_own_texts(self):
+        # labels equal as values but formatted apart get their own texts
+        disks = place_quadruple([2, 3, 6, 23])
+        ints = verify_spinor_laws(disks, labels=(1, 2, 3, 4))
+        floats = verify_spinor_laws(disks, labels=(1.0, 2.0, 3.0, 4.0))
+        assert list(ints.sign_assignment)[0] == "thm4_curl[234]"
+        assert list(floats.sign_assignment)[0] == "thm4_curl[2.03.04.0]"
 
 
 class TestRoundTrip:
