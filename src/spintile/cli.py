@@ -396,7 +396,14 @@ def _enumerate_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", default="csv", choices=FORMATS)
     parser.add_argument("--out", metavar="PATH")
     # a string default goes through _parse_shard only when enumerate runs
-    parser.add_argument("--shard", type=_parse_shard, default="0/1")
+    parser.add_argument(
+        "--shard",
+        type=_parse_shard,
+        default="0/1",
+        help="K/N: keep the pairs whose first spinor's squared norm is a row that "
+        "shard K of N owns; rows go by descending point count to the least-loaded "
+        "shard, and the N files merge into the unsharded one",
+    )
     parser.add_argument(
         "--include-zero", action="store_true", help="keep pairs containing the zero spinor"
     )

@@ -7,11 +7,20 @@ per pair carrying both curvature roots plus the canonical (sorted,
 gcd-reduced) form of the quadruple, both from ``spintile.quadruples``.
 
 Output is deterministic: the same job always produces byte-identical
-files.  Sharded runs partition the emitted stream round-robin by record
-index, so a merge of all shards reproduces the unsharded file exactly.
-One walk serves every job: it visits each pair, skips the non-primitive
-ones when ``primitive_only`` is set (a gcd-only test), numbers the
-pairs it emits, and builds a record only for those of its own shard.
+files.  A sharded run owns whole rows: shard K of N holds every record
+whose first spinor a has an |a|² assigned to K, in stream order, so a
+merge of all shards reproduces the unsharded file exactly.  The
+assignment depends only on the bound, ``include_zero`` and N: the
+distinct norms go by descending number of box points on their circle,
+then by ascending norm, each to the shard with the least load so far (in
+points, the lowest index winning a tie).  One walk serves every job: it
+skips the rows of other shards with one lookup each, and the
+non-primitive pairs when ``primitive_only`` is set (a gcd-only test).
+Every orbit key below has its |a|² in one shard only, so the shards of a
+job build each tail once between them, as the unsharded walk does.
+Shard files written by versions that dealt records round-robin hold
+other records, and must not be merged with files written since: the
+merge cannot detect a record that no file holds.
 
 A record's tail, everything after its generators, is a function of the
 orbit key (|a|², |b|², a·b, |a×b|): A = |b|² + a·b, B = |a|² + a·b,
@@ -27,7 +36,8 @@ their tails are equal.  Each cache stops inserting at ``_CACHE_SIZE``
 entries and computes the tails it does not hold afresh, and once the
 walk's is full, a row whose |a|² no cached key has skips its lookups.
 Full, the two take about 40 MB (bound 16 on Python 3.11); every bound up
-to 10 (23,590 keys) fits.
+to 10 (23,590 keys) fits, and so does each of 4 shards at bound 16
+(about 36,000 keys of its own rows).
 
 Each format is one line template, from which both its writer and its
 grammar are made.  ``merge_shards`` streams a k-way merge of lines with
@@ -42,6 +52,7 @@ of stream order, or a record in two shards, is rejected.
 
 from __future__ import annotations
 
+import collections
 import functools
 import heapq
 import math
@@ -58,8 +69,11 @@ CSV_HEADER = "m1,n1,m2,n2,A,B,C,D1,D2,canonical,primitive"
 
 @frozen
 class Shard:
-    """One slice of a round-robin partition: records with
-    index % count == index_of_this_shard."""
+    """Shard ``index`` of ``count``: the records whose first spinor's
+    |a|² is one of the rows this shard owns, in stream order.  Rows go to
+    shards by descending number of points, then ascending norm, each to
+    the least-loaded shard so far, the lowest index winning a tie; see
+    the module docstring."""
 
     index: int = 0
     count: int = 1
@@ -126,18 +140,40 @@ def _record(a: tuple[int, int, int], b: tuple[int, int, int]) -> QuadrupleRecord
 _CACHE_SIZE = 1 << 16
 
 
+def _owned_norms(points: list[tuple[int, int, int]], shard: Shard) -> set[int]:
+    """The |a|² of the rows that ``shard`` owns among the spinors
+    ``points`` given as ``(m, n, m² + n²)``.
+
+    The distinct norms go by descending point count, then ascending
+    norm, each to the shard with the least load so far, the lowest index
+    winning a tie.  Every shard that holds a row has a positive load, so
+    while some shard holds none, the least-loaded one is the lowest of
+    those: only the shards with a row enter the heap, and the cost is
+    O(norms · log count) at any count."""
+    sizes = collections.Counter(norm for _, _, norm in points)
+    loads: list[tuple[int, int]] = []  # (load, index) of each shard with a row
+    owned = set()
+    for norm in sorted(sizes, key=lambda norm: (-sizes[norm], norm)):
+        load, index = (0, len(loads)) if len(loads) < shard.count else heapq.heappop(loads)
+        heapq.heappush(loads, (load + sizes[norm], index))
+        if index == shard.index:
+            owned.add(norm)
+    return owned
+
+
 def enumerate_records(job: EnumerationJob) -> Iterator[QuadrupleRecord]:
     """Stream records for the job, honoring its shard and filters.
 
-    The round-robin runs over the emitted index: the walk numbers the
-    pairs it emits (with ``primitive_only``, those that pass the gcd-only
-    test) and builds full records only for the shard's own.  Those take
-    their tail from the cache of their orbit key (|a|², |b|², a·b, |a×b|).
+    The shard owns whole rows: the walk skips each row whose |a|² it does
+    not own with one lookup (see ``_owned_norms``) and builds every
+    record of the rows it owns, or with ``primitive_only`` those that pass
+    the gcd-only test.  Each takes its tail from the cache of its orbit
+    key (|a|², |b|², a·b, |a×b|), whose |a|² no other shard owns.
     """
     span = range(-job.bound, job.bound + 1)
     # the spinors of the box as (m, n, m² + n²), in lexicographic order
     points = [(m, n, m * m + n * n) for m in span for n in span if job.include_zero or m or n]
-    index, count = job.shard.index, job.shard.count
+    owned = _owned_norms(points, job.shard)
     primitive_only = job.primitive_only
     gcd = math.gcd
     new = tuple.__new__
@@ -147,9 +183,10 @@ def enumerate_records(job: EnumerationJob) -> Iterator[QuadrupleRecord]:
     # full, a row of any other norm holds no cached key and skips the
     # lookups
     norms = set()
-    emitted = 0
     for a in points:
         m1, n1, norm_a = a
+        if norm_a not in owned:
+            continue
         if len(tails) < _CACHE_SIZE:
             norms.add(norm_a)
         cached = norm_a in norms
@@ -164,19 +201,17 @@ def enumerate_records(job: EnumerationJob) -> Iterator[QuadrupleRecord]:
                 common = gcd(norm_a, norm_b)
                 if common != 1 and gcd(common, m1 * m2 + n1 * n2) != 1:
                     continue
-            if emitted % count == index:
-                if not cached:
+            if not cached:
+                tail = _tail(a, b)
+            else:
+                cross = m1 * n2 - m2 * n1
+                key = (norm_a, norm_b, m1 * m2 + n1 * n2, cross if cross > 0 else -cross)
+                tail = get(key)
+                if tail is None:
                     tail = _tail(a, b)
-                else:
-                    cross = m1 * n2 - m2 * n1
-                    key = (norm_a, norm_b, m1 * m2 + n1 * n2, cross if cross > 0 else -cross)
-                    tail = get(key)
-                    if tail is None:
-                        tail = _tail(a, b)
-                        if len(tails) < _CACHE_SIZE:
-                            tails[key] = tail
-                yield new(QuadrupleRecord, (m1, n1, m2, n2) + tail)
-            emitted += 1
+                    if len(tails) < _CACHE_SIZE:
+                        tails[key] = tail
+            yield new(QuadrupleRecord, (m1, n1, m2, n2) + tail)
 
 
 def expected_record_count(bound: int, include_zero: bool = False) -> int:

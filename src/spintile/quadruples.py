@@ -29,7 +29,7 @@ from typing import NamedTuple, Union
 
 from ._frozen import frozen
 from .errors import ComplexSolutions, CurlViolation, FloatOverflow, NonIntegral
-from .spinors import Rational, Spinor, _exact, _over, cross
+from .spinors import Rational, Spinor, _exact, _over, _store, cross
 
 ExactOrFloat = Union[int, Fraction, float]
 
@@ -77,6 +77,19 @@ class DescartesQuadruple:
 
     def as_tuple(self) -> tuple[Rational, Rational, Rational, Rational]:
         return (self.a, self.b, self.c, self.d)
+
+
+def _quadruple(a: Rational, b: Rational, c: Rational, d: Rational) -> DescartesQuadruple:
+    """A DescartesQuadruple from exact curvatures of residual zero by
+    construction.  Skips the validation of the public constructor, and
+    stores the fields as the generated ``__init__`` does (see ``_frozen``),
+    as ``spinors._spinor`` does for a Spinor."""
+    quadruple = object.__new__(DescartesQuadruple)
+    _store(quadruple, "a", a)
+    _store(quadruple, "b", b)
+    _store(quadruple, "c", c)
+    _store(quadruple, "d", d)
+    return quadruple
 
 
 class FourthCurvatures(NamedTuple):
@@ -182,8 +195,8 @@ def from_spinor_pair(a: Spinor, b: Spinor) -> QuadrupleFamily:
         curvatures = [_over(value, square) for value in curvatures]
     big_a, big_b, big_c, d1, d2 = curvatures
     return QuadrupleFamily(
-        quadruple_1=DescartesQuadruple(big_a, big_b, big_c, d1),
-        quadruple_2=DescartesQuadruple(big_a, big_b, big_c, d2),
+        quadruple_1=_quadruple(big_a, big_b, big_c, d1),
+        quadruple_2=_quadruple(big_a, big_b, big_c, d2),
         generator_a=a,
         generator_b=b,
     )

@@ -57,6 +57,17 @@ def _over(numerator: int, denominator: int) -> Rational:
     return Fraction(numerator, denominator) if remainder else quotient
 
 
+def _parse_part(text: str) -> Rational:
+    """One stripped part of a spinor text: an ASCII integer, optionally
+    negative, through ``int``, which reads it as ``Fraction`` does (the
+    same value, and the same error past the digit limit) at a fraction
+    of the cost; any other text through ``Fraction``."""
+    digits = text[1:] if text[:1] == "-" else text
+    if digits.isdigit() and digits.isascii():
+        return int(text)
+    return int_if_whole(Fraction(text))
+
+
 @frozen
 class Spinor:
     """An exact point/vector of the spinor plane."""
@@ -77,7 +88,7 @@ class Spinor:
         parts = text.split(",")
         if len(parts) != 2:
             raise ValueError(f"spinor text must be 'x,y', got {text!r}")
-        x, y = (int_if_whole(Fraction(part.strip())) for part in parts)
+        x, y = (_parse_part(part.strip()) for part in parts)
         return _spinor(x, y)
 
     def format(self) -> str:

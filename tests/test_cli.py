@@ -184,7 +184,10 @@ options:
   --primitive
   --format {csv,jsonl}
   --out PATH
-  --shard SHARD
+  --shard SHARD         K/N: keep the pairs whose first spinor's squared norm
+                        is a row that shard K of N owns; rows go by descending
+                        point count to the least-loaded shard, and the N files
+                        merge into the unsharded one
   --include-zero        keep pairs containing the zero spinor
 """,
     "render --help": _RENDER_USAGE + """

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import collections
 import io
 import json
 import math
 import os
+import time
 
 import pytest
 
@@ -68,11 +70,31 @@ def orbit_key(record: QuadrupleRecord) -> tuple[int, int, int, int]:
     return (m1 * m1 + n1 * n1, m2 * m2 + n2 * n2, m1 * m2 + n1 * n2, abs(m1 * n2 - m2 * n1))
 
 
-def assert_round_robin(bound: int, count: int, primitive_only: bool = False) -> None:
-    """Shard K of ``count`` holds exactly the records of the unsharded
-    stream whose index is K modulo ``count``, in stream order."""
-    whole = list(enumerate_records(EnumerationJob(bound=bound, primitive_only=primitive_only)))
-    pieces = [
+def oracle_rows(bound: int, count: int, include_zero: bool = False) -> list[set[int]]:
+    """The |a|² rows of each of ``count`` shards, by the rule read plainly:
+    the distinct norms of the box by descending point count, then by
+    ascending norm, each to the shard with the least load in points so
+    far, the lowest index winning a tie."""
+    span = range(-bound, bound + 1)
+    sizes = collections.Counter(m * m + n * n for m in span for n in span if include_zero or m or n)
+    loads = [0] * count
+    rows: list[set[int]] = [set() for _ in range(count)]
+    for norm in sorted(sizes, key=lambda norm: (-sizes[norm], norm)):
+        shard = min(range(count), key=lambda index: (loads[index], index))
+        loads[shard] += sizes[norm]
+        rows[shard].add(norm)
+    return rows
+
+
+def row_norm(record: QuadrupleRecord) -> int:
+    """|a|² of the record's first spinor: the row that holds it."""
+    return record.m1 * record.m1 + record.n1 * record.n1
+
+
+def shard_records(
+    bound: int, count: int, primitive_only: bool = False
+) -> list[list[QuadrupleRecord]]:
+    return [
         list(
             enumerate_records(
                 EnumerationJob(bound=bound, primitive_only=primitive_only, shard=Shard(i, count))
@@ -80,12 +102,15 @@ def assert_round_robin(bound: int, count: int, primitive_only: bool = False) -> 
         )
         for i in range(count)
     ]
-    assert sum(len(p) for p in pieces) == len(whole)
-    interleaved = []
-    for rank, piece in enumerate(pieces):
-        for offset, record in enumerate(piece):
-            interleaved.append((offset * count + rank, record))
-    assert [r for _, r in sorted(interleaved, key=lambda t: t[0])] == whole
+
+
+def assert_row_partition(bound: int, count: int, primitive_only: bool = False) -> None:
+    """Shard K of ``count`` holds exactly the records of the unsharded
+    stream whose |a|² the oracle gives K, in stream order."""
+    whole = list(enumerate_records(EnumerationJob(bound=bound, primitive_only=primitive_only)))
+    rows = oracle_rows(bound, count)
+    pieces = shard_records(bound, count, primitive_only)
+    assert [[r for r in whole if row_norm(r) in own] for own in rows] == pieces
 
 
 class TestJobValidation:
@@ -127,7 +152,7 @@ class TestJobValidation:
              "bound-True", "primitive_only-str", "include_zero-1"],
     )
     def test_shard_and_bound_must_be_ints(self, make):
-        # a float index never equals ``emitted % count``, so it would
+        # a float index such as 0.5 is the index of no shard, so it would
         # silently select no records; the filters must be bools, since
         # a truthy "false" would keep only the 48 primitive records of 64
         with pytest.raises(ValueError):
@@ -338,13 +363,22 @@ class TestAtomicWrites:
 
 
 def write_shards(
-    directory, bound: int, count: int, fmt: str, include_zero: bool = False
+    directory,
+    bound: int,
+    count: int,
+    fmt: str,
+    include_zero: bool = False,
+    primitive_only: bool = False,
 ) -> list[str]:
     paths = []
     for i in range(count):
         path = str(directory / f"shard{i}.{fmt}")
         job = EnumerationJob(
-            bound=bound, shard=Shard(i, count), output_format=fmt, include_zero=include_zero
+            bound=bound,
+            primitive_only=primitive_only,
+            shard=Shard(i, count),
+            output_format=fmt,
+            include_zero=include_zero,
         )
         write_records(enumerate_records(job), path, fmt)
         paths.append(path)
@@ -353,11 +387,73 @@ def write_shards(
 
 class TestSharding:
     def test_shards_partition_the_stream(self):
-        assert_round_robin(bound=1, count=3)
+        assert_row_partition(bound=1, count=3)
+        assert_row_partition(bound=3, count=4)
+        assert_row_partition(bound=3, count=4, primitive_only=True)
 
-    def test_primitive_shards_deal_out_the_emitted_stream(self):
-        # round-robin over the index among primitive records, not among pairs
-        assert_round_robin(bound=2, count=3, primitive_only=True)
+    def test_primitive_shards_filter_the_unfiltered_shards(self):
+        # shard K of a primitive job is shard K of the unfiltered job with
+        # its non-primitive records left out: the filter moves no row
+        for bound, count in ((2, 3), (4, 4), (5, 7)):
+            filtered = shard_records(bound, count, primitive_only=True)
+            unfiltered = shard_records(bound, count)
+            assert filtered == [[r for r in piece if r.primitive] for piece in unfiltered]
+
+    @pytest.mark.parametrize("bound", range(1, 7))
+    def test_the_shards_build_each_tail_once_between_them(self, monkeypatch, bound):
+        # each orbit key has its |a|² in one shard only, so the shards of
+        # a job run the kernel as often as the unsharded job does
+        calls = 0
+        build = enumeration._tail
+
+        def counted(a, b):
+            nonlocal calls
+            calls += 1
+            return build(a, b)
+
+        monkeypatch.setattr(enumeration, "_tail", counted)
+        for primitive_only in (False, True):
+            runs = []
+            for count in range(1, 9):
+                calls = 0
+                shard_records(bound, count, primitive_only)
+                runs.append(calls)
+            assert runs == [runs[0]] * 8, (bound, primitive_only)
+
+    def test_a_count_past_the_rows_returns_at_once(self):
+        # bound 2 has five rows, so at any count past five shard 0 owns
+        # the row of most points and the shards from the sixth on own
+        # none; the walk never loops over the shards themselves
+        whole = list(enumerate_records(EnumerationJob(bound=2)))
+        first = oracle_rows(2, 6)[0]
+        assert first == {5}
+        for index, own in ((0, first), (10**12 - 1, set())):
+            started = time.perf_counter()
+            records = list(enumerate_records(EnumerationJob(bound=2, shard=Shard(index, 10**12))))
+            assert time.perf_counter() - started < 1.0
+            assert records == [r for r in whole if row_norm(r) in own]
+
+    @pytest.mark.parametrize("primitive_only", [False, True])
+    @pytest.mark.parametrize("bound", [6, 10])
+    def test_the_largest_shard_stays_near_the_mean(self, bound, primitive_only):
+        # rows are weighed by their points, which is their share of the
+        # unfiltered stream; the primitive filter keeps fewer records of
+        # some rows than of others (about half of an even |a|²), so its
+        # shards spread wider: at bound 6 the largest holds 1.31 times the
+        # mean at 5 shards and 1.375 times at 7
+        job = EnumerationJob(bound=bound, primitive_only=primitive_only)
+        per_row = collections.Counter(row_norm(r) for r in enumerate_records(job))
+        total = sum(per_row.values())
+        limit = 1.4 if primitive_only else 1.25
+        span = range(-bound, bound + 1)
+        points = [(m, n, m * m + n * n) for m in span for n in span if m or n]
+        for count in range(2, 9):
+            sizes = [
+                sum(per_row[norm] for norm in enumeration._owned_norms(points, Shard(index, count)))
+                for index in range(count)
+            ]
+            assert sum(sizes) == total
+            assert max(sizes) * count <= limit * total, (count, sizes)
 
     @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
     def test_merge_is_byte_identical_to_single_run(self, fmt, tmp_path):
@@ -372,6 +468,22 @@ class TestSharding:
             assert merge_shards(shard_paths, merged, fmt) == expected_record_count(bound, zero)
             with open(reference, "rb") as ref, open(merged, "rb") as got:
                 assert got.read() == ref.read()
+
+    @pytest.mark.parametrize("include_zero", [False, True])
+    @pytest.mark.parametrize("bound", range(1, 7))
+    def test_every_merge_is_the_unsharded_file(self, bound, include_zero, tmp_path):
+        for fmt in FORMATS:
+            for primitive_only in (False, True):
+                job = EnumerationJob(
+                    bound=bound, primitive_only=primitive_only, include_zero=include_zero
+                )
+                reference = tmp_path / f"whole.{fmt}"
+                count = write_records(enumerate_records(job), str(reference), fmt)
+                merged = tmp_path / f"merged.{fmt}"
+                for shards in range(1, 9):
+                    paths = write_shards(tmp_path, bound, shards, fmt, include_zero, primitive_only)
+                    assert merge_shards(paths, str(merged), fmt) == count
+                    assert merged.read_bytes() == reference.read_bytes(), (job, shards)
 
     @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
     def test_merge_rejects_a_shard_out_of_stream_order(self, fmt, tmp_path):
@@ -522,6 +634,7 @@ class TestOrbitCaches:
             for fmt in FORMATS:
                 lines = oracle_lines(stream, fmt)
                 for count in (1, 3, 4):
+                    rows = oracle_rows(bound, count, include_zero)
                     for index in range(count):
                         job = EnumerationJob(
                             bound=bound,
@@ -530,7 +643,8 @@ class TestOrbitCaches:
                             shard=Shard(index, count),
                             include_zero=include_zero,
                         )
-                        expected = with_header(lines[index::count], fmt)
+                        own = [line for line, r in zip(lines, stream) if row_norm(r) in rows[index]]
+                        expected = with_header(own, fmt)
                         assert written(enumerate_records(job), fmt) == expected, job
 
     def test_a_bound_past_the_cap_matches_the_oracle(self, monkeypatch, tmp_path):

@@ -222,6 +222,18 @@ class TestFromSpinorPair:
             norm_sq(b) + ab, norm_sq(a) + ab, -ab, base + twist, base - twist
         )
 
+    @given(nonzero_rational_spinors, nonzero_rational_spinors)
+    def test_quadruples_equal_the_validated_ones(self, a, b):
+        # built without the public constructor's checks, each quadruple is
+        # still equal to, hashes and prints as the one that passes them
+        family = from_spinor_pair(a, b)
+        for quadruple in (family.quadruple_1, family.quadruple_2):
+            validated = DescartesQuadruple(*quadruple.as_tuple())
+            assert quadruple == validated
+            assert hash(quadruple) == hash(validated)
+            assert repr(quadruple) == repr(validated)
+            assert list(map(type, quadruple.as_tuple())) == list(map(type, validated.as_tuple()))
+
     def test_parallel_generators_collapse_roots(self):
         family = from_spinor_pair(Spinor(2, 1), Spinor(4, 2))
         assert family.d1 == family.d2

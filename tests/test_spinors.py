@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from spintile import PythTriple, Spinor, cross, dot, euclid_square, norm_sq, star
+from spintile.spinors import int_if_whole
 
 rationals = st.fractions(min_value=-1000, max_value=1000, max_denominator=1000)
 spinors = st.builds(Spinor, rationals, rationals)
@@ -78,6 +79,32 @@ class TestConstruction:
         u = Spinor.parse(f"{text},1")
         assert type(u.x) is Fraction and u.x == Fraction(text)
         assert type(u.y) is int
+
+    def test_integer_parts_parse_as_fraction_reads_them(self):
+        # the int route must give the value, the type and every error text
+        # that the Fraction route gives
+        def through_fraction(text: str) -> Spinor:
+            parts = text.split(",")
+            if len(parts) != 2:
+                raise ValueError(f"spinor text must be 'x,y', got {text!r}")
+            return Spinor(*(int_if_whole(Fraction(part.strip())) for part in parts))
+
+        def outcome(parse, text):
+            try:
+                u = parse(text)
+            except (ValueError, ZeroDivisionError) as error:
+                return type(error), str(error)
+            return (u.x, type(u.x)), (u.y, type(u.y))
+
+        parts = [
+            "0", "-0", "7", "-7", "007", "-007", " 12 ", "\t-3\n", "123456", "-654321",
+            "9" * 4300, "-" + "9" * 4300, "1" * 4301, "-" + "1" * 4301, "0" * 4300 + "1",
+            "+5", "1_000", "-1_0", "\u0661\u0662", "\u00b2", "5.", "-0.0", "1e3", "6/2",
+            "1/2", "-7/3", "5/0", "", " ", "-", "--5", "- 5", "0x10", "1 2", "abc", "nan",
+        ]
+        corpus = [f"{x},{y}" for x in parts for y in ("1", x)] + ["1,2,3", "4", ""]
+        for text in corpus:
+            assert outcome(Spinor.parse, text) == outcome(through_fraction, text), text
 
     def test_is_zero(self):
         assert Spinor(0, 0).is_zero()
