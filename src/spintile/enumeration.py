@@ -40,18 +40,25 @@ to 10 (23,590 keys) fits, and so does each of 4 shards at bound 16
 (about 36,000 keys of its own rows).
 
 Each format is one line template, from which both its writer and its
-grammar are made.  ``merge_shards`` streams a k-way merge of lines with
-memory flat in the stream length.  It accepts exactly the lines this
-module writes: each line must match its format's compiled grammar (no
-added spaces, extra keys or other spellings of a value), its first four
-integers are its generator key, and it is copied through unchanged.
-The keys must strictly increase along the merged stream, so a shard out
-of stream order, or a record in two shards, is rejected.
-``read_records`` parses with the same grammars.
+grammars are made.  ``merge_shards`` merges by runs: from the shard with
+the least head it copies, in one write, every line below the next
+shard's head, which is at least every record of one first spinor.  It
+accepts exactly the lines this module writes (no added spaces, extra
+keys or other spellings of a value) and copies them through unchanged.
+Each distinct piece is checked once: a line splits at its first four
+commas into its generators, looked up in a dict per position of the
+texts its grammar accepted, and its tail, looked up in a set of accepted
+tails; only a line that misses is matched, piece by piece.  The keys
+must strictly increase along each shard, and no two shards may hold the
+same one.  Memory holds one block of whole lines per shard and the
+caches, which stop growing at ``_CACHE_SIZE`` entries each, so it is
+flat in the stream length.  ``read_records`` parses with the whole-line
+grammar that the pieces' grammars are cut from.
 """
 
 from __future__ import annotations
 
+import bisect
 import collections
 import functools
 import heapq
@@ -342,6 +349,17 @@ def _atomic_write(path: str, write: Callable[[IO[str]], int]) -> int:
     return count
 
 
+# an integer slot and the flag slot of a line template, as grammars
+_INT, _FLAG = "(0|-?[1-9][0-9]*)", "(true|false)"
+
+
+def _compile(template: str, ints: int) -> re.Pattern[str]:
+    """The compiled grammar of a piece of a line template whose first
+    ``ints`` slots are integers and whose other slot, if any, is the flag:
+    each slot a group of one integer or of ``true`` or ``false``."""
+    return re.compile(re.escape(template).replace("%s", _INT, ints).replace("%s", _FLAG))
+
+
 @functools.cache
 def _line_grammar(fmt: str) -> re.Pattern[str]:
     """The compiled grammar of the format's record line, newline included:
@@ -349,8 +367,56 @@ def _line_grammar(fmt: str) -> re.Pattern[str]:
     1-13) and the flag slot the group ``(true|false)`` (group 14).
     Compiled on first use, so that importing the package (every CLI
     call) does not pay for it."""
-    pattern = re.escape(_record_format(fmt).template).replace("%s", "(0|-?[1-9][0-9]*)", 13)
-    return re.compile(pattern.replace("%s", "(true|false)") + "\n")
+    return _compile(_record_format(fmt).template + "\n", 13)
+
+
+@functools.cache
+def _piece_grammars(fmt: str) -> tuple[re.Pattern[str], ...]:
+    """The compiled grammars of the five pieces that ``str.split(",", 4)``
+    cuts the format's record line into: one per generator (group 1 its
+    integer), then the tail, newline included.  No generator piece of
+    either template holds a comma, and no slot matches one, so a line
+    matches ``_line_grammar`` exactly when it cuts into five pieces that
+    each match their own grammar.  Compiled on first use."""
+    *heads, tail = (_record_format(fmt).template + "\n").split(",", 4)
+    return (*(_compile(head, 1) for head in heads), _compile(tail, tail.count("%s") - 1))
+
+
+def _open_records(path: str) -> IO[str]:
+    """A record file opened to read its lines as written.  A byte that is
+    not UTF-8 reads as a lone surrogate, which no grammar accepts, so its
+    line is refused by number like any other misspelt line."""
+    return open(path, "r", encoding="utf-8", errors="surrogateescape", newline="")
+
+
+def _read_header(handle: IO[str], path: str, fmt: str) -> int:
+    """Read past the header line of a file of a format that has one, and
+    the blank lines before it; returns the number of lines read."""
+    header = _record_format(fmt).header
+    if not header:
+        return 0
+    for number, line in enumerate(handle, 1):
+        if line.strip():
+            if line.rstrip("\n") == header:
+                return number
+            break
+    raise ValueError(f"{path} does not start with the expected {fmt} header")
+
+
+def _not_a_record(path: str, number: int, fmt: str, line: str) -> ValueError:
+    return ValueError(
+        f"{path}, line {number}: not a {fmt} record line as enumerate writes it: {line!r}"
+    )
+
+
+_Key = tuple[int, int, int, int]
+
+
+def _out_of_order(path: str, key: _Key) -> ValueError:
+    return ValueError(
+        f"{path} breaks the stream order at generators {key}: a record out of "
+        "order, or one that another shard also holds"
+    )
 
 
 def _record_lines(path: str, fmt: str) -> Iterator[tuple[re.Match[str], str]]:
@@ -362,21 +428,12 @@ def _record_lines(path: str, fmt: str) -> Iterator[tuple[re.Match[str], str]]:
     ``ValueError`` naming the file and the line.
     """
     fullmatch = _line_grammar(fmt).fullmatch
-    header = _record_format(fmt).header
-    with open(path, "r", newline="") as handle:
-        lines = enumerate(handle, 1)
-        if header:
-            first = next((line for _, line in lines if line.strip()), "")
-            if first.rstrip("\n") != header:
-                raise ValueError(f"{path} does not start with the expected {fmt} header")
-        for number, line in lines:
+    with _open_records(path) as handle:
+        for number, line in enumerate(handle, _read_header(handle, path, fmt) + 1):
             found = fullmatch(line)
             if found is None:
                 if line.strip():
-                    raise ValueError(
-                        f"{path}, line {number}: not a {fmt} record line as enumerate "
-                        f"writes it: {line!r}"
-                    )
+                    raise _not_a_record(path, number, fmt, line)
                 continue
             yield found, line
 
@@ -392,34 +449,150 @@ def read_records(path: str, fmt: str) -> list[QuadrupleRecord]:
     return records
 
 
-_Keyed = tuple[tuple[int, int, int, int], str, str]
+# the characters of whole lines that ``merge_shards`` reads from a shard
+# at a time
+_READ_HINT = 1 << 16
 
 
-def _keyed_lines(path: str, fmt: str) -> Iterator[_Keyed]:
-    """``(generator key, line, path)`` for each record line of a shard."""
-    for found, line in _record_lines(path, fmt):
-        yield (int(found[1]), int(found[2]), int(found[3]), int(found[4])), line, path
+class _PieceCheck:
+    """The generator keys of record lines, each distinct piece of a line
+    checked against its grammar once.
+
+    ``str.split(",", 4)`` cuts a line into its four generator pieces and
+    its tail (see ``_piece_grammars``).  Each generator piece is looked up
+    in the dict of its position, from the piece's text to its integer, and
+    the tail in the set of tails already accepted.  A line that misses
+    either is checked piece by piece, and each piece that its grammar
+    accepts is inserted while its dict or the set holds fewer than
+    ``_CACHE_SIZE`` entries."""
+
+    def __init__(self, fmt: str) -> None:
+        self.fmt = fmt
+        self.grammars = _piece_grammars(fmt)
+        self.values: tuple[dict[str, int], ...] = ({}, {}, {}, {})
+        self.tails: set[str] = set()
+
+    def keys(
+        self, block: list[str], path: str, number: int, previous: _Key | tuple[()]
+    ) -> tuple[list[_Key], list[str]]:
+        """The generator keys of the record lines of ``block``, lines
+        ``number + 1`` on of ``path``, and those lines, without the blank
+        ones.  Raises ``ValueError`` naming the file and the line for any
+        other line not spelled as ``enumerate`` writes it, and naming the
+        file for a key that is not above the one before it (``previous``
+        for the first)."""
+        v0, v1, v2, v3 = self.values
+        tails = self.tails
+        tail_match = self.grammars[4].fullmatch
+        keys: list[_Key] = []
+        append = keys.append
+        blank = False
+        for number, line in enumerate(block, number + 1):
+            try:
+                p0, p1, p2, p3, tail = line.split(",", 4)
+                key = (v0[p0], v1[p1], v2[p2], v3[p3])
+            except (KeyError, ValueError):
+                checked = self._generators(line, path, number)
+                if checked is None:
+                    blank = True
+                    continue
+                key, tail = checked
+            if tail not in tails:
+                if tail_match(tail) is None:
+                    raise _not_a_record(path, number, self.fmt, line)
+                if len(tails) < _CACHE_SIZE:
+                    tails.add(tail)
+            if key <= previous:
+                raise _out_of_order(path, key)
+            append(key)
+            previous = key
+        if blank:
+            block = [line for line in block if line.strip()]
+        return keys, block
+
+    def _generators(self, line: str, path: str, number: int) -> tuple[_Key, str] | None:
+        """The key and the tail of a line that missed a generator dict,
+        its generator pieces checked and cached, or ``None`` for a blank
+        line."""
+        pieces = line.split(",", 4)
+        if len(pieces) == 5:
+            key = []
+            for values, grammar, piece in zip(self.values, self.grammars, pieces):
+                value = values.get(piece)
+                if value is None:
+                    found = grammar.fullmatch(piece)
+                    if found is None:
+                        break
+                    value = int(found[1])
+                    if len(values) < _CACHE_SIZE:
+                        values[piece] = value
+                key.append(value)
+            else:
+                return tuple(key), pieces[4]
+        if line.strip():
+            raise _not_a_record(path, number, self.fmt, line)
+        return None
 
 
-def _write_merged(merged: Iterable[_Keyed], handle: IO[str], fmt: str) -> int:
-    """Copy the merged lines through, checking that their generator keys
-    strictly increase; returns the record count."""
+def _blocks(path: str, check: _PieceCheck) -> Iterator[tuple[list[_Key], list[str]]]:
+    """A shard's record lines with their keys, ``_READ_HINT`` characters
+    of whole lines at a time, each block with at least one record; the
+    keys strictly increase along the file."""
+    with _open_records(path) as handle:
+        number = _read_header(handle, path, check.fmt)
+        previous: _Key | tuple[()] = ()
+        while block := handle.readlines(_READ_HINT):
+            keys, lines = check.keys(block, path, number, previous)
+            number += len(block)
+            if keys:
+                previous = keys[-1]
+                yield keys, lines
+
+
+def _merge_runs(paths: list[str], handle: IO[str], fmt: str) -> int:
+    """Write the merged records of the shard files ``paths``, run by run;
+    returns the record count."""
     header = _record_format(fmt).header
     if header:
         handle.write(header + "\n")
-    count = 0
-    previous: tuple[int, ...] = ()
-    write = handle.write
-    for key, line, path in merged:
-        if key <= previous:
-            raise ValueError(
-                f"{path} breaks the stream order at generators {key}: a record out of "
-                "order, or one that another shard also holds"
-            )
-        previous = key
-        write(line)
-        count += 1
-    return count
+    check = _PieceCheck(fmt)
+    shards = [_blocks(path, check) for path in paths]
+    try:
+        # the block of each shard and the position of its head in it
+        current: list[tuple[list[_Key], list[str], int]] = []
+        heap = []  # (head key, index) of each shard with records left
+        for index, shard in enumerate(shards):
+            keys, lines = next(shard, ([], []))
+            current.append((keys, lines, 0))
+            if keys:
+                heap.append((keys[0], index))
+        heapq.heapify(heap)
+        write = handle.write
+        count = 0
+        while heap:
+            key, index = heapq.heappop(heap)
+            keys, lines, start = current[index]
+            if heap:
+                # equal heads pop by index, so ``other`` comes later in paths
+                bound, other = heap[0]
+                if bound == key:
+                    raise _out_of_order(paths[other], key)
+                end = bisect.bisect_left(keys, bound, start)
+            else:
+                end = len(keys)
+            write("".join(lines[start:end]))
+            count += end - start
+            if end == len(keys):
+                keys, lines = next(shards[index], ([], []))
+                if not keys:
+                    continue
+                end = 0
+            current[index] = keys, lines, end
+            heapq.heappush(heap, (keys[end], index))
+        return count
+    finally:
+        for shard in shards:
+            shard.close()
 
 
 def merge_shards(paths: Iterable[str], out_path: str, fmt: str) -> int:
@@ -427,13 +600,21 @@ def merge_shards(paths: Iterable[str], out_path: str, fmt: str) -> int:
 
     The stream is lexicographic in the generator tuple and every shard
     file holds its records in stream order, as ``enumerate_records``
-    writes them, so a streaming k-way merge on the generator tuple
-    reproduces a single-shard run of the same job byte for byte while
-    holding one line per shard in memory.  Each line must match the
-    format's grammar, exactly as ``enumerate`` spells it, and is copied
-    through unchanged.  The generator tuples must strictly increase along
-    the merged stream, so a shard out of order, or a record that two
-    shards hold, raises ``ValueError`` naming the shard file.
+    writes them, so merging the shards on the generator tuple reproduces
+    a single-shard run of the same job byte for byte.  The merge goes by
+    runs: from the shard with the least head it copies, with one write,
+    every line whose generator tuple is below the next shard's head,
+    which is at least every record of one first spinor a, as a shard
+    owns whole |a|² rows.  Each shard is read in blocks of whole lines,
+    so memory holds one block per shard and the bounded caches of
+    ``_PieceCheck``, flat in the stream length.
+
+    Each line must be spelled exactly as ``enumerate`` writes it, and is
+    copied through unchanged; each distinct generator piece and tail is
+    checked against its grammar once.  The generator tuples must strictly
+    increase along each shard, and no two shards may hold the same one,
+    so a shard out of order, or a record that two shards hold, raises
+    ``ValueError`` naming the shard file (the later one in ``paths``).
     """
-    merged = heapq.merge(*(_keyed_lines(path, fmt) for path in paths))
-    return _atomic_write(out_path, lambda handle: _write_merged(merged, handle, fmt))
+    paths = list(paths)
+    return _atomic_write(out_path, lambda handle: _merge_runs(paths, handle, fmt))

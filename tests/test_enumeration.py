@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import bisect
 import collections
 import io
 import json
@@ -694,3 +695,246 @@ class TestOrbitCaches:
                 record._replace(canonical=[2, 3, 6, 23]),
             ]
         assert written(records, fmt) == with_header(oracle_lines(records, fmt), fmt)
+
+
+# substitutions that the piece check of ``merge_shards`` must refuse or
+# accept exactly as the line grammar does; ``int()`` reads the Arabic-Indic
+# and the fullwidth digit, and ``[0-9]`` reads neither
+SUBSTITUTES = ["0", "7", "-", "+", ",", ":", " ", "\r", "\n", '"', "٣", "³", "１", "e"]
+
+
+def variants(line: str) -> list[str]:
+    """Misspellings and respellings of a record line: every one-character
+    deletion and substitution, every comma doubled, a zero or a minus
+    before every integer (giving leading zeros and ``-0``), and the line
+    without its newline."""
+    out = [line[:i] + line[i + 1:] for i in range(len(line))]
+    out += [line[:i] + c + line[i + 1:] for i in range(len(line)) for c in SUBSTITUTES]
+    out += [line[:i] + "," + line[i:] for i, c in enumerate(line) if c == ","]
+    starts = [i for i, c in enumerate(line) if c.isdigit() and not line[i - 1 : i].isdigit()]
+    out += [line[:i] + prefix + line[i:] for i in starts for prefix in ("0", "-", "00")]
+    out += [line.rstrip("\n"), "\n", " \n", "\t\r\n", ""]
+    return out
+
+
+def piece_key(check, line: str):
+    """The key that the merge's piece check gives the line, or None when it
+    skips the line as blank or refuses it; a refusal must name the line."""
+    try:
+        keys, lines = check.keys([line], "shard.txt", 6, ())
+    except ValueError as error:
+        expected = f"not a {check.fmt} record line as enumerate writes it: {line!r}"
+        assert str(error) == f"shard.txt, line 7: {expected}"
+        return None
+    assert lines == ([line] if keys else [])
+    if not keys:
+        assert not line.strip()
+    return keys[0] if keys else None
+
+
+def block_ends(path: str, fmt: str) -> list[int]:
+    """The number of the last line of each block that ``merge_shards``
+    reads from a shard file."""
+    header = 1 if FORMATS[fmt].header else 0
+    with open(path, encoding="utf-8", newline="") as handle:
+        for _ in range(header):
+            handle.readline()
+        ends = [header]
+        while block := handle.readlines(enumeration._READ_HINT):
+            ends.append(ends[-1] + len(block))
+    return ends[1:]
+
+
+def generators(line: str, fmt: str) -> tuple[int, ...]:
+    return tuple(map(int, _line_grammar(fmt).fullmatch(line).group(1, 2, 3, 4)))
+
+
+class TestMergeChecks:
+    """``merge_shards`` checks each distinct piece of a line once and
+    merges by runs of whole blocks; it must accept and refuse exactly the
+    lines and the shards that a line-by-line merge does."""
+
+    @pytest.mark.parametrize("cap", [enumeration._CACHE_SIZE, 1], ids=["cap", "past-cap"])
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_the_piece_check_accepts_what_the_grammar_accepts(self, monkeypatch, cap, fmt):
+        monkeypatch.setattr(enumeration, "_CACHE_SIZE", cap)
+        template = FORMATS[fmt].template
+        records = [
+            _record((3, 0, 9), (-1, 2, 5)),
+            _record((0, 0, 0), (0, 0, 0)),
+            _record((-12, 10, 244), (7, -20, 449)),
+            _record((2, 2, 8), (-2, 2, 8)),
+        ]
+        corpus = [_line(template, record) + "\n" for record in records]
+        corpus += [variant for line in corpus[:] for variant in variants(line)]
+        fullmatch = _line_grammar(fmt).fullmatch
+        expected = [fullmatch(line) and generators(line, fmt) for line in corpus]
+        assert 0 < sum(map(bool, expected)) < len(corpus)
+        # cold: a fresh check for every line
+        assert [piece_key(enumeration._PieceCheck(fmt), line) for line in corpus] == expected
+        # warm: one check for the whole corpus, twice over
+        check = enumeration._PieceCheck(fmt)
+        for _ in range(2):
+            assert [piece_key(check, line) for line in corpus] == expected
+        assert all(len(cache) <= cap for cache in (*check.values, check.tails))
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_a_merge_past_the_cache_cap_is_the_unsharded_file(self, monkeypatch, fmt, tmp_path):
+        monkeypatch.setattr(enumeration, "_CACHE_SIZE", 2)
+        reference = tmp_path / f"whole.{fmt}"
+        write_records(enumerate_records(EnumerationJob(bound=3)), str(reference), fmt)
+        paths = write_shards(tmp_path, 3, 3, fmt)
+        merged = tmp_path / f"merged.{fmt}"
+        assert merge_shards(paths, str(merged), fmt) == expected_record_count(3)
+        assert merged.read_bytes() == reference.read_bytes()
+
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_a_byte_that_is_not_utf8_names_its_line(self, fmt, tmp_path):
+        paths = write_shards(tmp_path, 1, 2, fmt)
+        with open(paths[1], "rb") as handle:
+            lines = handle.readlines()
+        lines[3] = lines[3][:6] + b"\xff" + lines[3][7:]
+        with open(paths[1], "wb") as handle:
+            handle.writelines(lines)
+        text = lines[3].decode("utf-8", "surrogateescape")
+        message = f"{paths[1]}, line 4: not a {fmt} record line as enumerate writes it: {text!r}"
+        merged = tmp_path / f"merged.{fmt}"
+        for read in (
+            lambda: merge_shards(paths, str(merged), fmt),
+            lambda: read_records(paths[1], fmt),
+        ):
+            with pytest.raises(ValueError) as caught:
+                read()
+            assert str(caught.value) == message
+        assert sorted(os.listdir(tmp_path)) == [f"shard0.{fmt}", f"shard1.{fmt}"]
+
+
+class TestMergeBlocks:
+    """Faults past the first block that ``merge_shards`` reads, and across
+    the boundary of two blocks, raise what a line-by-line merge raises,
+    and leave no merged and no partial file behind."""
+
+    BOUND, COUNT = 5, 2
+
+    @pytest.fixture(params=["csv", "jsonl"])
+    def shards(self, request, tmp_path):
+        fmt = request.param
+        paths = write_shards(tmp_path, self.BOUND, self.COUNT, fmt)
+        for path in paths:
+            assert len(block_ends(path, fmt)) >= 3
+        return fmt, paths
+
+    @staticmethod
+    def lines(path: str) -> list[str]:
+        with open(path, newline="") as handle:
+            return handle.readlines()
+
+    @staticmethod
+    def rewrite(path: str, lines: list[str]) -> None:
+        with open(path, "w", newline="") as handle:
+            handle.writelines(lines)
+
+    @staticmethod
+    def refused(paths: list[str], fmt: str, message: str) -> None:
+        directory = os.path.dirname(paths[0])
+        before = sorted(os.listdir(directory))
+        merged = os.path.join(directory, f"merged.{fmt}")
+        with pytest.raises(ValueError) as caught:
+            merge_shards(paths, merged, fmt)
+        assert str(caught.value) == message
+        assert sorted(os.listdir(directory)) == before
+
+    @staticmethod
+    def out_of_order(path: str, key: tuple[int, ...]) -> str:
+        return (
+            f"{path} breaks the stream order at generators {key}: a record out of order, "
+            "or one that another shard also holds"
+        )
+
+    @staticmethod
+    def places(path: str, fmt: str) -> dict[str, int]:
+        """0-based line indices: one in the middle of the second block, the
+        last line of the first block and the first line of the second."""
+        first, second = block_ends(path, fmt)[:2]
+        return {"inside": (first + second) // 2, "last": first - 1, "next": first}
+
+    def test_a_bad_line(self, shards):
+        fmt, paths = shards
+        original = self.lines(paths[1])
+        ends = block_ends(paths[1], fmt)
+        for place, index in self.places(paths[1], fmt).items():
+            # same length, so the blocks stay where they were
+            bad = "x" + original[index][1:]
+            self.rewrite(paths[1], original[:index] + [bad] + original[index + 1:])
+            assert block_ends(paths[1], fmt) == ends
+            message = (
+                f"{paths[1]}, line {index + 1}: not a {fmt} record line as enumerate writes "
+                f"it: {bad!r}"
+            )
+            self.refused(paths, fmt, message)
+            with pytest.raises(ValueError) as caught:
+                read_records(paths[1], fmt)
+            assert str(caught.value) == message, place
+
+    def test_blank_lines_are_skipped(self, shards, tmp_path):
+        fmt, paths = shards
+        reference = tmp_path / f"whole.{fmt}"
+        write_records(enumerate_records(EnumerationJob(bound=self.BOUND)), str(reference), fmt)
+        whole = self.lines(str(reference))
+        original = self.lines(paths[1])
+        for place, index in self.places(paths[1], fmt).items():
+            # a whitespace line of the record's length stands in for it,
+            # and the merge leaves the record out
+            blank = " " * (len(original[index]) - 2) + "\t\n"
+            self.rewrite(paths[1], original[:index] + [blank] + original[index + 1:])
+            merged = tmp_path / f"merged.{fmt}"
+            assert merge_shards(paths, str(merged), fmt) == len(whole) - 1 - (fmt == "csv")
+            assert self.lines(str(merged)) == [line for line in whole if line != original[index]]
+            # and a blank line added at the block boundary changes nothing
+            self.rewrite(paths[1], original[: index + 1] + ["\n", "  \r\n"] + original[index + 1:])
+            assert merge_shards(paths, str(merged), fmt) == len(whole) - (fmt == "csv")
+            assert merged.read_bytes() == reference.read_bytes(), place
+
+    def test_two_swapped_records(self, shards):
+        fmt, paths = shards
+        original = self.lines(paths[1])
+        for place, index in self.places(paths[1], fmt).items():
+            lines = original[:]
+            lines[index], lines[index + 1] = lines[index + 1], lines[index]
+            self.rewrite(paths[1], lines)
+            if place == "last":
+                # the two lines sit on both sides of the block boundary
+                assert index + 1 in block_ends(paths[1], fmt)
+            key = generators(lines[index + 1], fmt)
+            self.refused(paths, fmt, self.out_of_order(paths[1], key))
+
+    def test_a_record_that_two_shards_hold(self, shards):
+        fmt, paths = shards
+        original = self.lines(paths[1])
+        header = original[:1] if fmt == "csv" else []
+        theirs = self.lines(paths[0])
+        places = self.places(paths[0], fmt)
+        # the first line of a run of shard 0 inside its second block: a
+        # record of shard 1 comes between it and the line before it
+        ours = [generators(line, fmt) for line in original[len(header):]]
+        keys = [generators(line, fmt) for line in theirs[len(header):]]
+        runs = [
+            i + len(header) for i in range(places["next"] + 1 - len(header), len(keys))
+            if bisect.bisect(ours, keys[i - 1]) < bisect.bisect(ours, keys[i])
+        ]
+        assert runs and runs[0] < block_ends(paths[0], fmt)[1]
+        for index in (places["last"], places["next"], runs[0]):
+            record = theirs[index]
+            body = sorted(original[len(header):] + [record], key=lambda line: generators(line, fmt))
+            self.rewrite(paths[1], header + body)
+            key = generators(record, fmt)
+            self.refused(paths, fmt, self.out_of_order(paths[1], key))
+            # the later shard in the paths is named, whichever holds it
+            self.refused(paths[::-1], fmt, self.out_of_order(paths[0], key))
+
+    def test_a_shard_passed_twice(self, shards):
+        fmt, paths = shards
+        header = 1 if FORMATS[fmt].header else 0
+        first = generators(self.lines(paths[1])[header], fmt)
+        self.refused([paths[0], paths[1], paths[1]], fmt, self.out_of_order(paths[1], first))
