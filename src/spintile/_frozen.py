@@ -11,11 +11,19 @@ so they run as fast as its methods; that module itself imports
 several milliseconds.  ``__init__`` stores the fields with
 ``object.__setattr__``: writing to ``__dict__`` instead would turn the
 instance's attributes into a plain dict, which is slower to read.
+
+``trusted(cls)`` is the one maker of ``cls`` instances that skips
+validation, for values valid by construction: a function of the fields
+that stores them with the lines of ``__init__`` and calls no
+``__post_init__``, generated only for the classes that ask for it.
 """
 
 from __future__ import annotations
 
-_MISSING = object()
+from typing import Callable
+
+# the parameter list, field stores and namespace of each class's ``__init__``
+_SOURCES: dict[type, tuple[str, str, dict]] = {}
 
 
 def _refuse_assignment(self, name: str, value: object) -> None:
@@ -30,24 +38,16 @@ def frozen(cls: type) -> type:
     """Add the frozen-dataclass methods to ``cls``; see the module."""
     names = tuple(cls.__dict__.get("__annotations__", ()))
     namespace = {"store": object.__setattr__}
-    params, body = [], []
-    for name in names:
-        default = cls.__dict__.get(name, _MISSING)
-        if default is not _MISSING:
-            namespace[f"default_{name}"] = default
-            params.append(f"{name}=default_{name}")
-        else:
-            params.append(name)
-        body.append(f"store(self, {name!r}, {name})")
-    if hasattr(cls, "__post_init__"):
-        body.append("self.__post_init__()")
+    namespace.update((f"default_{name}", cls.__dict__[name]) for name in names if name in cls.__dict__)
+    params = ", ".join(f"{name}=default_{name}" if f"default_{name}" in namespace else name for name in names)
+    stores = "".join(f"    store(self, {name!r}, {name})\n" for name in names)
+    post_init = "    self.__post_init__()\n" if hasattr(cls, "__post_init__") else ""
     mine = "".join(f"self.{name}, " for name in names)
     theirs = "".join(f"other.{name}, " for name in names)
     shown = ", ".join(f"{name}={{self.{name}!r}}" for name in names)
-    newline = "\n    "
     exec(
-        f"def __init__(self, {', '.join(params)}):\n"
-        f"    {newline.join(body)}\n"
+        f"def __init__(self, {params}):\n"
+        f"{stores}{post_init}"
         "def __repr__(self):\n"
         f'    return f"{{self.__class__.__qualname__}}({shown})"\n'
         "def __eq__(self, other):\n"
@@ -64,4 +64,15 @@ def frozen(cls: type) -> type:
         setattr(cls, method, function)
     cls.__setattr__ = _refuse_assignment
     cls.__delattr__ = _refuse_deletion
+    _SOURCES[cls] = (params, stores, namespace)
     return cls
+
+
+def trusted(cls: type) -> Callable[..., object]:
+    """A maker of ``cls`` instances that skips validation; see the module."""
+    params, stores, namespace = _SOURCES[cls]
+    namespace = {**namespace, "new": object.__new__, "cls": cls}
+    exec(f"def trusted({params}):\n    self = new(cls)\n{stores}    return self\n", namespace)
+    function = namespace["trusted"]
+    function.__qualname__ = f"trusted({cls.__qualname__})"
+    return function

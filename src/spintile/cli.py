@@ -31,11 +31,10 @@ import math
 import os
 import re
 import sys
-from fractions import Fraction
 from typing import TYPE_CHECKING, Iterator
 
 from .errors import CollinearTangencyPoints, InvalidPayload, NotTangent, SpintileError
-from .spinors import Spinor, cross
+from .spinors import Rational, Spinor, _parse_part, cross
 
 if TYPE_CHECKING:
     from .enumeration import Shard
@@ -68,14 +67,14 @@ def _parse_spinor(text: str) -> Spinor:
         raise argparse.ArgumentTypeError(str(exc))
 
 
-def _parse_rationals(text: str, expected: int) -> list[Fraction]:
+def _parse_rationals(text: str, expected: int) -> list[Rational]:
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != expected:
         raise argparse.ArgumentTypeError(
             f"expected {expected} comma-separated values, got {len(parts)}"
         )
     try:
-        return [Fraction(p) for p in parts]
+        return [_parse_part(p) for p in parts]
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(str(exc))
 
@@ -248,6 +247,15 @@ def _finite(value: object) -> float:
     return result
 
 
+def _label(entry: dict, index: int) -> str:
+    """A disk payload's label, a string or a number, as text, or the
+    disk's index when it has none."""
+    label = entry.get("label", index)
+    if isinstance(label, bool) or not isinstance(label, (str, int, float)):
+        raise TypeError(f"a label must be a string or a number, got {label!r}")
+    return str(label)
+
+
 def _cmd_render(args: argparse.Namespace) -> int:
     import json
 
@@ -286,7 +294,7 @@ def _cmd_render(args: argparse.Namespace) -> int:
                 )
                 for entry in entries
             ]
-            labels = [str(entry.get("label", i)) for i, entry in enumerate(entries)]
+            labels = [_label(entry, i) for i, entry in enumerate(entries)]
         if not disks:
             raise InvalidPayload(f"{args.from_json}: the payload lists no disks to render")
         midcircles = []

@@ -18,7 +18,8 @@ value it reports is divided back, a whole one coming back as ``int``.
 L, ``fourth_curvatures`` takes the discriminant of its three as an int
 over L², and ``from_spinor_pair`` runs the integer kernel
 ``pair_curvatures`` on the pair's four coordinates times L, as
-``from_spinor_triple`` does through it.
+``from_spinor_triple`` does through it.  The clearing kernel
+``_cleared`` and its inverse ``_over`` live in ``spinors``.
 """
 
 from __future__ import annotations
@@ -27,24 +28,11 @@ import math
 from fractions import Fraction
 from typing import NamedTuple, Union
 
-from ._frozen import frozen
+from ._frozen import frozen, trusted
 from .errors import ComplexSolutions, CurlViolation, FloatOverflow, NonIntegral
-from .spinors import Rational, Spinor, _exact, _over, _store, cross
+from .spinors import Rational, Spinor, _cleared, _exact, _over, cross
 
 ExactOrFloat = Union[int, Fraction, float]
-
-
-def _cleared(a: Rational, b: Rational, c: Rational, d: Rational) -> tuple[int, int, int, int, int]:
-    """L, the lcm of the denominators of four rationals, and the four
-    times L, as ints."""
-    scale = math.lcm(a.denominator, b.denominator, c.denominator, d.denominator)
-    return (
-        scale,
-        a.numerator * (scale // a.denominator),
-        b.numerator * (scale // b.denominator),
-        c.numerator * (scale // c.denominator),
-        d.numerator * (scale // d.denominator),
-    )
 
 
 def descartes_residual(a: Rational, b: Rational, c: Rational, d: Rational) -> Rational:
@@ -65,11 +53,10 @@ class DescartesQuadruple:
     def __post_init__(self) -> None:
         for name in ("a", "b", "c", "d"):
             object.__setattr__(self, name, _exact(getattr(self, name), "curvature"))
-        a, b, c, d = self.a, self.b, self.c, self.d
         # the residual is homogeneous of degree two: on the curvatures
         # scaled to ints by L, the lcm of their denominators, it is L²
         # times the residual of the curvatures
-        scale, *cleared = _cleared(a, b, c, d)
+        scale, *cleared = _cleared(self.a, self.b, self.c, self.d)
         residual = descartes_residual(*cleared)
         if residual != 0:
             residual = _over(residual, scale * scale)
@@ -79,17 +66,8 @@ class DescartesQuadruple:
         return (self.a, self.b, self.c, self.d)
 
 
-def _quadruple(a: Rational, b: Rational, c: Rational, d: Rational) -> DescartesQuadruple:
-    """A DescartesQuadruple from exact curvatures of residual zero by
-    construction.  Skips the validation of the public constructor, and
-    stores the fields as the generated ``__init__`` does (see ``_frozen``),
-    as ``spinors._spinor`` does for a Spinor."""
-    quadruple = object.__new__(DescartesQuadruple)
-    _store(quadruple, "a", a)
-    _store(quadruple, "b", b)
-    _store(quadruple, "c", c)
-    _store(quadruple, "d", d)
-    return quadruple
+# a DescartesQuadruple from exact curvatures of residual zero by construction
+_quadruple = trusted(DescartesQuadruple)
 
 
 class FourthCurvatures(NamedTuple):
@@ -111,7 +89,7 @@ def fourth_curvatures(a: Rational, b: Rational, c: Rational) -> FourthCurvatures
     a, b, c = (_exact(v, "curvature") for v in (a, b, c))
     # the curvatures times L are ints; the discriminant is then an int
     # over L², a rational square exactly when that int is a square
-    scale, big_a, big_b, big_c, _ = _cleared(a, b, c, 0)
+    scale, big_a, big_b, big_c = _cleared(a, b, c)
     square = scale * scale
     cleared_disc = big_a * big_b + big_b * big_c + big_c * big_a
     if cleared_disc < 0:

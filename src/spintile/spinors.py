@@ -23,9 +23,10 @@ on fast ``int`` arithmetic.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Union
 
-from ._frozen import frozen
+from ._frozen import frozen, trusted
 
 Rational = Union[int, Fraction]
 
@@ -55,6 +56,17 @@ def _over(numerator: int, denominator: int) -> Rational:
         return numerator
     quotient, remainder = divmod(numerator, denominator)
     return Fraction(numerator, denominator) if remainder else quotient
+
+
+def _cleared(*values: Rational) -> list[int]:
+    """L, the lcm of the denominators of the rationals ``values``, and
+    each value times L, as ints.  ``_over`` is its inverse: it divides an
+    int back by L, or by L² for a product of two cleared values."""
+    scale = lcm(*[value.denominator for value in values])
+    cleared = [scale]
+    for value in values:
+        cleared.append(value.numerator * (scale // value.denominator))
+    return cleared
 
 
 def _parse_part(text: str) -> Rational:
@@ -114,18 +126,9 @@ class Spinor:
     __mul__ = __rmul__
 
 
-_store = object.__setattr__
-
-
-def _spinor(x: Rational, y: Rational) -> Spinor:
-    """A Spinor from components that are exact by construction: sums,
-    differences and products of ints and Fractions.  Skips the
-    validation of the public constructor, and stores the fields as the
-    generated ``__init__`` does (see ``_frozen``), so reads stay fast."""
-    spinor = object.__new__(Spinor)
-    _store(spinor, "x", x)
-    _store(spinor, "y", y)
-    return spinor
+# a Spinor from components that are exact by construction: sums,
+# differences and products of ints and Fractions
+_spinor = trusted(Spinor)
 
 
 ZERO = Spinor(0, 0)

@@ -40,7 +40,8 @@ each keeps its vertex cycle times L, the cross product of its scaled
 edges and its signed area, which tiles of equal area share (L = 1 for
 an integer pair).  The ``Spinor`` vertices are built from that cycle
 only when ``Tile.vertices`` is read.  A tile made by hand with
-``Tile(...)`` clears its own six coordinates instead.
+``Tile(...)`` clears its own six coordinates instead.  Both clear with
+``spinors._cleared``, and divide back with its inverse ``_over``.
 
 A tessellation holds one integer form, made with it: its scale, the lcm
 of its tiles' scales (L for a built pair), and each tile's vertex cycle
@@ -62,10 +63,12 @@ from fractions import Fraction
 from functools import partial
 from math import gcd, lcm
 
-from ._frozen import frozen
+from ._frozen import frozen, trusted
 from .errors import DegenerateInput, InconsistentTiles, NegativeOrientation, NonIntegralVertices
-from .quadruples import _cleared, descartes_residual
-from .spinors import ZERO, Rational, Spinor, _over, _spinor, _store, int_if_whole, star
+from .quadruples import descartes_residual
+from .spinors import ZERO, Rational, Spinor, _cleared, _over, _spinor, int_if_whole, star
+
+_store = object.__setattr__
 
 
 class TileClass(enum.Enum):
@@ -98,9 +101,8 @@ class Tile:
         # the lcm of the six coordinate denominators, L = 1 for an integer
         # tile; a tile of ``build_tessellation`` is on its pair's L);
         # ``_cross`` is the signed area over L²
-        values = (self.anchor.x, self.anchor.y, self.edge1.x, self.edge1.y, self.edge2.x, self.edge2.y)
-        scale = lcm(*[value.denominator for value in values])
-        ax, ay, e1x, e1y, e2x, e2y = [value.numerator * (scale // value.denominator) for value in values]
+        anchor, edge1, edge2 = self.anchor, self.edge1, self.edge2
+        scale, ax, ay, e1x, e1y, e2x, e2y = _cleared(anchor.x, anchor.y, edge1.x, edge1.y, edge2.x, edge2.y)
         bx, by = ax + e1x, ay + e1y
         area = e1x * e2y - e2x * e1y
         _store(self, "_lattice", (scale, ax, ay, bx, by, bx + e2x, by + e2y, ax + e2x, ay + e2y))
@@ -124,15 +126,10 @@ def _lattice_tile(
     label: str, tile_class: TileClass, anchor: Spinor, edge1: Spinor, edge2: Spinor,
     lattice: tuple[int, ...], area: int, signed_area: Rational,
 ) -> Tile:
-    """A tile whose integer form its maker already has: the five fields,
-    the ``_lattice``, the cross product ``_cross`` over L² and the
-    ``signed_area`` are stored as given, and nothing is cleared."""
-    tile = object.__new__(Tile)
-    _store(tile, "label", label)
-    _store(tile, "tile_class", tile_class)
-    _store(tile, "anchor", anchor)
-    _store(tile, "edge1", edge1)
-    _store(tile, "edge2", edge2)
+    """A tile whose integer form its maker already has: the ``_lattice``,
+    the cross product ``_cross`` over L² and the ``signed_area`` are
+    stored as given, and nothing is cleared."""
+    tile = _tile(label, tile_class, anchor, edge1, edge2)
     _store(tile, "_lattice", lattice)
     _store(tile, "_cross", area)
     _store(tile, "signed_area", signed_area)
@@ -224,7 +221,7 @@ class Tessellation:
     the form of ``Tile._lattice``, (L, x0, y0, …, x3, y3); ``_areas``
     holds each signed area as an int over L².  The readers below read
     only these, and divide by L or L² only a value they report, through
-    ``_value`` and ``_text``, once per distinct int (see ``_on_scale``).
+    ``_value`` and ``_text``, once per distinct int (see ``_readers``).
     Equality and hashing see only the four fields.
     """
 
@@ -244,8 +241,7 @@ class Tessellation:
                 lattice = (scale, *[value * factor for value in lattice[1:]])
             lattices.append(lattice)
             areas.append(tile._cross * factor * factor)
-        _on_scale(self, scale, tuple(areas))
-        _store(self, "_lattices", tuple(lattices))
+        _on_scale(self, scale, tuple(areas), tuple(lattices), *_readers(scale))
 
     @property
     def has_overlap(self) -> bool:
@@ -262,6 +258,9 @@ class Tessellation:
         raise KeyError(label)
 
 
+_tile, _tessellation = trusted(Tile), trusted(Tessellation)
+
+
 class _Reported(dict):
     """A ``dict`` of ints whose missing keys fill themselves: ``make``
     makes the entry of an int on its first read only."""
@@ -276,20 +275,24 @@ class _Reported(dict):
         return made
 
 
-def _on_scale(tess: Tessellation, scale: int, areas: tuple[int, ...]) -> None:
-    """Store the common scale L of ``tess`` and its tile areas as ints
-    over L², and give it its two readers of an int over L²: ``_value``,
-    the value as reported, and ``_text``, its ``str``.  On L > 1 each is
-    made once per int."""
+def _readers(scale: int) -> tuple:
+    """The two readers of an int over L², L = ``scale``: ``_value``, the
+    value as reported, and ``_text``, its ``str``.  On L > 1 each is made
+    once per int."""
+    if scale == 1:
+        return int, str
+    square = scale * scale
+    return tuple(_Reported(partial(make, denominator=square)).__getitem__ for make in (_over, _over_text))
+
+
+def _on_scale(tess: Tessellation, scale: int, areas: tuple, lattices: tuple, value, text) -> None:
+    """Store the integer form of ``tess``: its common scale L, its tile
+    areas as ints over L², its two readers and its tiles' cycles on L."""
     _store(tess, "_scale", scale)
     _store(tess, "_areas", areas)
-    if scale == 1:
-        _store(tess, "_value", int)
-        _store(tess, "_text", str)
-    else:
-        square = scale * scale
-        _store(tess, "_value", _Reported(partial(_over, denominator=square)).__getitem__)
-        _store(tess, "_text", _Reported(partial(_over_text, denominator=square)).__getitem__)
+    _store(tess, "_value", value)
+    _store(tess, "_text", text)
+    _store(tess, "_lattices", lattices)
 
 
 # Member i of the triple (a, b, c), with j = i + 1 and k = i + 2 mod 3,
@@ -335,11 +338,10 @@ def build_tessellation(a: Spinor, b: Spinor) -> Tessellation:
     # red i is (0; x⋆, y), of area −x·y
     reds = [-(members[i][0] * members[j][0] + members[i][1] * members[j][1]) for i, j, _ in _CYCLE]
     areas = (*norms, *reds, *[green] * 6, reds[1], reds[2], reds[0])
-    tess = object.__new__(Tessellation)
-    _on_scale(tess, scale, areas)
-    # each tile reports its area as the tessellation does, so equal
+    # each tile reports its area with the tessellation's reader, so equal
     # areas share one value
-    shown = list(map(tess._value, areas))
+    value, text = _readers(scale)
+    shown = list(map(value, areas))
     squares, red_tiles, greens, light_reds = [], [], [], []
     for i, j, k in _CYCLE:
         (xx, xy), (yx, yy), (zx, zy) = members[i], members[j], members[k]
@@ -369,12 +371,9 @@ def build_tessellation(a: Spinor, b: Spinor) -> Tessellation:
             areas[12 + i], shown[12 + i],
         ))
     tiles = (*squares, *red_tiles, *greens, *light_reds)
-    _store(tess, "a", a)
-    _store(tess, "b", b)
-    _store(tess, "c", c)
-    _store(tess, "tiles", tiles)
+    tess = _tessellation(a, b, c, tiles)
     # every tile is made on L, so its lattice is its cycle on L
-    _store(tess, "_lattices", tuple([tile._lattice for tile in tiles]))
+    _on_scale(tess, scale, areas, tuple([tile._lattice for tile in tiles]), value, text)
     return tess
 
 

@@ -10,12 +10,13 @@ import shlex
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from spintile import merge_shards
-from spintile.cli import run
+from spintile.cli import _parse_rationals, run
 
 
 class TestTess:
@@ -309,6 +310,54 @@ class TestSolve:
         }
 
 
+def _fraction_route(text: str, expected: int) -> list[Fraction]:
+    """The rational parts of ``text`` as each ``Fraction(part)``: the
+    reference that ``_parse_rationals`` must agree with."""
+    parts = [p.strip() for p in text.split(",")]
+    if len(parts) != expected:
+        raise argparse.ArgumentTypeError(f"expected {expected} comma-separated values, got {len(parts)}")
+    try:
+        return [Fraction(p) for p in parts]
+    except (ValueError, ZeroDivisionError) as exc:
+        raise argparse.ArgumentTypeError(str(exc))
+
+
+def _outcome(parse, text: str, expected: int):
+    try:
+        values = parse(text, expected)
+    except argparse.ArgumentTypeError as exc:
+        return "refused", str(exc)
+    return values, [str(value) for value in values]
+
+
+# parts of a rational text: ints, signs, decimals, exponents, fractions,
+# a zero denominator, words, an empty part, a digit that is not ASCII and
+# ints at and past the digit limit of ``int``
+PARTS = [
+    "0", "7", "-3", "-0", "+2", "+0", "00012", "2.0", "-2.50", "1e5", "-1e0", "1E-2", "1/2",
+    "-1/2", "6/2", "-6/-2", "1/0", "0/0", "nan", "inf", "-inf", "", " ", "x", "1 2", "٣", "١/٢",
+    "1_000", "2.", ".5", "1" * 4300, "-" + "1" * 4300, "1" * 5000, "-" + "9" * 5000,
+    "1/" + "3" * 5000,
+]
+
+
+class TestParseRationals:
+    @pytest.mark.parametrize("part", PARTS, ids=lambda part: repr(part) if len(part) < 20 else f"{len(part)}-chars")
+    def test_each_part_parses_as_fraction_does(self, part):
+        text = f" {part} ,2"
+        expected = _outcome(_fraction_route, text, 2)
+        got = _outcome(_parse_rationals, text, 2)
+        assert got == expected
+        if got[0] != "refused":
+            for value in got[0]:
+                whole = value.denominator == 1
+                assert value.__class__ is (int if whole else Fraction)
+
+    def test_wrong_counts_are_refused_alike(self):
+        for text in ("1,2", "1,2,3,4", "", ",,,"):
+            assert _outcome(_parse_rationals, text, 3) == _outcome(_fraction_route, text, 3)
+
+
 class TestQuad:
     def test_human_line(self, capsys):
         assert run(["quad", "--a", "2,1", "--b", "1,-3"]) == 0
@@ -572,6 +621,37 @@ class TestRender:
         root = ET.fromstring(out_path.read_text())
         texts = [element.text for element in root.iter("{http://www.w3.org/2000/svg}text")]
         assert texts[0] == "A&B<c>=2"
+
+    @pytest.mark.parametrize(
+        "label", [None, True, False, [1, 2], {"x": 1}], ids=["null", "true", "false", "list", "object"]
+    )
+    def test_a_label_that_is_not_text_or_a_number_is_refused(self, tmp_path, capsys, label):
+        assert run(["verify", "--curvatures", "2,3,6,23", "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        payload["disks"][1]["label"] = label
+        payload_path = tmp_path / "labels.json"
+        payload_path.write_text(json.dumps(payload))
+        out_path = tmp_path / "labels.svg"
+        assert run(["render", "--from-json", str(payload_path), "--out", str(out_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"InvalidPayload: {payload_path}: malformed payload (TypeError: ")
+        assert f"a label must be a string or a number, got {label!r})" in err
+        assert not out_path.exists()
+
+    def test_string_number_and_missing_labels_keep_their_text(self, tmp_path, capsys):
+        assert run(["verify", "--curvatures", "2,3,6,23", "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        payload["disks"][0]["label"] = "7"
+        payload["disks"][1]["label"] = 7
+        payload["disks"][2]["label"] = 0.5
+        del payload["disks"][3]["label"]
+        payload_path = tmp_path / "labels.json"
+        payload_path.write_text(json.dumps(payload))
+        out_path = tmp_path / "labels.svg"
+        assert run(["render", "--from-json", str(payload_path), "--out", str(out_path)]) == 0
+        root = ET.fromstring(out_path.read_text())
+        texts = [element.text for element in root.iter("{http://www.w3.org/2000/svg}text")]
+        assert texts == ["7=2", "7=3", "0.5=6", "3=23"]
 
     @pytest.mark.parametrize("count", [3, 4])
     def test_midcircles_of_disks_that_do_not_touch_are_refused(self, tmp_path, capsys, count):

@@ -34,6 +34,7 @@ from spintile import (
     summarize,
     verify_spinor_laws,
 )
+from spintile._frozen import trusted
 
 # every name the package exported when its __init__ imported them all
 EXPORTS = (
@@ -284,3 +285,69 @@ class TestFrozenDefaults:
         with pytest.raises(ValueError):
             RenderOptions(width_px=10)
         assert Spinor("1/2", 3).x == Fraction(1, 2)
+
+
+# each class with a maker that skips validation, and the fields of one
+# instance: the constructor refuses the first two, and stores derived
+# attributes past the fields of the last two
+SKIPPED = {
+    Spinor: (1.5, 2),
+    DescartesQuadruple: (1, 1, 1, 1),
+    Tile: ("sq_a", TileClass.YELLOW_SQUARE, Spinor(0, 0), Spinor(3, 0), Spinor(0, 3)),
+    Tessellation: tuple(getattr(_tessellation(), name) for name in ("a", "b", "c", "tiles")),
+}
+
+
+@pytest.mark.parametrize("cls", SKIPPED, ids=lambda cls: cls.__name__)
+class TestTrusted:
+    def test_is_the_constructed_value(self, cls):
+        make, fields = FROZEN[cls]
+        made = make()
+        value = trusted(cls)(*(getattr(made, name) for name in fields.split()))
+        assert value.__class__ is cls
+        assert value == made and not value != made
+        assert hash(value) == hash(made)
+        assert repr(value) == repr(made)
+
+    def test_skips_post_init(self, cls):
+        values = SKIPPED[cls]
+        value = trusted(cls)(*values)
+        names = FROZEN[cls][1].split()
+        # nothing is coerced, checked or derived
+        assert list(vars(value)) == names
+        assert all(getattr(value, name) is given for name, given in zip(names, values))
+
+    def test_fields_come_first_in_field_order(self, cls):
+        make, fields = FROZEN[cls]
+        names = fields.split()
+        made = make()
+        assert list(vars(made))[: len(names)] == names
+        assert list(vars(trusted(cls)(*(getattr(made, name) for name in names)))) == names
+
+
+def test_trusted_keeps_what_the_constructor_refuses():
+    spinor = trusted(Spinor)(1.5, 2)
+    assert spinor.x == 1.5 and spinor.x.__class__ is float
+    with pytest.raises(TypeError):
+        Spinor(1.5, 2)
+    assert trusted(DescartesQuadruple)(1, 1, 1, 1).as_tuple() == (1, 1, 1, 1)
+    with pytest.raises(ValueError, match="not a Descartes quadruple"):
+        DescartesQuadruple(1, 1, 1, 1)
+
+
+def test_the_package_makers_store_as_the_constructors_do():
+    """The values the package makes without validating them hold the same
+    attributes, in the same order, as the constructed ones."""
+    spinor = Spinor.parse("1/2,3")
+    assert list(vars(spinor)) == list(vars(Spinor(Fraction(1, 2), 3))) == ["x", "y"]
+    for pair in (("3,0", "-1,2"), ("440/133,661/679", "-59/95,-155/49")):
+        a, b = map(Spinor.parse, pair)
+        family = from_spinor_pair(a, b)
+        for quadruple in (family.quadruple_1, family.quadruple_2):
+            assert list(vars(quadruple)) == list(vars(DescartesQuadruple(*quadruple.as_tuple())))
+        built = build_tessellation(a, b)
+        constructed = Tessellation(built.a, built.b, built.c, built.tiles)
+        assert list(vars(built)) == list(vars(constructed))
+        for tile in built.tiles:
+            fields = (tile.label, tile.tile_class, tile.anchor, tile.edge1, tile.edge2)
+            assert list(vars(tile)) == list(vars(Tile(*fields)))
