@@ -235,15 +235,22 @@ def _malformed_payload(path: str) -> Iterator[None]:
         raise InvalidPayload(f"{path}: malformed payload ({type(exc).__name__}: {exc})") from None
 
 
+def _spelled(value: object) -> str:
+    """A value read from a payload, as its JSON spells it."""
+    import json
+
+    return json.dumps(value)
+
+
 def _finite(value: object) -> float:
     """A number of a disk payload as a finite float.  ``json`` reads
     ``NaN`` and ``Infinity``, and ``float`` takes a boolean as 0 or 1:
     both are refused."""
     if isinstance(value, bool):
-        raise TypeError(f"expected a number, got {value!r}")
+        raise TypeError(f"expected a number, got {_spelled(value)}")
     result = float(value)
     if not math.isfinite(result):
-        raise ValueError(f"expected a finite number, got {value!r}")
+        raise ValueError(f"expected a finite number, got {_spelled(value)}")
     return result
 
 
@@ -252,7 +259,7 @@ def _label(entry: dict, index: int) -> str:
     disk's index when it has none."""
     label = entry.get("label", index)
     if isinstance(label, bool) or not isinstance(label, (str, int, float)):
-        raise TypeError(f"a label must be a string or a number, got {label!r}")
+        raise TypeError(f"a label must be a string or a number, got {_spelled(label)}")
     return str(label)
 
 

@@ -19,9 +19,11 @@ curvature opposite member i, so (A, B, C) are the reds of members
 (b, c, a); the plain green of member i is congruent to the starred
 green of member i + 1.
 
-Every tile is stored as (anchor; edge1, edge2) with vertices anchor,
-anchor+edge1, anchor+edge1+edge2, anchor+edge2, so its signed area is
-cross(edge1, edge2).  The sum of all fifteen signed areas equals the
+Every tile is (anchor; edge1, edge2), made one way, by ``_form``: its
+vertices are anchor, anchor+edge1, anchor+edge1+edge2, anchor+edge2,
+and its signed area is cross(edge1, edge2).  ``build_tessellation``
+reads the anchors and edges of the list above from one table,
+``_LAYOUT``.  The sum of all fifteen signed areas equals the
 shoelace area of the outer dodecagon for every input pair, overlapping
 or not; the flag ``has_overlap`` marks inputs whose tiles fold over.
 
@@ -35,10 +37,10 @@ give the remaining tangency-point circles.
 Rational pairs run on integers as integer pairs do.  Every tile corner
 is an integer combination of a, b, c and their quarter turns, so
 ``build_tessellation`` clears the pair once, by L, the lcm of the four
-denominators of a and b, and makes all fifteen tiles on L from ints:
-each keeps its vertex cycle times L, the cross product of its scaled
-edges and its signed area, which tiles of equal area share (L = 1 for
-an integer pair).  The ``Spinor`` vertices are built from that cycle
+denominators of a and b, and makes all fifteen tiles on L from ints
+(L = 1 for an integer pair): each keeps its vertex cycle times L and
+the cross product of its scaled edges, and tiles of equal area share
+one signed area.  The ``Spinor`` vertices are built from that cycle
 only when ``Tile.vertices`` is read.  A tile made by hand with
 ``Tile(...)`` clears its own six coordinates instead.  Both clear with
 ``spinors._cleared``, and divide back with its inverse ``_over``.
@@ -82,11 +84,11 @@ class TileClass(enum.Enum):
 class Tile:
     """One parallelogram: anchor plus two edge vectors.
 
-    The integer form, its cross product and the signed area are
-    computed when the tile is made, or handed over by
-    ``build_tessellation``; the ``Spinor`` vertices are built from the
-    integer form when read.  Equality and hashing see only the five
-    fields.
+    The integer form of ``_form``, its vertex cycle and the cross
+    product of its edges, and the signed area are computed when the tile
+    is made, here or in ``build_tessellation``; the ``Spinor`` vertices
+    are built from the integer form when read.  Equality and hashing see
+    only the five fields.
     """
 
     label: str
@@ -96,16 +98,12 @@ class Tile:
     edge2: Spinor
 
     def __post_init__(self) -> None:
-        # ``_lattice`` is (L, x0, y0, x1, y1, x2, y2, x3, y3): the vertex
-        # cycle times L, an int that makes every coordinate an int (here
-        # the lcm of the six coordinate denominators, L = 1 for an integer
-        # tile; a tile of ``build_tessellation`` is on its pair's L);
-        # ``_cross`` is the signed area over L²
+        # on L, the lcm of the six coordinate denominators (L = 1 for an
+        # integer tile; a tile of ``build_tessellation`` is on its pair's L)
         anchor, edge1, edge2 = self.anchor, self.edge1, self.edge2
         scale, ax, ay, e1x, e1y, e2x, e2y = _cleared(anchor.x, anchor.y, edge1.x, edge1.y, edge2.x, edge2.y)
-        bx, by = ax + e1x, ay + e1y
-        area = e1x * e2y - e2x * e1y
-        _store(self, "_lattice", (scale, ax, ay, bx, by, bx + e2x, by + e2y, ax + e2x, ay + e2y))
+        lattice, area = _form(scale, (ax, ay), (e1x, e1y), (e2x, e2y))
+        _store(self, "_lattice", lattice)
         _store(self, "_cross", area)
         _store(self, "signed_area", _over(area, scale * scale))
 
@@ -122,18 +120,17 @@ class Tile:
         )
 
 
-def _lattice_tile(
-    label: str, tile_class: TileClass, anchor: Spinor, edge1: Spinor, edge2: Spinor,
-    lattice: tuple[int, ...], area: int, signed_area: Rational,
-) -> Tile:
-    """A tile whose integer form its maker already has: the ``_lattice``,
-    the cross product ``_cross`` over L² and the ``signed_area`` are
-    stored as given, and nothing is cleared."""
-    tile = _tile(label, tile_class, anchor, edge1, edge2)
-    _store(tile, "_lattice", lattice)
-    _store(tile, "_cross", area)
-    _store(tile, "signed_area", signed_area)
-    return tile
+def _form(
+    scale: int, anchor: tuple[int, int], edge1: tuple[int, int], edge2: tuple[int, int]
+) -> tuple[tuple[int, ...], int]:
+    """The integer form of the tile (anchor; edge1, edge2), each given as
+    its (x, y) times L = ``scale``, in ints: its ``_lattice``
+    (L, x0, y0, x1, y1, x2, y2, x3, y3), the vertex cycle anchor,
+    anchor+edge1, anchor+edge1+edge2, anchor+edge2 times L, and its
+    ``_cross``, the cross product of the edges, its signed area over L²."""
+    (ax, ay), (e1x, e1y), (e2x, e2y) = anchor, edge1, edge2
+    bx, by = ax + e1x, ay + e1y
+    return (scale, ax, ay, bx, by, bx + e2x, by + e2y, ax + e2x, ay + e2y), e1x * e2y - e2x * e1y
 
 
 def tile_area_shoelace(tile: Tile) -> Rational:
@@ -305,10 +302,20 @@ def _on_scale(tess: Tessellation, scale: int, areas: tuple, lattices: tuple, val
 # keeps them well defined for folded layouts, where distinct tiles can
 # land on the same points.
 _CYCLE = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
-# the labels of the five tiles of each member, by the same cycle
+# the five tiles of each member, by the same cycle: their labels, and in
+# ``_LAYOUT`` their tile index first + step·i, their class, and their
+# anchor and edges as indexes into the member's points 0, x, x⋆, y, z⋆
+# and x + x⋆
 _LABELS = tuple(
     (f"sq_{x}", f"red_{x}*{y}", f"green_{x}{y}", f"green_{z}*{x}*", f"lred_{z}*{y}")
     for x, y, z in ("abc", "bca", "cab")
+)
+_LAYOUT = (
+    (0, 1, TileClass.YELLOW_SQUARE, 0, 1, 2),  # (0; x, x⋆)
+    (3, 1, TileClass.RED_CENTRAL, 0, 2, 3),  # (0; x⋆, y)
+    (6, 2, TileClass.GREEN, 2, 1, 3),  # (x⋆; x, y)
+    (7, 2, TileClass.GREEN, 1, 4, 2),  # (x; z⋆, x⋆)
+    (12, 1, TileClass.LIGHT_RED, 5, 4, 3),  # (x + x⋆; z⋆, y)
 )
 
 
@@ -320,60 +327,40 @@ def build_tessellation(a: Spinor, b: Spinor) -> Tessellation:
 
     Every corner is an integer combination of a, b, c and their quarter
     turns, so the pair is cleared once, by L, the lcm of its four
-    denominators, and every tile is made on L from ints: its vertex
-    cycle, which is also the tessellation's, its cross product and its
-    signed area, the value the tessellation reports, which equal tiles
-    share.
+    denominators.  Each tile is made on L from ints, from its anchor and
+    edges as ``_LAYOUT`` reads them off the member's points, by the one
+    integer form of ``Tile``: its vertex cycle, which is also the
+    tessellation's, and the cross product of its edges, its area.  Its
+    signed area is that product as the tessellation reports it, a value
+    that tiles of equal area share.
     """
     scale, ax, ay, bx, by = _cleared(a.x, a.y, b.x, b.y)
-    green = ax * by - bx * ay
-    if green == 0:
+    if ax * by == bx * ay:
         raise DegenerateInput(f"spinors {a.format()} and {b.format()} are parallel")
     cx, cy = -ax - bx, -ay - by
     c = _spinor(_over(cx, scale), _over(cy, scale))
     triple = (a, b, c)
     starred = (star(a), star(b), star(c))
     members = ((ax, ay), (bx, by), (cx, cy))
-    norms = [x * x + y * y for x, y in members]
-    # red i is (0; x⋆, y), of area −x·y
-    reds = [-(members[i][0] * members[j][0] + members[i][1] * members[j][1]) for i, j, _ in _CYCLE]
-    areas = (*norms, *reds, *[green] * 6, reds[1], reds[2], reds[0])
-    # each tile reports its area with the tessellation's reader, so equal
-    # areas share one value
     value, text = _readers(scale)
-    shown = list(map(value, areas))
-    squares, red_tiles, greens, light_reds = [], [], [], []
+    tiles = [None] * 15
     for i, j, k in _CYCLE:
         (xx, xy), (yx, yy), (zx, zy) = members[i], members[j], members[k]
-        x, y, sx, sz = triple[i], triple[j], starred[i], starred[k]
-        sq, red, plain, starred_green, light = _LABELS[i]
-        # x + x⋆, the anchor of the light red
         px, py = xx - xy, xy + xx
-        squares.append(_lattice_tile(
-            sq, TileClass.YELLOW_SQUARE, ZERO, x, sx,
-            (scale, 0, 0, xx, xy, px, py, -xy, xx), areas[i], shown[i],
-        ))
-        red_tiles.append(_lattice_tile(
-            red, TileClass.RED_CENTRAL, ZERO, sx, y,
-            (scale, 0, 0, -xy, xx, yx - xy, yy + xx, yx, yy), areas[3 + i], shown[3 + i],
-        ))
-        greens.append(_lattice_tile(
-            plain, TileClass.GREEN, sx, x, y,
-            (scale, -xy, xx, px, py, px + yx, py + yy, yx - xy, yy + xx), green, shown[6],
-        ))
-        greens.append(_lattice_tile(
-            starred_green, TileClass.GREEN, x, sz, sx,
-            (scale, xx, xy, xx - zy, xy + zx, px - zy, py + zx, px, py), green, shown[6],
-        ))
-        light_reds.append(_lattice_tile(
-            light, TileClass.LIGHT_RED, _spinor(_over(px, scale), _over(py, scale)), sz, y,
-            (scale, px, py, px - zy, py + zx, px - zy + yx, py + zx + yy, px + yx, py + yy),
-            areas[12 + i], shown[12 + i],
-        ))
-    tiles = (*squares, *red_tiles, *greens, *light_reds)
-    tess = _tessellation(a, b, c, tiles)
+        plus = _spinor(_over(px, scale), _over(py, scale))
+        spinors = (ZERO, triple[i], starred[i], triple[j], starred[k], plus)
+        points = ((0, 0), (xx, xy), (-xy, xx), (yx, yy), (-zy, zx), (px, py))
+        for (first, step, tile_class, anchor, edge1, edge2), label in zip(_LAYOUT, _LABELS[i]):
+            lattice, area = _form(scale, points[anchor], points[edge1], points[edge2])
+            tile = _tile(label, tile_class, spinors[anchor], spinors[edge1], spinors[edge2])
+            _store(tile, "_lattice", lattice)
+            _store(tile, "_cross", area)
+            _store(tile, "signed_area", value(area))
+            tiles[first + step * i] = tile
+    tess = _tessellation(a, b, c, tuple(tiles))
     # every tile is made on L, so its lattice is its cycle on L
-    _on_scale(tess, scale, areas, tuple([tile._lattice for tile in tiles]), value, text)
+    areas, lattices = tuple([tile._cross for tile in tiles]), tuple([tile._lattice for tile in tiles])
+    _on_scale(tess, scale, areas, lattices, value, text)
     return tess
 
 

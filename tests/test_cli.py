@@ -635,7 +635,28 @@ class TestRender:
         assert run(["render", "--from-json", str(payload_path), "--out", str(out_path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"InvalidPayload: {payload_path}: malformed payload (TypeError: ")
-        assert f"a label must be a string or a number, got {label!r})" in err
+        assert f"a label must be a string or a number, got {json.dumps(label)})" in err
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize(
+        "field, value, refusal",
+        [
+            ("radius", True, "TypeError: expected a number, got true"),
+            ("label", None, "TypeError: a label must be a string or a number, got null"),
+            ("center", [float("nan"), 0], "ValueError: expected a finite number, got NaN"),
+            ("label", [1, "a"], 'TypeError: a label must be a string or a number, got [1, "a"]'),
+        ],
+        ids=["true-radius", "null-label", "nan-center", "list-label"],
+    )
+    def test_a_refused_value_is_named_as_its_json_spells_it(self, tmp_path, capsys, field, value, refusal):
+        assert run(["verify", "--curvatures", "2,3,6,23", "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        payload["disks"][2][field] = value
+        payload_path = tmp_path / "refused.json"
+        payload_path.write_text(json.dumps(payload))
+        out_path = tmp_path / "refused.svg"
+        assert run(["render", "--from-json", str(payload_path), "--out", str(out_path)]) == 1
+        assert capsys.readouterr().err == f"InvalidPayload: {payload_path}: malformed payload ({refusal})\n"
         assert not out_path.exists()
 
     def test_string_number_and_missing_labels_keep_their_text(self, tmp_path, capsys):

@@ -351,6 +351,32 @@ class TestBuiltTilesMatchPublicTiles:
         assert summarize(tess).curvature_d is report.curvature_d is butterfly_areas(tess)[0]
 
 
+class TestTileAreasAreCurvatures:
+    """The paper's link at every magnitude: each tile's area is the cross
+    product of the edges of its own vertex cycle, and the central reds
+    and greens give the curvatures ``from_spinor_pair`` computes."""
+
+    @staticmethod
+    def assert_tiles_give_curvatures(a, b):
+        tess = build_tessellation(a, b)
+        for tile in tess.tiles:
+            _, x0, y0, x1, y1, _, _, x3, y3 = tile._lattice
+            assert tile._cross == (x1 - x0) * (y3 - y0) - (x3 - x0) * (y1 - y0)
+        report, family = summarize(tess), from_spinor_pair(a, b)
+        # repr tells an int from an equal Fraction
+        assert report.red_areas == family.shared_curvatures
+        assert repr(report.red_areas) == repr(family.shared_curvatures)
+        assert {report.curvature_d, report.curvature_d_prime} == {family.d1, family.d2}
+
+    @given(wide_pairs())
+    def test_wide_pairs(self, pair):
+        self.assert_tiles_give_curvatures(*pair)
+
+    @given(mixed_scale_pairs())
+    def test_pairs_of_an_integral_and_a_rational_spinor(self, pair):
+        self.assert_tiles_give_curvatures(*pair)
+
+
 class TestFigureAreas:
     def test_summary_values(self, figure):
         report = summarize(figure)
