@@ -243,10 +243,10 @@ def _spelled(value: object) -> str:
 
 
 def _finite(value: object) -> float:
-    """A number of a disk payload as a finite float.  ``json`` reads
-    ``NaN`` and ``Infinity``, and ``float`` takes a boolean as 0 or 1:
-    both are refused."""
-    if isinstance(value, bool):
+    """A number of a disk payload as a finite float.  Only a JSON number
+    is one: ``float`` would parse a string and take a boolean as 0 or 1.
+    ``json`` reads ``NaN`` and ``Infinity``, which are refused too."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise TypeError(f"expected a number, got {_spelled(value)}")
     result = float(value)
     if not math.isfinite(result):

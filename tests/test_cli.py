@@ -645,8 +645,19 @@ class TestRender:
             ("label", None, "TypeError: a label must be a string or a number, got null"),
             ("center", [float("nan"), 0], "ValueError: expected a finite number, got NaN"),
             ("label", [1, "a"], 'TypeError: a label must be a string or a number, got [1, "a"]'),
+            ("radius", "0.5", 'TypeError: expected a number, got "0.5"'),
+            ("center", [" 1e0 ", "0.0"], 'TypeError: expected a number, got " 1e0 "'),
+            ("curvature", "abc", 'TypeError: expected a number, got "abc"'),
         ],
-        ids=["true-radius", "null-label", "nan-center", "list-label"],
+        ids=[
+            "true-radius",
+            "null-label",
+            "nan-center",
+            "list-label",
+            "string-radius",
+            "padded-string-center",
+            "abc-curvature",
+        ],
     )
     def test_a_refused_value_is_named_as_its_json_spells_it(self, tmp_path, capsys, field, value, refusal):
         assert run(["verify", "--curvatures", "2,3,6,23", "--json"]) == 0

@@ -3,6 +3,7 @@ the console-script entry point, and the frozen value classes."""
 
 from __future__ import annotations
 
+import dataclasses
 import subprocess
 import sys
 from contextlib import redirect_stdout
@@ -34,7 +35,7 @@ from spintile import (
     summarize,
     verify_spinor_laws,
 )
-from spintile._frozen import trusted
+from spintile._frozen import frozen, trusted
 
 # every name the package exported when its __init__ imported them all
 EXPORTS = (
@@ -242,14 +243,23 @@ class TestFrozenClasses:
 
     def test_equality_and_hash_see_the_fields(self, cls):
         make, fields = FROZEN[cls]
+        names = fields.split()
         first, second = make(), make()
+        values = tuple(getattr(first, name) for name in names)
         assert first == second and not first != second
-        assert first != tuple(getattr(first, name) for name in fields.split())
+        assert first != values
+        # a class of the same name and fields, frozen or a frozen dataclass
+        twin = frozen(type(cls.__name__, (), {"__annotations__": dict.fromkeys(names, "object")}))(*values)
+        dataclass_twin = dataclasses.make_dataclass(cls.__qualname__, names, frozen=True)(*values)
+        assert first != twin and not first == twin and twin != first
+        assert first.__eq__(twin) is NotImplemented and first != dataclass_twin
+        assert repr(first) == repr(dataclass_twin)
         if cls in UNHASHABLE:
-            with pytest.raises(TypeError):
-                hash(first)
+            for value in (first, dataclass_twin):
+                with pytest.raises(TypeError):
+                    hash(value)
         else:
-            assert hash(first) == hash(second) == hash(tuple(getattr(first, n) for n in fields.split()))
+            assert hash(first) == hash(second) == hash(values) == hash(dataclass_twin)
 
     def test_fields_refuse_assignment_and_deletion(self, cls):
         make, fields = FROZEN[cls]
@@ -285,6 +295,11 @@ class TestFrozenDefaults:
         with pytest.raises(ValueError):
             RenderOptions(width_px=10)
         assert Spinor("1/2", 3).x == Fraction(1, 2)
+
+    def test_a_class_needs_two_fields(self):
+        # with one field, the shared methods would read a bare value, not a tuple
+        with pytest.raises(TypeError, match="Single: a frozen class needs two fields or more"):
+            frozen(type("Single", (), {"__annotations__": {"x": "int"}}))
 
 
 # each class with a maker that skips validation, and the fields of one
@@ -333,6 +348,27 @@ def test_trusted_keeps_what_the_constructor_refuses():
     assert trusted(DescartesQuadruple)(1, 1, 1, 1).as_tuple() == (1, 1, 1, 1)
     with pytest.raises(ValueError, match="not a Descartes quadruple"):
         DescartesQuadruple(1, 1, 1, 1)
+
+
+def test_each_frozen_class_is_generated_once():
+    """Importing every submodule runs one ``exec`` per frozen class, which
+    writes its ``__init__`` and its maker that skips validation.  The
+    import system runs each module's code with ``exec`` too; only the
+    package's own calls are counted."""
+    code = (
+        "import builtins, collections, sys\n"
+        "callers, run = collections.Counter(), builtins.exec\n"
+        "def counted(*args):\n"
+        "    caller = sys._getframe(1).f_globals['__name__']\n"
+        "    if caller.startswith('spintile'): callers[caller] += 1\n"
+        "    return run(*args)\n"
+        "builtins.exec = counted\n"
+        "import spintile.cli, spintile.disks, spintile.enumeration, spintile.errors\n"
+        "import spintile.quadruples, spintile.spinors, spintile.svg, spintile.tessellation\n"
+        "print(dict(callers))\n"
+    )
+    assert child(code).stdout.strip() == f"{{'spintile._frozen': {len(FROZEN)}}}"
+    assert all(trusted(cls) is trusted(cls) for cls in FROZEN)
 
 
 def test_the_package_makers_store_as_the_constructors_do():
