@@ -26,14 +26,13 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import itertools
 import math
 import os
 import re
 import sys
 from typing import TYPE_CHECKING, Iterator
 
-from .errors import CollinearTangencyPoints, InvalidPayload, NotTangent, SpintileError
+from .errors import InvalidPayload, SpintileError
 from .spinors import Rational, Spinor, _parse_part, cross
 
 if TYPE_CHECKING:
@@ -248,10 +247,27 @@ def _finite(value: object) -> float:
     ``json`` reads ``NaN`` and ``Infinity``, which are refused too."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise TypeError(f"expected a number, got {_spelled(value)}")
-    result = float(value)
+    try:
+        result = float(value)
+    except OverflowError:  # an int beyond the float range
+        result = math.inf
     if not math.isfinite(result):
         raise ValueError(f"expected a finite number, got {_spelled(value)}")
     return result
+
+
+def _shaped(value: object, kind: type, rule: str):
+    """A payload value that must be a ``kind``, by ``rule``."""
+    if not isinstance(value, kind):
+        raise TypeError(f"{rule}, got {_spelled(value)}")
+    return value
+
+
+def _center(value: object) -> tuple[float, float]:
+    """A disk payload's centre, a list of two numbers, as floats."""
+    if not isinstance(value, list) or len(value) != 2:
+        raise TypeError(f"a center must be a list of two numbers, got {_spelled(value)}")
+    return _finite(value[0]), _finite(value[1])
 
 
 def _label(entry: dict, index: int) -> str:
@@ -281,21 +297,19 @@ def _cmd_render(args: argparse.Namespace) -> int:
         from .tessellation import build_tessellation
 
         with _malformed_payload(args.from_json):
-            pair = (Spinor.parse(payload["a"]), Spinor.parse(payload["b"]))
+            pair = [Spinor.parse(_shaped(payload[k], str, "a spinor must be a string")) for k in "ab"]
         document = svg.render_tessellation(build_tessellation(*pair), options)
     elif "disks" in payload:
-        from .disks import (
-            DEFAULT_TOLERANCE,
-            PlacedDisk,
-            _require_tangent,
-            midcircle_through_tangencies,
-        )
+        from .disks import PlacedDisk, drawable_midcircles
 
         with _malformed_payload(args.from_json):
-            entries = payload["disks"]
+            entries = [
+                _shaped(entry, dict, "a disk must be an object")
+                for entry in _shaped(payload["disks"], list, "the disks must be a list")
+            ]
             disks = [
                 PlacedDisk(
-                    center=(_finite(entry["center"][0]), _finite(entry["center"][1])),
+                    center=_center(entry["center"]),
                     radius=_finite(entry["radius"]),
                     curvature=_finite(entry["curvature"]),
                 )
@@ -304,28 +318,7 @@ def _cmd_render(args: argparse.Namespace) -> int:
             labels = [_label(entry, i) for i, entry in enumerate(entries)]
         if not disks:
             raise InvalidPayload(f"{args.from_json}: the payload lists no disks to render")
-        midcircles = []
-        if args.midcircles and 3 <= len(disks) <= 4:
-            # a midcircle passes through the points where a triple's disks
-            # touch, so every pair of a triple must touch; with at most four
-            # disks that is every pair
-            for (i, first), (j, second) in itertools.combinations(enumerate(disks), 2):
-                try:
-                    _require_tangent(
-                        first.center_complex(),
-                        first.radius,
-                        second.center_complex(),
-                        second.radius,
-                        DEFAULT_TOLERANCE,
-                    )
-                except NotTangent as exc:
-                    raise NotTangent(f"disks {labels[i]} and {labels[j]}: {exc}") from None
-            # one per triple; four disks give the triples without disk 0,
-            # 1, 2 and 3, in that order.  A triple whose tangency points lie
-            # on a line has no circle to draw.
-            for triple in reversed(tuple(itertools.combinations(disks, 3))):
-                with contextlib.suppress(CollinearTangencyPoints):
-                    midcircles.append(midcircle_through_tangencies(*triple))
+        midcircles = drawable_midcircles(disks, labels) if args.midcircles else []
         document = svg.render_configuration(disks, midcircles, options, labels)
     else:
         raise SystemExit("json payload has neither 'tiles' nor 'disks'")
@@ -420,7 +413,9 @@ def _enumerate_arguments(parser: argparse.ArgumentParser) -> None:
         "shard, and the N files merge into the unsharded one",
     )
     parser.add_argument(
-        "--include-zero", action="store_true", help="keep pairs containing the zero spinor"
+        "--include-zero",
+        action="store_true",
+        help="keep pairs with a zero spinor: one zero gives the canonical strip 0:0:1:1, two 0:0:0:0",
     )
 
 

@@ -424,6 +424,34 @@ def midcircle_through_tangencies(
     )
 
 
+def drawable_midcircles(disks: Sequence[PlacedDisk], labels: Sequence[str]) -> list[PlacedDisk]:
+    """The midcircles ``render --midcircles`` draws: none unless there are
+    three or four disks, whose pairs must then all touch at
+    ``DEFAULT_TOLERANCE``; a ``NotTangent`` names the labels of the first
+    pair, in ``_PAIRS`` order, that does not.  One midcircle per triple,
+    in the order of the triples without disk 0, 1, 2 and 3 (three disks
+    are the last), but none for a triple whose tangency points lie on a
+    line.  Each tangency point is computed once, when a triple first
+    needs it, so an error comes from the triple that meets it first."""
+    count = len(disks)
+    if not 3 <= count <= 4:
+        return []
+    centers, radii = [disk._center for disk in disks], [disk.radius for disk in disks]
+    for i, j in combinations(range(count), 2):
+        try:
+            _require_tangent(centers[i], radii[i], centers[j], radii[j], DEFAULT_TOLERANCE)
+        except NotTangent as exc:
+            raise NotTangent(f"disks {labels[i]} and {labels[j]}: {exc}") from None
+    touch = functools.cache(lambda i, j: _tangency_point(centers[i], radii[i], centers[j], radii[j]))
+    midcircles = []
+    for i, j, k in _TRIPLES if count == 4 else _TRIPLES[-1:]:
+        try:
+            midcircles.append(_midcircle(touch(i, j), touch(i, k), touch(j, k)))
+        except CollinearTangencyPoints:
+            pass
+    return midcircles
+
+
 def _sign_search(
     x: tuple[float, float],
     b: tuple[float, float],

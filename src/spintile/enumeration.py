@@ -1,10 +1,12 @@
 """Systematic enumeration of spinor-pair quadruple families.
 
 Walks integer spinor pairs a = (m1, n1), b = (m2, n2) over the box
-[-bound, bound]^4 in lexicographic order, skipping pairs where either
-spinor is zero (they generate nothing but zeros), and emits one record
-per pair carrying both curvature roots plus the canonical (sorted,
-gcd-reduced) form of the quadruple, both from ``spintile.quadruples``.
+[-bound, bound]^4 in lexicographic order, and emits one record per pair
+carrying both curvature roots plus the canonical (sorted, gcd-reduced)
+form of the quadruple, both from ``spintile.quadruples``.  Pairs with a
+zero spinor are skipped unless ``include_zero`` is set: (a, 0) gives
+(0, |a|², 0, |a|²) and (0, b) gives (|b|², 0, 0, |b|²), both of
+canonical form the strip (0, 0, 1, 1), and (0, 0) gives all zeros.
 
 Output is deterministic: the same job always produces byte-identical
 files.  A sharded run owns whole rows: shard K of N holds every record
@@ -39,21 +41,21 @@ Full, the two take about 40 MB (bound 16 on Python 3.11); every bound up
 to 10 (23,590 keys) fits, and so does each of 4 shards at bound 16
 (about 36,000 keys of its own rows).
 
-Each format is one line template, from which both its writer and its
-grammars are made.  ``merge_shards`` merges by runs: from the shard with
-the least head it copies, in one write, every line below the next
-shard's head, which is at least every record of one first spinor.  It
-accepts exactly the lines this module writes (no added spaces, extra
-keys or other spellings of a value) and copies them through unchanged.
-Each distinct piece is checked once: a line splits at its first four
-commas into its generators, looked up in a dict per position of the
-texts its grammar accepted, and its tail, looked up in a set of accepted
-tails; only a line that misses is matched, piece by piece.  The keys
-must strictly increase along each shard, and no two shards may hold the
-same one.  Memory holds one block of whole lines per shard and the
-caches, which stop growing at ``_CACHE_SIZE`` entries each, so it is
-flat in the stream length.  ``read_records`` parses with the whole-line
-grammar that the pieces' grammars are cut from.
+Each format is one line template, cut once by ``_cut`` after its fourth
+comma into a generator head and a tail; its writer and grammars are made
+from it.  ``merge_shards`` merges by runs: from the shard with the least
+head it copies, in one write, every line below the next shard's head,
+which is at least every record of one first spinor.  It accepts exactly
+the lines this module writes (no added spaces, extra keys or other
+spellings of a value) and copies them through unchanged.  Each distinct
+piece is checked once: a line splits where its template was cut, its
+four generator pieces are looked up in a dict per position and its tail
+in a set.  A generator miss, at most 2·bound + 1 per position, matches
+the whole line by the grammar ``read_records`` uses, and a tail miss the
+tail by its own grammar.  The keys must strictly increase along each
+shard, and no two shards may hold the same one.  Memory holds one block
+of whole lines per shard and the caches, which stop growing at
+``_CACHE_SIZE`` entries each, so it is flat in the stream length.
 """
 
 from __future__ import annotations
@@ -278,13 +280,13 @@ def _record_format(fmt: str) -> RecordFormat:
     return FORMATS[fmt]
 
 
-def _split(template: str) -> tuple[str, str]:
-    """A line template cut before its fifth ``%s``: the head that writes
-    the four generators and the tail that writes the rest."""
-    cut = -1
-    for _ in range(5):
-        cut = template.index("%s", cut + 1)
-    return template[:cut], template[cut:]
+def _cut(template: str) -> tuple[str, str]:
+    """A line template cut after its fourth comma: the head that writes
+    the four generators and the tail that writes the rest.  No integer
+    and no text of a head holds a comma of its own, so ``str.split(",",
+    4)`` cuts each line the template writes at the same place."""
+    *heads, tail = template.split(",", 4)
+    return ",".join(heads) + ",", tail
 
 
 def write_stream(records: Iterable[QuadrupleRecord], handle: IO[str], fmt: str) -> int:
@@ -298,7 +300,7 @@ def write_stream(records: Iterable[QuadrupleRecord], handle: IO[str], fmt: str) 
     is full or when the tail cannot be a key, is written whole."""
     header, template = _record_format(fmt)
     line = template + "\n"
-    head, tail_template = _split(line)
+    head, tail_template = _cut(line)
     if header:
         handle.write(header + "\n")
     write = handle.write
@@ -353,10 +355,10 @@ def _atomic_write(path: str, write: Callable[[IO[str]], int]) -> int:
 _INT, _FLAG = "(0|-?[1-9][0-9]*)", "(true|false)"
 
 
-def _compile(template: str, ints: int) -> re.Pattern[str]:
-    """The compiled grammar of a piece of a line template whose first
-    ``ints`` slots are integers and whose other slot, if any, is the flag:
-    each slot a group of one integer or of ``true`` or ``false``."""
+def _compile(template: str) -> re.Pattern[str]:
+    """The compiled grammar of a line template or its tail: each slot a
+    group, of one integer, or of ``true`` or ``false`` for the last."""
+    ints = template.count("%s") - 1
     return re.compile(re.escape(template).replace("%s", _INT, ints).replace("%s", _FLAG))
 
 
@@ -367,19 +369,14 @@ def _line_grammar(fmt: str) -> re.Pattern[str]:
     1-13) and the flag slot the group ``(true|false)`` (group 14).
     Compiled on first use, so that importing the package (every CLI
     call) does not pay for it."""
-    return _compile(_record_format(fmt).template + "\n", 13)
+    return _compile(_record_format(fmt).template + "\n")
 
 
 @functools.cache
-def _piece_grammars(fmt: str) -> tuple[re.Pattern[str], ...]:
-    """The compiled grammars of the five pieces that ``str.split(",", 4)``
-    cuts the format's record line into: one per generator (group 1 its
-    integer), then the tail, newline included.  No generator piece of
-    either template holds a comma, and no slot matches one, so a line
-    matches ``_line_grammar`` exactly when it cuts into five pieces that
-    each match their own grammar.  Compiled on first use."""
-    *heads, tail = (_record_format(fmt).template + "\n").split(",", 4)
-    return (*(_compile(head, 1) for head in heads), _compile(tail, tail.count("%s") - 1))
+def _tail_grammar(fmt: str) -> re.Pattern[str]:
+    """The compiled grammar of the tail ``_cut`` cuts from the format's
+    record line, newline included.  Compiled on first use."""
+    return _compile(_cut(_record_format(fmt).template + "\n")[1])
 
 
 def _open_records(path: str) -> IO[str]:
@@ -456,19 +453,17 @@ _READ_HINT = 1 << 16
 
 class _PieceCheck:
     """The generator keys of record lines, each distinct piece of a line
-    checked against its grammar once.
+    checked against a grammar once.
 
-    ``str.split(",", 4)`` cuts a line into its four generator pieces and
-    its tail (see ``_piece_grammars``).  Each generator piece is looked up
-    in the dict of its position, from the piece's text to its integer, and
-    the tail in the set of tails already accepted.  A line that misses
-    either is checked piece by piece, and each piece that its grammar
-    accepts is inserted while its dict or the set holds fewer than
-    ``_CACHE_SIZE`` entries."""
+    ``str.split(",", 4)`` cuts a line where ``_cut`` cuts its template.
+    Each generator piece is looked up in the dict of its position, from
+    its text to its integer, and the tail in the set of accepted tails.
+    A line that misses a dict is matched whole by ``_line_grammar``, and
+    a tail that misses the set by ``_tail_grammar``; what they accept is
+    inserted while its dict or the set holds under ``_CACHE_SIZE``."""
 
     def __init__(self, fmt: str) -> None:
         self.fmt = fmt
-        self.grammars = _piece_grammars(fmt)
         self.values: tuple[dict[str, int], ...] = ({}, {}, {}, {})
         self.tails: set[str] = set()
 
@@ -483,7 +478,7 @@ class _PieceCheck:
         for the first)."""
         v0, v1, v2, v3 = self.values
         tails = self.tails
-        tail_match = self.grammars[4].fullmatch
+        tail_match = _tail_grammar(self.fmt).fullmatch
         keys: list[_Key] = []
         append = keys.append
         blank = False
@@ -512,26 +507,19 @@ class _PieceCheck:
 
     def _generators(self, line: str, path: str, number: int) -> tuple[_Key, str] | None:
         """The key and the tail of a line that missed a generator dict,
-        its generator pieces checked and cached, or ``None`` for a blank
-        line."""
-        pieces = line.split(",", 4)
-        if len(pieces) == 5:
-            key = []
-            for values, grammar, piece in zip(self.values, self.grammars, pieces):
-                value = values.get(piece)
-                if value is None:
-                    found = grammar.fullmatch(piece)
-                    if found is None:
-                        break
-                    value = int(found[1])
-                    if len(values) < _CACHE_SIZE:
-                        values[piece] = value
-                key.append(value)
-            else:
-                return tuple(key), pieces[4]
-        if line.strip():
-            raise _not_a_record(path, number, self.fmt, line)
-        return None
+        matched whole and its generator pieces cached, or ``None`` for a
+        blank line."""
+        found = _line_grammar(self.fmt).fullmatch(line)
+        if found is None:
+            if line.strip():
+                raise _not_a_record(path, number, self.fmt, line)
+            return None
+        *pieces, tail = line.split(",", 4)
+        key = tuple(map(int, found.group(1, 2, 3, 4)))
+        for values, piece, value in zip(self.values, pieces, key):
+            if len(values) < _CACHE_SIZE:
+                values[piece] = value
+        return key, tail
 
 
 def _blocks(path: str, check: _PieceCheck) -> Iterator[tuple[list[_Key], list[str]]]:
@@ -611,7 +599,7 @@ def merge_shards(paths: Iterable[str], out_path: str, fmt: str) -> int:
 
     Each line must be spelled exactly as ``enumerate`` writes it, and is
     copied through unchanged; each distinct generator piece and tail is
-    checked against its grammar once.  The generator tuples must strictly
+    checked against a grammar once.  The generator tuples must strictly
     increase along each shard, and no two shards may hold the same one,
     so a shard out of order, or a record that two shards hold, raises
     ``ValueError`` naming the shard file (the later one in ``paths``).

@@ -52,17 +52,17 @@ a tessellation (the summary, the butterflies, the observations with
 their congruence keys, the overlap flag, the JSON and the SVG) reads
 that form only, never a tile's own scale; the functions of one tile
 read the tile's own.  A value is divided by its scale only where it is
-reported, and once per tessellation for each distinct int: a
-``Fraction`` is built only then, a text is written from the ints, and a
-whole value comes back as ``int``.  The JSON writes each distinct
-coordinate once.
+reported, by a value and a text reader that ``functools.cache`` memoises
+per tessellation: a ``Fraction`` is built once for each distinct int, a
+text is written from the ints, and a whole value comes back as ``int``.
+The JSON writes each distinct coordinate once.
 """
 
 from __future__ import annotations
 
 import enum
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 from math import gcd, lcm
 
 from ._frozen import frozen, trusted
@@ -258,28 +258,14 @@ class Tessellation:
 _tile, _tessellation = trusted(Tile), trusted(Tessellation)
 
 
-class _Reported(dict):
-    """A ``dict`` of ints whose missing keys fill themselves: ``make``
-    makes the entry of an int on its first read only."""
-
-    __slots__ = ("make",)
-
-    def __init__(self, make) -> None:
-        self.make = make
-
-    def __missing__(self, numerator: int):
-        made = self[numerator] = self.make(numerator)
-        return made
-
-
 def _readers(scale: int) -> tuple:
     """The two readers of an int over L², L = ``scale``: ``_value``, the
     value as reported, and ``_text``, its ``str``.  On L > 1 each is made
-    once per int."""
+    once per int, so equal ints share one reported object."""
     if scale == 1:
         return int, str
     square = scale * scale
-    return tuple(_Reported(partial(make, denominator=square)).__getitem__ for make in (_over, _over_text))
+    return cache(partial(_over, denominator=square)), cache(partial(_over_text, denominator=square))
 
 
 def _on_scale(tess: Tessellation, scale: int, areas: tuple, lattices: tuple, value, text) -> None:

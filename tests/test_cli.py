@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import random
 import re
@@ -189,7 +190,8 @@ options:
                         is a row that shard K of N owns; rows go by descending
                         point count to the least-loaded shard, and the N files
                         merge into the unsharded one
-  --include-zero        keep pairs containing the zero spinor
+  --include-zero        keep pairs with a zero spinor: one zero gives the
+                        canonical strip 0:0:1:1, two 0:0:0:0
 """,
     "render --help": _RENDER_USAGE + """
 options:
@@ -524,6 +526,29 @@ class TestEnumerate:
         assert run(["enumerate", "--bound", bad]) == 2
 
 
+def _midcircle_quadruples() -> list[str]:
+    """300 seeded genuine quadruples as ``verify --curvatures`` text, each
+    with three positive entries and none zero, at scale 1, 1e-6 or 1e6,
+    then (-1, 2, 2, 3), whose triple (-1, 2, 2) has its tangency points
+    on a line."""
+    rng = random.Random("render --midcircles digest")
+    out: list[str] = []
+    while len(out) < 300:
+        a = (rng.randint(-30, 30), rng.randint(-30, 30))
+        b = (rng.randint(-30, 30), rng.randint(-30, 30))
+        cross = a[0] * b[1] - a[1] * b[0]
+        if cross == 0:
+            continue
+        dot = a[0] * b[0] + a[1] * b[1]
+        big_a, big_b, big_c = b[0] ** 2 + b[1] ** 2 + dot, a[0] ** 2 + a[1] ** 2 + dot, -dot
+        quadruple = (big_a, big_b, big_c, big_a + big_b + big_c + rng.choice((2, -2)) * cross)
+        if 0 in quadruple or sum(v > 0 for v in quadruple) < 3:
+            continue
+        scale = rng.choice((1, Fraction(1, 10**6), 10**6))
+        out.append(",".join(str(scale * v) for v in quadruple))
+    return [*out, "-1,2,2,3"]
+
+
 class TestRender:
     def test_tessellation_payload_round_trip(self, tmp_path, capsys):
         direct = tmp_path / "direct.svg"
@@ -648,6 +673,9 @@ class TestRender:
             ("radius", "0.5", 'TypeError: expected a number, got "0.5"'),
             ("center", [" 1e0 ", "0.0"], 'TypeError: expected a number, got " 1e0 "'),
             ("curvature", "abc", 'TypeError: expected a number, got "abc"'),
+            ("radius", 10**400, f"ValueError: expected a finite number, got {10**400}"),
+            ("center", [0.5, 0.5, 7], "TypeError: a center must be a list of two numbers, got [0.5, 0.5, 7]"),
+            ("center", 5, "TypeError: a center must be a list of two numbers, got 5"),
         ],
         ids=[
             "true-radius",
@@ -657,12 +685,36 @@ class TestRender:
             "string-radius",
             "padded-string-center",
             "abc-curvature",
+            "radius-beyond-the-float-range",
+            "three-number-center",
+            "number-center",
         ],
     )
     def test_a_refused_value_is_named_as_its_json_spells_it(self, tmp_path, capsys, field, value, refusal):
         assert run(["verify", "--curvatures", "2,3,6,23", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         payload["disks"][2][field] = value
+        payload_path = tmp_path / "refused.json"
+        payload_path.write_text(json.dumps(payload))
+        out_path = tmp_path / "refused.svg"
+        assert run(["render", "--from-json", str(payload_path), "--out", str(out_path)]) == 1
+        assert capsys.readouterr().err == f"InvalidPayload: {payload_path}: malformed payload ({refusal})\n"
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize(
+        "argv, key, value, refusal",
+        [
+            (["verify", "--curvatures", "2,3,6,23"], "disks", [7, 8], "TypeError: a disk must be an object, got 7"),
+            (["verify", "--curvatures", "2,3,6,23"], "disks", 5, "TypeError: the disks must be a list, got 5"),
+            (["tess", "--a", "3,0", "--b", "-1,2"], "a", 5, "TypeError: a spinor must be a string, got 5"),
+            (["tess", "--a", "3,0", "--b", "-1,2"], "b", [-1, 2], "TypeError: a spinor must be a string, got [-1, 2]"),
+        ],
+        ids=["int-disks", "number-disks", "number-spinor", "list-spinor"],
+    )
+    def test_a_badly_shaped_payload_is_named_as_its_json_spells_it(self, tmp_path, capsys, argv, key, value, refusal):
+        assert run([*argv, "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        payload[key] = value
         payload_path = tmp_path / "refused.json"
         payload_path.write_text(json.dumps(payload))
         out_path = tmp_path / "refused.svg"
@@ -702,6 +754,32 @@ class TestRender:
         # without midcircles the disks are drawn where the payload puts them
         assert run(argv) == 0
         assert out_path.read_text().count('class="disk"') == count
+
+    def test_midcircle_render_digest(self, tmp_path, capsys):
+        # exit code, stderr and SVG of ``render --midcircles`` for the
+        # ``verify --json`` payload of each quadruple, whole and cut to its
+        # first and to its last three disks; pinned before the midcircle
+        # rule moved from cli to disks
+        digest = hashlib.sha256()
+        payload_path, out_path = tmp_path / "payload.json", tmp_path / "out.svg"
+        argv = ["render", "--from-json", str(payload_path), "--out", str(out_path), "--midcircles"]
+        renders = 0
+        for curvatures in _midcircle_quadruples():
+            run(["verify", "--curvatures", curvatures, "--json"])
+            payload = json.loads(capsys.readouterr().out)
+            for disks in (payload["disks"], payload["disks"][:3], payload["disks"][1:]):
+                payload_path.write_text(json.dumps({**payload, "disks": disks}))
+                code = run(argv)
+                err = capsys.readouterr().err.replace(str(payload_path), "payload.json")
+                svg_bytes = out_path.read_bytes() if out_path.exists() else b""
+                out_path.unlink(missing_ok=True)
+                for part in (str(code).encode(), err.encode(), svg_bytes):
+                    digest.update(b"%d:" % len(part) + part)
+                renders += 1
+        assert renders == 903
+        assert digest.hexdigest() == (
+            "bc6a20379d08c8c32e6d84430b29bee50a36b77f63be6257ccbc3fa6416fed0f"
+        )
 
     def test_unrecognized_payload_is_usage_error(self, tmp_path, capsys):
         payload_path = tmp_path / "odd.json"

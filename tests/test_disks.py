@@ -44,7 +44,8 @@ from spintile import (
     tangency_spinor,
     verify_spinor_laws,
 )
-from spintile.disks import _ADD_ORDER, _SEARCHES, _SIGNS, _sign_search
+from spintile import disks as disks_module
+from spintile.disks import _ADD_ORDER, _SEARCHES, _SIGNS, _sign_search, drawable_midcircles
 
 SVG = "{http://www.w3.org/2000/svg}"
 
@@ -329,6 +330,20 @@ class TestMidcircles:
         mid = midcircle_through_tangencies(FRAME[2], FRAME[3], FRAME[-1])
         assert mid.curvature == pytest.approx(1.0, abs=1e-12)
         assert mid.center == pytest.approx((1.0, 1.0))
+
+    def test_drawable_midcircles_compute_each_tangency_point_once(self, monkeypatch):
+        disks = place_quadruple([2, 3, 6, 23])
+        expected = [
+            midcircle_through_tangencies(*(d for i, d in enumerate(disks) if i != skip)) for skip in range(4)
+        ]
+        calls = []
+        point = disks_module._tangency_point
+        monkeypatch.setattr(disks_module, "_tangency_point", lambda *args: calls.append(args) or point(*args))
+        assert drawable_midcircles(disks, "ABCD") == expected
+        assert len(calls) == 6
+        assert drawable_midcircles(disks[:3], "ABC") == expected[3:]
+        # a drawing of fewer than three or more than four disks has none
+        assert drawable_midcircles(disks[:2], "AB") == drawable_midcircles(disks + disks[:1], "ABCDA") == []
 
     def test_collinear_points_rejected(self):
         with pytest.raises(CollinearTangencyPoints):

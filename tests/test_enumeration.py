@@ -8,9 +8,12 @@ import io
 import json
 import math
 import os
+import re
 import time
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from spintile import (
     CSV_HEADER,
@@ -28,6 +31,8 @@ from spintile import enumeration
 from spintile.enumeration import (
     FORMATS,
     QuadrupleRecord,
+    _cut,
+    _fields,
     _line,
     _line_grammar,
     _record,
@@ -200,6 +205,15 @@ class TestStream:
         assert zero_record.canonical == (0, 0, 0, 0)
         assert not zero_record.primitive
 
+    def test_a_zero_spinor_gives_the_strip_quadruple(self):
+        # (a, 0) gives (0, |a|², 0, |a|²) and (0, b) gives (|b|², 0, 0, |b|²)
+        seen = collections.Counter()
+        for record in enumerate_records(EnumerationJob(bound=3, include_zero=True)):
+            zeros = ((record.m1, record.n1) == (0, 0)) + ((record.m2, record.n2) == (0, 0))
+            if zeros:
+                seen[zeros, record.canonical] += 1
+        assert seen == {(1, (0, 0, 1, 1)): 2 * 48, (2, (0, 0, 0, 0)): 1}
+
     def test_records_hold_ints(self):
         for record in enumerate_records(EnumerationJob(bound=2, include_zero=True)):
             *values, canonical, _ = record
@@ -265,6 +279,21 @@ class TestFormats:
         path = str(tmp_path / f"records.{fmt}")
         write_records(records, path, fmt)
         assert read_records(path, fmt) == records
+
+    @given(
+        values=st.lists(st.integers(-(10**12), 10**12), min_size=13, max_size=13),
+        primitive=st.booleans(),
+    )
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_the_cut_template_writes_the_line(self, fmt, values, primitive):
+        record = QuadrupleRecord(*values[:9], tuple(values[9:]), primitive)
+        template = FORMATS[fmt].template
+        head, tail = _cut(template)
+        line = _line(template, record)
+        assert head % record[:4] + tail % _fields(record)[4:] == line
+        # the merge splits the line where the template is cut
+        *pieces, rest = line.split(",", 4)
+        assert (",".join(pieces) + ",", rest) == (head % record[:4], tail % _fields(record)[4:])
 
     def test_zero_record_csv_line_frozen(self):
         assert _line(CSV, _record((0, 0, 0), (0, 0, 0))) == "0,0,0,0,0,0,0,0,0,0:0:0:0,false"
@@ -777,6 +806,30 @@ class TestMergeChecks:
         for _ in range(2):
             assert [piece_key(check, line) for line in corpus] == expected
         assert all(len(cache) <= cap for cache in (*check.values, check.tails))
+
+    @pytest.mark.parametrize("position", range(4))
+    @pytest.mark.parametrize(
+        "spelling", ["+3", "03", "-0", " 3", "\uff13"], ids=["plus", "zero", "minus-zero", "space", "full-width"]
+    )
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_a_misspelt_generator_seen_first_is_refused(self, fmt, spelling, position, tmp_path):
+        # the first record line of the first shard is the first text the
+        # merge meets at each generator position
+        paths = write_shards(tmp_path, 2, 2, fmt)
+        with open(paths[0], encoding="utf-8", newline="") as handle:
+            lines = handle.readlines()
+        number = 2 if FORMATS[fmt].header else 1
+        pieces = lines[number - 1].split(",", 4)
+        pieces[position] = re.sub("-?[0-9]+$", spelling, pieces[position])
+        lines[number - 1] = line = ",".join(pieces)
+        with open(paths[0], "w", encoding="utf-8", newline="") as handle:
+            handle.writelines(lines)
+        merged = tmp_path / f"merged.{fmt}"
+        expected = f"{paths[0]}, line {number}: not a {fmt} record line as enumerate writes it: {line!r}"
+        with pytest.raises(ValueError) as caught:
+            merge_shards(paths, str(merged), fmt)
+        assert str(caught.value) == expected
+        assert not merged.exists()
 
     @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
     def test_a_merge_past_the_cache_cap_is_the_unsharded_file(self, monkeypatch, fmt, tmp_path):
