@@ -20,7 +20,6 @@ _EXPORTS = {
     "errors": (
         "CollinearTangencyPoints",
         "ComplexSolutions",
-        "CurlViolation",
         "DegenerateInput",
         "FloatOverflow",
         "InconsistentTiles",
@@ -46,7 +45,6 @@ _EXPORTS = {
         "descartes_residual",
         "fourth_curvatures",
         "from_spinor_pair",
-        "from_spinor_triple",
         "pair_curvatures",
     ),
     "tessellation": (
@@ -58,14 +56,11 @@ _EXPORTS = {
         "build_tessellation",
         "butterfly_areas",
         "check_observations",
-        "dodecagon_boundary",
         "observation_constant",
-        "polygon_area",
         "summarize",
         "tessellation_to_json_dict",
         "tile_area_pick",
         "tile_area_shoelace",
-        "vertex_set",
     ),
     "disks": (
         "DEFAULT_TOLERANCE",
@@ -89,9 +84,7 @@ _EXPORTS = {
         "EnumerationJob",
         "QuadrupleRecord",
         "Shard",
-        "dedup_canonical",
         "enumerate_records",
-        "expected_record_count",
         "merge_shards",
         "read_records",
         "write_records",

@@ -9,9 +9,12 @@ Subcommands:
   render     draw a tessellation or configuration JSON payload as SVG
 
 Exit codes: 0 success, 1 domain/math failure (error name on stderr),
-2 usage error.  The environment variable DESCARTES_TOLERANCE overrides
-the default numeric tolerance of 1e-9; a --tolerance flag beats both.
-Either must be a positive finite number.
+2 usage error.  ``verify --tolerance``, else the environment variable
+DESCARTES_TOLERANCE, else 1e-9 grades the law residuals of ``verify``
+only (its law check's tangency test reads it too, never below 1e-9);
+either must be a positive finite number.  Every other numeric test uses
+the fixed 1e-9: placing disks, ``realize_fourth`` included, and the
+tangency test of ``render --midcircles``.
 
 Start-up is most of the wall time of one call, so a call builds only
 its own subcommand's arguments, and its handler imports only what that

@@ -217,18 +217,16 @@ def _spinor(c1: complex, r1: float, c2: complex, r2: float) -> tuple[float, floa
 
 
 def tangency_spinor(
-    d1: PlacedDisk,
-    d2: PlacedDisk,
-    tolerance: float = DEFAULT_TOLERANCE,
-    source: tuple[str, str] = ("1", "2"),
+    d1: PlacedDisk, d2: PlacedDisk, source: tuple[str, str] = ("1", "2")
 ) -> TangencySpinorNumeric:
     """Spinor of the ordered tangent pair (d1, d2), principal branch.
 
     Its square is (c2 − c1)/(r1·r2); its squared norm is the sum of the
-    curvatures (both up to the overall sign choice).
+    curvatures (both up to the overall sign choice).  Raises NotTangent
+    unless the pair touches within the library default tolerance.
     """
     c1, c2 = d1._center, d2._center
-    _require_tangent(c1, d1.radius, c2, d2.radius, tolerance)
+    _require_tangent(c1, d1.radius, c2, d2.radius, DEFAULT_TOLERANCE)
     return TangencySpinorNumeric(u=_spinor(c1, d1.radius, c2, d2.radius), source=source)
 
 
@@ -311,17 +309,14 @@ def _is_positive(value: Rational | float) -> bool:
         return False
 
 
-def realize_fourth(
-    placed: Sequence[PlacedDisk],
-    curvature_d: Rational | float,
-    tolerance: float = DEFAULT_TOLERANCE,
-) -> PlacedDisk:
+def realize_fourth(placed: Sequence[PlacedDisk], curvature_d: Rational | float) -> PlacedDisk:
     """Place the fourth disk tangent to three already-placed disks.
 
     Intersects the two center loci around the first two disks and keeps
-    the candidate consistent with the third tangency.  Raises
-    NoConsistentPlacement when neither candidate works (non-Descartes
-    input) and ZeroCurvature for curvature 0 (a line, not a disk).
+    the candidate consistent with the third tangency, both at the
+    library default tolerance.  Raises NoConsistentPlacement when
+    neither candidate works (non-Descartes input) and ZeroCurvature for
+    curvature 0 (a line, not a disk).
     """
     value = _float_curvature(curvature_d)
     if value == 0.0:
@@ -337,7 +332,7 @@ def realize_fourth(
     x = (gap * gap + reach_a * reach_a - reach_b * reach_b) / (2.0 * gap)
     height_sq = reach_a * reach_a - x * x
     if height_sq < 0.0:
-        if height_sq < -scaled_tolerance(tolerance, scale * scale):
+        if height_sq < -scaled_tolerance(DEFAULT_TOLERANCE, scale * scale):
             raise NoConsistentPlacement(
                 f"tangency circles around the first two disks miss (h² = {height_sq})"
             )
@@ -357,7 +352,7 @@ def realize_fourth(
         mismatch = abs(abs(candidate - cc) - target)
         if mismatch < best_gap:
             best, best_gap = candidate, mismatch
-    if best is None or best_gap > scaled_tolerance(tolerance, max(scale, abs(value))):
+    if best is None or best_gap > scaled_tolerance(DEFAULT_TOLERANCE, max(scale, abs(value))):
         raise NoConsistentPlacement(
             f"no candidate center satisfies the third tangency (off by {best_gap!r})"
         )
@@ -369,8 +364,9 @@ def place_quadruple(
 ) -> tuple[PlacedDisk, PlacedDisk, PlacedDisk, PlacedDisk]:
     """Four disks in input order: the first three positive curvatures
     placed by ``place_configuration``, the other one realized against
-    them by ``realize_fourth`` at the library default tolerance, since a
-    caller's tolerance grades the laws, not this setup step."""
+    them by ``realize_fourth``, which tests tangency at the library
+    default tolerance: a caller's tolerance grades the laws, not this
+    setup step."""
     if len(curvatures) != 4:
         raise ValueError(f"need 4 curvatures, got {len(curvatures)}")
     # positives first, each side in input order
@@ -452,36 +448,6 @@ def drawable_midcircles(disks: Sequence[PlacedDisk], labels: Sequence[str]) -> l
     return midcircles
 
 
-def _sign_search(
-    x: tuple[float, float],
-    b: tuple[float, float],
-    c: tuple[float, float],
-    order: tuple[int, ...] = (0, 1, 2, 3),
-) -> tuple[float, int]:
-    """Smallest |x + s2·b + s3·c| over the signs s2, s3 = ±1, the search
-    that ``verify_spinor_laws`` runs inline for each entry of ``_SEARCHES``.
-
-    The candidates are summed left to right and taken in ``order`` from
-    (+,+), (+,−), (−,+), (−,−); the first minimum wins, and position 0
-    stands when no candidate is below infinity.  Returns the minimum and
-    its position in ``order``.
-    """
-    (x0, x1), (b0, b1), (c0, c1) = x, b, c
-    p0, p1 = x0 + b0, x1 + b1
-    m0, m1 = x0 - b0, x1 - b1
-    sizes = (
-        math.hypot(p0 + c0, p1 + c1),
-        math.hypot(p0 - c0, p1 - c1),
-        math.hypot(m0 + c0, m1 + c1),
-        math.hypot(m0 - c0, m1 - c1),
-    )
-    best, choice = math.inf, 0
-    for position, k in enumerate(order):
-        if sizes[k] < best:
-            best, choice = sizes[k], position
-    return best, choice
-
-
 @frozen
 class ConfigurationReport:
     """Result of checking all six spinor laws on four placed disks."""
@@ -547,16 +513,19 @@ _ADDS = tuple(
     for target in range(4)
     if target != common
 )
+# A sign search over x, b, c takes the candidates 0..3, |(x+b)+c|,
+# |(x+b)−c|, |(x−b)+c| and |(x−b)−c|, in a search order; the first
+# minimum wins, and position 0 stands when none is below infinity.
 # thm5b measures s1·a + s2·b − g for (s1, s2) = (+,+), (+,−), (−,+), (−,−).
 # A float sum negates exactly and the norm ignores signs, so these are,
 # bit for bit, |(a+b)−g|, |(a−b)−g|, |(a−b)+g| and |(a+b)+g|: the
-# candidates 1, 3, 2 and 0 of _sign_search(a, b, g).
+# candidates 1, 3, 2 and 0 of the search over a, b, g.
 _ADD_ORDER = (1, 3, 2, 0)
 # the signs of the candidates at positions 0..3 of a search order
 _SIGNS = (("+1", "+1"), ("+1", "-1"), ("-1", "+1"), ("-1", "-1"))
-# The 20 sign searches in report order, as _sign_search(x, b, c, order)
-# would run them: (law, x, b, c, order), where law 0, 1, 2 is thm4_curl,
-# thm5a_div, thm5b_add and the spinor u(i, j) is entry 4·i + j.
+# The 20 sign searches in report order: (law, x, b, c, order), where law
+# 0, 1, 2 is thm4_curl, thm5a_div, thm5b_add and the spinor u(i, j) is
+# entry 4·i + j.
 _SEARCHES = (
     *((0, 4 * i + j, 4 * j + k, 4 * k + i, (0, 1, 2, 3)) for i, j, k in _TRIPLES),
     *((1, 4 * i + t, 4 * j + t, 4 * k + t, (0, 1, 2, 3)) for t, i, j, k in _SOURCES),
@@ -665,7 +634,7 @@ def verify_spinor_laws(
     # thm4_curl: the signed sum of the three spinors around a triple
     # vanishes; thm5a_div: that of the three spinors into one disk;
     # thm5b_add: spinors out of a common disk add up to the spinor toward
-    # the disk tangent to both.  Each search is _sign_search inlined.
+    # the disk tangent to both.  Each runs one search of _SEARCHES.
     worst = [0.0, 0.0, 0.0]
     signs: dict[str, str] = {}
     hypot = math.hypot

@@ -139,11 +139,6 @@ def _tail(
     return (big_a, big_b, big_c, d1, d2) + canonical_form(big_a, big_b, big_c, d1)
 
 
-def _record(a: tuple[int, int, int], b: tuple[int, int, int]) -> QuadrupleRecord:
-    """The record of the pair of lattice points ``a`` and ``b``."""
-    return QuadrupleRecord(a[0], a[1], b[0], b[1], *_tail(a, b))
-
-
 # the most entries the walk's and the writer's tail caches each hold;
 # past it they stop inserting and compute the other tails afresh
 _CACHE_SIZE = 1 << 16
@@ -223,24 +218,6 @@ def enumerate_records(job: EnumerationJob) -> Iterator[QuadrupleRecord]:
             yield new(QuadrupleRecord, (m1, n1, m2, n2) + tail)
 
 
-def expected_record_count(bound: int, include_zero: bool = False) -> int:
-    """Size of the unfiltered, unsharded stream."""
-    lattice = (2 * bound + 1) ** 2
-    if include_zero:
-        return lattice * lattice
-    return (lattice - 1) ** 2
-
-
-def dedup_canonical(records: Iterable[QuadrupleRecord]) -> list[tuple[int, int, int, int]]:
-    """Distinct canonical quadruples, ascending by (sum, entries).
-
-    A record's ``canonical`` is the canonical form of (A, B, C, D1) only,
-    so the D2 quadruple of a record is here only when some record has it
-    as its D1 one: this is not the set of the run's quadruples."""
-    unique = {record.canonical for record in records}
-    return sorted(unique, key=lambda c: (sum(c), c))
-
-
 class RecordFormat(NamedTuple):
     """An output format: its header line ("" for none) and the template of
     a record line, neither with its newline.  The template's fourteen
@@ -269,11 +246,6 @@ def _fields(record: QuadrupleRecord) -> tuple:
     return (m1, n1, m2, n2, a, b, c, d1, d2, w, x, y, z, "true" if primitive else "false")
 
 
-def _line(template: str, record: QuadrupleRecord) -> str:
-    """The record written into a format's line template."""
-    return template % _fields(record)
-
-
 def _record_format(fmt: str) -> RecordFormat:
     if fmt not in FORMATS:
         raise ValueError(f"unknown output format {fmt!r}")
@@ -296,8 +268,9 @@ def write_stream(records: Iterable[QuadrupleRecord], handle: IO[str], fmt: str) 
     under the record's own values after the generators, so the records of
     one symmetry orbit format it once and records whose tails compare
     equal share it; for records of ints and a bool flag, that is the text
-    ``_line`` writes.  A record whose tail is not cached, once the cache
-    is full or when the tail cannot be a key, is written whole."""
+    the whole template writes, ``template % _fields(record)``.  A record
+    whose tail is not cached, once the cache is full or when the tail
+    cannot be a key, is written whole."""
     header, template = _record_format(fmt)
     line = template + "\n"
     head, tail_template = _cut(line)

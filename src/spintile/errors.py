@@ -32,10 +32,6 @@ class ComplexSolutions(SpintileError):
     """No real fourth curvature exists (negative discriminant)."""
 
 
-class CurlViolation(SpintileError):
-    """Spinor triple does not sum to zero."""
-
-
 class NonIntegral(SpintileError):
     """Canonical form is defined for integer curvatures only."""
 

@@ -10,6 +10,9 @@ and every pair of integer spinors (a, b) produces an integral solution
     D = |a|² + |b|² + a·b ± 2(a×b)
 
 with the two D-roots coming from the two orientations of the pair.
+Closing the pair to the zero-sum triple c = −a − b gives the symmetric
+form A = −b·c, B = −c·a, C = −a·b and D1 + D2 = |a|² + |b|² + |c|²;
+the root with +2(a×b), signed, is D1 when a×b ≥ 0 and D2 otherwise.
 
 Every exact curvature is computed on ints: the rationals a function
 reads are scaled once by L, the lcm of their denominators, and only a
@@ -17,9 +20,9 @@ value it reports is divided back, a whole one coming back as ``int``.
 ``DescartesQuadruple`` tests the identity on its four curvatures times
 L, ``fourth_curvatures`` takes the discriminant of its three as an int
 over L², and ``from_spinor_pair`` runs the integer kernel
-``pair_curvatures`` on the pair's four coordinates times L, as
-``from_spinor_triple`` does through it.  The clearing kernel
-``_cleared`` and its inverse ``_over`` live in ``spinors``.
+``pair_curvatures`` on the pair's four coordinates times L.  The
+clearing kernel ``_cleared`` and its inverse ``_over`` live in
+``spinors``.
 """
 
 from __future__ import annotations
@@ -29,8 +32,8 @@ from fractions import Fraction
 from typing import NamedTuple, Union
 
 from ._frozen import frozen, trusted
-from .errors import ComplexSolutions, CurlViolation, FloatOverflow, NonIntegral
-from .spinors import Rational, Spinor, _cleared, _exact, _over, cross
+from .errors import ComplexSolutions, FloatOverflow, NonIntegral
+from .spinors import Rational, Spinor, _cleared, _exact, _over
 
 ExactOrFloat = Union[int, Fraction, float]
 
@@ -178,26 +181,6 @@ def from_spinor_pair(a: Spinor, b: Spinor) -> QuadrupleFamily:
         generator_a=a,
         generator_b=b,
     )
-
-
-def from_spinor_triple(
-    a: Spinor, b: Spinor, c: Spinor
-) -> tuple[Rational, Rational, Rational, Rational, Rational]:
-    """Curvatures (A, B, C, D1, D2) from a zero-sum spinor triple.
-
-    A = −b·c, B = −c·a, C = −a·b; the D-roots satisfy
-    D1 + D2 = |a|² + |b|² + |c|² and D1 − D2 = 4(a×b), signed.
-    """
-    total = a + b + c
-    if not total.is_zero():
-        raise CurlViolation(f"spinor triple must sum to zero, got {total.format()}")
-    # with c = −(a + b), −b·c, −c·a and −a·b are the pair's A, B and C, and
-    # (|a|² + |b|² + |c|²)/2 = |a|² + |b|² + a·b is the mean of its roots
-    family = from_spinor_pair(a, b)
-    d1, d2 = family.d1, family.d2
-    if cross(a, b) < 0:
-        d1, d2 = d2, d1
-    return (*family.shared_curvatures, d1, d2)
 
 
 def apollonian_flip(

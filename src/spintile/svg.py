@@ -8,11 +8,12 @@ individually flipped back so they stay readable.  A tessellation is
 drawn from its one integer form, each corner an int over its scale.
 The fifteen tiles of a pair share about 22 distinct corners among their
 60, so each distinct corner coordinate is converted to a float and
-formatted once per render.  A disk configuration formats the numbers
-of its body (the stroke and dash widths, each circle, each label's
-place and size) in one call, which also writes each negative zero as
-zero; its lines then reuse those texts, and label texts go in as
-written.
+formatted once per render.  Every number is written by ``_formatted``:
+12 decimals and each negative zero as zero, a list in one format call.
+The calls are grouped, one each for the viewBox, the hatch pattern, the
+rest of a tessellation's body (stroke, arrows, label size and places)
+and a configuration's body (widths, circles, label places and sizes);
+the lines then reuse those texts, and label texts go in as written.
 """
 
 from __future__ import annotations
@@ -54,16 +55,9 @@ class RenderOptions:
             raise ValueError(f"width_px must be at least 64, got {self.width_px}")
 
 
-def _fmt(value: float) -> str:
-    out = f"{value:.12f}"
-    # normalize the negative zero so equal geometry gives equal bytes
-    if out == "-0.000000000000":
-        return "0.000000000000"
-    return out
-
-
 def _formatted(values: list[float]) -> list[str]:
-    """``_fmt`` of each value, in one format call."""
+    """Each value with 12 decimals, in one format call, and each negative
+    zero written as zero, so that equal geometry gives equal bytes."""
     # every text has exactly 12 decimals and a "-" only as its sign, so
     # the replace meets only whole negative zeros
     text = ("%.12f " * len(values)) % tuple(values)
@@ -102,7 +96,7 @@ def _svg_document(
     head = (
         '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
         f'width="{width_px}" height="{max(1, round(ratio))}" '
-        f'viewBox="{_fmt(x)} {_fmt(top)} {_fmt(w)} {_fmt(h)}">'
+        f'viewBox="{" ".join(_formatted([x, top, w, h]))}">'
     )
     lines = ['<?xml version="1.0" encoding="UTF-8"?>', head, *defs, '<g transform="scale(1,-1)">']
     return "\n".join([*lines, *body, "</g>", "</svg>"]) + "\n"
@@ -111,7 +105,7 @@ def _svg_document(
 def _hatch_defs(unit: float) -> list[str]:
     """One hatch pattern per tile class, used for negatively oriented tiles."""
     lines = ["<defs>"]
-    step, width = _fmt(unit * 6), _fmt(unit)
+    step, width = _formatted([unit * 6, unit])
     for tile_class in TileClass:
         color = DEFAULT_PALETTE[tile_class]
         lines.append(
@@ -179,28 +173,35 @@ def render_tessellation(tess: Tessellation, options: RenderOptions | None = None
         raise FloatOverflow("tessellation coordinates too large to draw as floats") from None
     extent = max(box[2], box[3])
     stroke = extent * 0.004
-    # each width and size is the same for every element: format it once
-    stroke_text = _fmt(stroke)
+    # the other numbers of the body go through one format call: the
+    # stroke, the arrows' width and ends, then the label size and places;
+    # each width and size is the same for every element
+    numbers = [stroke]
+    if options.show_spinor_arrows:
+        numbers.append(stroke * 2)
+        numbers += [float(v) for vector in (tess.a, tess.b, tess.c) for v in (vector.x, vector.y)]
+    if options.show_labels:
+        # the centre of a tile is the midpoint of its diagonal from the anchor
+        half = 2 * scale
+        numbers.append(extent * 0.035)
+        numbers += [(lattice[1] + lattice[5]) / half for lattice in lattices]
+        numbers += [(lattice[2] + lattice[6]) / half for lattice in lattices]
+    stroke_text, *rest = _formatted(numbers)
     body: list[str] = []
     for tile, lattice, area in zip(tess.tiles, lattices, tess._areas):
         corners = [texts[value] for value in lattice[1:]]
         body.append(_POLYGONS[tile.tile_class, area < 0] % (*corners, stroke_text))
     if options.show_spinor_arrows:
-        arrow_width = _fmt(stroke * 2)
-        for vector in (tess.a, tess.b, tess.c):
+        arrow_width, x1, y1, x2, y2, x3, y3, *rest = rest
+        for x, y in ((x1, y1), (x2, y2), (x3, y3)):
             body.append(
-                f'<line x1="0.000000000000" y1="0.000000000000" '
-                f'x2="{_fmt(float(vector.x))}" y2="{_fmt(float(vector.y))}" '
-                f'stroke="#1561ad" stroke-width="{arrow_width}" '
-                'marker-end="url(#arrow)"/>'
+                f'<line x1="0.000000000000" y1="0.000000000000" x2="{x}" y2="{y}" '
+                f'stroke="#1561ad" stroke-width="{arrow_width}" marker-end="url(#arrow)"/>'
             )
     if options.show_labels:
-        size = _fmt(extent * 0.035)
-        # the centre of a tile is the midpoint of its diagonal from the anchor
-        half = 2 * scale
-        centre_xs = _formatted([(lattice[1] + lattice[5]) / half for lattice in lattices])
-        centre_ys = _formatted([(lattice[2] + lattice[6]) / half for lattice in lattices])
-        for x, y, area in zip(centre_xs, centre_ys, tess._areas):
+        size, *centres = rest
+        count = len(lattices)
+        for x, y, area in zip(centres[:count], centres[count:], tess._areas):
             body.append(_flipped_text(x, y, size, tess._text(area)))
     return _svg_document(_hatch_defs(stroke), body, box, options.width_px)
 

@@ -23,9 +23,11 @@ Every tile is (anchor; edge1, edge2), made one way, by ``_form``: its
 vertices are anchor, anchor+edge1, anchor+edge1+edge2, anchor+edge2,
 and its signed area is cross(edge1, edge2).  ``build_tessellation``
 reads the anchors and edges of the list above from one table,
-``_LAYOUT``.  The sum of all fifteen signed areas equals the
-shoelace area of the outer dodecagon for every input pair, overlapping
-or not; the flag ``has_overlap`` marks inputs whose tiles fold over.
+``_LAYOUT``.  The outer dodecagon runs through x + z⋆, x + x⋆ + z⋆,
+x + x⋆ + y + z⋆ and x + x⋆ + y for each member x in turn, all of them
+tile corners, and the tests check that the sum of all fifteen signed
+areas equals its shoelace area for every input pair, overlapping or
+not; the flag ``has_overlap`` marks inputs whose tiles fold over.
 
 The summary quantities reproduce a Descartes configuration: with
 A, B, C the central red areas and G the green area, both
@@ -61,14 +63,13 @@ The JSON writes each distinct coordinate once.
 from __future__ import annotations
 
 import enum
-from fractions import Fraction
 from functools import cache, partial
 from math import gcd, lcm
 
 from ._frozen import frozen, trusted
 from .errors import DegenerateInput, InconsistentTiles, NegativeOrientation, NonIntegralVertices
 from .quadruples import descartes_residual
-from .spinors import ZERO, Rational, Spinor, _cleared, _over, _spinor, int_if_whole, star
+from .spinors import ZERO, Rational, Spinor, _cleared, _over, _spinor, star
 
 _store = object.__setattr__
 
@@ -350,27 +351,6 @@ def build_tessellation(a: Spinor, b: Spinor) -> Tessellation:
     return tess
 
 
-def dodecagon_boundary(tess: Tessellation) -> tuple[Spinor, ...]:
-    """The twelve outer vertices, in cyclic order for positive pairs."""
-    points: list[Spinor] = []
-    triple = (tess.a, tess.b, tess.c)
-    for i, j, k in _CYCLE:
-        x, y, z = triple[i], triple[j], triple[k]
-        sx, sz = star(x), star(z)
-        points.extend((x + sz, x + sx + sz, x + sx + y + sz, x + sx + y))
-    return tuple(points)
-
-
-def polygon_area(points: tuple[Spinor, ...]) -> Rational:
-    """Signed shoelace area of an arbitrary closed polygon."""
-    twice = 0
-    count = len(points)
-    for i in range(count):
-        p, q = points[i], points[(i + 1) % count]
-        twice += p.x * q.y - q.x * p.y
-    return int_if_whole(Fraction(twice, 2))
-
-
 @frozen
 class TessellationReport:
     """Exact area bookkeeping and the induced Descartes curvatures."""
@@ -444,10 +424,6 @@ def summarize(tess: Tessellation) -> TessellationReport:
         descartes_residual_d_prime=_over(residual_d_prime, fourth),
         has_overlap=tess.has_overlap,
     )
-
-
-def vertex_set(tile: Tile) -> frozenset[tuple[Rational, Rational]]:
-    return frozenset((v.x, v.y) for v in tile.vertices)
 
 
 def butterfly_areas(tess: Tessellation) -> tuple[Rational, Rational, Rational]:

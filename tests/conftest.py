@@ -1,4 +1,5 @@
-"""Shared fixtures plus the acceptance-criteria summary hook.
+"""The acceptance-criteria fixture and summary hook, and the record-count
+oracle that the enumeration and acceptance tests share.
 
 Acceptance tests register one line per criterion through ``record_criterion``;
 after the run, pytest prints them as a block so the overall gate is readable
@@ -7,13 +8,9 @@ at a glance.
 
 from __future__ import annotations
 
-import random
 from contextlib import contextmanager
-from fractions import Fraction
 
 import pytest
-
-from spintile import Spinor
 
 _CRITERION_LINES: dict[int, str] = {}
 
@@ -51,31 +48,9 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.write_line(_CRITERION_LINES[number])
 
 
-def random_int_spinor(rng: random.Random, bound: int) -> Spinor:
-    while True:
-        u = Spinor(rng.randint(-bound, bound), rng.randint(-bound, bound))
-        if not u.is_zero():
-            return u
-
-
-def random_rational_spinor(rng: random.Random, max_num: int = 1000, max_den: int = 1000) -> Spinor:
-    def component() -> Fraction:
-        return Fraction(rng.randint(-max_num, max_num), rng.randint(1, max_den))
-
-    return Spinor(component(), component())
-
-
-def random_spinor_pair(rng: random.Random, bound: int) -> tuple[Spinor, Spinor]:
-    """A nonzero, nonparallel integer pair (the generic tessellation input)."""
-    from spintile import cross
-
-    while True:
-        a = random_int_spinor(rng, bound)
-        b = random_int_spinor(rng, bound)
-        if cross(a, b) != 0:
-            return a, b
-
-
-@pytest.fixture
-def rng() -> random.Random:
-    return random.Random(0xC1DE)
+def expected_record_count(bound: int, include_zero: bool = False) -> int:
+    """Size of the unfiltered, unsharded enumeration stream."""
+    lattice = (2 * bound + 1) ** 2
+    if include_zero:
+        return lattice * lattice
+    return (lattice - 1) ** 2

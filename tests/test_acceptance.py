@@ -23,7 +23,6 @@ from spintile import (
     dot,
     enumerate_records,
     euclid_square,
-    expected_record_count,
     from_spinor_pair,
     merge_shards,
     midcircle_through_tangencies,
@@ -41,6 +40,8 @@ from spintile import (
 )
 from spintile.cli import run
 from spintile.enumeration import write_stream
+
+from conftest import expected_record_count
 
 TOLERANCE = 1e-9
 
@@ -161,7 +162,7 @@ def test_criterion_6_all_positive_primitive_families_realize(criterion):
             if root == 0:
                 continue  # curvature zero is a line, not a placeable disk
             placed = place_configuration(*triple)
-            disks = placed + (realize_fourth(placed, root, TOLERANCE),)
+            disks = placed + (realize_fourth(placed, root),)
             report = verify_spinor_laws(disks, TOLERANCE)
             assert report.passed, (triple, root, dict(report.law_residuals))
             realized += 1

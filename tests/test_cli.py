@@ -755,6 +755,25 @@ class TestRender:
         assert run(argv) == 0
         assert out_path.read_text().count('class="disk"') == count
 
+    def test_the_tolerance_setting_leaves_midcircle_tangency_fixed(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # DESCARTES_TOLERANCE grades the law residuals of verify only:
+        # render --midcircles tests tangency at the library's fixed 1e-9,
+        # so disk D moved by 1e-6 is refused under a setting of 1e-3
+        assert run(["verify", "--curvatures", "2,3,6,23", "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        x, y = payload["disks"][3]["center"]
+        payload["disks"][3]["center"] = [x + 1e-6, y]
+        payload_path = tmp_path / "nudged.json"
+        payload_path.write_text(json.dumps(payload))
+        out_path = tmp_path / "nudged.svg"
+        monkeypatch.setenv("DESCARTES_TOLERANCE", "1e-3")
+        argv = ["render", "--from-json", str(payload_path), "--out", str(out_path), "--midcircles"]
+        assert run(argv) == 1
+        assert capsys.readouterr().err.startswith("NotTangent: disks A and D: center gap ")
+        assert not out_path.exists()
+
     def test_midcircle_render_digest(self, tmp_path, capsys):
         # exit code, stderr and SVG of ``render --midcircles`` for the
         # ``verify --json`` payload of each quadruple, whole and cut to its

@@ -45,7 +45,7 @@ from spintile import (
     verify_spinor_laws,
 )
 from spintile import disks as disks_module
-from spintile.disks import _ADD_ORDER, _SEARCHES, _SIGNS, _sign_search, drawable_midcircles
+from spintile.disks import _ADD_ORDER, _SEARCHES, _SIGNS, drawable_midcircles
 
 SVG = "{http://www.w3.org/2000/svg}"
 
@@ -241,6 +241,14 @@ class TestTangencySpinor:
         with pytest.raises(NotTangent):
             tangency_spinor(FRAME[23], FRAME[-1])
 
+    def test_tangency_is_tested_at_the_library_tolerance(self):
+        # a gap off by 1e-6 fails the fixed 1e-9, and no caller loosens it
+        nudged = PlacedDisk.from_curvature(3.0, (0.0, 2.0 / 3.0 + 1e-6))
+        with pytest.raises(NotTangent, match="exceeds tolerance 1e-09$"):
+            tangency_spinor(FRAME[2], nudged)
+        with pytest.raises(TypeError):
+            tangency_spinor(FRAME[2], nudged, tolerance=1e-3)
+
 
 class TestTangencyPoint:
     def test_external_pair(self):
@@ -294,6 +302,13 @@ class TestPlacement:
         placed = place_configuration(2, 3, 6)
         with pytest.raises(NoConsistentPlacement):
             realize_fourth(placed, 7)
+
+    def test_realize_takes_no_tolerance(self):
+        # placement tests tangency at the library default; a caller's
+        # tolerance grades only the laws of verify_spinor_laws
+        placed = place_configuration(2, 3, 6)
+        with pytest.raises(TypeError):
+            realize_fourth(placed, 23, tolerance=1e-3)
 
     def test_realize_rejects_zero_curvature(self):
         placed = place_configuration(2, 3, 6)
@@ -679,6 +694,36 @@ class TestConfigurationBits:
             ("thm5b_add[Qq->&]", "-1·QqP +1·Qq-0"),
             ("thm5b_add[&->-0]", "+1·&P +1·&Qq"),
         ]
+
+
+def _sign_search(
+    x: tuple[float, float],
+    b: tuple[float, float],
+    c: tuple[float, float],
+    order: tuple[int, ...] = (0, 1, 2, 3),
+) -> tuple[float, int]:
+    """Smallest |x + s2·b + s3·c| over the signs s2, s3 = ±1, the search
+    that ``verify_spinor_laws`` runs inline for each entry of ``_SEARCHES``.
+
+    The candidates are summed left to right and taken in ``order`` from
+    (+,+), (+,−), (−,+), (−,−); the first minimum wins, and position 0
+    stands when no candidate is below infinity.  Returns the minimum and
+    its position in ``order``.
+    """
+    (x0, x1), (b0, b1), (c0, c1) = x, b, c
+    p0, p1 = x0 + b0, x1 + b1
+    m0, m1 = x0 - b0, x1 - b1
+    sizes = (
+        math.hypot(p0 + c0, p1 + c1),
+        math.hypot(p0 - c0, p1 - c1),
+        math.hypot(m0 + c0, m1 + c1),
+        math.hypot(m0 - c0, m1 - c1),
+    )
+    best, choice = math.inf, 0
+    for position, k in enumerate(order):
+        if sizes[k] < best:
+            best, choice = sizes[k], position
+    return best, choice
 
 
 def _loop_sign_search(vector):

@@ -19,10 +19,8 @@ from spintile import (
     CSV_HEADER,
     EnumerationJob,
     Shard,
-    dedup_canonical,
     descartes_residual,
     enumerate_records,
-    expected_record_count,
     merge_shards,
     read_records,
     write_records,
@@ -33,14 +31,25 @@ from spintile.enumeration import (
     QuadrupleRecord,
     _cut,
     _fields,
-    _line,
     _line_grammar,
-    _record,
+    _tail,
     write_stream,
 )
 from spintile.cli import run
 
+from conftest import expected_record_count
+
 CSV, JSONL = FORMATS["csv"].template, FORMATS["jsonl"].template
+
+
+def _record(a: tuple[int, int, int], b: tuple[int, int, int]) -> QuadrupleRecord:
+    """The record of the pair of lattice points ``a`` and ``b``."""
+    return QuadrupleRecord(a[0], a[1], b[0], b[1], *_tail(a, b))
+
+
+def _line(template: str, record: QuadrupleRecord) -> str:
+    """The record written into a format's line template."""
+    return template % _fields(record)
 
 
 def brute_force_primitives(limit: int) -> set[tuple[int, int, int, int]]:
@@ -229,8 +238,8 @@ class TestStream:
 
 class TestCanonicalForms:
     def test_bound_1_canonical_set_frozen(self):
-        records = enumerate_records(EnumerationJob(bound=1))
-        assert dedup_canonical(records) == [
+        canonicals = {record.canonical for record in enumerate_records(EnumerationJob(bound=1))}
+        assert sorted(canonicals, key=lambda c: (sum(c), c)) == [
             (0, 0, 1, 1),
             (-1, 2, 2, 3),
             (0, 1, 1, 4),

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from spintile import (
     ComplexSolutions,
-    CurlViolation,
     DescartesQuadruple,
     NonIntegral,
     Spinor,
@@ -24,7 +23,6 @@ from spintile import (
     dot,
     fourth_curvatures,
     from_spinor_pair,
-    from_spinor_triple,
     norm_sq,
     pair_curvatures,
 )
@@ -32,6 +30,13 @@ from spintile import (
 nonzero_int_spinors = st.builds(
     Spinor, st.integers(-60, 60), st.integers(-60, 60)
 ).filter(lambda u: not u.is_zero())
+
+# magnitudes up to 1e12, ints and rationals with denominators up to 1e4
+wide_components = st.one_of(
+    st.integers(-(10**12), 10**12),
+    st.builds(Fraction, st.integers(-(10**12), 10**12), st.integers(1, 10**4)),
+)
+wide_spinors = st.builds(Spinor, wide_components, wide_components)
 
 small_fractions = st.fractions(min_value=-60, max_value=60, max_denominator=12)
 nonzero_rational_spinors = st.builds(Spinor, small_fractions, small_fractions).filter(
@@ -271,20 +276,26 @@ class TestFromSpinorPair:
 
 
 class TestFromSpinorTriple:
+    """The pair's curvatures in the symmetric form of the zero-sum triple
+    a, b, c = −a − b: A = −b·c, B = −c·a, C = −a·b and
+    D1 + D2 = |a|² + |b|² + |c|², and the root |a|² + |b|² + a·b + 2(a×b)
+    with a×b signed is D1 when a×b ≥ 0 and D2 otherwise, so that root
+    minus the other is 4(a×b), signed."""
+
     def test_example_triple(self):
         a, b = Spinor(2, 1), Spinor(1, -3)
         c = -a - b
-        # a×b = −7, so D1 − D2 = −28: the smaller root comes first
-        assert from_spinor_triple(a, b, c) == (9, 4, 1, 0, 28)
-        assert from_spinor_triple(b, a, c) == (4, 9, 1, 28, 0)
+        # a×b = −7: the signed root 5 + 10 − 1 − 14 = 0 is the smaller, D2
+        family = from_spinor_pair(a, b)
+        assert (*family.shared_curvatures, family.d1, family.d2) == (9, 4, 1, 28, 0)
+        assert family.shared_curvatures == (-dot(b, c), -dot(c, a), -dot(a, b))
+        swapped = from_spinor_pair(b, a)
+        assert (*swapped.shared_curvatures, swapped.d1, swapped.d2) == (4, 9, 1, 28, 0)
         half = Fraction(1, 2)
-        quartered = from_spinor_triple(half * a, half * b, half * c)
-        assert quartered == (Fraction(9, 4), 1, Fraction(1, 4), 0, 7)
-        assert [type(value) for value in quartered] == [Fraction, int, Fraction, int, int]
-
-    def test_nonzero_sum_raises(self):
-        with pytest.raises(CurlViolation):
-            from_spinor_triple(Spinor(1, 0), Spinor(0, 1), Spinor(1, 1))
+        quartered = from_spinor_pair(half * a, half * b)
+        values = (*quartered.shared_curvatures, quartered.d1, quartered.d2)
+        assert values == (Fraction(9, 4), 1, Fraction(1, 4), 7, 0)
+        assert [type(value) for value in values] == [Fraction, int, Fraction, int, int]
 
     @given(
         st.one_of(nonzero_int_spinors, nonzero_rational_spinors),
@@ -292,13 +303,22 @@ class TestFromSpinorTriple:
     )
     def test_agrees_with_pair_construction(self, a, b):
         c = -a - b
-        big_a, big_b, big_c, d1, d2 = from_spinor_triple(a, b, c)
         family = from_spinor_pair(a, b)
-        assert (big_a, big_b, big_c) == family.shared_curvatures
-        assert {d1, d2} == {family.d1, family.d2}
-        assert d1 - d2 == 4 * cross(a, b)
-        assert descartes_residual(big_a, big_b, big_c, d1) == 0
-        assert descartes_residual(big_a, big_b, big_c, d2) == 0
+        big_a, big_b, big_c = family.shared_curvatures
+        assert (big_a, big_b, big_c) == (-dot(b, c), -dot(c, a), -dot(a, b))
+        assert family.d1 + family.d2 == norm_sq(a) + norm_sq(b) + norm_sq(c)
+        signed = norm_sq(a) + norm_sq(b) + dot(a, b) + 2 * cross(a, b)
+        other = family.d1 + family.d2 - signed
+        assert {signed, other} == {family.d1, family.d2}
+        assert signed - other == 4 * cross(a, b)
+        assert descartes_residual(big_a, big_b, big_c, signed) == 0
+        assert descartes_residual(big_a, big_b, big_c, other) == 0
+
+    @given(wide_spinors, wide_spinors)
+    def test_signed_root_orders_by_the_cross_product(self, a, b):
+        family = from_spinor_pair(a, b)
+        signed = norm_sq(a) + norm_sq(b) + dot(a, b) + 2 * cross(a, b)
+        assert signed == (family.d1 if cross(a, b) >= 0 else family.d2)
 
 
 class TestApollonianFlip:

@@ -28,24 +28,21 @@ from spintile import (
     butterfly_areas,
     check_observations,
     cross,
-    dodecagon_boundary,
     dot,
     from_spinor_pair,
     norm_sq,
     observation_constant,
-    polygon_area,
     render_tessellation,
     star,
     summarize,
     tessellation_to_json_dict,
     tile_area_pick,
     tile_area_shoelace,
-    vertex_set,
 )
 from spintile.cli import run
-from spintile.spinors import ZERO
+from spintile.spinors import ZERO, Rational, int_if_whole
 from spintile.svg import RenderOptions
-from spintile.tessellation import _congruence_key, _pick_counts
+from spintile.tessellation import _CYCLE, _congruence_key, _pick_counts
 
 int_spinors = st.builds(Spinor, st.integers(-9, 9), st.integers(-9, 9))
 
@@ -72,6 +69,27 @@ def partly_rational_pairs():
     rational = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 4))
     pairs = st.tuples(int_spinors, st.builds(Spinor, rational, rational), st.booleans())
     return pairs.map(lambda p: p[1::-1] if p[2] else p[:2]).filter(lambda p: cross(*p) != 0)
+
+
+def dodecagon_boundary(tess: Tessellation) -> tuple[Spinor, ...]:
+    """The twelve outer vertices, in cyclic order for positive pairs."""
+    points: list[Spinor] = []
+    triple = (tess.a, tess.b, tess.c)
+    for i, j, k in _CYCLE:
+        x, y, z = triple[i], triple[j], triple[k]
+        sx, sz = star(x), star(z)
+        points.extend((x + sz, x + sx + sz, x + sx + y + sz, x + sx + y))
+    return tuple(points)
+
+
+def polygon_area(points: tuple[Spinor, ...]) -> Rational:
+    """Signed shoelace area of an arbitrary closed polygon."""
+    twice = 0
+    count = len(points)
+    for i in range(count):
+        p, q = points[i], points[(i + 1) % count]
+        twice += p.x * q.y - q.x * p.y
+    return int_if_whole(Fraction(twice, 2))
 
 
 def brute_pick_counts(tile):
@@ -674,16 +692,14 @@ class TestStructure:
         # pairing coincides with literal shared vertices: square i meets
         # its side reds i and i - 1 in two points and its opposite red
         # i + 1 only at 0
-        from spintile.tessellation import _CYCLE
-
         tess = build_tessellation(*pair)
         assert not tess.has_overlap
         reds = tess.tiles[3:6]
         for i, j, k in _CYCLE:
-            square = tess.tiles[i]
+            square = set(tess.tiles[i].vertices)
             for red in (reds[k], reds[i]):
-                assert len(vertex_set(square) & vertex_set(red)) == 2
-            assert vertex_set(square) & vertex_set(reds[j]) == {(0, 0)}
+                assert len(square & set(red.vertices)) == 2
+            assert square & set(reds[j].vertices) == {ZERO}
 
 
 class TestOverlap:
