@@ -410,6 +410,21 @@ def _midcircle(
     return PlacedDisk(center=center, radius=radius, curvature=1.0 / radius)
 
 
+def _midcircle_curvature(
+    p12: tuple[float, float], p13: tuple[float, float], p23: tuple[float, float]
+) -> float:
+    """The curvature of ``_midcircle(p12, p13, p23)`` without placing the
+    disk: 1 / radius where the centre, the radius and the curvature are
+    finite and the curvature is nonzero, and otherwise what placing it
+    raises, ``ZeroCurvature`` or ``FloatOverflow``."""
+    center, radius = circle_through_points(p12, p13, p23)
+    curvature = 1.0 / radius
+    (x, y), isfinite = center, math.isfinite
+    if curvature and isfinite(x) and isfinite(y) and isfinite(radius) and isfinite(curvature):
+        return curvature
+    return PlacedDisk(center=center, radius=radius, curvature=curvature).curvature
+
+
 def midcircle_through_tangencies(
     d1: PlacedDisk, d2: PlacedDisk, d3: PlacedDisk
 ) -> PlacedDisk:
@@ -620,7 +635,7 @@ def verify_spinor_laws(
     thm3 = 0.0
     for (i, j, k), apexes in zip(_TRIPLES, _APEXES):
         try:
-            mid = _midcircle(touch[4 * i + j], touch[4 * i + k], touch[4 * j + k]).curvature
+            mid = _midcircle_curvature(touch[4 * i + j], touch[4 * i + k], touch[4 * j + k])
         except CollinearTangencyPoints:
             # the tangency points lie on a line, the midcircle's limit:
             # the law holds with that line's curvature, 0

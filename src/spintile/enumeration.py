@@ -30,20 +30,29 @@ C = −a·b and D1, D2 = |a|² + |b|² + a·b ± 2|a×b|, and the canonical form
 and the primitive flag follow from those.  Turning both spinors a
 quarter turn, or mirroring both, keeps the key, so along the stream each
 tail comes about eight times (bound 6: 28,224 records, 3,492 keys).  The
-walk caches each tail it computes under its key, and the writer caches
-each formatted tail under the record's own values.  Both are exact: the
-tail gives the key back (a·b = −C, |a|² = B + C, |b|² = A + C and
-2|a×b| = D1 − A − B − C), so two records share an entry exactly when
-their tails are equal.  Each cache stops inserting at ``_CACHE_SIZE``
-entries and computes the tails it does not hold afresh, and once the
-walk's is full, a row whose |a|² no cached key has skips its lookups.
-Full, the two take about 40 MB (bound 16 on Python 3.11); every bound up
-to 10 (23,590 keys) fits, and so does each of 4 shards at bound 16
-(about 36,000 keys of its own rows).
+walk goes a row of one first spinor at a time and caches one item per
+key, which its view chooses.  The record view caches each tail and
+wraps it in a ``QuadrupleRecord`` per record.  The line view, which
+``write_stream`` takes for a stream of ``enumerate_records`` that no
+record was drawn from, caches each formatted tail and writes each row
+with one write, the first spinor formatted once a row; it builds no
+record.  Records written from any other iterable go one by one, and
+that writer caches each formatted tail under the record's own values.
+Every cache is exact: the tail gives the key back (a·b = −C,
+|a|² = B + C, |b|² = A + C and 2|a×b| = D1 − A − B − C), so two records
+share an entry exactly when their tails are equal.  Each cache stops
+inserting at ``_CACHE_SIZE`` entries and makes the items it does not
+hold afresh, and once the walk's is full, a row whose |a|² no cached
+key has skips its lookups.  Writing bound 16 through the line view
+peaks at about 15 MB of traced memory, and draining its record view at
+about 28 MB (Python 3.11); every bound up to 10 (23,590 keys) fits, and
+so does each of 4 shards at bound 16 (about 36,000 keys of its own
+rows).
 
-Each format is one line template, cut once by ``_cut`` after its fourth
-comma into a generator head and a tail; its writer and grammars are made
-from it.  ``merge_shards`` merges by runs: from the shard with the least
+Each format is one line template, cut by ``_cut`` after its fourth
+comma into a generator head and a tail, and the head once more after its
+second comma for the line view; its writers and grammars are made from
+it.  ``merge_shards`` merges by runs: from the shard with the least
 head it copies, in one write, every line below the next shard's head,
 which is at least every record of one first spinor.  It accepts exactly
 the lines this module writes (no added spaces, extra keys or other
@@ -68,7 +77,7 @@ import math
 import os
 import re
 import tempfile
-from typing import IO, Callable, Iterable, Iterator, NamedTuple
+from typing import IO, Any, Callable, Iterable, Iterator, NamedTuple
 
 from ._frozen import frozen
 from .quadruples import canonical_form, pair_curvatures
@@ -111,6 +120,8 @@ class EnumerationJob:
             if type(value) is not bool:
                 raise ValueError(f"{name} must be a bool, got {value!r}")
         _record_format(self.output_format)
+        if not isinstance(self.shard, Shard):
+            raise ValueError(f"shard must be a Shard, got {self.shard!r}")
 
 
 class QuadrupleRecord(NamedTuple):
@@ -165,37 +176,49 @@ def _owned_norms(points: list[tuple[int, int, int]], shard: Shard) -> set[int]:
     return owned
 
 
-def enumerate_records(job: EnumerationJob) -> Iterator[QuadrupleRecord]:
-    """Stream records for the job, honoring its shard and filters.
+# a lattice point of the box as (m, n, m² + n²)
+_Point = tuple[int, int, int]
 
-    The shard owns whole rows: the walk skips each row whose |a|² it does
-    not own with one lookup (see ``_owned_norms``) and builds every
-    record of the rows it owns, or with ``primitive_only`` those that pass
-    the gcd-only test.  Each takes its tail from the cache of its orbit
-    key (|a|², |b|², a·b, |a×b|), whose |a|² no other shard owns.
-    """
+
+def _rows(
+    job: EnumerationJob,
+    make: Callable[[_Point, _Point], Any],
+    label: Callable[[int, int], Any],
+) -> Iterator[tuple[int, int, list]]:
+    """The rows of the job's walk that its shard owns, in stream order:
+    each first spinor a = (m1, n1) with the list of ``label(m2, n2) +
+    make(a, b)`` for each second spinor b = (m2, n2) that the filter
+    keeps, ``make`` taking each spinor as ``(m, n, m² + n²)``.  The item
+    ``make(a, b)`` is cached under the pair's orbit key.
+
+    The walk skips each row whose |a|² the shard does not own with one
+    lookup (see ``_owned_norms``), and with ``primitive_only`` each pair
+    that fails the gcd-only test.  The cache stops inserting at
+    ``_CACHE_SIZE`` entries, and from then on a row whose |a|² has no
+    cached key makes its items afresh without a lookup."""
     span = range(-job.bound, job.bound + 1)
-    # the spinors of the box as (m, n, m² + n²), in lexicographic order
-    points = [(m, n, m * m + n * n) for m in span for n in span if job.include_zero or m or n]
-    owned = _owned_norms(points, job.shard)
+    # the spinors of the box in lexicographic order
+    spinors = [(m, n, m * m + n * n) for m in span for n in span if job.include_zero or m or n]
+    owned = _owned_norms(spinors, job.shard)
+    points = [(m, n, norm, label(m, n)) for m, n, norm in spinors]
     primitive_only = job.primitive_only
     gcd = math.gcd
-    new = tuple.__new__
-    tails: dict[tuple[int, int, int, int], tuple] = {}
-    get = tails.get
+    items: dict[tuple[int, int, int, int], Any] = {}
+    get = items.get
     # the |a|² of the rows that had room to insert: once the cache is
     # full, a row of any other norm holds no cached key and skips the
     # lookups
     norms = set()
-    for a in points:
+    for a in spinors:
         m1, n1, norm_a = a
         if norm_a not in owned:
             continue
-        if len(tails) < _CACHE_SIZE:
+        if len(items) < _CACHE_SIZE:
             norms.add(norm_a)
         cached = norm_a in norms
-        for b in points:
-            m2, n2, norm_b = b
+        row = []
+        append = row.append
+        for m2, n2, norm_b, tag in points:
             # |b|² = A + C, |a|² = B + C, a·b = −C and 2|a×b| = D1 − A − B − C,
             # so (A, B, C, D1) has the gcd of (|a|², |b|², a·b, 2 a×b); and
             # as (a·b)² + (a×b)² = |a|²|b|², a common factor of |a|², |b|²
@@ -206,16 +229,88 @@ def enumerate_records(job: EnumerationJob) -> Iterator[QuadrupleRecord]:
                 if common != 1 and gcd(common, m1 * m2 + n1 * n2) != 1:
                     continue
             if not cached:
-                tail = _tail(a, b)
+                item = make(a, (m2, n2, norm_b))
             else:
                 cross = m1 * n2 - m2 * n1
                 key = (norm_a, norm_b, m1 * m2 + n1 * n2, cross if cross > 0 else -cross)
-                tail = get(key)
-                if tail is None:
-                    tail = _tail(a, b)
-                    if len(tails) < _CACHE_SIZE:
-                        tails[key] = tail
-            yield new(QuadrupleRecord, (m1, n1, m2, n2) + tail)
+                item = get(key)
+                if item is None:
+                    item = make(a, (m2, n2, norm_b))
+                    if len(items) < _CACHE_SIZE:
+                        items[key] = item
+            append(tag + item)
+        if row:
+            yield m1, n1, row
+
+
+def _record_view(job: EnumerationJob) -> Iterator[QuadrupleRecord]:
+    """The job's records: the walk's items are the record tails."""
+    new = tuple.__new__
+    for m1, n1, row in _rows(job, _tail, lambda m, n: (m, n)):
+        head = (m1, n1)
+        for rest in row:
+            yield new(QuadrupleRecord, head + rest)
+
+
+def _write_rows(job: EnumerationJob, handle: IO[str], template: str) -> int:
+    """Write the job's record lines in the line template ``template``,
+    one ``write`` a row; returns the record count.  The walk's items are
+    the formatted tails, and the head of each line is cut once more,
+    after its second comma: the first spinor's text is formatted once a
+    row and each second spinor's once."""
+    head, tail = _cut(template + "\n")
+    first, second = _cut(head, 2)
+
+    def text(a: _Point, b: _Point) -> str:
+        return tail % _fields(a[:2] + b[:2] + _tail(a, b))[4:]
+
+    write = handle.write
+    count = 0
+    for m1, n1, row in _rows(job, text, lambda m, n: second % (m, n)):
+        start = first % (m1, n1)
+        write(start + start.join(row))
+        count += len(row)
+    return count
+
+
+class _Stream:
+    """The records of a job, as ``enumerate_records`` returns them: an
+    iterator that knows its job.  The record view is made when the
+    stream is first iterated or drawn from, and iterating the stream
+    iterates that view, so the records come at a generator's pace;
+    ``write_stream`` writes a stream that was not yet iterated through
+    the line view instead, and leaves it exhausted."""
+
+    __slots__ = ("job", "_records")
+
+    def __init__(self, job: EnumerationJob) -> None:
+        self.job = job
+        self._records: Iterator[QuadrupleRecord] | None = None
+
+    def __iter__(self) -> Iterator[QuadrupleRecord]:
+        if self._records is None:
+            self._records = _record_view(self.job)
+        return self._records
+
+    def __next__(self) -> QuadrupleRecord:
+        return next(iter(self))
+
+
+def enumerate_records(job: EnumerationJob) -> Iterator[QuadrupleRecord]:
+    """Stream records for the job, honoring its shard and filters.
+
+    The shard owns whole rows: the walk skips each row whose |a|² it does
+    not own with one lookup (see ``_owned_norms``) and builds every
+    record of the rows it owns, or with ``primitive_only`` those that pass
+    the gcd-only test.  Each takes its tail from the cache of its orbit
+    key (|a|², |b|², a·b, |a×b|), whose |a|² no other shard owns.
+
+    The stream is an iterator, not a generator.  Given to
+    ``write_stream`` or ``write_records`` before any record is drawn, it
+    is written row by row from a cache of formatted tails and builds no
+    record at all.
+    """
+    return _Stream(job)
 
 
 class RecordFormat(NamedTuple):
@@ -252,30 +347,41 @@ def _record_format(fmt: str) -> RecordFormat:
     return FORMATS[fmt]
 
 
-def _cut(template: str) -> tuple[str, str]:
-    """A line template cut after its fourth comma: the head that writes
-    the four generators and the tail that writes the rest.  No integer
-    and no text of a head holds a comma of its own, so ``str.split(",",
-    4)`` cuts each line the template writes at the same place."""
-    *heads, tail = template.split(",", 4)
+def _cut(template: str, commas: int = 4) -> tuple[str, str]:
+    """A line template cut after its fourth comma, or its ``commas``-th:
+    the head that writes the four generators and the tail that writes
+    the rest.  No integer and no text of a head holds a comma of its
+    own, so ``str.split(",", 4)`` cuts each line the template writes at
+    the same place."""
+    *heads, tail = template.split(",", commas)
     return ",".join(heads) + ",", tail
 
 
 def write_stream(records: Iterable[QuadrupleRecord], handle: IO[str], fmt: str) -> int:
     """Write records to an open text handle; returns the record count.
 
-    A line is its generator head and its tail.  The tail text is cached
-    under the record's own values after the generators, so the records of
-    one symmetry orbit format it once and records whose tails compare
-    equal share it; for records of ints and a bool flag, that is the text
-    the whole template writes, ``template % _fields(record)``.  A record
-    whose tail is not cached, once the cache is full or when the tail
-    cannot be a key, is written whole."""
+    The stream of ``enumerate_records``, while no record has been drawn
+    from it, is written through the walk's line view: the walk caches
+    each formatted tail under its orbit key, and each row goes out in
+    one write, its first spinor formatted once.  That builds no record
+    and leaves the stream exhausted.
+
+    Any other records, a drawn stream among them, are written one by
+    one.  A line is its generator head and its tail.  The tail text is
+    cached under the record's own values after the generators, so the
+    records of one symmetry orbit format it once and records whose tails
+    compare equal share it; for records of ints and a bool flag, that is
+    the text the whole template writes, ``template % _fields(record)``.
+    A record whose tail is not cached, once the cache is full or when
+    the tail cannot be a key, is written whole."""
     header, template = _record_format(fmt)
-    line = template + "\n"
-    head, tail_template = _cut(line)
     if header:
         handle.write(header + "\n")
+    if type(records) is _Stream and records._records is None:
+        records._records = iter(())
+        return _write_rows(records.job, handle, template)
+    line = template + "\n"
+    head, tail_template = _cut(line)
     write = handle.write
     tails: dict[tuple, str] = {}
     get = tails.get

@@ -360,6 +360,40 @@ class TestMidcircles:
         # a drawing of fewer than three or more than four disks has none
         assert drawable_midcircles(disks[:2], "AB") == drawable_midcircles(disks + disks[:1], "ABCDA") == []
 
+    @pytest.mark.parametrize(
+        "circle",
+        [
+            ((1.0 / 3.0, 0.5), 1.0 / 6.0),
+            ((-2.5e7, 1e-9), 3e-12),
+            ((0.0, 0.0), 1.5e308),
+            ((0.0, 0.0), math.inf),  # curvature 0
+            ((0.0, 0.0), 5e-324),  # curvature beyond the float range
+            ((math.inf, 0.0), 1.0),
+            ((0.0, math.nan), 1.0),
+            ((math.nan, math.nan), math.nan),
+            ((0.0, 0.0), 0.0),  # 1 / radius divides by zero
+        ],
+    )
+    def test_the_law_check_curvature_is_the_placed_midcircle_curvature(self, monkeypatch, circle):
+        # thm3 reads 1 / radius without placing the midcircle: the value,
+        # or the error and its message, of the placed disk's curvature
+        monkeypatch.setattr(disks_module, "circle_through_points", lambda *points: circle)
+        points = ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0))
+        outcomes = []
+        for curvature in (lambda: disks_module._midcircle(*points).curvature,
+                          lambda: disks_module._midcircle_curvature(*points)):
+            try:
+                outcomes.append(("value", curvature()))
+            except (SpintileError, ZeroDivisionError) as exc:
+                outcomes.append((type(exc), str(exc)))
+        assert outcomes[0] == outcomes[1]
+
+    def test_the_law_check_places_no_midcircle(self, monkeypatch):
+        disks = place_quadruple([2, 3, 6, 23])
+        expected = verify_spinor_laws(disks).law_residuals
+        monkeypatch.setattr(disks_module, "_midcircle", None)
+        assert verify_spinor_laws(disks).law_residuals == expected
+
     def test_collinear_points_rejected(self):
         with pytest.raises(CollinearTangencyPoints):
             circle_through_points((0.0, 0.0), (1.0, 1.0), (2.0, 2.0))

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import bisect
 import collections
+import collections.abc
 import io
 import json
 import math
@@ -173,6 +174,12 @@ class TestJobValidation:
         with pytest.raises(ValueError):
             make()
 
+    @pytest.mark.parametrize("shard", [(0, 1), None, "0/1"])
+    def test_shard_must_be_a_shard(self, shard):
+        # a pair or None used to fail deep inside the walk, untyped
+        with pytest.raises(ValueError, match=f"^shard must be a Shard, got {re.escape(repr(shard))}$"):
+            EnumerationJob(bound=2, shard=shard)
+
     def test_shard_must_be_consistent(self):
         with pytest.raises(ValueError):
             Shard(index=3, count=3)
@@ -300,6 +307,9 @@ class TestFormats:
         head, tail = _cut(template)
         line = _line(template, record)
         assert head % record[:4] + tail % _fields(record)[4:] == line
+        # the line view cuts the head once more, after its second comma
+        first, second = _cut(head, 2)
+        assert first % record[:2] + second % record[2:4] == head % record[:4]
         # the merge splits the line where the template is cut
         *pieces, rest = line.split(",", 4)
         assert (",".join(pieces) + ",", rest) == (head % record[:4], tail % _fields(record)[4:])
@@ -733,6 +743,101 @@ class TestOrbitCaches:
                 record._replace(canonical=[2, 3, 6, 23]),
             ]
         assert written(records, fmt) == with_header(oracle_lines(records, fmt), fmt)
+
+
+def record_path(job: EnumerationJob, fmt: str) -> str:
+    """The job written through the record path: its records drawn into a
+    list first, each then written one by one."""
+    return written(list(enumerate_records(job)), fmt)
+
+
+def every_job(bounds, counts=range(1, 6)):
+    """Every job of the bounds, filters and shard counts."""
+    for bound in bounds:
+        for primitive_only in (False, True):
+            for include_zero in (False, True):
+                for count in counts:
+                    for index in range(count):
+                        yield EnumerationJob(
+                            bound=bound,
+                            primitive_only=primitive_only,
+                            shard=Shard(index, count),
+                            include_zero=include_zero,
+                        )
+
+
+class TestTwoViews:
+    """``write_stream`` writes a stream of ``enumerate_records`` that no
+    record was drawn from through the walk's line view, and every other
+    iterable through the record path; the two write the same bytes."""
+
+    @pytest.mark.parametrize("bound", range(1, 7))
+    def test_the_line_view_writes_what_the_record_path_writes(self, bound):
+        for job in every_job([bound]):
+            records = list(enumerate_records(job))
+            for fmt in FORMATS:
+                handle = io.StringIO()
+                assert write_stream(enumerate_records(job), handle, fmt) == len(records)
+                assert handle.getvalue() == written(records, fmt), (job, fmt)
+
+    @pytest.mark.parametrize("cap", [1, 3, 50, 1000])
+    def test_a_small_cache_writes_the_same_bytes(self, monkeypatch, cap):
+        monkeypatch.setattr(enumeration, "_CACHE_SIZE", cap)
+        for job in every_job([1, 2, 4], counts=(1, 3)):
+            for fmt in FORMATS:
+                assert written(enumerate_records(job), fmt) == record_path(job, fmt), (job, fmt)
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_a_drawn_stream_is_written_from_where_it_stopped(self, fmt):
+        job = EnumerationJob(bound=2, primitive_only=True, shard=Shard(1, 3))
+        records = list(enumerate_records(job))
+        for drawn in (1, 7, len(records) - 1, len(records)):
+            stream = enumerate_records(job)
+            assert [next(stream) for _ in range(drawn)] == records[:drawn]
+            handle = io.StringIO()
+            assert write_stream(stream, handle, fmt) == len(records) - drawn
+            assert handle.getvalue() == written(records[drawn:], fmt)
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_a_written_stream_is_exhausted(self, fmt, tmp_path):
+        job = EnumerationJob(bound=2)
+        stream = enumerate_records(job)
+        path = tmp_path / f"records.{fmt}"
+        assert write_records(stream, str(path), fmt) == expected_record_count(2)
+        assert path.read_text() == record_path(job, fmt)
+        assert write_stream(stream, io.StringIO(), fmt) == 0
+        assert list(stream) == []
+        with pytest.raises(StopIteration):
+            next(stream)
+
+    def test_a_stream_is_an_iterator_that_knows_its_job(self):
+        job = EnumerationJob(bound=1)
+        stream = enumerate_records(job)
+        assert isinstance(stream, collections.abc.Iterator)
+        assert stream.job is job
+        assert list(stream) == oracle_stream(1, False, False)
+        assert list(stream) == []
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    @pytest.mark.parametrize("primitive_only", [False, True])
+    def test_the_line_view_builds_no_record_and_each_tail_once(self, monkeypatch, fmt, primitive_only):
+        job = EnumerationJob(bound=3, primitive_only=primitive_only, shard=Shard(0, 2))
+        expected = record_path(job, fmt)
+        keys = {orbit_key(record) for record in enumerate_records(job)}
+        calls = collections.Counter()
+        build = enumeration._tail
+
+        def counted(a, b):
+            m1, n1, norm_a = a
+            m2, n2, norm_b = b
+            calls[norm_a, norm_b, m1 * m2 + n1 * n2, abs(m1 * n2 - m2 * n1)] += 1
+            return build(a, b)
+
+        monkeypatch.setattr(enumeration, "_tail", counted)
+        # the record view cannot make a record of this
+        monkeypatch.setattr(enumeration, "QuadrupleRecord", None)
+        assert written(enumerate_records(job), fmt) == expected
+        assert calls == dict.fromkeys(keys, 1)
 
 
 # substitutions that the piece check of ``merge_shards`` must refuse or
