@@ -36,18 +36,17 @@ wraps it in a ``QuadrupleRecord`` per record.  The line view, which
 ``write_stream`` takes for a stream of ``enumerate_records`` that no
 record was drawn from, caches each formatted tail and writes each row
 with one write, the first spinor formatted once a row; it builds no
-record.  Records written from any other iterable go one by one, and
-that writer caches each formatted tail under the record's own values.
-Every cache is exact: the tail gives the key back (a·b = −C,
+record.  Records written from any other iterable go one by one, each
+line formatted whole from that record's own values, with no cache.
+The walk's cache is exact: the tail gives the key back (a·b = −C,
 |a|² = B + C, |b|² = A + C and 2|a×b| = D1 − A − B − C), so two records
-share an entry exactly when their tails are equal.  Each cache stops
-inserting at ``_CACHE_SIZE`` entries and makes the items it does not
-hold afresh, and once the walk's is full, a row whose |a|² no cached
-key has skips its lookups.  Writing bound 16 through the line view
-peaks at about 15 MB of traced memory, and draining its record view at
-about 28 MB (Python 3.11); every bound up to 10 (23,590 keys) fits, and
-so does each of 4 shards at bound 16 (about 36,000 keys of its own
-rows).
+share an entry exactly when their tails are equal.  It stops inserting
+at ``_CACHE_SIZE`` entries and makes the items it does not hold afresh,
+and once it is full, a row whose |a|² no cached key has skips its
+lookups.  Writing bound 16 through the line view peaks at about 15 MB
+of traced memory, and draining its record view at about 28 MB (Python
+3.11); every bound up to 10 (23,590 keys) fits, and so does each of 4
+shards at bound 16 (about 36,000 keys of its own rows).
 
 Each format is one line template, cut by ``_cut`` after its fourth
 comma into a generator head and a tail, and the head once more after its
@@ -150,8 +149,9 @@ def _tail(
     return (big_a, big_b, big_c, d1, d2) + canonical_form(big_a, big_b, big_c, d1)
 
 
-# the most entries the walk's and the writer's tail caches each hold;
-# past it they stop inserting and compute the other tails afresh
+# the most entries the walk's tail cache and each of the merge's piece
+# caches hold; past it they stop inserting and make or check the other
+# items afresh
 _CACHE_SIZE = 1 << 16
 
 
@@ -367,13 +367,8 @@ def write_stream(records: Iterable[QuadrupleRecord], handle: IO[str], fmt: str) 
     and leaves the stream exhausted.
 
     Any other records, a drawn stream among them, are written one by
-    one.  A line is its generator head and its tail.  The tail text is
-    cached under the record's own values after the generators, so the
-    records of one symmetry orbit format it once and records whose tails
-    compare equal share it; for records of ints and a bool flag, that is
-    the text the whole template writes, ``template % _fields(record)``.
-    A record whose tail is not cached, once the cache is full or when
-    the tail cannot be a key, is written whole."""
+    one, each line ``template % _fields(record)``: a record's line
+    depends on that record alone."""
     header, template = _record_format(fmt)
     if header:
         handle.write(header + "\n")
@@ -381,23 +376,10 @@ def write_stream(records: Iterable[QuadrupleRecord], handle: IO[str], fmt: str) 
         records._records = iter(())
         return _write_rows(records.job, handle, template)
     line = template + "\n"
-    head, tail_template = _cut(line)
     write = handle.write
-    tails: dict[tuple, str] = {}
-    get = tails.get
     count = 0
     for count, record in enumerate(records, 1):
-        values = record[4:]
-        try:
-            tail = get(values)
-            if tail is None and len(tails) < _CACHE_SIZE:
-                tail = tails[values] = tail_template % _fields(record)[4:]
-        except TypeError:  # a tail that cannot be a key, such as a list canonical
-            tail = None
-        if tail is None:
-            write(line % _fields(record))
-        else:
-            write(head % record[:4] + tail)
+        write(line % _fields(record))
     return count
 
 

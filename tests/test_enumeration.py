@@ -667,9 +667,8 @@ def written(records, fmt: str) -> str:
 
 
 class TestOrbitCaches:
-    """The walk and the writer cache each record tail by its orbit; the
-    bytes must be those of the cache-free oracle, within the cap and past
-    it."""
+    """The walk caches each record tail by its orbit; the bytes must be
+    those of the cache-free oracle, within the cap and past it."""
 
     @pytest.mark.parametrize("cap", [enumeration._CACHE_SIZE, 3], ids=["cap", "past-cap"])
     @pytest.mark.parametrize(
@@ -705,30 +704,29 @@ class TestOrbitCaches:
         assert path.read_text() == with_header(oracle_lines(oracle_stream(6, False, False), "csv"), "csv")
 
     def test_a_full_cache_stops_inserting(self, monkeypatch):
-        # with room for three entries, both caches keep the first three
-        # tails of the stream, and every other record past them computes
-        # and formats its tail afresh
+        # with room for three entries, the walk's cache keeps the first
+        # three tails of the stream, and every other record past them
+        # computes its tail afresh
         monkeypatch.setattr(enumeration, "_CACHE_SIZE", 3)
-        calls = {"_tail": 0, "_fields": 0}
-        for name in calls:
+        calls = {"_tail": 0}
 
-            def counted(*args, name=name, build=getattr(enumeration, name)):
-                calls[name] += 1
-                return build(*args)
+        def counted(*args, build=enumeration._tail):
+            calls["_tail"] += 1
+            return build(*args)
 
-            monkeypatch.setattr(enumeration, name, counted)
+        monkeypatch.setattr(enumeration, "_tail", counted)
         records = list(enumerate_records(EnumerationJob(bound=2)))
-        written(records, "csv")
         keys = [orbit_key(record) for record in records]
         kept = list(dict.fromkeys(keys))[:3]
         fresh = len(kept) + sum(key not in kept for key in keys)
-        assert calls == {"_tail": fresh, "_fields": fresh}
+        assert calls == {"_tail": fresh}
 
     @pytest.mark.parametrize("cap", [enumeration._CACHE_SIZE, 1], ids=["cap", "past-cap"])
     @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
     def test_the_writer_keys_tails_by_their_own_values(self, monkeypatch, cap, fmt):
         # records that share an orbit key, some with a hand-altered tail,
-        # each write their own line
+        # each write their own line: the writer formats every record from
+        # its own values, whatever the cap of the walk's cache
         monkeypatch.setattr(enumeration, "_CACHE_SIZE", cap)
         twins = [_record((3, 0, 9), (-1, 2, 5)), _record((0, 3, 9), (-2, -1, 5))]
         assert orbit_key(twins[0]) == orbit_key(twins[1])
@@ -743,6 +741,19 @@ class TestOrbitCaches:
                 record._replace(canonical=[2, 3, 6, 23]),
             ]
         assert written(records, fmt) == with_header(oracle_lines(records, fmt), fmt)
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_a_record_line_depends_on_that_record_alone(self, fmt, tmp_path):
+        # f's tail compares equal to r's, as 6.0 == 6, but is spelled
+        # otherwise, so a writer that shared equal tails between records
+        # would write one of the two with the other's text
+        r = next(enumerate_records(EnumerationJob(bound=1)))
+        f = r._replace(m1=9, d2=float(r.d2))
+        for records in ([f, r], [r, f]):
+            assert written(records, fmt) == with_header(oracle_lines(records, fmt), fmt)
+        path = str(tmp_path / f"record.{fmt}")
+        assert write_records([r], path, fmt) == 1
+        assert read_records(path, fmt) == [r]
 
 
 def record_path(job: EnumerationJob, fmt: str) -> str:
