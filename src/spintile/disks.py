@@ -312,10 +312,13 @@ def _is_positive(value: Rational | float) -> bool:
 def realize_fourth(placed: Sequence[PlacedDisk], curvature_d: Rational | float) -> PlacedDisk:
     """Place the fourth disk tangent to three already-placed disks.
 
-    Intersects the two center loci around the first two disks and keeps
-    the candidate consistent with the third tangency, both at the
-    library default tolerance.  Raises NoConsistentPlacement when
-    neither candidate works (non-Descartes input) and ZeroCurvature for
+    The candidate centres are the two crossings of the centre loci
+    around the first two disks and their foot on the axis of those
+    disks, which stands in where the loci only touch but rounding lifts
+    the crossings off the axis.  Each candidate is judged by its worst
+    gap to all three placed disks, and the least wins.  Raises
+    NoConsistentPlacement when even that gap exceeds the library
+    default tolerance (a non-Descartes input), and ZeroCurvature for
     curvature 0 (a line, not a disk).
     """
     value = _float_curvature(curvature_d)
@@ -323,38 +326,31 @@ def realize_fourth(placed: Sequence[PlacedDisk], curvature_d: Rational | float) 
         raise ZeroCurvature("curvature 0 describes a line; no disk to place")
     rd = 1.0 / value
     disk_a, disk_b, disk_c = placed
-    ca, cb = disk_a._center, disk_b._center
+    ca, cb, cc = disk_a._center, disk_b._center, disk_c._center
     axis = cb - ca
     gap = abs(axis)
     reach_a = abs(disk_a.radius + rd)
     reach_b = abs(disk_b.radius + rd)
-    scale = max(1.0, reach_a, reach_b, gap)
+    reach_c = abs(disk_c.radius + rd)
     x = (gap * gap + reach_a * reach_a - reach_b * reach_b) / (2.0 * gap)
-    height_sq = reach_a * reach_a - x * x
-    if height_sq < 0.0:
-        if height_sq < -scaled_tolerance(DEFAULT_TOLERANCE, scale * scale):
-            raise NoConsistentPlacement(
-                f"tangency circles around the first two disks miss (h² = {height_sq})"
-            )
-        height_sq = 0.0
-    y = math.sqrt(height_sq)
+    y = math.sqrt(max(reach_a * reach_a - x * x, 0.0))
     unit = axis / gap
-    target = abs(disk_c.radius + rd)
-    cc = disk_c._center
-    best: complex | None = None
-    best_gap = math.inf
-    # the on-axis offset 0.0 covers internally tangent loci, where the
-    # exact height is zero but rounding in height_sq inflates sqrt to
-    # ~1e-9; the third-tangency test below rejects it whenever the loci
-    # genuinely cross
+    best, best_gap = ca, math.inf
     for offset in (y, -y, 0.0):
         candidate = ca + unit * complex(x, offset)
-        mismatch = abs(abs(candidate - cc) - target)
-        if mismatch < best_gap:
-            best, best_gap = candidate, mismatch
-    if best is None or best_gap > scaled_tolerance(DEFAULT_TOLERANCE, max(scale, abs(value))):
+        worst = abs(abs(candidate - ca) - reach_a)
+        miss = abs(abs(candidate - cb) - reach_b)
+        if miss > worst:
+            worst = miss
+        miss = abs(abs(candidate - cc) - reach_c)
+        if miss > worst:
+            worst = miss
+        if worst < best_gap:
+            best, best_gap = candidate, worst
+    scale = max(1.0, reach_a, reach_b, gap, abs(value))
+    if best_gap > scaled_tolerance(DEFAULT_TOLERANCE, scale):
         raise NoConsistentPlacement(
-            f"no candidate center satisfies the third tangency (off by {best_gap!r})"
+            f"no candidate center touches all three placed disks (off by {best_gap!r})"
         )
     return PlacedDisk.from_curvature(value, (best.real, best.imag))
 

@@ -53,12 +53,13 @@ comma into a generator head and a tail, and the head once more after its
 second comma for the line view; its writers and grammars are made from
 it.  ``merge_shards`` merges by runs: from the shard with the least
 head it copies, in one write, every line below the next shard's head,
-which is at least every record of one first spinor.  It accepts exactly
-the lines this module writes (no added spaces, extra keys or other
-spellings of a value) and copies them through unchanged.  Each distinct
-piece is checked once: a line splits where its template was cut, its
-four generator pieces are looked up in a dict per position and its tail
-in a set.  A generator miss, at most 2·bound + 1 per position, matches
+which is at least every record of one first spinor.  It checks each
+line's spelling and order, not its values: a line must be spelled as
+this module writes it (no added spaces, extra keys or other spellings
+of a value), but a record whose numbers were edited still merges.  The
+lines are copied through unchanged.  Each distinct piece is checked
+once: a line splits where its template was cut, its four generator
+pieces are looked up in a dict per position and its tail in a set.  A generator miss, at most 2·bound + 1 per position, matches
 the whole line by the grammar ``read_records`` uses, and a tail miss the
 tail by its own grammar.  The keys must strictly increase along each
 shard, and no two shards may hold the same one.  Memory holds one block

@@ -409,6 +409,13 @@ class TestVerify:
         assert run(["verify", "--curvatures", "2645000000,-1456000000,3456000000,5661000000"]) == 0
         assert "result: PASS" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("curvatures", ["105,48,-7,20", "-17,238,102,51"])
+    def test_order_whose_on_axis_candidate_touches_the_third_disk_passes(
+        self, capsys, curvatures
+    ):
+        assert run(["verify", "--curvatures", curvatures]) == 0
+        assert "result: PASS" in capsys.readouterr().out
+
     def test_non_descartes_quadruple_fails(self, capsys):
         assert run(["verify", "--curvatures", "2,3,6,7"]) == 1
         assert "NoConsistentPlacement" in capsys.readouterr().err

@@ -10,12 +10,13 @@ import random
 import re
 import xml.etree.ElementTree as ET
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 
 from spintile import (
     CollinearTangencyPoints,
+    EnumerationJob,
     FloatOverflow,
     NoConsistentPlacement,
     NonPositiveCurvature,
@@ -30,6 +31,7 @@ from spintile import (
     circle_through_points,
     cross,
     dot,
+    enumerate_records,
     euclid_square,
     from_spinor_pair,
     midcircle_through_tangencies,
@@ -297,6 +299,15 @@ class TestPlacement:
         for disk in placed:
             gap = abs(fourth.center_complex() - disk.center_complex())
             assert gap == pytest.approx(abs(disk.radius + fourth.radius), abs=1e-12)
+
+    def test_realize_judges_each_candidate_by_all_three_disks(self):
+        # the on-axis candidate touches disk 20 exactly but misses 105
+        # and 48; the crossing misses 20 only by rounding, so it wins
+        placed = place_configuration(105, 48, 20)
+        fourth = realize_fourth(placed, -7)
+        for disk in placed:
+            gap = abs(fourth.center_complex() - disk.center_complex())
+            assert gap == pytest.approx(abs(disk.radius + fourth.radius), rel=1e-12, abs=0)
 
     def test_realize_rejects_non_root(self):
         placed = place_configuration(2, 3, 6)
@@ -835,6 +846,30 @@ class TestSignSearch:
         floats = verify_spinor_laws(disks, labels=(1.0, 2.0, 3.0, 4.0))
         assert list(ints.sign_assignment)[0] == "thm4_curl[234]"
         assert list(floats.sign_assignment)[0] == "thm4_curl[2.03.04.0]"
+
+
+class TestClosure:
+    """Every zero-free quadruple that ``enumerate`` prints verifies, in
+    every order."""
+
+    def test_every_order_of_every_bound_7_quadruple_passes(self):
+        quadruples = set()
+        for record in enumerate_records(EnumerationJob(bound=7)):
+            for root in (record.d1, record.d2):
+                quadruple = (record.a, record.b, record.c, root)
+                if 0 not in quadruple:
+                    quadruples.add(tuple(sorted(quadruple)))
+        orders, failures = 0, []
+        for quadruple in sorted(quadruples):
+            for order in set(permutations(quadruple)):
+                orders += 1
+                try:
+                    if not verify_spinor_laws(place_quadruple(order)).passed:
+                        failures.append((order, "FAIL"))
+                except SpintileError as exc:
+                    failures.append((order, type(exc).__name__))
+        assert (len(quadruples), orders) == (2288, 52740)
+        assert failures == []
 
 
 class TestRoundTrip:

@@ -721,13 +721,11 @@ class TestOrbitCaches:
         fresh = len(kept) + sum(key not in kept for key in keys)
         assert calls == {"_tail": fresh}
 
-    @pytest.mark.parametrize("cap", [enumeration._CACHE_SIZE, 1], ids=["cap", "past-cap"])
     @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
-    def test_the_writer_keys_tails_by_their_own_values(self, monkeypatch, cap, fmt):
+    def test_the_writer_keys_tails_by_their_own_values(self, fmt):
         # records that share an orbit key, some with a hand-altered tail,
         # each write their own line: the writer formats every record from
-        # its own values, whatever the cap of the walk's cache
-        monkeypatch.setattr(enumeration, "_CACHE_SIZE", cap)
+        # its own values
         twins = [_record((3, 0, 9), (-1, 2, 5)), _record((0, 3, 9), (-2, -1, 5))]
         assert orbit_key(twins[0]) == orbit_key(twins[1])
         records = []
