@@ -413,7 +413,8 @@ def _enumerate_arguments(parser: argparse.ArgumentParser) -> None:
         default="0/1",
         help="K/N: keep the pairs whose first spinor's squared norm is a row that "
         "shard K of N owns; rows go by descending point count to the least-loaded "
-        "shard, and the N files merge into the unsharded one",
+        "shard, and the N files merge into the unsharded one; with --out and N > 1, "
+        "also writes OUT.json, which merge_shards needs",
     )
     parser.add_argument(
         "--include-zero",

@@ -20,9 +20,6 @@ skips the rows of other shards with one lookup each, and the
 non-primitive pairs when ``primitive_only`` is set (a gcd-only test).
 Every orbit key below has its |a|² in one shard only, so the shards of a
 job build each tail once between them, as the unsharded walk does.
-Shard files written by versions that dealt records round-robin hold
-other records, and must not be merged with files written since: the
-merge cannot detect a record that no file holds.
 
 A record's tail, everything after its generators, is a function of the
 orbit key (|a|², |b|², a·b, |a×b|): A = |b|² + a·b, B = |a|² + a·b,
@@ -50,27 +47,23 @@ shards at bound 16 (about 36,000 keys of its own rows).
 
 Each format is one line template, cut by ``_cut`` after its fourth
 comma into a generator head and a tail, and the head once more after its
-second comma for the line view; its writers and grammars are made from
-it.  ``merge_shards`` merges by runs: from the shard with the least
-head it copies, in one write, every line below the next shard's head,
-which is at least every record of one first spinor.  It checks each
-line's spelling and order, not its values: a line must be spelled as
-this module writes it (no added spaces, extra keys or other spellings
-of a value), but a record whose numbers were edited still merges.  The
-lines are copied through unchanged.  Each distinct piece is checked
-once: a line splits where its template was cut, its four generator
-pieces are looked up in a dict per position and its tail in a set.  A generator miss, at most 2·bound + 1 per position, matches
-the whole line by the grammar ``read_records`` uses, and a tail miss the
-tail by its own grammar.  The keys must strictly increase along each
-shard, and no two shards may hold the same one.  Memory holds one block
-of whole lines per shard and the caches, which stop growing at
-``_CACHE_SIZE`` entries each, so it is flat in the stream length.
+second comma for the line view; its writers and the grammar of
+``read_records`` are made from it.
+
+``write_records`` writes a shard of an undrawn stream, of a job with
+more than one shard, beside a manifest ``PATH.json``: the job, the
+shard, the record count, the sha256 of the file and a table of its rows,
+each as its first spinor (m1, n1) and its length in bytes.
+``merge_shards`` reads the manifests, refuses any set that is not one
+whole job, and then copies whole rows in stream order, parsing no line:
+each shard is read once, front to back, one row in memory at a time,
+and hashed as it is read.
 """
 
 from __future__ import annotations
 
-import bisect
 import collections
+import contextlib
 import functools
 import heapq
 import math
@@ -150,9 +143,8 @@ def _tail(
     return (big_a, big_b, big_c, d1, d2) + canonical_form(big_a, big_b, big_c, d1)
 
 
-# the most entries the walk's tail cache and each of the merge's piece
-# caches hold; past it they stop inserting and make or check the other
-# items afresh
+# the most entries the walk's tail cache holds; past it the walk stops
+# inserting and makes the other items afresh
 _CACHE_SIZE = 1 << 16
 
 
@@ -253,25 +245,21 @@ def _record_view(job: EnumerationJob) -> Iterator[QuadrupleRecord]:
             yield new(QuadrupleRecord, head + rest)
 
 
-def _write_rows(job: EnumerationJob, handle: IO[str], template: str) -> int:
-    """Write the job's record lines in the line template ``template``,
-    one ``write`` a row; returns the record count.  The walk's items are
-    the formatted tails, and the head of each line is cut once more,
-    after its second comma: the first spinor's text is formatted once a
-    row and each second spinor's once."""
+def _row_texts(job: EnumerationJob, template: str) -> Iterator[tuple[int, int, int, str]]:
+    """The job's record lines in the line template ``template``, a row at
+    a time: each first spinor (m1, n1) with its record count and the text
+    of its lines.  The walk's items are the formatted tails, and the head
+    of each line is cut once more, after its second comma: the first
+    spinor's text is formatted once a row and each second spinor's once."""
     head, tail = _cut(template + "\n")
     first, second = _cut(head, 2)
 
     def text(a: _Point, b: _Point) -> str:
         return tail % _fields(a[:2] + b[:2] + _tail(a, b))[4:]
 
-    write = handle.write
-    count = 0
     for m1, n1, row in _rows(job, text, lambda m, n: second % (m, n)):
         start = first % (m1, n1)
-        write(start + start.join(row))
-        count += len(row)
-    return count
+        yield m1, n1, len(row), start + start.join(row)
 
 
 class _Stream:
@@ -371,36 +359,90 @@ def write_stream(records: Iterable[QuadrupleRecord], handle: IO[str], fmt: str) 
     one, each line ``template % _fields(record)``: a record's line
     depends on that record alone."""
     header, template = _record_format(fmt)
+    write = handle.write
     if header:
-        handle.write(header + "\n")
+        write(header + "\n")
+    count = 0
     if type(records) is _Stream and records._records is None:
         records._records = iter(())
-        return _write_rows(records.job, handle, template)
+        for _, _, size, text in _row_texts(records.job, template):
+            write(text)
+            count += size
+        return count
     line = template + "\n"
-    write = handle.write
-    count = 0
     for count, record in enumerate(records, 1):
         write(line % _fields(record))
     return count
 
 
+# the layout of the manifest ``write_records`` writes beside a shard;
+# ``merge_shards`` refuses a manifest of any other
+_MANIFEST_VERSION = 1
+# each field of a manifest with its type; all but the last four name the
+# job, which every shard of a merge must share
+_MANIFEST_FIELDS = {
+    "version": int, "bound": int, "primitive_only": bool, "include_zero": bool, "format": str,
+    "count": int, "index": int, "records": int, "sha256": str, "rows": list,
+}
+_JOB_FIELDS = tuple(_MANIFEST_FIELDS)[:-4]
+_REWRITE = "rewrite it with enumerate --shard K/N --out F"
+
+
 def write_records(records: Iterable[QuadrupleRecord], path: str, fmt: str) -> int:
-    """Atomic file write: land fully or not at all (temp file + rename)."""
-    return _atomic_write(path, lambda handle: write_stream(records, handle, fmt))
+    """Atomic file write: land fully or not at all (temp file + rename).
+
+    A stream of ``enumerate_records`` that no record was drawn from,
+    whose job has more than one shard, is a shard file: it is written
+    through the line view, with the same bytes as ``write_stream``
+    writes, and each row hashed and listed as ``[m1, n1, byte length]``
+    as it goes out.  Once the file has landed, its manifest lands beside
+    it as ``PATH.json``, which ``merge_shards`` needs.  Other records
+    are written by ``write_stream``, with no manifest."""
+    if type(records) is not _Stream or records._records is not None or records.job.shard.count == 1:
+        return _atomic_write(path, lambda handle: write_stream(records, handle, fmt))
+    import hashlib
+    import json
+
+    job = records.job
+    records._records = iter(())
+    header, template = _record_format(fmt)
+    digest = hashlib.sha256()
+    rows = []
+
+    def write(handle: IO[bytes]) -> int:
+        data = (header + "\n").encode() if header else b""
+        handle.write(data)
+        digest.update(data)
+        count = 0
+        for m1, n1, size, text in _row_texts(job, template):
+            data = text.encode()
+            handle.write(data)
+            digest.update(data)
+            rows.append([m1, n1, len(data)])
+            count += size
+        return count
+
+    count = _atomic_write(path, write, binary=True)
+    shard = job.shard
+    values = (_MANIFEST_VERSION, job.bound, job.primitive_only, job.include_zero, fmt, shard.count,
+              shard.index, count, digest.hexdigest(), rows)
+    text = json.dumps(dict(zip(_MANIFEST_FIELDS, values)), separators=(",", ":")) + "\n"
+    _atomic_write(path + ".json", lambda handle: handle.write(text))
+    return count
 
 
-def _atomic_write(path: str, write: Callable[[IO[str]], int]) -> int:
-    """Run ``write`` on a temp file beside ``path`` and rename it into
-    place; on any failure the temp file is removed.  Returns what
-    ``write`` returns.  When the temp file cannot be made or renamed,
-    the ``OSError`` names ``path``."""
+def _atomic_write(path: str, write: Callable[[IO[Any]], int], binary: bool = False) -> int:
+    """Run ``write`` on a temp file beside ``path``, opened as text or
+    with ``binary`` as bytes, and rename it into place; on any failure
+    the temp file is removed.  Returns what ``write`` returns.  When the
+    temp file cannot be made or renamed, the ``OSError`` names ``path``."""
     directory = os.path.dirname(os.path.abspath(path))
     try:
         descriptor, temp_path = tempfile.mkstemp(dir=directory, suffix=".part")
     except OSError as exc:
         raise OSError(exc.errno, exc.strerror, path) from None
     try:
-        with os.fdopen(descriptor, "w", newline="") as handle:
+        with open(descriptor, "wb") if binary else open(descriptor, "w", newline="") as handle:
             count = write(handle)
         try:
             os.replace(temp_path, path)
@@ -417,13 +459,6 @@ def _atomic_write(path: str, write: Callable[[IO[str]], int]) -> int:
 _INT, _FLAG = "(0|-?[1-9][0-9]*)", "(true|false)"
 
 
-def _compile(template: str) -> re.Pattern[str]:
-    """The compiled grammar of a line template or its tail: each slot a
-    group, of one integer, or of ``true`` or ``false`` for the last."""
-    ints = template.count("%s") - 1
-    return re.compile(re.escape(template).replace("%s", _INT, ints).replace("%s", _FLAG))
-
-
 @functools.cache
 def _line_grammar(fmt: str) -> re.Pattern[str]:
     """The compiled grammar of the format's record line, newline included:
@@ -431,21 +466,9 @@ def _line_grammar(fmt: str) -> re.Pattern[str]:
     1-13) and the flag slot the group ``(true|false)`` (group 14).
     Compiled on first use, so that importing the package (every CLI
     call) does not pay for it."""
-    return _compile(_record_format(fmt).template + "\n")
-
-
-@functools.cache
-def _tail_grammar(fmt: str) -> re.Pattern[str]:
-    """The compiled grammar of the tail ``_cut`` cuts from the format's
-    record line, newline included.  Compiled on first use."""
-    return _compile(_cut(_record_format(fmt).template + "\n")[1])
-
-
-def _open_records(path: str) -> IO[str]:
-    """A record file opened to read its lines as written.  A byte that is
-    not UTF-8 reads as a lone surrogate, which no grammar accepts, so its
-    line is refused by number like any other misspelt line."""
-    return open(path, "r", encoding="utf-8", errors="surrogateescape", newline="")
+    template = _record_format(fmt).template + "\n"
+    ints = template.count("%s") - 1
+    return re.compile(re.escape(template).replace("%s", _INT, ints).replace("%s", _FLAG))
 
 
 def _read_header(handle: IO[str], path: str, fmt: str) -> int:
@@ -462,209 +485,171 @@ def _read_header(handle: IO[str], path: str, fmt: str) -> int:
     raise ValueError(f"{path} does not start with the expected {fmt} header")
 
 
-def _not_a_record(path: str, number: int, fmt: str, line: str) -> ValueError:
-    return ValueError(
-        f"{path}, line {number}: not a {fmt} record line as enumerate writes it: {line!r}"
-    )
-
-
-_Key = tuple[int, int, int, int]
-
-
-def _out_of_order(path: str, key: _Key) -> ValueError:
-    return ValueError(
-        f"{path} breaks the stream order at generators {key}: a record out of "
-        "order, or one that another shard also holds"
-    )
-
-
-def _record_lines(path: str, fmt: str) -> Iterator[tuple[re.Match[str], str]]:
-    """Each record line of a file with its grammar match.
+def read_records(path: str, fmt: str) -> list[QuadrupleRecord]:
+    """The records of a file whose lines are spelled exactly as
+    ``enumerate`` writes them.
 
     Blank lines are skipped, and a file of a format with a header line
-    must start with it.
-    Any other line not spelled exactly as ``enumerate`` writes it raises
-    ``ValueError`` naming the file and the line.
-    """
+    must start with it.  Any other line raises ``ValueError`` naming the
+    file and the line.  A byte that is not UTF-8 reads as a lone
+    surrogate, which the grammar refuses, so its line is refused by
+    number like any other misspelt line."""
     fullmatch = _line_grammar(fmt).fullmatch
-    with _open_records(path) as handle:
+    records = []
+    with open(path, "r", encoding="utf-8", errors="surrogateescape", newline="") as handle:
         for number, line in enumerate(handle, _read_header(handle, path, fmt) + 1):
             found = fullmatch(line)
             if found is None:
                 if line.strip():
-                    raise _not_a_record(path, number, fmt, line)
+                    raise ValueError(
+                        f"{path}, line {number}: not a {fmt} record line as enumerate "
+                        f"writes it: {line!r}"
+                    )
                 continue
-            yield found, line
-
-
-def read_records(path: str, fmt: str) -> list[QuadrupleRecord]:
-    records = []
-    for found, _ in _record_lines(path, fmt):
-        *values, primitive = found.groups()
-        m1, n1, m2, n2, a, b, c, d1, d2, w, x, y, z = map(int, values)
-        records.append(
-            QuadrupleRecord(m1, n1, m2, n2, a, b, c, d1, d2, (w, x, y, z), primitive == "true")
-        )
+            *values, primitive = found.groups()
+            m1, n1, m2, n2, a, b, c, d1, d2, w, x, y, z = map(int, values)
+            records.append(
+                QuadrupleRecord(m1, n1, m2, n2, a, b, c, d1, d2, (w, x, y, z), primitive == "true")
+            )
     return records
 
 
-# the characters of whole lines that ``merge_shards`` reads from a shard
-# at a time
-_READ_HINT = 1 << 16
+def _read_manifest(path: str) -> dict[str, Any]:
+    """The manifest ``PATH.json`` of the shard file ``path``, each field
+    of its type and each row three ints, the last positive."""
+    import json
 
-
-class _PieceCheck:
-    """The generator keys of record lines, each distinct piece of a line
-    checked against a grammar once.
-
-    ``str.split(",", 4)`` cuts a line where ``_cut`` cuts its template.
-    Each generator piece is looked up in the dict of its position, from
-    its text to its integer, and the tail in the set of accepted tails.
-    A line that misses a dict is matched whole by ``_line_grammar``, and
-    a tail that misses the set by ``_tail_grammar``; what they accept is
-    inserted while its dict or the set holds under ``_CACHE_SIZE``."""
-
-    def __init__(self, fmt: str) -> None:
-        self.fmt = fmt
-        self.values: tuple[dict[str, int], ...] = ({}, {}, {}, {})
-        self.tails: set[str] = set()
-
-    def keys(
-        self, block: list[str], path: str, number: int, previous: _Key | tuple[()]
-    ) -> tuple[list[_Key], list[str]]:
-        """The generator keys of the record lines of ``block``, lines
-        ``number + 1`` on of ``path``, and those lines, without the blank
-        ones.  Raises ``ValueError`` naming the file and the line for any
-        other line not spelled as ``enumerate`` writes it, and naming the
-        file for a key that is not above the one before it (``previous``
-        for the first)."""
-        v0, v1, v2, v3 = self.values
-        tails = self.tails
-        tail_match = _tail_grammar(self.fmt).fullmatch
-        keys: list[_Key] = []
-        append = keys.append
-        blank = False
-        for number, line in enumerate(block, number + 1):
-            try:
-                p0, p1, p2, p3, tail = line.split(",", 4)
-                key = (v0[p0], v1[p1], v2[p2], v3[p3])
-            except (KeyError, ValueError):
-                checked = self._generators(line, path, number)
-                if checked is None:
-                    blank = True
-                    continue
-                key, tail = checked
-            if tail not in tails:
-                if tail_match(tail) is None:
-                    raise _not_a_record(path, number, self.fmt, line)
-                if len(tails) < _CACHE_SIZE:
-                    tails.add(tail)
-            if key <= previous:
-                raise _out_of_order(path, key)
-            append(key)
-            previous = key
-        if blank:
-            block = [line for line in block if line.strip()]
-        return keys, block
-
-    def _generators(self, line: str, path: str, number: int) -> tuple[_Key, str] | None:
-        """The key and the tail of a line that missed a generator dict,
-        matched whole and its generator pieces cached, or ``None`` for a
-        blank line."""
-        found = _line_grammar(self.fmt).fullmatch(line)
-        if found is None:
-            if line.strip():
-                raise _not_a_record(path, number, self.fmt, line)
-            return None
-        *pieces, tail = line.split(",", 4)
-        key = tuple(map(int, found.group(1, 2, 3, 4)))
-        for values, piece, value in zip(self.values, pieces, key):
-            if len(values) < _CACHE_SIZE:
-                values[piece] = value
-        return key, tail
-
-
-def _blocks(path: str, check: _PieceCheck) -> Iterator[tuple[list[_Key], list[str]]]:
-    """A shard's record lines with their keys, ``_READ_HINT`` characters
-    of whole lines at a time, each block with at least one record; the
-    keys strictly increase along the file."""
-    with _open_records(path) as handle:
-        number = _read_header(handle, path, check.fmt)
-        previous: _Key | tuple[()] = ()
-        while block := handle.readlines(_READ_HINT):
-            keys, lines = check.keys(block, path, number, previous)
-            number += len(block)
-            if keys:
-                previous = keys[-1]
-                yield keys, lines
-
-
-def _merge_runs(paths: list[str], handle: IO[str], fmt: str) -> int:
-    """Write the merged records of the shard files ``paths``, run by run;
-    returns the record count."""
-    header = _record_format(fmt).header
-    if header:
-        handle.write(header + "\n")
-    check = _PieceCheck(fmt)
-    shards = [_blocks(path, check) for path in paths]
     try:
-        # the block of each shard and the position of its head in it
-        current: list[tuple[list[_Key], list[str], int]] = []
-        heap = []  # (head key, index) of each shard with records left
-        for index, shard in enumerate(shards):
-            keys, lines = next(shard, ([], []))
-            current.append((keys, lines, 0))
-            if keys:
-                heap.append((keys[0], index))
-        heapq.heapify(heap)
-        write = handle.write
-        count = 0
-        while heap:
-            key, index = heapq.heappop(heap)
-            keys, lines, start = current[index]
-            if heap:
-                # equal heads pop by index, so ``other`` comes later in paths
-                bound, other = heap[0]
-                if bound == key:
-                    raise _out_of_order(paths[other], key)
-                end = bisect.bisect_left(keys, bound, start)
-            else:
-                end = len(keys)
-            write("".join(lines[start:end]))
-            count += end - start
-            if end == len(keys):
-                keys, lines = next(shards[index], ([], []))
-                if not keys:
-                    continue
-                end = 0
-            current[index] = keys, lines, end
-            heapq.heappush(heap, (keys[end], index))
-        return count
-    finally:
-        for shard in shards:
-            shard.close()
+        with open(path + ".json", "rb") as handle:
+            manifest = json.load(handle)
+    except FileNotFoundError:
+        raise ValueError(f"{path} has no manifest {path}.json: {_REWRITE}") from None
+    except ValueError:  # not UTF-8, or not JSON
+        manifest = None
+    if not (
+        type(manifest) is dict
+        and manifest.keys() == _MANIFEST_FIELDS.keys()
+        and all(type(manifest[name]) is kind for name, kind in _MANIFEST_FIELDS.items())
+        and all(
+            type(row) is list and len(row) == 3 and all(type(value) is int for value in row)
+            and row[2] > 0
+            for row in manifest["rows"]
+        )
+    ):
+        raise ValueError(f"{path}.json is not a shard manifest as enumerate writes it")
+    return manifest
+
+
+def _merge_plan(paths: list[str], fmt: str) -> tuple[list[dict[str, Any]], list[tuple[int, ...]]]:
+    """The manifests of the shard files ``paths`` and all their rows in
+    stream order, each as ``(m1, n1, shard, byte length)`` with ``shard``
+    its file's position in ``paths``.  Raises ``ValueError`` naming a
+    shard file unless the manifests make up one whole job written in
+    ``fmt``, each listing its rows in stream order, no row listed twice."""
+    if not paths:
+        raise ValueError("no shard files to merge")
+    manifests = [_read_manifest(path) for path in paths]
+    first = manifests[0]
+    given: dict[int, str] = {}
+    plan = []
+    for shard, (path, manifest) in enumerate(zip(paths, manifests)):
+        if manifest["version"] != _MANIFEST_VERSION:
+            raise ValueError(
+                f"{path}.json is a manifest of version {manifest['version']}, not "
+                f"{_MANIFEST_VERSION}: {_REWRITE}"
+            )
+        if manifest["format"] != fmt:
+            raise ValueError(f"{path} is a {manifest['format']!r} shard, not {fmt!r}")
+        other = ", ".join(
+            f"{name} {manifest[name]!r}" for name in _JOB_FIELDS if manifest[name] != first[name]
+        )
+        if other:
+            raise ValueError(f"{path} is a shard of another job than {paths[0]}: {other}")
+        index, count = manifest["index"], manifest["count"]
+        if not 0 <= index < count:
+            raise ValueError(f"{path}.json names shard {index} of {count}")
+        if index in given:
+            raise ValueError(f"{path} is shard {index} of {count}, as {given[index]} is")
+        given[index] = path
+        keys = [row[:2] for row in manifest["rows"]]
+        if any(key >= after for key, after in zip(keys, keys[1:])):
+            raise ValueError(f"{path}.json lists its rows out of stream order")
+        plan += [(m1, n1, shard, size) for m1, n1, size in manifest["rows"]]
+    if len(given) < first["count"]:
+        missing = next(index for index in range(first["count"]) if index not in given)
+        raise ValueError(f"shard {missing} of {first['count']} is missing from {', '.join(paths)}")
+    plan.sort()
+    for row, after in zip(plan, plan[1:]):
+        if row[:2] == after[:2]:
+            raise ValueError(
+                f"{paths[after[2]]} holds the row of first spinor {row[:2]}, as "
+                f"{paths[row[2]]} does"
+            )
+    return manifests, plan
 
 
 def merge_shards(paths: Iterable[str], out_path: str, fmt: str) -> int:
-    """Merge shard files back into the unsharded stream order.
+    """Merge shard files back into the unsharded stream order; returns
+    the record count.
 
-    The stream is lexicographic in the generator tuple and every shard
-    file holds its records in stream order, as ``enumerate_records``
-    writes them, so merging the shards on the generator tuple reproduces
-    a single-shard run of the same job byte for byte.  The merge goes by
-    runs: from the shard with the least head it copies, with one write,
-    every line whose generator tuple is below the next shard's head,
-    which is at least every record of one first spinor a, as a shard
-    owns whole |a|² rows.  Each shard is read in blocks of whole lines,
-    so memory holds one block per shard and the bounded caches of
-    ``_PieceCheck``, flat in the stream length.
-
-    Each line must be spelled exactly as ``enumerate`` writes it, and is
-    copied through unchanged; each distinct generator piece and tail is
-    checked against a grammar once.  The generator tuples must strictly
-    increase along each shard, and no two shards may hold the same one,
-    so a shard out of order, or a record that two shards hold, raises
-    ``ValueError`` naming the shard file (the later one in ``paths``).
-    """
+    Each shard file needs the manifest ``PATH.json`` that
+    ``write_records`` writes beside it.  The set is refused unless the
+    manifests name one job (version, bound, filters and shard count),
+    written in ``fmt``, and hold the shard indexes 0 .. N-1 once each.
+    The rows of all the shards are then copied whole in stream order,
+    which reproduces a single-shard run of the same job byte for byte.
+    Each file is read once, front to back, with one row in memory, and
+    hashed as it is read; no line is parsed.  Refused, too: a row that
+    two shards hold; a file whose size is not its header's and its rows'
+    lengths together; a row whose first or last line does not start with
+    its first spinor's text, or that does not end in a newline; a sha256
+    or a record count (its newlines) other than its manifest's.  Every
+    refusal is a ``ValueError`` naming a shard file, and leaves no merged
+    file behind."""
+    header, template = _record_format(fmt)
     paths = list(paths)
-    return _atomic_write(out_path, lambda handle: _merge_runs(paths, handle, fmt))
+    manifests, plan = _merge_plan(paths, fmt)
+    head = (header + "\n").encode() if header else b""
+    first = _cut(template, 2)[0]
+
+    def copy(handle: IO[bytes]) -> int:
+        import hashlib
+
+        with contextlib.ExitStack() as stack:
+            files = [stack.enter_context(open(path, "rb")) for path in paths]
+            for path, file, manifest in zip(paths, files, manifests):
+                size = os.fstat(file.fileno()).st_size
+                listed = len(head) + sum(row[2] for row in manifest["rows"])
+                if size != listed:
+                    raise ValueError(
+                        f"{path} holds {size} bytes, not the {listed} its manifest lists"
+                    )
+            # each file's header is hashed as read, and written once
+            digests = [hashlib.sha256(file.read(len(head))) for file in files]
+            handle.write(head)
+            newlines = [0] * len(paths)
+            for m1, n1, shard, size in plan:
+                row = files[shard].read(size)
+                start = (first % (m1, n1)).encode()
+                last = row.rfind(b"\n", 0, -1) + 1  # where the row's last line starts
+                whole = row.endswith(b"\n") and row.startswith(start)
+                if not (whole and row.startswith(start, last)):
+                    at = files[shard].tell() - len(row)
+                    raise ValueError(
+                        f"{paths[shard]}: the {size} bytes at byte {at} are not the row of "
+                        f"first spinor ({m1}, {n1}) that its manifest lists"
+                    )
+                digests[shard].update(row)
+                newlines[shard] += row.count(b"\n")
+                handle.write(row)
+            for path, digest, lines, manifest in zip(paths, digests, newlines, manifests):
+                if digest.hexdigest() != manifest["sha256"]:
+                    raise ValueError(f"{path} does not have the sha256 its manifest lists")
+                if lines != manifest["records"]:
+                    raise ValueError(
+                        f"{path} holds {lines} records, not the {manifest['records']} its "
+                        "manifest lists"
+                    )
+        return sum(newlines)
+
+    return _atomic_write(out_path, copy, binary=True)

@@ -189,7 +189,8 @@ options:
   --shard SHARD         K/N: keep the pairs whose first spinor's squared norm
                         is a row that shard K of N owns; rows go by descending
                         point count to the least-loaded shard, and the N files
-                        merge into the unsharded one
+                        merge into the unsharded one; with --out and N > 1,
+                        also writes OUT.json, which merge_shards needs
   --include-zero        keep pairs with a zero spinor: one zero gives the
                         canonical strip 0:0:1:1, two 0:0:0:0
 """,
@@ -513,9 +514,17 @@ class TestEnumerate:
             )
             assert code == 0
             shard_paths.append(str(path))
+            # the manifest merge_shards needs lands beside the shard
+            assert json.loads((tmp_path / f"part{i}.csv.json").read_text())["index"] == i
         merged = tmp_path / "merged.csv"
-        merge_shards(shard_paths, str(merged), "csv")
+        assert merge_shards(shard_paths, str(merged), "csv") == 576
         assert merged.read_bytes() == reference.read_bytes()
+        # the unsharded file and a shard written to stdout get none
+        assert not (tmp_path / "whole.csv.json").exists()
+        assert run(["enumerate", "--bound", "2", "--shard", "0/3"]) == 0
+        assert sorted(path.name for path in tmp_path.iterdir()) == sorted(
+            ["whole.csv", "merged.csv"] + [f"part{i}.csv{end}" for i in range(3) for end in ("", ".json")]
+        )
 
     def test_unwritable_out_names_the_requested_path(self, tmp_path, capsys):
         path = tmp_path / "missing" / "x.csv"

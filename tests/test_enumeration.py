@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-import bisect
 import collections
 import collections.abc
+import hashlib
 import io
 import json
 import math
@@ -310,7 +310,7 @@ class TestFormats:
         # the line view cuts the head once more, after its second comma
         first, second = _cut(head, 2)
         assert first % record[:2] + second % record[2:4] == head % record[:4]
-        # the merge splits the line where the template is cut
+        # and str.split cuts the line where the template is cut
         *pieces, rest = line.split(",", 4)
         assert (",".join(pieces) + ",", rest) == (head % record[:4], tail % _fields(record)[4:])
 
@@ -330,13 +330,14 @@ class TestFormats:
         whole = tmp_path / f"whole.{fmt}"
         assert write_records(records, str(whole), fmt) == len(records)
         assert read_records(str(whole), fmt) == records
+        # records dealt round-robin into files written from lists: each
+        # reads back, and no manifest is written, so the merge refuses them
         shards = [str(tmp_path / f"shard{k}.{fmt}") for k in range(3)]
         for k, path in enumerate(shards):
-            write_records(records[k::3], path, fmt)
-        merged = tmp_path / f"merged.{fmt}"
-        assert merge_shards(shards, str(merged), fmt) == len(records)
-        assert merged.read_bytes() == whole.read_bytes()
-        assert read_records(str(merged), fmt) == records
+            assert write_records(records[k::3], path, fmt) == 6
+            assert read_records(path, fmt) == records[k::3]
+        message = assert_refused(shards, fmt, shards[0])
+        assert message.endswith("rewrite it with enumerate --shard K/N --out F")
 
     def test_csv_header_frozen(self):
         assert CSV_HEADER == "m1,n1,m2,n2,A,B,C,D1,D2,canonical,primitive"
@@ -370,12 +371,13 @@ class TestAtomicWrites:
         assert run(["enumerate", "--bound", "1", "--out", str(target)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("i/o error: ") and err.endswith(f": {str(target)!r}\n")
-        shard = tmp_path / "shard.csv"
-        write_records(enumerate_records(EnumerationJob(bound=1)), str(shard), "csv")
+        shards = write_shards(tmp_path, 1, 2, "csv")
         with pytest.raises(OSError) as caught:
-            merge_shards([str(shard)], str(target), "csv")
+            merge_shards(shards, str(target), "csv")
         assert caught.value.filename == str(target)
-        assert sorted(os.listdir(tmp_path)) == ["shard.csv", "taken"]
+        assert sorted(os.listdir(tmp_path)) == sorted(
+            ["taken", "shard0.csv", "shard0.csv.json", "shard1.csv", "shard1.csv.json"]
+        )
         assert os.listdir(target) == []
 
     def test_failure_leaves_no_partial_file(self, tmp_path):
@@ -399,16 +401,33 @@ class TestAtomicWrites:
         assert "stale" not in content
 
     def test_unwritable_directory_names_the_requested_path(self, tmp_path):
-        shard = tmp_path / "shard.csv"
-        write_records(enumerate_records(EnumerationJob(bound=1)), str(shard), "csv")
+        shards = write_shards(tmp_path, 1, 2, "csv")
         target = str(tmp_path / "missing" / "merged.csv")
         for write in (
             lambda: write_records(enumerate_records(EnumerationJob(bound=1)), target, "csv"),
-            lambda: merge_shards([str(shard)], target, "csv"),
+            lambda: write_records(
+                enumerate_records(EnumerationJob(bound=1, shard=Shard(0, 2))), target, "csv"
+            ),
+            lambda: merge_shards(shards, target, "csv"),
         ):
             with pytest.raises(FileNotFoundError) as caught:
                 write()
             assert caught.value.filename == target
+
+
+def assert_refused(paths: list[str], fmt: str, named: str, match: str = "") -> str:
+    """Merging ``paths`` raises ``ValueError`` naming the file ``named``
+    and holding ``match``, and leaves no merged and no partial file
+    behind; returns the message."""
+    directory = os.path.dirname(paths[0])
+    before = sorted(os.listdir(directory))
+    assert f"merged.{fmt}" not in before
+    with pytest.raises(ValueError) as caught:
+        merge_shards(paths, os.path.join(directory, f"merged.{fmt}"), fmt)
+    message = str(caught.value)
+    assert named in message and match in message, message
+    assert sorted(os.listdir(directory)) == before
+    return message
 
 
 def write_shards(
@@ -528,9 +547,15 @@ class TestSharding:
                 )
                 reference = tmp_path / f"whole.{fmt}"
                 count = write_records(enumerate_records(job), str(reference), fmt)
-                merged = tmp_path / f"merged.{fmt}"
                 for shards in range(1, 9):
-                    paths = write_shards(tmp_path, bound, shards, fmt, include_zero, primitive_only)
+                    directory = tmp_path / f"{fmt}-{primitive_only}-{shards}"
+                    directory.mkdir()
+                    paths = write_shards(directory, bound, shards, fmt, include_zero, primitive_only)
+                    if shards == 1:
+                        # an unsharded run writes no manifest
+                        assert_refused(paths, fmt, paths[0], "has no manifest")
+                        continue
+                    merged = directory / f"merged.{fmt}"
                     assert merge_shards(paths, str(merged), fmt) == count
                     assert merged.read_bytes() == reference.read_bytes(), (job, shards)
 
@@ -548,18 +573,16 @@ class TestSharding:
         assert not merged.exists()
 
     @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
-    def test_merge_skips_blank_lines(self, fmt, tmp_path):
-        reference = tmp_path / f"whole.{fmt}"
-        write_records(enumerate_records(EnumerationJob(bound=1)), str(reference), fmt)
+    def test_merge_refuses_blank_lines_that_read_skips(self, fmt, tmp_path):
         shard_paths = write_shards(tmp_path, 1, 2, fmt)
-        for path in shard_paths:
-            with open(path) as handle:
-                lines = handle.readlines()
-            with open(path, "w") as handle:
-                handle.writelines(["\n", *lines[:3], "  \n", *lines[3:], "\n"])
-        merged = tmp_path / f"merged.{fmt}"
-        assert merge_shards(shard_paths, str(merged), fmt) == 64
-        assert merged.read_bytes() == reference.read_bytes()
+        records = read_records(shard_paths[1], fmt)
+        with open(shard_paths[1]) as handle:
+            lines = handle.readlines()
+        for blank in (["\n"], [], []), ([], ["  \n"], []), ([], [], ["\n"]):
+            with open(shard_paths[1], "w") as handle:
+                handle.writelines([*blank[0], *lines[:3], *blank[1], *lines[3:], *blank[2]])
+            assert read_records(shard_paths[1], fmt) == records
+            assert_refused(shard_paths, fmt, shard_paths[1])
 
     @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
     def test_merge_rejects_a_shard_passed_twice(self, fmt, tmp_path):
@@ -603,11 +626,8 @@ class TestSharding:
         lines.insert(index, bad + "\n")
         with open(shard_paths[1], "w") as handle:
             handle.writelines(lines)
-        merged = tmp_path / f"merged.{fmt}"
+        assert_refused(shard_paths, fmt, shard_paths[1])
         with pytest.raises(ValueError, match=rf"shard1\.{fmt}, line {index + 1}:"):
-            merge_shards(shard_paths, str(merged), fmt)
-        assert not merged.exists()
-        with pytest.raises(ValueError, match=f"line {index + 1}:"):
             read_records(shard_paths[1], fmt)
 
     @pytest.mark.parametrize("primitive_only", [False, True])
@@ -849,95 +869,286 @@ class TestTwoViews:
         assert calls == dict.fromkeys(keys, 1)
 
 
-# substitutions that the piece check of ``merge_shards`` must refuse or
-# accept exactly as the line grammar does; ``int()`` reads the Arabic-Indic
-# and the fullwidth digit, and ``[0-9]`` reads neither
-SUBSTITUTES = ["0", "7", "-", "+", ",", ":", " ", "\r", "\n", '"', "٣", "³", "１", "e"]
+def manifest_of(path: str) -> dict:
+    with open(path + ".json") as handle:
+        return json.load(handle)
 
 
-def variants(line: str) -> list[str]:
-    """Misspellings and respellings of a record line: every one-character
-    deletion and substitution, every comma doubled, a zero or a minus
-    before every integer (giving leading zeros and ``-0``), and the line
-    without its newline."""
-    out = [line[:i] + line[i + 1:] for i in range(len(line))]
-    out += [line[:i] + c + line[i + 1:] for i in range(len(line)) for c in SUBSTITUTES]
-    out += [line[:i] + "," + line[i:] for i, c in enumerate(line) if c == ","]
-    starts = [i for i, c in enumerate(line) if c.isdigit() and not line[i - 1 : i].isdigit()]
-    out += [line[:i] + prefix + line[i:] for i in starts for prefix in ("0", "-", "00")]
-    out += [line.rstrip("\n"), "\n", " \n", "\t\r\n", ""]
-    return out
+def rewrite(path: str, data: bytes, **changes) -> None:
+    """Write ``data`` as the shard file ``path``, and a manifest that
+    lists its sha256 and, with ``changes``, any other field as given."""
+    with open(path, "wb") as handle:
+        handle.write(data)
+    manifest = {**manifest_of(path), "sha256": hashlib.sha256(data).hexdigest(), **changes}
+    with open(path + ".json", "w") as handle:
+        json.dump(manifest, handle)
 
 
-def piece_key(check, line: str):
-    """The key that the merge's piece check gives the line, or None when it
-    skips the line as blank or refuses it; a refusal must name the line."""
-    try:
-        keys, lines = check.keys([line], "shard.txt", 6, ())
-    except ValueError as error:
-        expected = f"not a {check.fmt} record line as enumerate writes it: {line!r}"
-        assert str(error) == f"shard.txt, line 7: {expected}"
-        return None
-    assert lines == ([line] if keys else [])
-    if not keys:
-        assert not line.strip()
-    return keys[0] if keys else None
+def read_bytes(path: str) -> bytes:
+    with open(path, "rb") as handle:
+        return handle.read()
 
 
-def block_ends(path: str, fmt: str) -> list[int]:
-    """The number of the last line of each block that ``merge_shards``
-    reads from a shard file."""
-    header = 1 if FORMATS[fmt].header else 0
-    with open(path, encoding="utf-8", newline="") as handle:
-        for _ in range(header):
-            handle.readline()
-        ends = [header]
-        while block := handle.readlines(enumeration._READ_HINT):
-            ends.append(ends[-1] + len(block))
-    return ends[1:]
+class TestManifests:
+    """``write_records`` writes a manifest beside each shard file of an
+    undrawn stream, and beside no other file."""
 
-
-def generators(line: str, fmt: str) -> tuple[int, ...]:
-    return tuple(map(int, _line_grammar(fmt).fullmatch(line).group(1, 2, 3, 4)))
-
-
-class TestMergeChecks:
-    """``merge_shards`` checks each distinct piece of a line once and
-    merges by runs of whole blocks; it must accept and refuse exactly the
-    lines and the shards that a line-by-line merge does."""
-
-    @pytest.mark.parametrize("cap", [enumeration._CACHE_SIZE, 1], ids=["cap", "past-cap"])
     @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
-    def test_the_piece_check_accepts_what_the_grammar_accepts(self, monkeypatch, cap, fmt):
-        monkeypatch.setattr(enumeration, "_CACHE_SIZE", cap)
-        template = FORMATS[fmt].template
-        records = [
-            _record((3, 0, 9), (-1, 2, 5)),
-            _record((0, 0, 0), (0, 0, 0)),
-            _record((-12, 10, 244), (7, -20, 449)),
-            _record((2, 2, 8), (-2, 2, 8)),
+    def test_a_manifest_lists_the_job_the_hash_and_the_rows(self, fmt, tmp_path):
+        # an unfiltered job written in the format it does not name
+        paths = write_shards(tmp_path, 3, 4, fmt, include_zero=True)
+        for index, path in enumerate(paths):
+            data = read_bytes(path)
+            manifest = manifest_of(path)
+            rows = manifest.pop("rows")
+            job = EnumerationJob(bound=3, include_zero=True, shard=Shard(index, 4))
+            records = list(enumerate_records(job))
+            assert manifest == {
+                "version": 1, "bound": 3, "primitive_only": False, "include_zero": True,
+                "format": fmt, "count": 4, "index": index, "records": len(records),
+                "sha256": hashlib.sha256(data).hexdigest(),
+            }
+            heads = list(dict.fromkeys((r.m1, r.n1) for r in records))
+            assert [row[:2] for row in rows] == [list(head) for head in heads]
+            header = len(FORMATS[fmt].header) + 1 if FORMATS[fmt].header else 0
+            offsets = [header + sum(row[2] for row in rows[:i]) for i in range(len(rows) + 1)]
+            assert offsets[-1] == len(data)
+            for (m1, n1, _), start, end in zip(rows, offsets, offsets[1:]):
+                lines = data[start:end].decode().splitlines(keepends=True)
+                assert lines == oracle_lines([r for r in records if (r.m1, r.n1) == (m1, n1)], fmt)
+
+    def test_only_an_undrawn_sharded_stream_gets_one(self, tmp_path):
+        job = EnumerationJob(bound=2, shard=Shard(1, 3))
+        drawn = enumerate_records(job)
+        next(drawn)
+        for name, records in (
+            ("unsharded", enumerate_records(EnumerationJob(bound=2))),
+            ("listed", list(enumerate_records(job))),
+            ("drawn", drawn),
+            ("shard", enumerate_records(job)),
+        ):
+            write_records(records, str(tmp_path / f"{name}.csv"), "csv")
+        with open(tmp_path / "stdout.csv", "w") as handle:
+            write_stream(enumerate_records(job), handle, "csv")
+        assert (tmp_path / "shard.csv").read_bytes() == (tmp_path / "listed.csv").read_bytes()
+        assert sorted(os.listdir(tmp_path)) == [
+            "drawn.csv", "listed.csv", "shard.csv", "shard.csv.json", "stdout.csv", "unsharded.csv"
         ]
-        corpus = [_line(template, record) + "\n" for record in records]
-        corpus += [variant for line in corpus[:] for variant in variants(line)]
-        fullmatch = _line_grammar(fmt).fullmatch
-        expected = [fullmatch(line) and generators(line, fmt) for line in corpus]
-        assert 0 < sum(map(bool, expected)) < len(corpus)
-        # cold: a fresh check for every line
-        assert [piece_key(enumeration._PieceCheck(fmt), line) for line in corpus] == expected
-        # warm: one check for the whole corpus, twice over
-        check = enumeration._PieceCheck(fmt)
-        for _ in range(2):
-            assert [piece_key(check, line) for line in corpus] == expected
-        assert all(len(cache) <= cap for cache in (*check.values, check.tails))
+
+    def test_a_failed_shard_leaves_no_manifest(self, monkeypatch, tmp_path):
+        def exploding(a, b):
+            raise RuntimeError("midway")
+
+        monkeypatch.setattr(enumeration, "_tail", exploding)
+        with pytest.raises(RuntimeError):
+            write_records(enumerate_records(EnumerationJob(bound=2, shard=Shard(0, 2))),
+                          str(tmp_path / "shard.csv"), "csv")
+        assert os.listdir(tmp_path) == []
+
+
+class TestMergeRefusals:
+    """``merge_shards`` refuses every set of files that is not one whole
+    job as ``enumerate`` wrote it, naming a shard file and leaving no
+    merged and no partial file behind."""
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_a_missing_shard(self, fmt, tmp_path):
+        # merged into 11,040 of the 14,400 records before manifests
+        paths = write_shards(tmp_path, 5, 4, fmt)
+        given = [paths[0], paths[1], paths[3]]
+        message = assert_refused(given, fmt, paths[0])
+        assert message.startswith("shard 2 of 4 is missing from ")
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_a_duplicated_index(self, fmt, tmp_path):
+        paths = write_shards(tmp_path, 2, 3, fmt)
+        assert_refused([paths[0], paths[1], paths[1], paths[2]], fmt, paths[1], "is shard 1 of 3, as")
+        # shard 2's manifest rewritten to call it shard 1
+        rewrite(paths[2], read_bytes(paths[2]), index=1)
+        assert_refused(paths, fmt, paths[2], "is shard 1 of 3, as")
+
+    @pytest.mark.parametrize(
+        "other, field",
+        [
+            ({"bound": 3}, "bound 3"),
+            ({"primitive_only": True}, "primitive_only True"),
+            ({"include_zero": True}, "include_zero True"),
+            ({"count": 3}, "count 3"),
+        ],
+    )
+    def test_a_shard_of_another_job(self, other, field, tmp_path):
+        paths = write_shards(tmp_path, 2, 4, "csv")
+        (tmp_path / "other").mkdir()
+        settings = {"bound": 2, "count": 4, "primitive_only": False, "include_zero": False, **other}
+        bound, count = settings.pop("bound"), settings.pop("count")
+        stranger = write_shards(tmp_path / "other", bound, count, "csv", **settings)[2]
+        message = assert_refused([*paths[:2], stranger, paths[3]], "csv", stranger)
+        assert message == f"{stranger} is a shard of another job than {paths[0]}: {field}"
+
+    def test_a_shard_of_another_format(self, tmp_path):
+        csv = write_shards(tmp_path, 2, 2, "csv")
+        jsonl = write_shards(tmp_path, 2, 2, "jsonl")
+        assert_refused([csv[0], jsonl[1]], "csv", jsonl[1], "is a 'jsonl' shard, not 'csv'")
+        assert_refused(jsonl, "csv", jsonl[0], "is a 'jsonl' shard, not 'csv'")
+        # a jsonl job written as csv is a csv shard
+        job = EnumerationJob(bound=2, output_format="jsonl", shard=Shard(1, 2))
+        write_records(enumerate_records(job), csv[1], "csv")
+        assert merge_shards(csv, str(tmp_path / "merged.csv"), "csv") == expected_record_count(2)
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_a_truncated_file(self, fmt, tmp_path):
+        paths = write_shards(tmp_path, 3, 2, fmt)
+        data = read_bytes(paths[1])
+        last = data.rindex(b"\n", 0, -1) + 1
+        first_row = len(data) - sum(row[2] for row in manifest_of(paths[1])["rows"][1:])
+        # a byte short, a line short, a row short, and empty
+        for size in (len(data) - 1, last, first_row, 0):
+            with open(paths[1], "wb") as handle:
+                handle.write(data[:size])
+            assert_refused(paths, fmt, paths[1])
+
+    def test_a_value_edit_that_keeps_the_spelling(self, tmp_path):
+        # merged into 18,896 records with no error before manifests
+        paths = write_shards(tmp_path, 6, 4, "jsonl", primitive_only=True)
+        path = next(path for path in paths if b'"D1":259,' in read_bytes(path))
+        data = read_bytes(path)
+        for edit in (b'"D1":1259,', b'"D1":258,'):
+            with open(path, "wb") as handle:
+                handle.write(data.replace(b'"D1":259,', edit, 1))
+            # every line is still spelled as enumerate writes it
+            assert len(read_records(path, "jsonl")) == manifest_of(path)["records"]
+            assert_refused(paths, "jsonl", path)
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_a_changed_first_byte_or_an_added_line(self, fmt, tmp_path):
+        # the first byte is the header's in csv and the first row's in jsonl
+        paths = write_shards(tmp_path, 3, 2, fmt)
+        data = read_bytes(paths[1])
+        middle = data.index(b"\n", len(data) // 2) + 1
+        for changed in (
+            b"#" + data[1:],
+            data[:middle] + b"\n" + data[middle:],
+            data + b"\n",
+            data + data[middle:data.index(b"\n", middle) + 1],
+        ):
+            with open(paths[1], "wb") as handle:
+                handle.write(changed)
+            assert_refused(paths, fmt, paths[1])
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_row_lengths_shifted_between_two_rows(self, fmt, tmp_path):
+        # the file and its sha256 are untouched: the manifest moves the
+        # boundary of two rows by a byte, or by the whole line next to it
+        paths = write_shards(tmp_path, 3, 2, fmt)
+        data = read_bytes(paths[1])
+        rows = manifest_of(paths[1])["rows"]
+        header = len(FORMATS[fmt].header) + 1 if FORMATS[fmt].header else 0
+        end = header + rows[0][2] + rows[1][2]  # the end of the second row
+        first = data.index(b"\n", end) + 1 - end  # the third row's first line
+        last = end - data.rindex(b"\n", 0, end - 1) - 1  # the second row's last line
+        for shift in (1, -1, first, -last):
+            moved = [row[:] for row in rows]
+            moved[1][2] += shift
+            moved[2][2] -= shift
+            rewrite(paths[1], data, rows=moved)
+            assert_refused(paths, fmt, paths[1], "are not the row of first spinor")
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_a_row_that_two_shards_hold(self, fmt, tmp_path):
+        # shard 1 rewritten, with a manifest to match, to hold a row of
+        # shard 0 as well, in stream order
+        paths = write_shards(tmp_path, 3, 2, fmt)
+        header = len(FORMATS[fmt].header) + 1 if FORMATS[fmt].header else 0
+        rows = {}  # the bytes of each row of both shards, by its first spinor
+        for path in paths:
+            data, start = read_bytes(path), header
+            for m1, n1, size in manifest_of(path)["rows"]:
+                rows[m1, n1] = data[start:start + size]
+                start += size
+        theirs, ours = manifest_of(paths[0])["rows"], manifest_of(paths[1])["rows"]
+        extra = theirs[len(theirs) // 2]
+        both = sorted([*ours, extra])
+        body = b"".join(rows[m1, n1] for m1, n1, _ in both)
+        count = manifest_of(paths[1])["records"] + rows[tuple(extra[:2])].count(b"\n")
+        rewrite(paths[1], read_bytes(paths[1])[:header] + body, rows=both, records=count)
+        message = f"holds the row of first spinor {tuple(extra[:2])}, as"
+        assert_refused(paths, fmt, paths[1], message)
+        # the later shard in the paths is named, whichever holds it
+        assert_refused(paths[::-1], fmt, paths[0], message)
+
+    def test_a_forged_count_row_order_or_row_length(self, tmp_path):
+        paths = write_shards(tmp_path, 2, 2, "csv")
+        data, manifest = read_bytes(paths[1]), manifest_of(paths[1])
+        rewrite(paths[1], data, records=manifest["records"] + 1)
+        assert_refused(paths, "csv", paths[1], "records, not the")
+        rewrite(paths[1], data, records=manifest["records"], rows=manifest["rows"][::-1])
+        assert_refused(paths, "csv", paths[1], "lists its rows out of stream order")
+        # a row longer than any file is refused before it is read
+        (m1, n1, _), *rest = manifest["rows"]
+        rewrite(paths[1], data, rows=[[m1, n1, 10**30], *rest])
+        assert_refused(paths, "csv", paths[1], f"holds {len(data)} bytes, not the")
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_a_shard_with_no_manifest(self, fmt, tmp_path):
+        paths = write_shards(tmp_path, 2, 3, fmt)
+        os.unlink(paths[1] + ".json")
+        message = assert_refused(paths, fmt, paths[1])
+        assert message == (
+            f"{paths[1]} has no manifest {paths[1]}.json: rewrite it with "
+            "enumerate --shard K/N --out F"
+        )
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "", "[]", "not json", "\xff",
+            '{"version": 1}',
+            "with an extra field",
+            "with a bool for the bound",
+            "with a row of two numbers",
+            "with a row of no bytes",
+            "with a row of negative bytes",
+        ],
+    )
+    def test_a_manifest_in_another_shape(self, text, tmp_path):
+        paths = write_shards(tmp_path, 2, 2, "csv")
+        manifest = manifest_of(paths[1])
+        if text.startswith("with "):
+            edits = {
+                "with an extra field": {"extra": 0},
+                "with a bool for the bound": {"bound": True},
+                "with a row of two numbers": {"rows": [manifest["rows"][0][:2]]},
+                "with a row of no bytes": {"rows": [[*manifest["rows"][0][:2], 0]]},
+                "with a row of negative bytes": {"rows": [[*manifest["rows"][0][:2], -1]]},
+            }
+            text = json.dumps({**manifest, **edits[text]})
+        with open(paths[1] + ".json", "w", encoding="latin-1") as handle:
+            handle.write(text)
+        message = assert_refused(paths, "csv", paths[1])
+        assert message == f"{paths[1]}.json is not a shard manifest as enumerate writes it"
+
+    def test_a_manifest_of_another_version(self, tmp_path):
+        paths = write_shards(tmp_path, 2, 2, "csv")
+        for path in paths:
+            rewrite(path, read_bytes(path), version=0)
+        message = assert_refused(paths, "csv", paths[0])
+        assert message == (
+            f"{paths[0]}.json is a manifest of version 0, not 1: rewrite it with "
+            "enumerate --shard K/N --out F"
+        )
+
+    def test_no_shards(self, tmp_path):
+        with pytest.raises(ValueError, match="^no shard files to merge$"):
+            merge_shards([], str(tmp_path / "merged.csv"), "csv")
+        assert os.listdir(tmp_path) == []
 
     @pytest.mark.parametrize("position", range(4))
     @pytest.mark.parametrize(
         "spelling", ["+3", "03", "-0", " 3", "\uff13"], ids=["plus", "zero", "minus-zero", "space", "full-width"]
     )
     @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
-    def test_a_misspelt_generator_seen_first_is_refused(self, fmt, spelling, position, tmp_path):
-        # the first record line of the first shard is the first text the
-        # merge meets at each generator position
+    def test_a_misspelt_generator(self, fmt, spelling, position, tmp_path):
+        # read_records refuses the line by number, the merge the file
         paths = write_shards(tmp_path, 2, 2, fmt)
         with open(paths[0], encoding="utf-8", newline="") as handle:
             lines = handle.readlines()
@@ -947,26 +1158,33 @@ class TestMergeChecks:
         lines[number - 1] = line = ",".join(pieces)
         with open(paths[0], "w", encoding="utf-8", newline="") as handle:
             handle.writelines(lines)
-        merged = tmp_path / f"merged.{fmt}"
         expected = f"{paths[0]}, line {number}: not a {fmt} record line as enumerate writes it: {line!r}"
         with pytest.raises(ValueError) as caught:
-            merge_shards(paths, str(merged), fmt)
+            read_records(paths[0], fmt)
         assert str(caught.value) == expected
-        assert not merged.exists()
+        assert_refused(paths, fmt, paths[0])
 
     @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
-    def test_a_merge_past_the_cache_cap_is_the_unsharded_file(self, monkeypatch, fmt, tmp_path):
-        monkeypatch.setattr(enumeration, "_CACHE_SIZE", 2)
-        reference = tmp_path / f"whole.{fmt}"
-        write_records(enumerate_records(EnumerationJob(bound=3)), str(reference), fmt)
-        paths = write_shards(tmp_path, 3, 3, fmt)
-        merged = tmp_path / f"merged.{fmt}"
-        assert merge_shards(paths, str(merged), fmt) == expected_record_count(3)
-        assert merged.read_bytes() == reference.read_bytes()
-
+    def test_a_bad_line(self, fmt, tmp_path):
+        # a line of the same length spelled otherwise, as the first, a
+        # middle and the last line of a row: read_records names the line
+        paths = write_shards(tmp_path, 3, 2, fmt)
+        with open(paths[1], newline="") as handle:
+            original = handle.readlines()
+        header = 1 if FORMATS[fmt].header else 0
+        size = len(original[header:]) // len(manifest_of(paths[1])["rows"])
+        for index in (header + size, header + size + size // 2, header + 2 * size - 1):
+            bad = "x" + original[index][1:]
+            with open(paths[1], "w", newline="") as handle:
+                handle.writelines(original[:index] + [bad] + original[index + 1:])
+            message = f"{paths[1]}, line {index + 1}: not a {fmt} record line as enumerate writes it: {bad!r}"
+            with pytest.raises(ValueError) as caught:
+                read_records(paths[1], fmt)
+            assert str(caught.value) == message
+            assert_refused(paths, fmt, paths[1])
 
     @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
-    def test_a_byte_that_is_not_utf8_names_its_line(self, fmt, tmp_path):
+    def test_a_byte_that_is_not_utf8(self, fmt, tmp_path):
         paths = write_shards(tmp_path, 1, 2, fmt)
         with open(paths[1], "rb") as handle:
             lines = handle.readlines()
@@ -975,142 +1193,7 @@ class TestMergeChecks:
             handle.writelines(lines)
         text = lines[3].decode("utf-8", "surrogateescape")
         message = f"{paths[1]}, line 4: not a {fmt} record line as enumerate writes it: {text!r}"
-        merged = tmp_path / f"merged.{fmt}"
-        for read in (
-            lambda: merge_shards(paths, str(merged), fmt),
-            lambda: read_records(paths[1], fmt),
-        ):
-            with pytest.raises(ValueError) as caught:
-                read()
-            assert str(caught.value) == message
-        assert sorted(os.listdir(tmp_path)) == [f"shard0.{fmt}", f"shard1.{fmt}"]
-
-
-class TestMergeBlocks:
-    """Faults past the first block that ``merge_shards`` reads, and across
-    the boundary of two blocks, raise what a line-by-line merge raises,
-    and leave no merged and no partial file behind."""
-
-    BOUND, COUNT = 5, 2
-
-    @pytest.fixture(params=["csv", "jsonl"])
-    def shards(self, request, tmp_path):
-        fmt = request.param
-        paths = write_shards(tmp_path, self.BOUND, self.COUNT, fmt)
-        for path in paths:
-            assert len(block_ends(path, fmt)) >= 3
-        return fmt, paths
-
-    @staticmethod
-    def lines(path: str) -> list[str]:
-        with open(path, newline="") as handle:
-            return handle.readlines()
-
-    @staticmethod
-    def rewrite(path: str, lines: list[str]) -> None:
-        with open(path, "w", newline="") as handle:
-            handle.writelines(lines)
-
-    @staticmethod
-    def refused(paths: list[str], fmt: str, message: str) -> None:
-        directory = os.path.dirname(paths[0])
-        before = sorted(os.listdir(directory))
-        merged = os.path.join(directory, f"merged.{fmt}")
         with pytest.raises(ValueError) as caught:
-            merge_shards(paths, merged, fmt)
+            read_records(paths[1], fmt)
         assert str(caught.value) == message
-        assert sorted(os.listdir(directory)) == before
-
-    @staticmethod
-    def out_of_order(path: str, key: tuple[int, ...]) -> str:
-        return (
-            f"{path} breaks the stream order at generators {key}: a record out of order, "
-            "or one that another shard also holds"
-        )
-
-    @staticmethod
-    def places(path: str, fmt: str) -> dict[str, int]:
-        """0-based line indices: one in the middle of the second block, the
-        last line of the first block and the first line of the second."""
-        first, second = block_ends(path, fmt)[:2]
-        return {"inside": (first + second) // 2, "last": first - 1, "next": first}
-
-    def test_a_bad_line(self, shards):
-        fmt, paths = shards
-        original = self.lines(paths[1])
-        ends = block_ends(paths[1], fmt)
-        for place, index in self.places(paths[1], fmt).items():
-            # same length, so the blocks stay where they were
-            bad = "x" + original[index][1:]
-            self.rewrite(paths[1], original[:index] + [bad] + original[index + 1:])
-            assert block_ends(paths[1], fmt) == ends
-            message = (
-                f"{paths[1]}, line {index + 1}: not a {fmt} record line as enumerate writes "
-                f"it: {bad!r}"
-            )
-            self.refused(paths, fmt, message)
-            with pytest.raises(ValueError) as caught:
-                read_records(paths[1], fmt)
-            assert str(caught.value) == message, place
-
-    def test_blank_lines_are_skipped(self, shards, tmp_path):
-        fmt, paths = shards
-        reference = tmp_path / f"whole.{fmt}"
-        write_records(enumerate_records(EnumerationJob(bound=self.BOUND)), str(reference), fmt)
-        whole = self.lines(str(reference))
-        original = self.lines(paths[1])
-        for place, index in self.places(paths[1], fmt).items():
-            # a whitespace line of the record's length stands in for it,
-            # and the merge leaves the record out
-            blank = " " * (len(original[index]) - 2) + "\t\n"
-            self.rewrite(paths[1], original[:index] + [blank] + original[index + 1:])
-            merged = tmp_path / f"merged.{fmt}"
-            assert merge_shards(paths, str(merged), fmt) == len(whole) - 1 - (fmt == "csv")
-            assert self.lines(str(merged)) == [line for line in whole if line != original[index]]
-            # and a blank line added at the block boundary changes nothing
-            self.rewrite(paths[1], original[: index + 1] + ["\n", "  \r\n"] + original[index + 1:])
-            assert merge_shards(paths, str(merged), fmt) == len(whole) - (fmt == "csv")
-            assert merged.read_bytes() == reference.read_bytes(), place
-
-    def test_two_swapped_records(self, shards):
-        fmt, paths = shards
-        original = self.lines(paths[1])
-        for place, index in self.places(paths[1], fmt).items():
-            lines = original[:]
-            lines[index], lines[index + 1] = lines[index + 1], lines[index]
-            self.rewrite(paths[1], lines)
-            if place == "last":
-                # the two lines sit on both sides of the block boundary
-                assert index + 1 in block_ends(paths[1], fmt)
-            key = generators(lines[index + 1], fmt)
-            self.refused(paths, fmt, self.out_of_order(paths[1], key))
-
-    def test_a_record_that_two_shards_hold(self, shards):
-        fmt, paths = shards
-        original = self.lines(paths[1])
-        header = original[:1] if fmt == "csv" else []
-        theirs = self.lines(paths[0])
-        places = self.places(paths[0], fmt)
-        # the first line of a run of shard 0 inside its second block: a
-        # record of shard 1 comes between it and the line before it
-        ours = [generators(line, fmt) for line in original[len(header):]]
-        keys = [generators(line, fmt) for line in theirs[len(header):]]
-        runs = [
-            i + len(header) for i in range(places["next"] + 1 - len(header), len(keys))
-            if bisect.bisect(ours, keys[i - 1]) < bisect.bisect(ours, keys[i])
-        ]
-        assert runs and runs[0] < block_ends(paths[0], fmt)[1]
-        for index in (places["last"], places["next"], runs[0]):
-            record = theirs[index]
-            body = sorted(original[len(header):] + [record], key=lambda line: generators(line, fmt))
-            self.rewrite(paths[1], header + body)
-            key = generators(record, fmt)
-            self.refused(paths, fmt, self.out_of_order(paths[1], key))
-            # the later shard in the paths is named, whichever holds it
-            self.refused(paths[::-1], fmt, self.out_of_order(paths[0], key))
-
-    def test_a_shard_passed_twice(self, shards):
-        fmt, paths = shards
-        header = 1 if FORMATS[fmt].header else 0
-        first = generators(self.lines(paths[1])[header], fmt)
-        self.refused([paths[0], paths[1], paths[1]], fmt, self.out_of_order(paths[1], first))
+        assert_refused(paths, fmt, paths[1])

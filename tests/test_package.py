@@ -130,8 +130,9 @@ _NEVER = {"dataclasses"}
 _LAYERS = {"disks", "svg", "tessellation", "enumeration"}
 
 
-def _not_loaded(*layers: str, json: bool = True) -> set[str]:
-    return _NEVER | {f"spintile.{layer}" for layer in layers} | ({"json"} if json else set())
+def _not_loaded(*layers: str, json: bool = True, hashlib: bool = True) -> set[str]:
+    modules = {name for name, absent in (("json", json), ("hashlib", hashlib)) if absent}
+    return _NEVER | {f"spintile.{layer}" for layer in layers} | modules
 
 
 @pytest.fixture(scope="module")
@@ -149,6 +150,7 @@ def payloads(tmp_path_factory) -> dict[str, str]:
             assert run(argv) == 0
         paths[name] = str(path)
     paths["svg"] = str(folder / "out.svg")
+    paths["shard"] = str(folder / "shard.csv")
     return paths
 
 
@@ -162,6 +164,11 @@ CALLS = [
     (["tess", *PAIR], _not_loaded("disks", "svg", "enumeration")),
     (["tess", *PAIR, "--svg", "{svg}"], _not_loaded("disks", "enumeration")),
     (["enumerate", "--bound", "1"], _not_loaded("disks", "svg", "tessellation")),
+    # a shard file gets a manifest: its sha256 and its JSON text
+    (
+        ["enumerate", "--bound", "1", "--shard", "0/2", "--out", "{shard}"],
+        _not_loaded("disks", "svg", "tessellation", json=False, hashlib=False),
+    ),
     (["render", "--from-json", "{tess}", "--out", "{svg}"], _not_loaded("disks", "enumeration", json=False)),
     (
         ["render", "--from-json", "{verify}", "--out", "{svg}", "--midcircles"],
