@@ -37,7 +37,9 @@ disk stores its centre as a complex number when it is made (not a
 field, so equality, hash and repr are those of the centre tuple), and
 the keys and texts of the 20 sign choices are spelled once per tuple of
 label texts, in a small bounded table, since they depend on those texts
-only.  The 20 sign searches run as one loop over an index table.
+only.  The law check makes three passes over index tables: the six
+pairs, the four triples and the 20 sign searches.  ``verify_spinor_laws``
+refuses a tolerance that is not a positive finite number.
 """
 
 from __future__ import annotations
@@ -507,11 +509,9 @@ def _others(*skip: int) -> tuple[int, ...]:
 # Index tables of the law check on disks 0..3, each in the order its law
 # meets (and the report lists) its terms.
 _PAIRS = tuple(combinations(range(4), 2))
-# thm2: (disk, other, other) for the two spinors leaving one disk
-_FANS = tuple((i, *pair) for i in range(4) for pair in combinations(_others(i), 2))
-# thm3 and thm4: the triple left when one disk is skipped
+# thm2, thm3 and thm4: the triple left when one disk is skipped
 _TRIPLES = tuple(_others(skip) for skip in range(4))
-# thm3: per triple, (apex, other, other) for each apex
+# thm2 and thm3: per triple, (apex, other, other) for each apex
 _APEXES = tuple(
     tuple((apex, *_others(skip, apex)) for apex in _others(skip)) for skip in range(4)
 )
@@ -577,14 +577,18 @@ def verify_spinor_laws(
     minimum.  All residuals of a true Descartes configuration vanish to
     rounding error.
 
-    ``tolerance`` grades the law residuals.  Detecting the tangency
+    ``tolerance`` grades the law residuals and must be a positive
+    finite number (``ValueError`` otherwise).  Detecting the tangency
     structure keeps a floor at the library default so that an extremely
     tight grading tolerance still yields a FAIL verdict with the full
     residual table instead of rejecting the configuration outright.
-    Each unordered pair's tangency is tested once, in the order AB, AC,
-    AD, BC, BD, CD; the spinors of both orders of the pair come from
-    their own difference quotients, and its tangency point, which two
-    thm3 midcircles share, is computed with them.
+
+    Three passes grade the laws.  The pairs, in the order AB, AC, AD,
+    BC, BD, CD: each one's tangency is tested once, the spinors of its
+    two orders come from their own difference quotients, its tangency
+    point (two midcircles share it) is computed with them, and prop1 is
+    graded.  The triples: one midcircle curvature each, and thm2 and
+    thm3 graded on the same fans.  Then the 20 sign searches.
     """
     disks = tuple(disks)
     labels = tuple(labels)
@@ -592,43 +596,36 @@ def verify_spinor_laws(
         raise ValueError(
             f"need 4 disks and 4 labels, got {len(disks)} disks and {len(labels)} labels"
         )
+    if not 0 < tolerance < math.inf:
+        raise ValueError(f"tolerance must be a positive finite number, got {tolerance!r}")
     detect = max(tolerance, DEFAULT_TOLERANCE)
     centers = [disk._center for disk in disks]
     radii = [disk.radius for disk in disks]
     curvatures = [disk.curvature for disk in disks]
+    # The running maxima below use ``if v > worst``, which skips NaN, so
+    # each maximum is the same in whatever order its terms come.
     # u[4·i + j] is the spinor of the ordered pair (i, j); for i < j,
     # touch[4·i + j] is where disks i and j touch
     u: list = [None] * 16
     touch: list = [None] * 16
+    principal = []
+    prop1 = 0.0
     for i, j in _PAIRS:
         ci, ri, cj, rj = centers[i], radii[i], centers[j], radii[j]
         _require_tangent(ci, ri, cj, rj, detect)
-        u[4 * i + j] = _spinor(ci, ri, cj, rj)
+        u[4 * i + j] = x, y = _spinor(ci, ri, cj, rj)
         u[4 * j + i] = _spinor(cj, rj, ci, ri)
         touch[4 * i + j] = _tangency_point(ci, ri, cj, rj)
-
-    # The running maxima below use ``if v > worst``, which, like max(),
-    # keeps the earlier value when v is NaN.
-
-    # |u|² = βi + βj, for all unordered pairs
-    prop1 = 0.0
-    for i, j in _PAIRS:
-        x, y = u[4 * i + j]
+        principal.append(TangencySpinorNumeric(u=(x, y), source=(labels[i], labels[j])))
+        # prop1: |u|² = βi + βj
         v = abs(x * x + y * y - (curvatures[i] + curvatures[j]))
         if v > prop1:
             prop1 = v
 
-    # |cross of two spinors out of one disk| = |curvature of that disk|
-    thm2 = 0.0
-    for i, a, b in _FANS:
-        (x1, y1), (x2, y2) = u[4 * i + a], u[4 * i + b]
-        v = abs(abs(x1 * y2 - x2 * y1) - abs(curvatures[i]))
-        if v > thm2:
-            thm2 = v
-
-    # |dot of two spinors out of one disk| = curvature of the circle
+    # For the two spinors out of one disk of a triple: thm2, |cross| =
+    # |curvature of that disk|; thm3, |dot| = curvature of the circle
     # through the triple's tangency points (computed independently)
-    thm3 = 0.0
+    thm2 = thm3 = 0.0
     for (i, j, k), apexes in zip(_TRIPLES, _APEXES):
         try:
             mid = _midcircle_curvature(touch[4 * i + j], touch[4 * i + k], touch[4 * j + k])
@@ -638,6 +635,9 @@ def verify_spinor_laws(
             mid = 0.0
         for apex, a, b in apexes:
             (x1, y1), (x2, y2) = u[4 * apex + a], u[4 * apex + b]
+            v = abs(abs(x1 * y2 - x2 * y1) - abs(curvatures[apex]))
+            if v > thm2:
+                thm2 = v
             v = abs(abs(x1 * x2 + y1 * y2) - mid)
             if v > thm3:
                 thm3 = v
@@ -676,13 +676,10 @@ def verify_spinor_laws(
         if best > worst[law]:
             worst[law] = best
 
-    principal = tuple(
-        TangencySpinorNumeric(u=u[4 * i + j], source=(labels[i], labels[j])) for i, j in _PAIRS
-    )
     return ConfigurationReport(
         disks=disks,
         labels=labels,
-        spinors=principal,
+        spinors=tuple(principal),
         law_residuals={
             "prop1": prop1,
             "thm2": thm2,

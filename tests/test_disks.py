@@ -544,6 +544,16 @@ class TestSpinorLaws:
         report = verify_spinor_laws(placed + (nudged,), tolerance=5e-2)
         assert not report.passed
 
+    @pytest.mark.parametrize("tolerance", [math.nan, math.inf, 0.0, -1e-9])
+    def test_a_tolerance_that_is_not_positive_and_finite_is_refused(self, tolerance):
+        # D 70 units off A: graded at inf it would pass, and at nan no
+        # tangency would be refused and the report would hold NaN
+        placed = place_configuration(2, 3, 6)
+        moved = PlacedDisk.from_curvature(23.0, (50.0, 50.0))
+        message = f"tolerance must be a positive finite number, got {tolerance!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            verify_spinor_laws(placed + (moved,), tolerance)
+
     def test_json_payload(self):
         placed = place_configuration(2, 3, 6)
         report = verify_spinor_laws(placed + (realize_fourth(placed, 23),))

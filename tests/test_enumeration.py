@@ -967,6 +967,13 @@ class TestMergeRefusals:
         rewrite(paths[2], read_bytes(paths[2]), index=1)
         assert_refused(paths, fmt, paths[2], "is shard 1 of 3, as")
 
+    @pytest.mark.parametrize("index", [4, -1])
+    def test_an_index_outside_the_job(self, index, tmp_path):
+        paths = write_shards(tmp_path, 2, 4, "csv")
+        rewrite(paths[2], read_bytes(paths[2]), index=index)
+        message = assert_refused(paths, "csv", paths[2])
+        assert message == f"{paths[2]}.json names shard {index} of 4"
+
     @pytest.mark.parametrize(
         "other, field",
         [
