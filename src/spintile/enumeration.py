@@ -18,32 +18,33 @@ then by ascending norm, each to the shard with the least load so far (in
 points, the lowest index winning a tie).  One walk serves every job: it
 skips the rows of other shards with one lookup each, and the
 non-primitive pairs when ``primitive_only`` is set (a gcd-only test).
-Every orbit key below has its |a|² in one shard only, so the shards of a
-job build each tail once between them, as the unsharded walk does.
+Every first-spinor orbit below has its |a|² in one shard only, so the
+shards of a job make each tail once between them, as the unsharded walk
+does.
 
-A record's tail, everything after its generators, is a function of the
-orbit key (|a|², |b|², a·b, |a×b|): A = |b|² + a·b, B = |a|² + a·b,
-C = −a·b and D1, D2 = |a|² + |b|² + a·b ± 2|a×b|, and the canonical form
-and the primitive flag follow from those.  Turning both spinors a
-quarter turn, or mirroring both, keeps the key, so along the stream each
-tail comes about eight times (bound 6: 28,224 records, 3,492 keys).  The
-walk goes a row of one first spinor at a time and caches one item per
-key, which its view chooses.  The record view caches each tail and
-wraps it in a ``QuadrupleRecord`` per record.  The line view, which
-``write_stream`` takes for a stream of ``enumerate_records`` that no
-record was drawn from, caches each formatted tail and writes each row
-with one write, the first spinor formatted once a row; it builds no
-record.  Records written from any other iterable go one by one, each
-line formatted whole from that record's own values, with no cache.
-The walk's cache is exact: the tail gives the key back (a·b = −C,
-|a|² = B + C, |b|² = A + C and 2|a×b| = D1 − A − B − C), so two records
-share an entry exactly when their tails are equal.  It stops inserting
-at ``_CACHE_SIZE`` entries and makes the items it does not hold afresh,
-and once it is full, a row whose |a|² no cached key has skips its
-lookups.  Writing bound 16 through the line view peaks at about 15 MB
-of traced memory, and draining its record view at about 28 MB (Python
-3.11); every bound up to 10 (23,590 keys) fits, and so does each of 4
-shards at bound 16 (about 36,000 keys of its own rows).
+A record's tail, everything after its generators, is a function of
+(|a|², |b|², a·b, |a×b|): A = |b|² + a·b, B = |a|² + a·b, C = −a·b and
+D1, D2 = |a|² + |b|² + a·b ± 2|a×b|, and the canonical form and the
+primitive flag follow from those.  Turning both spinors a quarter turn,
+or mirroring both (the eight symmetries g of the square lattice), keeps
+all four, as (g·a)·b = a·(g⁻¹·b) and |g·a × b| = |a × g⁻¹·b|.  So the row
+of a first spinor g·a holds the items of the row of a, permuted: the
+walk makes items only in the first row of each first-spinor orbit (its
+first image in stream order), once for each distinct (|b|², a·b, |a×b|)
+of that row, and each later image takes its row by an index permutation
+of that one, made once a walk for each symmetry.  An orbit's row is
+held from its first image to its last: bound 6 has 27 orbits and makes
+3,519 items for its 28,224 records.  The view chooses the item.  The
+record view makes each tail and wraps it in a ``QuadrupleRecord`` per
+record.  The line view, which ``write_stream`` takes for a stream of
+``enumerate_records`` that no record was drawn from, makes each
+formatted tail and writes each row with one write, the first spinor
+formatted once a row; it builds no record.  Records written from any
+other iterable go one by one, each line formatted whole from that
+record's own values, with no shared item.  The walk's memory grows with
+the bound, as every orbit's row is held at the middle of the stream:
+writing bound 16 through the line view peaks at about 15 MB of traced
+memory, and draining its record view at about 40 MB (Python 3.11).
 
 Each format is one line template, cut by ``_cut`` after its fourth
 comma into a generator head and a tail, and the head once more after its
@@ -66,7 +67,9 @@ import collections
 import contextlib
 import functools
 import heapq
+import itertools
 import math
+import operator
 import os
 import re
 import tempfile
@@ -143,11 +146,6 @@ def _tail(
     return (big_a, big_b, big_c, d1, d2) + canonical_form(big_a, big_b, big_c, d1)
 
 
-# the most entries the walk's tail cache holds; past it the walk stops
-# inserting and makes the other items afresh
-_CACHE_SIZE = 1 << 16
-
-
 def _owned_norms(points: list[tuple[int, int, int]], shard: Shard) -> set[int]:
     """The |a|² of the rows that ``shard`` owns among the spinors
     ``points`` given as ``(m, n, m² + n²)``.
@@ -173,6 +171,24 @@ def _owned_norms(points: list[tuple[int, int, int]], shard: Shard) -> set[int]:
 _Point = tuple[int, int, int]
 
 
+# the eight symmetries of the square lattice, each as (p, q, r, s): it
+# takes (m, n) to (p m + q n, r m + s n)
+_SYMMETRIES = (
+    (1, 0, 0, 1), (0, -1, 1, 0), (-1, 0, 0, -1), (0, 1, -1, 0),
+    (1, 0, 0, -1), (-1, 0, 0, 1), (0, 1, 1, 0), (0, -1, -1, 0),
+)
+
+
+def _images(spinors: list[_Point]) -> list[list[int]]:
+    """For each symmetry g of ``_SYMMETRIES``, the index in ``spinors`` of
+    g·x for each spinor x of ``spinors``, a box symmetric under all
+    eight, so that each table is a permutation of its indexes."""
+    index = {(m, n): i for i, (m, n, _) in enumerate(spinors)}
+    return [
+        [index[p * m + q * n, r * m + s * n] for m, n, _ in spinors] for p, q, r, s in _SYMMETRIES
+    ]
+
+
 def _rows(
     job: EnumerationJob,
     make: Callable[[_Point, _Point], Any],
@@ -181,57 +197,73 @@ def _rows(
     """The rows of the job's walk that its shard owns, in stream order:
     each first spinor a = (m1, n1) with the list of ``label(m2, n2) +
     make(a, b)`` for each second spinor b = (m2, n2) that the filter
-    keeps, ``make`` taking each spinor as ``(m, n, m² + n²)``.  The item
-    ``make(a, b)`` is cached under the pair's orbit key.
+    keeps, ``make`` taking each spinor as ``(m, n, m² + n²)``.
 
     The walk skips each row whose |a|² the shard does not own with one
     lookup (see ``_owned_norms``), and with ``primitive_only`` each pair
-    that fails the gcd-only test.  The cache stops inserting at
-    ``_CACHE_SIZE`` entries, and from then on a row whose |a|² has no
-    cached key makes its items afresh without a lookup."""
+    that fails the gcd-only test.  It makes items only in the row of the
+    first image a₀ of each first-spinor orbit, once for each distinct
+    (|b|², a₀·b, |a₀×b|) of that row.  Every later image a, with h·a = a₀
+    for a symmetry h, takes the item of b from the position of h·b in
+    that row: h keeps dot and cross products up to sign, and so the
+    items and the gcd-only test.  The row of an orbit is held from its
+    first image to its last."""
     span = range(-job.bound, job.bound + 1)
     # the spinors of the box in lexicographic order
     spinors = [(m, n, m * m + n * n) for m in span for n in span if job.include_zero or m or n]
     owned = _owned_norms(spinors, job.shard)
-    points = [(m, n, norm, label(m, n)) for m, n, norm in spinors]
+    tags = [label(m, n) for m, n, _ in spinors]
+    images = _images(spinors)
+    # each symmetry h permutes a held row to the row of h⁻¹·a₀
+    moves = [operator.itemgetter(*image) for image in images]
     primitive_only = job.primitive_only
     gcd = math.gcd
-    items: dict[tuple[int, int, int, int], Any] = {}
-    get = items.get
-    # the |a|² of the rows that had room to insert: once the cache is
-    # full, a row of any other norm holds no cached key and skips the
-    # lookups
-    norms = set()
-    for a in spinors:
+    add = operator.add
+    # the items of each orbit's first row, and with ``primitive_only``
+    # which of them the filter keeps, by the index of its first image
+    held: dict[int, tuple[Any, Any]] = {}
+    for i, a in enumerate(spinors):
         m1, n1, norm_a = a
         if norm_a not in owned:
             continue
-        if len(items) < _CACHE_SIZE:
-            norms.add(norm_a)
-        cached = norm_a in norms
-        row = []
-        append = row.append
-        for m2, n2, norm_b, tag in points:
-            # |b|² = A + C, |a|² = B + C, a·b = −C and 2|a×b| = D1 − A − B − C,
-            # so (A, B, C, D1) has the gcd of (|a|², |b|², a·b, 2 a×b); and
-            # as (a·b)² + (a×b)² = |a|²|b|², a common factor of |a|², |b|²
-            # and a·b divides a×b: the test needs no cross product, and
-            # most pairs settle it on the norms alone
-            if primitive_only:
-                common = gcd(norm_a, norm_b)
-                if common != 1 and gcd(common, m1 * m2 + n1 * n2) != 1:
-                    continue
-            if not cached:
-                item = make(a, (m2, n2, norm_b))
-            else:
+        orbit = [image[i] for image in images]
+        first = min(orbit)
+        if first == i:
+            items = []
+            kept = []
+            made: dict[tuple[int, int, int], Any] = {}
+            for m2, n2, norm_b in spinors:
+                dot = m1 * m2 + n1 * n2
+                # |b|² = A + C, |a|² = B + C, a·b = −C and 2|a×b| = D1 − A − B − C,
+                # so (A, B, C, D1) has the gcd of (|a|², |b|², a·b, 2 a×b); and
+                # as (a·b)² + (a×b)² = |a|²|b|², a common factor of |a|², |b|²
+                # and a·b divides a×b: the test needs no cross product, and
+                # most pairs settle it on the norms alone
+                if primitive_only:
+                    common = gcd(norm_a, norm_b)
+                    keep = common == 1 or gcd(common, dot) == 1
+                    kept.append(keep)
+                    if not keep:
+                        items.append(None)
+                        continue
                 cross = m1 * n2 - m2 * n1
-                key = (norm_a, norm_b, m1 * m2 + n1 * n2, cross if cross > 0 else -cross)
-                item = get(key)
+                key = (norm_b, dot, cross if cross > 0 else -cross)
+                item = made.get(key)
                 if item is None:
-                    item = make(a, (m2, n2, norm_b))
-                    if len(items) < _CACHE_SIZE:
-                        items[key] = item
-            append(tag + item)
+                    item = made[key] = make(a, (m2, n2, norm_b))
+                items.append(item)
+            if i != max(orbit):
+                held[i] = items, kept
+        else:
+            move = moves[orbit.index(first)]
+            items, kept = held.pop(first) if i == max(orbit) else held[first]
+            items = move(items)
+            if primitive_only:
+                kept = move(kept)
+        if primitive_only:
+            row = list(map(add, itertools.compress(tags, kept), itertools.compress(items, kept)))
+        else:
+            row = list(map(add, tags, items))
         if row:
             yield m1, n1, row
 
@@ -291,13 +323,14 @@ def enumerate_records(job: EnumerationJob) -> Iterator[QuadrupleRecord]:
     The shard owns whole rows: the walk skips each row whose |a|² it does
     not own with one lookup (see ``_owned_norms``) and builds every
     record of the rows it owns, or with ``primitive_only`` those that pass
-    the gcd-only test.  Each takes its tail from the cache of its orbit
-    key (|a|², |b|², a·b, |a×b|), whose |a|² no other shard owns.
+    the gcd-only test.  The tails are made in the first row of each
+    first-spinor orbit, all of whose images have the same |a|², and each
+    later row of the orbit takes them by an index permutation.
 
     The stream is an iterator, not a generator.  Given to
     ``write_stream`` or ``write_records`` before any record is drawn, it
-    is written row by row from a cache of formatted tails and builds no
-    record at all.
+    is written row by row from the formatted tails of each orbit and
+    builds no record at all.
     """
     return _Stream(job)
 
@@ -350,9 +383,10 @@ def write_stream(records: Iterable[QuadrupleRecord], handle: IO[str], fmt: str) 
     """Write records to an open text handle; returns the record count.
 
     The stream of ``enumerate_records``, while no record has been drawn
-    from it, is written through the walk's line view: the walk caches
-    each formatted tail under its orbit key, and each row goes out in
-    one write, its first spinor formatted once.  That builds no record
+    from it, is written through the walk's line view: the walk formats
+    the tails of each first-spinor orbit's first row, permutes them into
+    the rows of the orbit's later images, and each row goes out in one
+    write, its first spinor formatted once.  That builds no record
     and leaves the stream exhausted.
 
     Any other records, a drawn stream among them, are written one by

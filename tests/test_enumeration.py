@@ -469,8 +469,8 @@ class TestSharding:
 
     @pytest.mark.parametrize("bound", range(1, 7))
     def test_the_shards_build_each_tail_once_between_them(self, monkeypatch, bound):
-        # each orbit key has its |a|² in one shard only, so the shards of
-        # a job run the kernel as often as the unsharded job does
+        # each first-spinor orbit has its |a|² in one shard only, so the
+        # shards of a job run the kernel as often as the unsharded job does
         calls = 0
         build = enumeration._tail
 
@@ -634,7 +634,8 @@ class TestSharding:
     @pytest.mark.parametrize("count, index", [(1, 0), (3, 0), (3, 1), (3, 2)])
     def test_a_shard_builds_only_its_own_records(self, monkeypatch, primitive_only, count, index):
         # the kernel runs once for each orbit key among the shard's own
-        # records, and never for a pair of another shard
+        # records (each |a|² of bound 2 has one first-spinor orbit), and
+        # never for a pair of another shard
         calls = 0
         build = enumeration._tail
 
@@ -686,17 +687,36 @@ def written(records, fmt: str) -> str:
     return handle.getvalue()
 
 
-class TestOrbitCaches:
-    """The walk caches each record tail by its orbit; the bytes must be
-    those of the cache-free oracle, within the cap and past it."""
+def first_rows(job: EnumerationJob) -> collections.Counter:
+    """The tails the walk makes for the job, counted by an oracle: in the
+    first row (in stream order) of each first-spinor orbit the shard
+    owns, one for each distinct (|b|², a·b, |a×b|) that the filter keeps,
+    keyed by the first spinor and that triple."""
+    span = range(-job.bound, job.bound + 1)
+    points = [(m, n) for m in span for n in span if job.include_zero or m or n]
+    own = oracle_rows(job.bound, job.shard.count, job.include_zero)[job.shard.index]
+    made = collections.Counter()
+    for m1, n1 in points:
+        orbit = {(s * x, t * y) for x, y in ((m1, n1), (n1, m1)) for s in (1, -1) for t in (1, -1)}
+        if m1 * m1 + n1 * n1 not in own or (m1, n1) != min(orbit):
+            continue
+        for m2, n2 in points:
+            record = _record((m1, n1, m1 * m1 + n1 * n1), (m2, n2, m2 * m2 + n2 * n2))
+            if record.primitive or not job.primitive_only:
+                made[(m1, n1) + orbit_key(record)[1:]] = 1
+    return made
 
-    @pytest.mark.parametrize("cap", [enumeration._CACHE_SIZE, 3], ids=["cap", "past-cap"])
+
+class TestOrbitCaches:
+    """The walk makes the items of each first-spinor orbit in its first
+    row and permutes them into the rows of its other images; the bytes
+    must be those of the oracle that builds every record afresh."""
+
     @pytest.mark.parametrize(
         "bound, include_zero", [(1, False), (1, True), (2, False), (2, True), (3, False),
                                 (3, True), (4, False), (6, False)]
     )
-    def test_every_job_matches_the_oracle(self, monkeypatch, cap, bound, include_zero):
-        monkeypatch.setattr(enumeration, "_CACHE_SIZE", cap)
+    def test_every_job_matches_the_oracle(self, bound, include_zero):
         for primitive_only in (False, True):
             stream = oracle_stream(bound, primitive_only, include_zero)
             for fmt in FORMATS:
@@ -715,31 +735,51 @@ class TestOrbitCaches:
                         expected = with_header(own, fmt)
                         assert written(enumerate_records(job), fmt) == expected, job
 
-    def test_a_bound_past_the_cap_matches_the_oracle(self, monkeypatch, tmp_path):
-        # bound 6 has 3,492 orbit keys: a cap of 1,000 fills midway
-        monkeypatch.setattr(enumeration, "_CACHE_SIZE", 1000)
+    def test_a_bound_past_the_cap_matches_the_oracle(self, tmp_path):
+        # bound 6 has norms of two first-spinor orbits each, as (0, 5)
+        # and (3, 4) of |a|² 25: each orbit makes its own first row
         job = EnumerationJob(bound=6)
         path = tmp_path / "records.csv"
         assert write_records(enumerate_records(job), str(path), "csv") == 28224
         assert path.read_text() == with_header(oracle_lines(oracle_stream(6, False, False), "csv"), "csv")
 
-    def test_a_full_cache_stops_inserting(self, monkeypatch):
-        # with room for three entries, the walk's cache keeps the first
-        # three tails of the stream, and every other record past them
-        # computes its tail afresh
-        monkeypatch.setattr(enumeration, "_CACHE_SIZE", 3)
-        calls = {"_tail": 0}
+    @pytest.mark.parametrize("bound", [2, 3])
+    def test_each_orbit_makes_its_first_row_alone(self, monkeypatch, bound):
+        # the tail of each distinct (|b|², a·b, |a×b|) of an orbit's first
+        # row is made once, and no later image of the orbit makes one
+        calls = collections.Counter()
+        build = enumeration._tail
 
-        def counted(*args, build=enumeration._tail):
-            calls["_tail"] += 1
-            return build(*args)
+        def counted(a, b):
+            m1, n1, _ = a
+            m2, n2, norm_b = b
+            calls[m1, n1, norm_b, m1 * m2 + n1 * n2, abs(m1 * n2 - m2 * n1)] += 1
+            return build(a, b)
 
         monkeypatch.setattr(enumeration, "_tail", counted)
-        records = list(enumerate_records(EnumerationJob(bound=2)))
-        keys = [orbit_key(record) for record in records]
-        kept = list(dict.fromkeys(keys))[:3]
-        fresh = len(kept) + sum(key not in kept for key in keys)
-        assert calls == {"_tail": fresh}
+        for job in every_job([bound], counts=(1, 3)):
+            for view in (list, lambda stream: written(stream, "csv")):
+                calls.clear()
+                view(enumerate_records(job))
+                assert calls == first_rows(job), job
+
+    def test_a_symmetry_keeps_every_tail(self):
+        # (g·a)·b = a·(g⁻¹·b) and |g·a × b| = |a × g⁻¹·b|, so the walk may
+        # take the row of g·a from the row of a, each at bound 3 with zero
+        span = range(-3, 4)
+        spinors = [(m, n, m * m + n * n) for m in span for n in span]
+        images = enumeration._images(spinors)
+        tables = {tuple(image) for image in images}
+        # eight distinct permutations of the box, closed under composition
+        assert len(images) == len(tables) == 8
+        assert all(sorted(image) == list(range(len(spinors))) for image in images)
+        assert {tuple(f[i] for i in g) for f in tables for g in tables} == tables
+        for image in images:
+            inverse = sorted(range(len(spinors)), key=image.__getitem__)
+            for i, a in enumerate(spinors):
+                moved = spinors[image[i]]
+                for j, b in enumerate(spinors):
+                    assert _tail(moved, b) == _tail(a, spinors[inverse[j]]), (moved, b)
 
     @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
     def test_the_writer_keys_tails_by_their_own_values(self, fmt):
@@ -809,13 +849,6 @@ class TestTwoViews:
                 assert write_stream(enumerate_records(job), handle, fmt) == len(records)
                 assert handle.getvalue() == written(records, fmt), (job, fmt)
 
-    @pytest.mark.parametrize("cap", [1, 3, 50, 1000])
-    def test_a_small_cache_writes_the_same_bytes(self, monkeypatch, cap):
-        monkeypatch.setattr(enumeration, "_CACHE_SIZE", cap)
-        for job in every_job([1, 2, 4], counts=(1, 3)):
-            for fmt in FORMATS:
-                assert written(enumerate_records(job), fmt) == record_path(job, fmt), (job, fmt)
-
     @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
     def test_a_drawn_stream_is_written_from_where_it_stopped(self, fmt):
         job = EnumerationJob(bound=2, primitive_only=True, shard=Shard(1, 3))
@@ -850,6 +883,8 @@ class TestTwoViews:
     @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
     @pytest.mark.parametrize("primitive_only", [False, True])
     def test_the_line_view_builds_no_record_and_each_tail_once(self, monkeypatch, fmt, primitive_only):
+        # each |a|² of bound 3 has one first-spinor orbit, so the walk
+        # makes one tail for each orbit key
         job = EnumerationJob(bound=3, primitive_only=primitive_only, shard=Shard(0, 2))
         expected = record_path(job, fmt)
         keys = {orbit_key(record) for record in enumerate_records(job)}
