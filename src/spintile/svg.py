@@ -5,15 +5,19 @@ Output is plain-text SVG assembled with fixed attribute order and fixed
 same bytes.  Geometry is emitted in mathematical coordinates inside a
 single y-flipped group (SVG's y-axis points down); text labels are
 individually flipped back so they stay readable.  A tessellation is
-drawn from its one integer form, each corner an int over its scale.
-The fifteen tiles of a pair share about 22 distinct corners among their
-60, so each distinct corner coordinate is converted to a float and
-formatted once per render.  Every number is written by ``_formatted``:
-12 decimals and each negative zero as zero, a list in one format call.
-The calls are grouped, one each for the viewBox, the hatch pattern, the
-rest of a tessellation's body (stroke, arrows, label size and places)
+drawn from its one integer form, its corner table: the fifteen tiles of
+a pair share 22 corners among their 60 vertices, each an (x, y) of ints
+over the scale.  Each corner coordinate is converted to a float and
+formatted once per render, each corner written as one ``"x,y"`` text,
+and each polygon takes the texts of the four corners of its cycle.
+Every number is written by ``_formatted``: 12 decimals and each
+negative zero as zero, a list in one format call.  The calls are
+grouped, one each for the viewBox, the corners, the rest of a
+tessellation's body (hatch step, stroke, arrows, label size and places)
 and a configuration's body (widths, circles, label places and sizes);
-the lines then reuse those texts, and label texts go in as written.
+the lines then reuse those texts, and label texts go in as written.  The
+hatch patterns of a tessellation are one constant template, ``_DEFS``,
+filled in with the step and the stroke width.
 """
 
 from __future__ import annotations
@@ -102,35 +106,35 @@ def _svg_document(
     return "\n".join([*lines, *body, "</g>", "</svg>"]) + "\n"
 
 
-def _hatch_defs(unit: float) -> list[str]:
-    """One hatch pattern per tile class, used for negatively oriented tiles."""
-    lines = ["<defs>"]
-    step, width = _formatted([unit * 6, unit])
-    for tile_class in TileClass:
-        color = DEFAULT_PALETTE[tile_class]
-        lines.append(
+# the defs of a tessellation, one hatch pattern per tile class for its
+# negatively oriented tiles and the arrow marker, to be filled in with
+# the pattern's step and stroke width, as formatted
+_DEFS = "\n".join(
+    [
+        "<defs>",
+        *[
             f'<pattern id="hatch_{tile_class.value}" patternUnits="userSpaceOnUse" '
-            f'width="{step}" height="{step}">'
-            f'<rect width="{step}" height="{step}" fill="{color}"/>'
-            f'<path d="M 0 0 L {step} {step}" stroke="#333333" '
-            f'stroke-width="{width}"/>'
+            'width="%(step)s" height="%(step)s">'
+            f'<rect width="%(step)s" height="%(step)s" fill="{DEFAULT_PALETTE[tile_class]}"/>'
+            '<path d="M 0 0 L %(step)s %(step)s" stroke="#333333" '
+            'stroke-width="%(width)s"/>'
             "</pattern>"
-        )
-    lines.append(
+            for tile_class in TileClass
+        ],
         '<marker id="arrow" viewBox="0 0 10 10" refX="9" refY="5" '
         'markerWidth="6" markerHeight="6" orient="auto-start-reverse">'
-        '<path d="M 0 0 L 10 5 L 0 10 z" fill="#1561ad"/></marker>'
-    )
-    lines.append("</defs>")
-    return lines
+        '<path d="M 0 0 L 10 5 L 0 10 z" fill="#1561ad"/></marker>',
+        "</defs>",
+    ]
+)
 
 
 # the polygon of a tile of each class, hatched when it is negatively
-# oriented, to be filled in with its eight corner coordinates and its
-# stroke width, as formatted
+# oriented, to be filled in with the "x,y" texts of its four corners and
+# its stroke width, as formatted
 _POLYGONS = {
     (tile_class, negative): (
-        f'<polygon class="{tile_class.value}" points="%s,%s %s,%s %s,%s %s,%s" '
+        f'<polygon class="{tile_class.value}" points="%s %s %s %s" '
         f'fill="{f"url(#hatch_{tile_class.value})" if negative else DEFAULT_PALETTE[tile_class]}" '
         'stroke="#333333" stroke-width="%s"/>'
     )
@@ -157,26 +161,25 @@ def _flipped_text(x: str, y: str, size: str, content: str) -> str:
 def render_tessellation(tess: Tessellation, options: RenderOptions | None = None) -> str:
     """Render the fifteen tiles; labels carry the exact areas."""
     options = options or RenderOptions()
-    scale, lattices = tess._scale, tess._lattices
-    xs = {x for lattice in lattices for x in lattice[1::2]}
-    ys = {y for lattice in lattices for y in lattice[2::2]}
-    distinct = list(xs | ys)
+    scale, corners, cycles = tess._scale, tess._corners, tess._cycles
+    xs, ys = zip(*corners)
     # every drawn point lies in the hull of the tile corners, which
     # include the twelve dodecagon points, so this is the one conversion
     # to float that can overflow.  Int true division is correctly rounded
     # and rounding is monotonic, so the extremes of the ints over L give
     # the extremes of the corner floats
     try:
-        texts = dict(zip(distinct, _formatted([value / scale for value in distinct])))
+        texts = _formatted([value / scale for value in xs + ys])
         box = _viewbox((min(xs) / scale, max(xs) / scale), (min(ys) / scale, max(ys) / scale))
     except OverflowError:
         raise FloatOverflow("tessellation coordinates too large to draw as floats") from None
+    points = [f"{x},{y}" for x, y in zip(texts[: len(xs)], texts[len(xs) :])]
     extent = max(box[2], box[3])
     stroke = extent * 0.004
-    # the other numbers of the body go through one format call: the
-    # stroke, the arrows' width and ends, then the label size and places;
-    # each width and size is the same for every element
-    numbers = [stroke]
+    # the other numbers go through one format call: the hatch step and
+    # the stroke, the arrows' width and ends, then the label size and
+    # places; each width and size is the same for every element
+    numbers = [stroke * 6, stroke]
     if options.show_spinor_arrows:
         numbers.append(stroke * 2)
         numbers += [float(v) for vector in (tess.a, tess.b, tess.c) for v in (vector.x, vector.y)]
@@ -184,13 +187,13 @@ def render_tessellation(tess: Tessellation, options: RenderOptions | None = None
         # the centre of a tile is the midpoint of its diagonal from the anchor
         half = 2 * scale
         numbers.append(extent * 0.035)
-        numbers += [(lattice[1] + lattice[5]) / half for lattice in lattices]
-        numbers += [(lattice[2] + lattice[6]) / half for lattice in lattices]
-    stroke_text, *rest = _formatted(numbers)
+        numbers += [(xs[i0] + xs[i2]) / half for i0, _, i2, _ in cycles]
+        numbers += [(ys[i0] + ys[i2]) / half for i0, _, i2, _ in cycles]
+    step, stroke_text, *rest = _formatted(numbers)
     body: list[str] = []
-    for tile, lattice, area in zip(tess.tiles, lattices, tess._areas):
-        corners = [texts[value] for value in lattice[1:]]
-        body.append(_POLYGONS[tile.tile_class, area < 0] % (*corners, stroke_text))
+    for tile, (i0, i1, i2, i3), area in zip(tess.tiles, cycles, tess._areas):
+        polygon = _POLYGONS[tile.tile_class, area < 0]
+        body.append(polygon % (points[i0], points[i1], points[i2], points[i3], stroke_text))
     if options.show_spinor_arrows:
         arrow_width, x1, y1, x2, y2, x3, y3, *rest = rest
         for x, y in ((x1, y1), (x2, y2), (x3, y3)):
@@ -200,10 +203,11 @@ def render_tessellation(tess: Tessellation, options: RenderOptions | None = None
             )
     if options.show_labels:
         size, *centres = rest
-        count = len(lattices)
+        count = len(cycles)
         for x, y, area in zip(centres[:count], centres[count:], tess._areas):
             body.append(_flipped_text(x, y, size, tess._text(area)))
-    return _svg_document(_hatch_defs(stroke), body, box, options.width_px)
+    defs = _DEFS % {"step": step, "width": stroke_text}
+    return _svg_document([defs], body, box, options.width_px)
 
 
 def _curvature_label(value: float) -> str:

@@ -19,15 +19,16 @@ curvature opposite member i, so (A, B, C) are the reds of members
 (b, c, a); the plain green of member i is congruent to the starred
 green of member i + 1.
 
-Every tile is (anchor; edge1, edge2), made one way, by ``_form``: its
-vertices are anchor, anchor+edge1, anchor+edge1+edge2, anchor+edge2,
-and its signed area is cross(edge1, edge2).  ``build_tessellation``
-reads the anchors and edges of the list above from one table,
-``_LAYOUT``.  The outer dodecagon runs through x + z⋆, x + x⋆ + z⋆,
-x + x⋆ + y + z⋆ and x + x⋆ + y for each member x in turn, all of them
-tile corners, and the tests check that the sum of all fifteen signed
-areas equals its shoelace area for every input pair, overlapping or
-not; the flag ``has_overlap`` marks inputs whose tiles fold over.
+Every tile is (anchor; edge1, edge2): its vertices are anchor,
+anchor+edge1, anchor+edge1+edge2, anchor+edge2, and its signed area is
+cross(edge1, edge2).  ``build_tessellation`` reads the anchors and edges
+of the list above from one table, ``_LAYOUT``.  Their 60 vertices are 22
+corners of the layout: the origin, each member x, x⋆ and x + x⋆, and
+the twelve points of the outer dodecagon, x + z⋆, x + x⋆ + z⋆,
+x + x⋆ + y + z⋆ and x + x⋆ + y for each member x in turn.  The tests
+check that the sum of all fifteen signed areas equals the dodecagon's
+shoelace area for every input pair, overlapping or not; the flag
+``has_overlap`` marks inputs whose tiles fold over.
 
 The summary quantities reproduce a Descartes configuration: with
 A, B, C the central red areas and G the green area, both
@@ -39,31 +40,38 @@ give the remaining tangency-point circles.
 Rational pairs run on integers as integer pairs do.  Every tile corner
 is an integer combination of a, b, c and their quarter turns, so
 ``build_tessellation`` clears the pair once, by L, the lcm of the four
-denominators of a and b, and makes all fifteen tiles on L from ints
-(L = 1 for an integer pair): each keeps its vertex cycle times L and
-the cross product of its scaled edges, and tiles of equal area share
-one signed area.  The ``Spinor`` vertices are built from that cycle
-only when ``Tile.vertices`` is read.  A tile made by hand with
-``Tile(...)`` clears its own six coordinates instead.  Both clear with
+denominators of a and b, and makes the 22 corners on L from ints (L = 1
+for an integer pair).  Each tile gathers its vertex cycle times L from
+them and keeps the cross product of its scaled edges, and tiles of
+equal area share one signed area.  The ``Spinor`` vertices are built
+from that cycle only when ``Tile.vertices`` is read.  A tile made by
+hand with ``Tile(...)`` clears its own six coordinates instead, and
+makes its cycle from its anchor and edges.  Both clear with
 ``spinors._cleared``, and divide back with its inverse ``_over``.
 
 A tessellation holds one integer form, made with it: its scale, the lcm
-of its tiles' scales (L for a built pair), and each tile's vertex cycle
-and signed area as ints over that scale and its square.  Every reader of
-a tessellation (the summary, the butterflies, the observations with
-their congruence keys, the overlap flag, the JSON and the SVG) reads
-that form only, never a tile's own scale; the functions of one tile
-read the tile's own.  A value is divided by its scale only where it is
-reported, by a value and a text reader that ``functools.cache`` memoises
-per tessellation: a ``Fraction`` is built once for each distinct int, a
-text is written from the ints, and a whole value comes back as ``int``.
-The JSON writes each distinct coordinate once.
+of its tiles' scales (L for a built pair); its corner table, each
+corner once as (x, y) ints on that scale, with each tile's vertex cycle
+as four indexes into them; and each tile's signed area as an int over
+the scale's square.  A built tessellation takes the layout's table: its
+22 corners, distinct as combinations of the members (two of them can
+land on one point, as in a folded layout), and the cycles ``_CYCLES``,
+derived from ``_LAYOUT`` at import.  One made from tiles by hand builds
+its table from the distinct points of its tiles' cycles, numbered in
+the order it meets them.  Every reader of a tessellation (the summary, the butterflies,
+the observations with their congruence keys, the overlap flag, the JSON
+and the SVG) reads that form only, never a tile's own scale; the
+functions of one tile read the tile's own.  A value is divided by its
+scale only where it is reported, by a value and a text reader that keep
+a dict memo per tessellation: a ``Fraction`` is built once for each
+distinct int, a text is written from the ints, and a whole value comes
+back as ``int``.  The JSON and the SVG write one ``"x,y"`` text per
+corner, and each tile's four vertices are four of them.
 """
 
 from __future__ import annotations
 
 import enum
-from functools import cache, partial
 from math import gcd, lcm
 
 from ._frozen import frozen, trusted
@@ -85,11 +93,13 @@ class TileClass(enum.Enum):
 class Tile:
     """One parallelogram: anchor plus two edge vectors.
 
-    The integer form of ``_form``, its vertex cycle and the cross
-    product of its edges, and the signed area are computed when the tile
-    is made, here or in ``build_tessellation``; the ``Spinor`` vertices
-    are built from the integer form when read.  Equality and hashing see
-    only the five fields.
+    The integer form, ``_lattice``, its scale L and vertex cycle on L
+    as (L, x0, y0, …, x3, y3), and ``_cross``, the cross product of its
+    edges over L², and the signed area are computed when the tile is
+    made: here from the anchor and edges, or in ``build_tessellation``,
+    which gathers the cycle from the corner table.  The ``Spinor`` vertices are built from the
+    integer form when read.  Equality and hashing see only the five
+    fields.
     """
 
     label: str
@@ -103,8 +113,11 @@ class Tile:
         # integer tile; a tile of ``build_tessellation`` is on its pair's L)
         anchor, edge1, edge2 = self.anchor, self.edge1, self.edge2
         scale, ax, ay, e1x, e1y, e2x, e2y = _cleared(anchor.x, anchor.y, edge1.x, edge1.y, edge2.x, edge2.y)
-        lattice, area = _form(scale, (ax, ay), (e1x, e1y), (e2x, e2y))
-        _store(self, "_lattice", lattice)
+        # the vertex cycle anchor, anchor+edge1, anchor+edge1+edge2,
+        # anchor+edge2 on L, and the cross product of the edges over L²
+        bx, by = ax + e1x, ay + e1y
+        _store(self, "_lattice", (scale, ax, ay, bx, by, bx + e2x, by + e2y, ax + e2x, ay + e2y))
+        area = e1x * e2y - e2x * e1y
         _store(self, "_cross", area)
         _store(self, "signed_area", _over(area, scale * scale))
 
@@ -121,23 +134,16 @@ class Tile:
         )
 
 
-def _form(
-    scale: int, anchor: tuple[int, int], edge1: tuple[int, int], edge2: tuple[int, int]
-) -> tuple[tuple[int, ...], int]:
-    """The integer form of the tile (anchor; edge1, edge2), each given as
-    its (x, y) times L = ``scale``, in ints: its ``_lattice``
-    (L, x0, y0, x1, y1, x2, y2, x3, y3), the vertex cycle anchor,
-    anchor+edge1, anchor+edge1+edge2, anchor+edge2 times L, and its
-    ``_cross``, the cross product of the edges, its signed area over L²."""
-    (ax, ay), (e1x, e1y), (e2x, e2y) = anchor, edge1, edge2
-    bx, by = ax + e1x, ay + e1y
-    return (scale, ax, ay, bx, by, bx + e2x, by + e2y, ax + e2x, ay + e2y), e1x * e2y - e2x * e1y
-
-
 def tile_area_shoelace(tile: Tile) -> Rational:
     """Signed area from the vertex cycle; independent of the edge form.
 
-    An area equal to the tile's signed area comes back as that stored
+    A tile of ``build_tessellation`` gathers its cycle from the corner
+    table by ``_CYCLES``, while its area is the cross product of its
+    ``_LAYOUT`` edges, so a wrong index in the table makes this route
+    disagree with ``signed_area``.  On a tile made by hand the cycle is
+    made from the anchor and edges, and its shoelace sum equals twice
+    the edge cross product by algebra, so there it cannot disagree.  An
+    area equal to the tile's signed area comes back as that stored
     value, so that no second ``Fraction`` is built for it."""
     scale, x0, y0, x1, y1, x2, y2, x3, y3 = tile._lattice
     twice = (x0 * y1 - x1 * y0) + (x1 * y2 - x2 * y1) + (x2 * y3 - x3 * y2) + (x3 * y0 - x0 * y3)
@@ -215,12 +221,15 @@ class Tessellation:
     """The pair, its closing third spinor and the fifteen tiles.
 
     Its one integer form is made with it: ``_scale`` is L, the lcm of
-    the tile scales; ``_lattices`` holds each tile's vertex cycle on L in
-    the form of ``Tile._lattice``, (L, x0, y0, …, x3, y3); ``_areas``
-    holds each signed area as an int over L².  The readers below read
-    only these, and divide by L or L² only a value they report, through
-    ``_value`` and ``_text``, once per distinct int (see ``_readers``).
-    Equality and hashing see only the four fields.
+    the tile scales; ``_corners`` holds each corner once, as (x, y)
+    ints on L, and ``_cycles`` each tile's vertex cycle as four indexes
+    into them; ``_areas`` holds each signed area as an int over L².  A
+    tessellation made here meets the corners of its tiles' cycles in
+    order and numbers each new one; ``build_tessellation`` stores the 22
+    corners of the layout and its constant ``_CYCLES``.  The readers
+    below read only these, and divide by L or L² only a value they
+    report, through ``_value`` and ``_text``, once per distinct int (see
+    ``_readers``).  Equality and hashing see only the four fields.
     """
 
     a: Spinor
@@ -231,15 +240,16 @@ class Tessellation:
     def __post_init__(self) -> None:
         # a set, as the tiles of a pair share one or a few scales
         scale = lcm(*{tile._lattice[0] for tile in self.tiles})
-        lattices, areas = [], []
+        # each distinct corner gets the next index, in the order first met
+        index: dict[tuple[int, int], int] = {}
+        cycles, areas = [], []
         for tile in self.tiles:
             lattice = tile._lattice
             factor = scale // lattice[0]
-            if factor != 1:
-                lattice = (scale, *[value * factor for value in lattice[1:]])
-            lattices.append(lattice)
+            values = iter([value * factor for value in lattice[1:]])
+            cycles.append(tuple([index.setdefault(corner, len(index)) for corner in zip(values, values)]))
             areas.append(tile._cross * factor * factor)
-        _on_scale(self, scale, tuple(areas), tuple(lattices), *_readers(scale))
+        _on_scale(self, scale, tuple(areas), tuple(index), tuple(cycles), *_readers(scale))
 
     @property
     def has_overlap(self) -> bool:
@@ -259,24 +269,40 @@ class Tessellation:
 _tile, _tessellation = trusted(Tile), trusted(Tessellation)
 
 
+class _Memo(dict):
+    """The reported form of each int over one denominator, made by
+    ``write`` when the int is first read and kept."""
+
+    __slots__ = ("write", "denominator")
+
+    def __init__(self, write, denominator: int) -> None:
+        self.write, self.denominator = write, denominator
+
+    def __missing__(self, numerator: int):
+        shown = self[numerator] = self.write(numerator, self.denominator)
+        return shown
+
+
 def _readers(scale: int) -> tuple:
     """The two readers of an int over L², L = ``scale``: ``_value``, the
-    value as reported, and ``_text``, its ``str``.  On L > 1 each is made
-    once per int, so equal ints share one reported object."""
+    value as reported, and ``_text``, its ``str``.  On L > 1 each reads a
+    dict memo of its own, so equal ints share one reported object."""
     if scale == 1:
         return int, str
     square = scale * scale
-    return cache(partial(_over, denominator=square)), cache(partial(_over_text, denominator=square))
+    return _Memo(_over, square).__getitem__, _Memo(_over_text, square).__getitem__
 
 
-def _on_scale(tess: Tessellation, scale: int, areas: tuple, lattices: tuple, value, text) -> None:
+def _on_scale(tess: Tessellation, scale: int, areas: tuple, corners: tuple, cycles: tuple, value, text) -> None:
     """Store the integer form of ``tess``: its common scale L, its tile
-    areas as ints over L², its two readers and its tiles' cycles on L."""
+    areas as ints over L², its two readers, its corners as (x, y) on L
+    and each tile's vertex cycle as indexes into them."""
     _store(tess, "_scale", scale)
     _store(tess, "_areas", areas)
     _store(tess, "_value", value)
     _store(tess, "_text", text)
-    _store(tess, "_lattices", lattices)
+    _store(tess, "_corners", corners)
+    _store(tess, "_cycles", cycles)
 
 
 # Member i of the triple (a, b, c), with j = i + 1 and k = i + 2 mod 3,
@@ -304,6 +330,50 @@ _LAYOUT = (
     (7, 2, TileClass.GREEN, 1, 4, 2),  # (x; z⋆, x⋆)
     (12, 1, TileClass.LIGHT_RED, 5, 4, 3),  # (x + x⋆; z⋆, y)
 )
+# the spinors of the layout by index: the six generators a, b, c, a⋆,
+# b⋆, c⋆ (member i is generator i, its quarter turn 3 + i), the origin
+# (6) and each member's x + x⋆ (7 + i), each as one int: its coefficients
+# over (a, b, a⋆, b⋆), with c = −a − b, as signed digits of base 16.
+# Every coefficient of a corner is −1, 0 or 1, so these ints add without
+# carrying, and two sums are one corner exactly when their ints are equal
+_A, _B, _A_STAR, _B_STAR = 1, 16, 256, 4096
+_KEYS = (
+    _A, _B, -_A - _B, _A_STAR, _B_STAR, -_A_STAR - _B_STAR,
+    0, _A + _A_STAR, _B + _B_STAR, -_A - _B - _A_STAR - _B_STAR,
+)
+
+
+def _tables() -> tuple[tuple, tuple, tuple]:
+    """The constant tables of ``build_tessellation``, read off
+    ``_LAYOUT`` by index arithmetic: ``_TILES``, each tile's label,
+    class, anchor and edges as spinor indexes, in tile order;
+    ``_STEPS``, each corner after the origin as an earlier corner and the
+    generator that leads from it to this one, in the order the tiles
+    first meet them; and ``_CYCLES``, each tile's vertex cycle as
+    indexes into the corners.  Each tile's anchor is a corner of an
+    earlier tile, the origin or a square's, so every corner has a step."""
+    corners = {0: 0}
+    steps, tiles, cycles = [], [None] * 15, [None] * 15
+    for i, j, k in _CYCLE:
+        # the member's points 0, x, x⋆, y, z⋆ and x + x⋆
+        points = (6, i, 3 + i, j, 3 + k, 7 + i)
+        for (first, step, tile_class, *roles), label in zip(_LAYOUT, _LABELS[i]):
+            anchor, edge1, edge2 = [points[role] for role in roles]
+            start = _KEYS[anchor]
+            # anchor, anchor + edge1, then + edge2, then anchor + edge2
+            cycle = [corners[start]]
+            for base, generator in ((start, edge1), (start + _KEYS[edge1], edge2), (start, edge2)):
+                corner = base + _KEYS[generator]
+                if corner not in corners:
+                    steps.append((corners[base], generator))
+                    corners[corner] = len(corners)
+                cycle.append(corners[corner])
+            tiles[first + step * i] = (label, tile_class, anchor, edge1, edge2)
+            cycles[first + step * i] = tuple(cycle)
+    return tuple(tiles), tuple(steps), tuple(cycles)
+
+
+_TILES, _STEPS, _CYCLES = _tables()
 
 
 def build_tessellation(a: Spinor, b: Spinor) -> Tessellation:
@@ -314,40 +384,40 @@ def build_tessellation(a: Spinor, b: Spinor) -> Tessellation:
 
     Every corner is an integer combination of a, b, c and their quarter
     turns, so the pair is cleared once, by L, the lcm of its four
-    denominators.  Each tile is made on L from ints, from its anchor and
-    edges as ``_LAYOUT`` reads them off the member's points, by the one
-    integer form of ``Tile``: its vertex cycle, which is also the
-    tessellation's, and the cross product of its edges, its area.  Its
-    signed area is that product as the tessellation reports it, a value
-    that tiles of equal area share.
+    denominators.  The 22 corners of the layout are made on L from ints,
+    each an earlier one plus a generator (``_STEPS``), and each tile
+    gathers its vertex cycle from them by ``_CYCLES``; the tessellation
+    keeps that table as its own.  A tile's area is the cross product of
+    its edges, read off ``_LAYOUT`` as generators, and its signed area is
+    that product as the tessellation reports it, a value that tiles of
+    equal area share.  Two corners of the table can land on one point
+    (b = a⋆ puts y on x⋆), as two tiles of a folded layout can.
     """
     scale, ax, ay, bx, by = _cleared(a.x, a.y, b.x, b.y)
     if ax * by == bx * ay:
         raise DegenerateInput(f"spinors {a.format()} and {b.format()} are parallel")
     cx, cy = -ax - bx, -ay - by
     c = _spinor(_over(cx, scale), _over(cy, scale))
-    triple = (a, b, c)
-    starred = (star(a), star(b), star(c))
-    members = ((ax, ay), (bx, by), (cx, cy))
+    generators = ((ax, ay), (bx, by), (cx, cy), (-ay, ax), (-by, bx), (-cy, cx))
+    corners = [(0, 0)]
+    for base, generator in _STEPS:
+        (x, y), (dx, dy) = corners[base], generators[generator]
+        corners.append((x + dx, y + dy))
+    plus = [_spinor(_over(x - y, scale), _over(y + x, scale)) for x, y in generators[:3]]
+    spinors = (a, b, c, star(a), star(b), star(c), ZERO, *plus)
     value, text = _readers(scale)
-    tiles = [None] * 15
-    for i, j, k in _CYCLE:
-        (xx, xy), (yx, yy), (zx, zy) = members[i], members[j], members[k]
-        px, py = xx - xy, xy + xx
-        plus = _spinor(_over(px, scale), _over(py, scale))
-        spinors = (ZERO, triple[i], starred[i], triple[j], starred[k], plus)
-        points = ((0, 0), (xx, xy), (-xy, xx), (yx, yy), (-zy, zx), (px, py))
-        for (first, step, tile_class, anchor, edge1, edge2), label in zip(_LAYOUT, _LABELS[i]):
-            lattice, area = _form(scale, points[anchor], points[edge1], points[edge2])
-            tile = _tile(label, tile_class, spinors[anchor], spinors[edge1], spinors[edge2])
-            _store(tile, "_lattice", lattice)
-            _store(tile, "_cross", area)
-            _store(tile, "signed_area", value(area))
-            tiles[first + step * i] = tile
+    tiles, areas = [], []
+    for (label, tile_class, anchor, edge1, edge2), (i0, i1, i2, i3) in zip(_TILES, _CYCLES):
+        (e1x, e1y), (e2x, e2y) = generators[edge1], generators[edge2]
+        area = e1x * e2y - e2x * e1y
+        tile = _tile(label, tile_class, spinors[anchor], spinors[edge1], spinors[edge2])
+        _store(tile, "_lattice", (scale, *corners[i0], *corners[i1], *corners[i2], *corners[i3]))
+        _store(tile, "_cross", area)
+        _store(tile, "signed_area", value(area))
+        tiles.append(tile)
+        areas.append(area)
     tess = _tessellation(a, b, c, tuple(tiles))
-    # every tile is made on L, so its lattice is its cycle on L
-    areas, lattices = tuple([tile._cross for tile in tiles]), tuple([tile._lattice for tile in tiles])
-    _on_scale(tess, scale, areas, lattices, value, text)
+    _on_scale(tess, scale, tuple(areas), tuple(corners), _CYCLES, value, text)
     return tess
 
 
@@ -441,11 +511,12 @@ class ObservationResult:
     witness: str
 
 
-def _congruence_key(lattice: tuple[int, ...]) -> tuple[int, int, int]:
+def _congruence_key(corners: tuple, cycle: tuple[int, int, int, int]) -> tuple[int, int, int]:
     """Invariant separating parallelograms up to rigid motion: sorted
-    squared edge lengths plus |edge dot product| of the tile whose cycle
-    ``lattice`` holds on L, as ints over L²."""
-    _, x0, y0, x1, y1, _, _, x3, y3 = lattice
+    squared edge lengths plus |edge dot product| of the tile whose vertex
+    cycle is ``cycle``, indexes into ``corners`` on L, as ints over L²."""
+    i0, i1, _, i3 = cycle
+    (x0, y0), (x1, y1), (x3, y3) = corners[i0], corners[i1], corners[i3]
     e1x, e1y, e2x, e2y = x1 - x0, y1 - y0, x3 - x0, y3 - y0
     n1, n2 = e1x * e1x + e1y * e1y, e2x * e2x + e2y * e2y
     return (min(n1, n2), max(n1, n2), abs(e1x * e2x + e1y * e2y))
@@ -462,7 +533,7 @@ def _keys_text(keys: list[tuple[int, int, int]], tess: Tessellation) -> str:
 def check_observations(tess: Tessellation) -> list[ObservationResult]:
     """The five structural facts the layout always satisfies."""
     results: list[ObservationResult] = []
-    tiles, lattices, areas, text = tess.tiles, tess._lattices, tess._areas, tess._text
+    tiles, corners, cycles, areas, text = tess.tiles, tess._corners, tess._cycles, tess._areas, tess._text
 
     greens = areas[6:12]
     results.append(
@@ -474,7 +545,7 @@ def check_observations(tess: Tessellation) -> list[ObservationResult]:
     )
 
     pairs_congruent = all(
-        _congruence_key(lattices[6 + 2 * i]) == _congruence_key(lattices[7 + 2 * j])
+        _congruence_key(corners, cycles[6 + 2 * i]) == _congruence_key(corners, cycles[7 + 2 * j])
         for i, j, _ in _CYCLE
     )
     results.append(
@@ -485,8 +556,8 @@ def check_observations(tess: Tessellation) -> list[ObservationResult]:
         )
     )
 
-    light_keys = sorted(map(_congruence_key, lattices[12:15]))
-    red_keys = sorted(map(_congruence_key, lattices[3:6]))
+    light_keys = sorted([_congruence_key(corners, cycle) for cycle in cycles[12:15]])
+    red_keys = sorted([_congruence_key(corners, cycle) for cycle in cycles[3:6]])
     results.append(
         ObservationResult(
             "light_reds_congruent_to_reds",
@@ -531,19 +602,15 @@ def _over_text(numerator: int, denominator: int) -> str:
     return f"{numerator // common}/{denominator // common}"
 
 
-def _vertex_texts(tess: Tessellation) -> list[list[str]]:
-    """The ``"x,y"`` text of each vertex of each tile, as
-    ``Spinor.format`` writes it, read from the tessellation's integer
-    cycles without building a ``Spinor``: each distinct coordinate is
-    written once."""
-    scale, lattices = tess._scale, tess._lattices
-    if scale != 1:
-        texts = {value: _over_text(value, scale) for value in set().union(*lattices)}
-        lattices = [[texts[value] for value in lattice] for lattice in lattices]
-    return [
-        [f"{x0},{y0}", f"{x1},{y1}", f"{x2},{y2}", f"{x3},{y3}"]
-        for _, x0, y0, x1, y1, x2, y2, x3, y3 in lattices
-    ]
+def _corner_texts(tess: Tessellation) -> list[str]:
+    """The ``"x,y"`` text of each corner of the table of ``tess``, as
+    ``Spinor.format`` writes it, read from the ints on L without building
+    a ``Spinor``; on L > 1 each distinct coordinate is written once."""
+    scale, corners = tess._scale, tess._corners
+    if scale == 1:
+        return [f"{x},{y}" for x, y in corners]
+    texts = {value: _over_text(value, scale) for value in set().union(*corners)}
+    return [f"{texts[x]},{texts[y]}" for x, y in corners]
 
 
 def tessellation_to_json_dict(tess: Tessellation) -> dict:
@@ -552,6 +619,7 @@ def tessellation_to_json_dict(tess: Tessellation) -> dict:
     text = tess._text
     shown = list(map(text, numerators))
     fourth = tess._scale**4
+    corners = _corner_texts(tess)
     return {
         "a": tess.a.format(),
         "b": tess.b.format(),
@@ -561,10 +629,10 @@ def tessellation_to_json_dict(tess: Tessellation) -> dict:
             {
                 "label": t.label,
                 "class": t.tile_class.value,
-                "vertices": vertices,
+                "vertices": [corners[i0], corners[i1], corners[i2], corners[i3]],
                 "area": text(area),
             }
-            for t, vertices, area in zip(tess.tiles, _vertex_texts(tess), tess._areas)
+            for t, (i0, i1, i2, i3), area in zip(tess.tiles, tess._cycles, tess._areas)
         ],
         "report": {
             "square_areas": shown[0:3],

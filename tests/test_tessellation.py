@@ -42,7 +42,8 @@ from spintile import (
 from spintile.cli import run
 from spintile.spinors import ZERO, Rational, int_if_whole
 from spintile.svg import RenderOptions
-from spintile.tessellation import _CYCLE, _congruence_key, _pick_counts
+import spintile.tessellation as tessellation_module
+from spintile.tessellation import _CYCLE, _CYCLES, _congruence_key, _pick_counts
 
 int_spinors = st.builds(Spinor, st.integers(-9, 9), st.integers(-9, 9))
 
@@ -60,6 +61,13 @@ def generic_pairs():
 
 def wide_pairs():
     return st.tuples(wide_spinors, wide_spinors).filter(lambda p: cross(*p) != 0)
+
+
+def folded_pairs():
+    """Small integer pairs whose layout folds over itself: some tile is
+    negatively oriented, and distinct corners of the layout often land
+    on one point."""
+    return generic_pairs().filter(lambda p: build_tessellation(*p).has_overlap)
 
 
 def partly_rational_pairs():
@@ -241,13 +249,13 @@ class TestIntegerForm:
         assert tile_area_shoelace(tile) == polygon_area(corners)
         key = (min(n1, n2), max(n1, n2), abs(dot(edge1, edge2)))
         for holder in holders:
-            # the tessellation holds the tile's cycle as ints over its scale
-            # L, the key as ints over L², and the SVG draws each corner
-            # coordinate as its int over L, divided once
-            scale, cycle = holder._scale, holder._lattices[holder.tiles.index(tile)]
-            assert cycle[0] == scale
-            assert _congruence_key(cycle) == tuple(v * scale * scale for v in key)
-            floats = [value / scale for value in cycle[1:]]
+            # the tessellation holds the tile's cycle as indexes into its
+            # corners, ints over its scale L, the key as ints over L², and
+            # the SVG draws each corner coordinate as its int over L,
+            # divided once
+            scale, cycle = holder._scale, holder._cycles[holder.tiles.index(tile)]
+            assert _congruence_key(holder._corners, cycle) == tuple(v * scale * scale for v in key)
+            floats = [value / scale for i in cycle for value in holder._corners[i]]
             assert floats == [float(value) for v in corners for value in (v.x, v.y)]
 
     @given(wide_pairs())
@@ -393,6 +401,92 @@ class TestTileAreasAreCurvatures:
     @given(mixed_scale_pairs())
     def test_pairs_of_an_integral_and_a_rational_spinor(self, pair):
         self.assert_tiles_give_curvatures(*pair)
+
+
+# the table indexes of the twelve outer corners x + z⋆, x + x⋆ + z⋆,
+# x + x⋆ + y + z⋆ and x + x⋆ + y of each member x in turn, in the cyclic
+# order of ``dodecagon_boundary``
+DODECAGON = (7, 8, 9, 6, 4, 15, 16, 14, 12, 20, 21, 19)
+
+
+class TestCornerTable:
+    """Every tessellation holds its distinct corners once, as (x, y) ints
+    on its scale, and each tile's vertex cycle as four indexes into them;
+    a built one holds the 22 corners of the layout, a hand-made one the
+    distinct points of its tiles' cycles."""
+
+    @staticmethod
+    def cycles_read(tess):
+        """Each tile's vertex cycle, read from its ``Spinor`` vertices,
+        as (x, y) on the scale of ``tess``."""
+        scale = tess._scale
+        return [[(v.x * scale, v.y * scale) for v in tile.vertices] for tile in tess.tiles]
+
+    @given(st.one_of(wide_pairs(), folded_pairs()))
+    def test_the_table_holds_the_distinct_vertices_and_reads_back_each_cycle(self, pair):
+        built = build_tessellation(*pair)
+        by_hand = Tessellation(built.a, built.b, built.c, built.tiles)
+        assert built._cycles is _CYCLES and len(built._corners) == 22
+        for tess in (built, by_hand):
+            read = self.cycles_read(tess)
+            distinct = {corner for cycle in read for corner in cycle}
+            assert set(tess._corners) == distinct
+            assert all(type(v) is int for corner in tess._corners for v in corner)
+            assert [[tess._corners[i] for i in cycle] for cycle in tess._cycles] == read
+        # the hand-made table meets each point once, in the order of the cycles
+        assert list(by_hand._corners) == list(dict.fromkeys(c for cycle in self.cycles_read(by_hand) for c in cycle))
+
+    @given(st.one_of(wide_pairs(), folded_pairs()))
+    def test_a_tessellation_of_built_tiles_writes_the_same_bytes(self, pair):
+        tess = build_tessellation(*pair)
+        by_hand = Tessellation(tess.a, tess.b, tess.c, tess.tiles)
+        assert by_hand == tess
+        arrows = RenderOptions(show_spinor_arrows=True, show_labels=False)
+        assert render_tessellation(by_hand) == render_tessellation(tess)
+        assert render_tessellation(by_hand, arrows) == render_tessellation(tess, arrows)
+        assert json.dumps(tessellation_to_json_dict(by_hand)) == json.dumps(tessellation_to_json_dict(tess))
+
+    def test_the_figure_names_its_outer_corners_by_index(self, figure):
+        assert [figure._corners[i] for i in DODECAGON] == [
+            (5, -2), (5, 1), (4, 3), (2, 5),
+            (-1, 5), (-3, 4), (-5, 2), (-5, -1),
+            (-4, -3), (-2, -5), (1, -5), (3, -4),
+        ]
+
+    @given(st.one_of(wide_pairs(), folded_pairs()))
+    def test_the_outer_corners_by_index(self, pair):
+        tess = build_tessellation(*pair)
+        scale = tess._scale
+        outer = [(p.x * scale, p.y * scale) for p in dodecagon_boundary(tess)]
+        assert [tess._corners[i] for i in DODECAGON] == outer
+        # the other ten are the origin, the members, their quarter turns
+        # and each x + x⋆
+        inner = [ZERO, tess.a, tess.b, tess.c, *[star(x) for x in (tess.a, tess.b, tess.c)]]
+        inner += [x + star(x) for x in (tess.a, tess.b, tess.c)]
+        rest = [corner for i, corner in enumerate(tess._corners) if i not in DODECAGON]
+        assert sorted(rest) == sorted((p.x * scale, p.y * scale) for p in inner)
+
+    @pytest.mark.parametrize("index", [3, 6, 14])
+    @pytest.mark.parametrize("pair", [(Spinor(3, 0), Spinor(-1, 2)), (Spinor(Fraction(1, 2), Fraction(2, 3)), Spinor(-1, Fraction(2, 5)))])
+    def test_a_wrong_cycle_index_makes_the_shoelace_route_disagree(self, monkeypatch, pair, index):
+        # a built tile gathers its vertex cycle from the corner table, and
+        # its area is the cross product of its edges: a wrong index in a
+        # copy of the cycle table moves one vertex, and the shoelace area
+        # of the cycle no longer equals the signed area
+        references = build_tessellation(*pair).tiles
+        cycles = [list(cycle) for cycle in _CYCLES]
+        cycles[index][1], cycles[index][2] = cycles[index][2], cycles[index][1]
+        monkeypatch.setattr(tessellation_module, "_CYCLES", tuple(map(tuple, cycles)))
+        tess = build_tessellation(*pair)
+        for i, (tile, reference) in enumerate(zip(tess.tiles, references)):
+            assert tile.signed_area == reference.signed_area == tile_area_shoelace(reference)
+            if i == index:
+                v0, v1, v2, v3 = reference.vertices
+                swapped = (v0, v2, v1, v3)
+                assert tile.vertices == swapped
+                assert tile_area_shoelace(tile) == polygon_area(swapped) != tile.signed_area
+            else:
+                assert tile_area_shoelace(tile) == tile.signed_area
 
 
 class TestFigureAreas:
