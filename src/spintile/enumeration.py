@@ -35,12 +35,12 @@ of that row, and each later image takes its row by an index permutation
 of that one, made once a walk for each symmetry.  An orbit's row is
 held from its first image to its last: bound 6 has 27 orbits and makes
 3,519 items for its 28,224 records.  The view chooses the item.  The
-record view makes each tail and wraps it in a ``QuadrupleRecord`` per
-record.  The line view, which ``write_stream`` takes for a stream of
-``enumerate_records`` that no record was drawn from, makes each
-formatted tail and writes each row with one write, the first spinor
-formatted once a row; it builds no record.  Records written from any
-other iterable go one by one, each line formatted whole from that
+record view, which each iteration of a stream of ``enumerate_records``
+walks afresh, makes each tail and wraps it in a ``QuadrupleRecord`` per
+record.  The line view, which ``write_stream`` takes for such a stream,
+makes each formatted tail and writes each row with one write, the first
+spinor formatted once a row; it builds no record.  Records written from
+any other iterable go one by one, each line formatted whole from that
 record's own values, with no shared item.  The walk's memory grows with
 the bound, as every orbit's row is held at the middle of the stream:
 writing bound 16 through the line view peaks at about 15 MB of traced
@@ -51,10 +51,10 @@ comma into a generator head and a tail, and the head once more after its
 second comma for the line view; its writers and the grammar of
 ``read_records`` are made from it.
 
-``write_records`` writes a shard of an undrawn stream, of a job with
-more than one shard, beside a manifest ``PATH.json``: the job, the
-shard, the record count, the sha256 of the file and a table of its rows,
-each as its first spinor (m1, n1) and its length in bytes.
+``write_records`` writes a stream of a job with more than one shard
+beside a manifest ``PATH.json``: the job, the shard, the record count,
+the sha256 of the file and a table of its rows, each as its first
+spinor (m1, n1) and its length in bytes.
 ``merge_shards`` reads the manifests, refuses any set that is not one
 whole job, and then copies whole rows in stream order, parsing no line:
 each shard is read once, front to back, one row in memory at a time,
@@ -295,29 +295,21 @@ def _row_texts(job: EnumerationJob, template: str) -> Iterator[tuple[int, int, i
 
 
 class _Stream:
-    """The records of a job, as ``enumerate_records`` returns them: an
-    iterator that knows its job.  The record view is made when the
-    stream is first iterated or drawn from, and iterating the stream
-    iterates that view, so the records come at a generator's pace;
-    ``write_stream`` writes a stream that was not yet iterated through
-    the line view instead, and leaves it exhausted."""
+    """The records of a job, as ``enumerate_records`` returns them: a view
+    of its job, as ``range`` is of its numbers.  Each iteration walks the
+    job afresh through the record view; ``write_stream`` writes the whole
+    job through the line view instead."""
 
-    __slots__ = ("job", "_records")
+    __slots__ = ("job",)
 
     def __init__(self, job: EnumerationJob) -> None:
         self.job = job
-        self._records: Iterator[QuadrupleRecord] | None = None
 
     def __iter__(self) -> Iterator[QuadrupleRecord]:
-        if self._records is None:
-            self._records = _record_view(self.job)
-        return self._records
-
-    def __next__(self) -> QuadrupleRecord:
-        return next(iter(self))
+        return _record_view(self.job)
 
 
-def enumerate_records(job: EnumerationJob) -> Iterator[QuadrupleRecord]:
+def enumerate_records(job: EnumerationJob) -> Iterable[QuadrupleRecord]:
     """Stream records for the job, honoring its shard and filters.
 
     The shard owns whole rows: the walk skips each row whose |a|² it does
@@ -327,10 +319,10 @@ def enumerate_records(job: EnumerationJob) -> Iterator[QuadrupleRecord]:
     first-spinor orbit, all of whose images have the same |a|², and each
     later row of the orbit takes them by an index permutation.
 
-    The stream is an iterator, not a generator.  Given to
-    ``write_stream`` or ``write_records`` before any record is drawn, it
-    is written row by row from the formatted tails of each orbit and
-    builds no record at all.
+    The stream is a re-iterable view of the job, not an iterator: each
+    ``iter`` of it walks the whole job again.  Given to ``write_stream``
+    or ``write_records``, it is written whole, row by row from the
+    formatted tails of each orbit, and builds no record at all.
     """
     return _Stream(job)
 
@@ -382,23 +374,20 @@ def _cut(template: str, commas: int = 4) -> tuple[str, str]:
 def write_stream(records: Iterable[QuadrupleRecord], handle: IO[str], fmt: str) -> int:
     """Write records to an open text handle; returns the record count.
 
-    The stream of ``enumerate_records``, while no record has been drawn
-    from it, is written through the walk's line view: the walk formats
-    the tails of each first-spinor orbit's first row, permutes them into
-    the rows of the orbit's later images, and each row goes out in one
-    write, its first spinor formatted once.  That builds no record
-    and leaves the stream exhausted.
+    A stream of ``enumerate_records`` is written whole through the walk's
+    line view: the walk formats the tails of each first-spinor orbit's
+    first row, permutes them into the rows of the orbit's later images,
+    and each row goes out in one write, its first spinor formatted once.
+    That builds no record.
 
-    Any other records, a drawn stream among them, are written one by
-    one, each line ``template % _fields(record)``: a record's line
-    depends on that record alone."""
+    Any other records are written one by one, each line ``template %
+    _fields(record)``: a record's line depends on that record alone."""
     header, template = _record_format(fmt)
     write = handle.write
     if header:
         write(header + "\n")
     count = 0
-    if type(records) is _Stream and records._records is None:
-        records._records = iter(())
+    if type(records) is _Stream:
         for _, _, size, text in _row_texts(records.job, template):
             write(text)
             count += size
@@ -425,20 +414,19 @@ _REWRITE = "rewrite it with enumerate --shard K/N --out F"
 def write_records(records: Iterable[QuadrupleRecord], path: str, fmt: str) -> int:
     """Atomic file write: land fully or not at all (temp file + rename).
 
-    A stream of ``enumerate_records`` that no record was drawn from,
-    whose job has more than one shard, is a shard file: it is written
-    through the line view, with the same bytes as ``write_stream``
-    writes, and each row hashed and listed as ``[m1, n1, byte length]``
-    as it goes out.  Once the file has landed, its manifest lands beside
-    it as ``PATH.json``, which ``merge_shards`` needs.  Other records
-    are written by ``write_stream``, with no manifest."""
-    if type(records) is not _Stream or records._records is not None or records.job.shard.count == 1:
+    A stream of ``enumerate_records`` whose job has more than one shard
+    is a shard file: it is written whole through the line view, with the
+    same bytes as ``write_stream`` writes, and each row hashed and listed
+    as ``[m1, n1, byte length]`` as it goes out.  Once the file has
+    landed, its manifest lands beside it as ``PATH.json``, which
+    ``merge_shards`` needs.  Other records are written by
+    ``write_stream``, with no manifest."""
+    if type(records) is not _Stream or records.job.shard.count == 1:
         return _atomic_write(path, lambda handle: write_stream(records, handle, fmt))
     import hashlib
     import json
 
     job = records.job
-    records._records = iter(())
     header, template = _record_format(fmt)
     digest = hashlib.sha256()
     rows = []

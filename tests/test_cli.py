@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import io
 import json
 import random
 import re
@@ -532,6 +533,17 @@ class TestEnumerate:
         err = capsys.readouterr().err
         assert err.startswith("i/o error: ") and str(path) in err
         assert "x.csv" in err and ".part" not in err
+
+    def test_a_closed_pipe_exits_1_quietly(self, monkeypatch, capsys):
+        # a reader such as ``head`` that stops early closes the pipe
+        class ClosedPipe(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(sys, "stdout", ClosedPipe())
+            assert run(["enumerate", "--bound", "1"]) == 1
+        assert capsys.readouterr() == ("", "")
 
     @pytest.mark.parametrize("bad", ["3/3", "-1/2", "x", "1"])
     def test_invalid_shard_is_usage_error(self, bad):

@@ -280,7 +280,8 @@ class TestPlacement:
         assert b.center == pytest.approx((4.0, 0.0))
         assert c.center[1] > 0
 
-    @pytest.mark.parametrize("bad", [(2, 3, 0), (2, 3, -1), (0, 0, 0)])
+    # a value that does not compare with 0, such as "a", is not positive
+    @pytest.mark.parametrize("bad", [(2, 3, 0), (2, 3, -1), (0, 0, 0), ("a", 1, 1), (1, None, 1)])
     def test_non_positive_curvature_rejected(self, bad):
         with pytest.raises(NonPositiveCurvature):
             place_configuration(*bad)

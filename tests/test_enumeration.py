@@ -812,7 +812,7 @@ class TestOrbitCaches:
         # f's tail compares equal to r's, as 6.0 == 6, but is spelled
         # otherwise, so a writer that shared equal tails between records
         # would write one of the two with the other's text
-        r = next(enumerate_records(EnumerationJob(bound=1)))
+        r = next(iter(enumerate_records(EnumerationJob(bound=1))))
         f = r._replace(m1=9, d2=float(r.d2))
         for records in ([f, r], [r, f]):
             assert written(records, fmt) == with_header(oracle_lines(records, fmt), fmt)
@@ -843,9 +843,9 @@ def every_job(bounds, counts=range(1, 6)):
 
 
 class TestTwoViews:
-    """``write_stream`` writes a stream of ``enumerate_records`` that no
-    record was drawn from through the walk's line view, and every other
-    iterable through the record path; the two write the same bytes."""
+    """``write_stream`` writes a stream of ``enumerate_records`` whole
+    through the walk's line view, and every other iterable through the
+    record path; the two write the same bytes."""
 
     @pytest.mark.parametrize("bound", range(1, 7))
     def test_the_line_view_writes_what_the_record_path_writes(self, bound):
@@ -857,35 +857,43 @@ class TestTwoViews:
                 assert handle.getvalue() == written(records, fmt), (job, fmt)
 
     @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
-    def test_a_drawn_stream_is_written_from_where_it_stopped(self, fmt):
+    def test_an_iterated_stream_is_written_whole(self, fmt, tmp_path):
+        # iterating a stream, in part or whole, leaves nothing behind: a
+        # stream written after it writes the whole job, manifest and all
         job = EnumerationJob(bound=2, primitive_only=True, shard=Shard(1, 3))
-        records = list(enumerate_records(job))
-        for drawn in (1, 7, len(records) - 1, len(records)):
+        expected = record_path(job, fmt)
+        count = len(list(enumerate_records(job)))
+        for name, iterate in (
+            ("fresh", lambda stream: None),
+            ("listed", list),
+            ("drawn", lambda stream: next(iter(stream))),
+            ("written", lambda stream: write_stream(stream, io.StringIO(), fmt)),
+        ):
             stream = enumerate_records(job)
-            assert [next(stream) for _ in range(drawn)] == records[:drawn]
-            handle = io.StringIO()
-            assert write_stream(stream, handle, fmt) == len(records) - drawn
-            assert handle.getvalue() == written(records[drawn:], fmt)
+            iterate(stream)
+            assert written(stream, fmt) == expected, name
+            path = str(tmp_path / f"{name}.{fmt}")
+            assert write_records(stream, path, fmt) == count
+            assert read_bytes(path) == expected.encode(), name
+            assert manifest_of(path) == manifest_of(str(tmp_path / f"fresh.{fmt}")), name
+        whole = EnumerationJob(bound=2, primitive_only=True)
+        paths = write_shards(tmp_path, 2, 3, fmt, primitive_only=True)
+        paths[1] = str(tmp_path / f"drawn.{fmt}")
+        merged = str(tmp_path / f"merged.{fmt}")
+        assert merge_shards(paths, merged, fmt) == len(list(enumerate_records(whole)))
+        assert read_bytes(merged) == record_path(whole, fmt).encode()
 
-    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
-    def test_a_written_stream_is_exhausted(self, fmt, tmp_path):
-        job = EnumerationJob(bound=2)
-        stream = enumerate_records(job)
-        path = tmp_path / f"records.{fmt}"
-        assert write_records(stream, str(path), fmt) == expected_record_count(2)
-        assert path.read_text() == record_path(job, fmt)
-        assert write_stream(stream, io.StringIO(), fmt) == 0
-        assert list(stream) == []
-        with pytest.raises(StopIteration):
-            next(stream)
-
-    def test_a_stream_is_an_iterator_that_knows_its_job(self):
+    def test_a_stream_is_a_view_of_its_job(self):
         job = EnumerationJob(bound=1)
         stream = enumerate_records(job)
-        assert isinstance(stream, collections.abc.Iterator)
         assert stream.job is job
-        assert list(stream) == oracle_stream(1, False, False)
-        assert list(stream) == []
+        assert not isinstance(stream, collections.abc.Iterator)
+        with pytest.raises(TypeError):
+            next(stream)
+        first = iter(stream)
+        assert next(first) == next(iter(stream))
+        assert list(stream) == list(stream) == oracle_stream(1, False, False)
+        assert list(first) == oracle_stream(1, False, False)[1:]
 
     @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
     @pytest.mark.parametrize("primitive_only", [False, True])
@@ -932,8 +940,8 @@ def read_bytes(path: str) -> bytes:
 
 
 class TestManifests:
-    """``write_records`` writes a manifest beside each shard file of an
-    undrawn stream, and beside no other file."""
+    """``write_records`` writes a manifest beside each shard file of a
+    stream, and beside no other file."""
 
     @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
     def test_a_manifest_lists_the_job_the_hash_and_the_rows(self, fmt, tmp_path):
@@ -959,22 +967,25 @@ class TestManifests:
                 lines = data[start:end].decode().splitlines(keepends=True)
                 assert lines == oracle_lines([r for r in records if (r.m1, r.n1) == (m1, n1)], fmt)
 
-    def test_only_an_undrawn_sharded_stream_gets_one(self, tmp_path):
+    def test_only_a_stream_of_a_sharded_job_gets_one(self, tmp_path):
         job = EnumerationJob(bound=2, shard=Shard(1, 3))
-        drawn = enumerate_records(job)
-        next(drawn)
+        iterated = enumerate_records(job)
+        next(iter(iterated))
         for name, records in (
             ("unsharded", enumerate_records(EnumerationJob(bound=2))),
             ("listed", list(enumerate_records(job))),
-            ("drawn", drawn),
+            ("iterated", iterated),
             ("shard", enumerate_records(job)),
         ):
             write_records(records, str(tmp_path / f"{name}.csv"), "csv")
         with open(tmp_path / "stdout.csv", "w") as handle:
             write_stream(enumerate_records(job), handle, "csv")
-        assert (tmp_path / "shard.csv").read_bytes() == (tmp_path / "listed.csv").read_bytes()
+        listed = (tmp_path / "listed.csv").read_bytes()
+        for name in ("iterated", "shard", "stdout"):
+            assert (tmp_path / f"{name}.csv").read_bytes() == listed, name
         assert sorted(os.listdir(tmp_path)) == [
-            "drawn.csv", "listed.csv", "shard.csv", "shard.csv.json", "stdout.csv", "unsharded.csv"
+            "iterated.csv", "iterated.csv.json", "listed.csv", "shard.csv", "shard.csv.json",
+            "stdout.csv", "unsharded.csv",
         ]
 
     def test_a_failed_shard_leaves_no_manifest(self, monkeypatch, tmp_path):
