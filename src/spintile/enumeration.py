@@ -38,13 +38,17 @@ held from its first image to its last: bound 6 has 27 orbits and makes
 record view, which each iteration of a stream of ``enumerate_records``
 walks afresh, makes each tail and wraps it in a ``QuadrupleRecord`` per
 record.  The line view, which ``write_stream`` takes for such a stream,
-makes each formatted tail and writes each row with one write, the first
-spinor formatted once a row; it builds no record.  Records written from
-any other iterable go one by one, each line formatted whole from that
-record's own values, with no shared item.  The walk's memory grows with
-the bound, as every orbit's row is held at the middle of the stream:
-writing bound 16 through the line view peaks at about 15 MB of traced
-memory, and draining its record view at about 40 MB (Python 3.11).
+makes each formatted tail in one step from the values of ``_tail``.  The
+walk keeps a row's second-spinor labels and its items apart, and the
+line view writes each row with one write of one join that interleaves
+them after the first spinor's text, formatted once a row: three strings
+a line, and no two strings added.  It builds no record.  Records
+written from any other iterable go one by one, each line formatted
+whole from that record's own values, with no shared item.  The walk's
+memory grows with the bound, as every orbit's row is held at the middle
+of the stream: writing bound 16 through the line view peaks at about
+15 MB of traced memory, and draining its record view at about 40 MB
+(Python 3.11).
 
 Each format is one line template, cut by ``_cut`` after its fourth
 comma into a generator head and a tail, and the head once more after its
@@ -73,7 +77,7 @@ import operator
 import os
 import re
 import tempfile
-from typing import IO, Any, Callable, Iterable, Iterator, NamedTuple
+from typing import IO, Any, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from ._frozen import frozen
 from .quadruples import canonical_form, pair_curvatures
@@ -193,11 +197,13 @@ def _rows(
     job: EnumerationJob,
     make: Callable[[_Point, _Point], Any],
     label: Callable[[int, int], Any],
-) -> Iterator[tuple[int, int, list]]:
-    """The rows of the job's walk that its shard owns, in stream order:
-    each first spinor a = (m1, n1) with the list of ``label(m2, n2) +
-    make(a, b)`` for each second spinor b = (m2, n2) that the filter
-    keeps, ``make`` taking each spinor as ``(m, n, m² + n²)``.
+) -> Iterator[tuple[int, int, Sequence, Sequence]]:
+    """The rows of the job's walk that its shard owns, in stream order,
+    each with at least one pair: each first spinor a = (m1, n1) with two
+    sequences of equal length, the ``label(m2, n2)`` and the ``make(a,
+    b)`` of each second spinor b = (m2, n2) that the filter keeps,
+    ``make`` taking each spinor as ``(m, n, m² + n²)``.  Neither is
+    added to the other: each view joins them as it needs.
 
     The walk skips each row whose |a|² the shard does not own with one
     lookup (see ``_owned_norms``), and with ``primitive_only`` each pair
@@ -218,7 +224,6 @@ def _rows(
     moves = [operator.itemgetter(*image) for image in images]
     primitive_only = job.primitive_only
     gcd = math.gcd
-    add = operator.add
     # the items of each orbit's first row, and with ``primitive_only``
     # which of them the filter keeps, by the index of its first image
     held: dict[int, tuple[Any, Any]] = {}
@@ -260,38 +265,44 @@ def _rows(
             items = move(items)
             if primitive_only:
                 kept = move(kept)
+        labels = tags
         if primitive_only:
-            row = list(map(add, itertools.compress(tags, kept), itertools.compress(items, kept)))
-        else:
-            row = list(map(add, tags, items))
-        if row:
-            yield m1, n1, row
+            labels = list(itertools.compress(tags, kept))
+            items = list(itertools.compress(items, kept))
+        if items:
+            yield m1, n1, labels, items
 
 
 def _record_view(job: EnumerationJob) -> Iterator[QuadrupleRecord]:
     """The job's records: the walk's items are the record tails."""
     new = tuple.__new__
-    for m1, n1, row in _rows(job, _tail, lambda m, n: (m, n)):
+    for m1, n1, tags, items in _rows(job, _tail, lambda m, n: (m, n)):
         head = (m1, n1)
-        for rest in row:
-            yield new(QuadrupleRecord, head + rest)
+        for tag, rest in zip(tags, items):
+            yield new(QuadrupleRecord, head + tag + rest)
 
 
 def _row_texts(job: EnumerationJob, template: str) -> Iterator[tuple[int, int, int, str]]:
     """The job's record lines in the line template ``template``, a row at
     a time: each first spinor (m1, n1) with its record count and the text
-    of its lines.  The walk's items are the formatted tails, and the head
-    of each line is cut once more, after its second comma: the first
-    spinor's text is formatted once a row and each second spinor's once."""
+    of its lines.  The walk's items are the formatted tails, each filled
+    in one step from the values of ``_tail``, and the head of each line
+    is cut once more, after its second comma: the first spinor's text is
+    formatted once a row and each second spinor's once.  A row is one
+    join of the list that interleaves the first spinor's text, the
+    second spinors' and the tails, three strings a line."""
     head, tail = _cut(template + "\n")
     first, second = _cut(head, 2)
 
     def text(a: _Point, b: _Point) -> str:
-        return tail % _fields(a[:2] + b[:2] + _tail(a, b))[4:]
+        big_a, big_b, big_c, d1, d2, (w, x, y, z), primitive = _tail(a, b)
+        return tail % (big_a, big_b, big_c, d1, d2, w, x, y, z, "true" if primitive else "false")
 
-    for m1, n1, row in _rows(job, text, lambda m, n: second % (m, n)):
-        start = first % (m1, n1)
-        yield m1, n1, len(row), start + start.join(row)
+    for m1, n1, tags, items in _rows(job, text, lambda m, n: second % (m, n)):
+        parts = [first % (m1, n1)] * (3 * len(items))
+        parts[1::3] = tags
+        parts[2::3] = items
+        yield m1, n1, len(items), "".join(parts)
 
 
 class _Stream:
@@ -377,8 +388,9 @@ def write_stream(records: Iterable[QuadrupleRecord], handle: IO[str], fmt: str) 
     A stream of ``enumerate_records`` is written whole through the walk's
     line view: the walk formats the tails of each first-spinor orbit's
     first row, permutes them into the rows of the orbit's later images,
-    and each row goes out in one write, its first spinor formatted once.
-    That builds no record.
+    and each row goes out in one write: one join of its lines' heads and
+    tails, interleaved, its first spinor formatted once.  That builds no
+    record.
 
     Any other records are written one by one, each line ``template %
     _fields(record)``: a record's line depends on that record alone."""
@@ -627,9 +639,17 @@ def merge_shards(paths: Iterable[str], out_path: str, fmt: str) -> int:
     its first spinor's text, or that does not end in a newline; a sha256
     or a record count (its newlines) other than its manifest's.  Every
     refusal is a ``ValueError`` naming a shard file, and leaves no merged
-    file behind."""
+    file behind.  Before any of these, an ``out_path`` that is one of the
+    shard files or one of their manifests, as ``os.path.samefile`` tells,
+    is refused with a ``ValueError`` naming it, and nothing is written:
+    the merge would replace that file."""
     header, template = _record_format(fmt)
     paths = list(paths)
+    if os.path.exists(out_path):
+        for path in paths:
+            for name, what in ((path, "shard file"), (path + ".json", "manifest of the shard file")):
+                if os.path.exists(name) and os.path.samefile(out_path, name):
+                    raise ValueError(f"merging into {out_path} would replace the {what} {path}")
     manifests, plan = _merge_plan(paths, fmt)
     head = (header + "\n").encode() if header else b""
     first = _cut(template, 2)[0]

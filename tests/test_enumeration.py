@@ -847,14 +847,25 @@ class TestTwoViews:
     through the walk's line view, and every other iterable through the
     record path; the two write the same bytes."""
 
-    @pytest.mark.parametrize("bound", range(1, 7))
-    def test_the_line_view_writes_what_the_record_path_writes(self, bound):
-        for job in every_job([bound]):
+    @pytest.mark.parametrize("bound", range(1, 8))
+    def test_the_line_view_writes_what_the_record_path_writes(self, bound, tmp_path):
+        # bound 7, past the oracle's bound 6, has rows of 224 spinors: its
+        # jobs of 1 and 3 shards
+        for job in every_job([bound], counts=range(1, 6) if bound < 7 else (1, 3)):
             records = list(enumerate_records(job))
             for fmt in FORMATS:
                 handle = io.StringIO()
                 assert write_stream(enumerate_records(job), handle, fmt) == len(records)
                 assert handle.getvalue() == written(records, fmt), (job, fmt)
+        # 3 shard files of the line view merge into the unsharded record path
+        for primitive_only in (False, True):
+            whole = EnumerationJob(bound=bound, primitive_only=primitive_only)
+            records = list(enumerate_records(whole))
+            for fmt in FORMATS:
+                paths = write_shards(tmp_path, bound, 3, fmt, primitive_only=primitive_only)
+                merged = str(tmp_path / f"merged.{fmt}")
+                assert merge_shards(paths, merged, fmt) == len(records)
+                assert read_bytes(merged) == written(records, fmt).encode(), (whole, fmt)
 
     @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
     def test_an_iterated_stream_is_written_whole(self, fmt, tmp_path):
@@ -1201,6 +1212,29 @@ class TestMergeRefusals:
         with pytest.raises(ValueError, match="^no shard files to merge$"):
             merge_shards([], str(tmp_path / "merged.csv"), "csv")
         assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    @pytest.mark.parametrize(
+        "kind, suffix", [("shard file", ""), ("manifest of the shard file", ".json")],
+        ids=["shard", "manifest"],
+    )
+    def test_an_output_that_is_a_shard_file_or_its_manifest(self, kind, suffix, fmt, tmp_path):
+        # merged onto itself, a shard file was replaced and its manifest
+        # left stale, so that the next merge of the set was refused
+        paths = write_shards(tmp_path, 2, 3, fmt)
+        target = paths[1] + suffix
+        linked = str(tmp_path / "linked")
+        os.link(target, linked)
+        before = {name: read_bytes(str(tmp_path / name)) for name in os.listdir(tmp_path)}
+        # the file by its own name, by another spelling and by a hard link
+        respelt = os.path.join(str(tmp_path), ".", os.path.basename(target))
+        for out in (target, respelt, linked):
+            with pytest.raises(ValueError) as caught:
+                merge_shards(paths, out, fmt)
+            assert str(caught.value) == f"merging into {out} would replace the {kind} {paths[1]}"
+            after = {name: read_bytes(str(tmp_path / name)) for name in os.listdir(tmp_path)}
+            assert after == before, out
+        assert merge_shards(paths, str(tmp_path / f"merged.{fmt}"), fmt) == expected_record_count(2)
 
     @pytest.mark.parametrize("position", range(4))
     @pytest.mark.parametrize(
