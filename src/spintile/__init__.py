@@ -31,6 +31,7 @@ _EXPORTS = {
         "NonPositiveCurvature",
         "NotTangent",
         "SpintileError",
+        "TooManyDigits",
         "ZeroCurvature",
         "ZeroRadius",
     ),

@@ -22,7 +22,14 @@ subcommand runs, ``json`` included:
 ``quad`` and ``solve`` load ``quadruples``, ``verify`` loads ``disks``,
 ``tess`` loads ``tessellation`` (and ``svg`` with ``--svg``),
 ``enumerate`` loads ``enumeration``, and ``render`` loads ``svg`` with
-``tessellation`` or ``disks``.  All of them load ``spinors``.
+``tessellation`` or ``disks``.  All of them load ``spinors``, but only
+a value that is not an integer loads ``fractions``, and a frozen class
+compiles its constructor only when the call first builds one.
+
+An exact result with more digits than Python writes as text
+(``sys.get_int_max_str_digits()``) fails with ``TooManyDigits``, exit
+code 1; a decimal argument that would expand past that limit is a usage
+error.
 """
 
 from __future__ import annotations
@@ -35,7 +42,7 @@ import re
 import sys
 from typing import TYPE_CHECKING, Iterator
 
-from .errors import InvalidPayload, SpintileError
+from .errors import InvalidPayload, SpintileError, TooManyDigits
 from .spinors import Rational, Spinor, _parse_part, cross
 
 if TYPE_CHECKING:
@@ -235,6 +242,22 @@ def _malformed_payload(path: str) -> Iterator[None]:
         yield
     except (ArithmeticError, AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
         raise InvalidPayload(f"{path}: malformed payload ({type(exc).__name__}: {exc})") from None
+
+
+@contextlib.contextmanager
+def _digit_limit() -> Iterator[None]:
+    """Turn Python's refusal to write an int of more digits than its
+    limit into ``TooManyDigits``.  Every other ``ValueError`` passes."""
+    try:
+        yield
+    except ValueError as exc:
+        if not str(exc).startswith("Exceeds the limit ("):
+            raise
+        limit = sys.get_int_max_str_digits()
+        raise TooManyDigits(
+            f"an exact result has more than {limit} digits, the most Python writes as text "
+            "(python -X int_max_str_digits=N raises the limit)"
+        ) from None
 
 
 def _spelled(value: object) -> str:
@@ -472,7 +495,8 @@ def run(argv: list[str] | None = None) -> int:
     try:
         args = build_parser(command).parse_args(argv)
         _, handler, _ = _COMMANDS[args.command]
-        return handler(args)
+        with _digit_limit():
+            return handler(args)
     except SystemExit as exc:
         # argparse exits with 2 on usage errors; our own SystemExit
         # carries either a code or a message treated as a usage problem

@@ -48,9 +48,8 @@ import cmath
 import functools
 import math
 import sys
-from fractions import Fraction
 from itertools import combinations
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from ._frozen import frozen
 from .errors import (
@@ -62,7 +61,10 @@ from .errors import (
     ZeroCurvature,
     ZeroRadius,
 )
-from .spinors import PythTriple, Rational, _exact
+from .spinors import PythTriple, Rational, _exact, _fraction
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 DEFAULT_TOLERANCE = 1e-9
 
@@ -98,10 +100,11 @@ class Symbol:
         return cls(beta * _exact(cx), beta * _exact(cy), beta)
 
     def center(self) -> tuple[Fraction, Fraction]:
+        Fraction = _fraction()
         return (Fraction(self.x_dot, 1) / self.beta, Fraction(self.y_dot, 1) / self.beta)
 
     def radius(self) -> Fraction:
-        return Fraction(1, 1) / self.beta
+        return _fraction()(1, 1) / self.beta
 
 
 def symbol_join(s1: Symbol, s2: Symbol) -> PythTriple:

@@ -71,5 +71,10 @@ class FloatOverflow(SpintileError):
     products of their tangency spinors."""
 
 
+class TooManyDigits(SpintileError):
+    """An exact result has more digits than Python writes as text: the
+    limit of ``sys.get_int_max_str_digits()``, 4300 by default."""
+
+
 class InvalidPayload(SpintileError):
     """A JSON payload to render is malformed, or holds no disks."""

@@ -22,20 +22,24 @@ L, ``fourth_curvatures`` takes the discriminant of its three as an int
 over L², and ``from_spinor_pair`` runs the integer kernel
 ``pair_curvatures`` on the pair's four coordinates times L.  The
 clearing kernel ``_cleared`` and its inverse ``_over`` live in
-``spinors``.
+``spinors``.  The inexact roots are quotients of those ints as well,
+which round as ``float`` of a ``Fraction`` does, so a call on integer
+curvatures never imports ``fractions``.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
-from typing import NamedTuple, Union
+from typing import TYPE_CHECKING, NamedTuple, Union
 
 from ._frozen import frozen, trusted
 from .errors import ComplexSolutions, FloatOverflow, NonIntegral
 from .spinors import Rational, Spinor, _cleared, _exact, _over
 
-ExactOrFloat = Union[int, Fraction, float]
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+ExactOrFloat = Union[int, "Fraction", float]
 
 
 def descartes_residual(a: Rational, b: Rational, c: Rational, d: Rational) -> Rational:
@@ -104,19 +108,27 @@ def fourth_curvatures(a: Rational, b: Rational, c: Rational) -> FourthCurvatures
     if root * root == cleared_disc:
         spread = 2 * root
         return FourthCurvatures(_over(total + spread, scale), _over(total - spread, scale), True)
-    disc, base = Fraction(cleared_disc, square), Fraction(total, scale)
+    # the floats below are quotients of ints, which round correctly, as
+    # float() of a Fraction does: disc = cleared_disc / L², reduced to
+    # num / den, and base = total / L
+    common = math.gcd(cleared_disc, square)
+    num, den = cleared_disc // common, square // common
     # 4**shift brings a disc beyond the float range, below or above, to
     # about 1, exactly; the square root then scales back by 2**-shift
-    shift = (disc.denominator.bit_length() - disc.numerator.bit_length()) // 2
+    shift = (den.bit_length() - num.bit_length()) // 2
     try:
-        spread = 2 * math.ldexp(math.sqrt(disc * Fraction(4) ** shift), -shift)
+        scaled = (num << 2 * shift) / den if shift >= 0 else num / (den << -2 * shift)
+        spread = 2 * math.ldexp(math.sqrt(scaled), -shift)
         # base ± spread cancels on the root of the other sign than base:
-        # that one is the exact product D1·D2 = base² − 4·disc over this one
-        near = float(base) + math.copysign(spread, base)
-        far = float((base * base - 4 * disc) / Fraction(near)) if near else 0.0
+        # that one is the exact product D1·D2 = base² − 4·disc over this
+        # one, (total² − 4·cleared_disc) / L² over near = p / q
+        base = total / scale
+        near = base + math.copysign(spread, base)
+        p, q = near.as_integer_ratio()
+        far = (total * total - 4 * cleared_disc) * q / (square * p) if near else 0.0
     except OverflowError:
         raise FloatOverflow("curvatures too large for the inexact float roots") from None
-    return FourthCurvatures(*((near, far) if base > 0 else (far, near)), False)
+    return FourthCurvatures(*((near, far) if total > 0 else (far, near)), False)
 
 
 @frozen

@@ -18,26 +18,53 @@ through untouched, :meth:`Spinor.parse` returns whole values such as
 ``"6/2"`` or ``"2.0"`` as ``int``, and the arithmetic below builds its
 results without validating them again, which keeps integer-heavy callers
 on fast ``int`` arithmetic.
+
+``fractions`` (with the ``decimal`` and ``numbers`` it imports, about
+2.5 ms of a command-line call on Python 3.11) loads only when a value
+is not an integer.  Until then the name ``Fraction`` here is a
+stand-in: the first call of it, or the first ``_exact`` of a value that
+is not an ``int``, imports ``fractions`` and binds the name to the
+class, so from then on the rational paths call the class directly.
+``disks`` takes the class from :func:`_fraction`.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+import sys
 from math import lcm
-from typing import Union
+from typing import TYPE_CHECKING, Union
 
 from ._frozen import frozen, trusted
 
-Rational = Union[int, Fraction]
+if TYPE_CHECKING:
+    from fractions import Fraction
 
-_EXACT_TYPES = (int, Fraction)
+Rational = Union[int, "Fraction"]
+
+
+def _fraction() -> type[Fraction]:
+    """The class ``fractions.Fraction``; the first call imports it and
+    binds it to this module's name ``Fraction``."""
+    global Fraction
+    if not isinstance(Fraction, type):
+        from fractions import Fraction
+    return Fraction
+
+
+def Fraction(*args: object) -> Fraction:
+    """``fractions.Fraction(*args)``; the first call imports it, and the
+    class then replaces this stand-in."""
+    return _fraction()(*args)
 
 
 def _exact(value: object, what: str = "coordinate") -> Rational:
     """Coerce to an exact rational; strings parse as Fraction literals."""
+    if type(value) is int or type(value) is Fraction:
+        return value
     if isinstance(value, bool):
         raise TypeError(f"{what} must be an exact rational, not bool")
-    if isinstance(value, _EXACT_TYPES):
+    # a subclass, or a Fraction while the name is still the stand-in
+    if isinstance(value, (int, _fraction())):
         return value
     if isinstance(value, str):
         return Fraction(value)
@@ -69,14 +96,43 @@ def _cleared(*values: Rational) -> list[int]:
     return cleared
 
 
+def _expanded_digits(text: str) -> int:
+    """The digits of a decimal with an exponent, as ``Fraction`` expands
+    it, at most: the mantissa's digits plus the exponent's magnitude.  0
+    for a text with no exponent, or with no digit before it, or one that
+    is not an integer: ``Fraction`` refuses those and says why."""
+    mantissa, marker, exponent = text.lower().partition("e")
+    if not marker or exponent.strip() != exponent:
+        return 0
+    digits = sum(map(str.isdigit, mantissa))
+    try:
+        magnitude = abs(int(exponent))
+    except ValueError:
+        return 0
+    return digits + magnitude if digits else 0
+
+
 def _parse_part(text: str) -> Rational:
     """One stripped part of a spinor text: an ASCII integer, optionally
     negative, through ``int``, which reads it as ``Fraction`` does (the
     same value, and the same error past the digit limit) at a fraction
-    of the cost; any other text through ``Fraction``."""
+    of the cost; any other text through ``Fraction``.  A decimal whose
+    exponent would expand it past the digit limit is refused first, as
+    ``int`` refuses a literal past it, since ``Fraction`` would compute
+    the power of ten before anything checked its size."""
     digits = text[1:] if text[:1] == "-" else text
     if digits.isdigit() and digits.isascii():
         return int(text)
+    expanded = _expanded_digits(text)
+    if expanded:
+        # 0 is no limit, as on a Python older than the limit
+        limit = getattr(sys, "get_int_max_str_digits", int)()
+        if 0 < limit < expanded:
+            raise ValueError(
+                f"Exceeds the limit ({limit} digits) for integer string conversion: "
+                f"the decimal expands to up to {expanded} digits; "
+                "use sys.set_int_max_str_digits() to increase the limit"
+            )
     return int_if_whole(Fraction(text))
 
 
@@ -131,7 +187,7 @@ class Spinor:
 _spinor = trusted(Spinor)
 
 
-ZERO = Spinor(0, 0)
+ZERO = _spinor(0, 0)
 
 
 def dot(u: Spinor, v: Spinor) -> Rational:

@@ -11,13 +11,14 @@ import re
 import shlex
 import subprocess
 import sys
+import time
 import xml.etree.ElementTree as ET
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from spintile import merge_shards
+from spintile import cli, merge_shards
 from spintile.cli import _parse_rationals, run
 
 
@@ -360,6 +361,68 @@ class TestParseRationals:
     def test_wrong_counts_are_refused_alike(self):
         for text in ("1,2", "1,2,3,4", "", ",,,"):
             assert _outcome(_parse_rationals, text, 3) == _outcome(_fraction_route, text, 3)
+
+
+# decimals whose exponent expands them past the digit limit of int/str
+# conversion, 4300 by default; expanding 1e3000000 takes seconds
+HUGE_DECIMALS = ["1e5000", "1e-5000", "1e3000000"]
+
+
+class TestDigitLimit:
+    @pytest.mark.parametrize("part", HUGE_DECIMALS)
+    def test_a_decimal_past_the_limit_is_refused_before_it_expands(self, part, tmp_path, capsys):
+        limit = sys.get_int_max_str_digits()
+        refusal = rf"^Exceeds the limit \({limit} digits\) for integer string conversion: "
+        start = time.perf_counter()
+        with pytest.raises(argparse.ArgumentTypeError, match=refusal):
+            _parse_rationals(f"{part},2", 2)
+        assert run(["tess", "--a", f"{part},0", "--b", "0,1"]) == 2
+        assert run(["solve", "--curvatures", f"{part},1,1"]) == 2
+        errors = capsys.readouterr().err
+        assert f"\nspintile tess: error: argument --a: Exceeds the limit ({limit} digits) " in errors
+        assert f"\nspintile solve: error: argument --curvatures: Exceeds the limit ({limit} digits) " in errors
+        payload = tmp_path / "tess.json"
+        payload.write_text(json.dumps({"a": f"{part},0", "b": "0,1", "tiles": []}))
+        assert run(["render", "--from-json", str(payload), "--out", str(tmp_path / "out.svg")]) == 1
+        assert capsys.readouterr().err.startswith(f"InvalidPayload: {payload}: malformed payload (ValueError: ")
+        assert time.perf_counter() - start < 0.5
+
+    def test_the_refusal_follows_the_limit(self):
+        limit = sys.get_int_max_str_digits()
+        assert _parse_rationals(f"1e{limit - 1},5e-{limit - 1}", 2) == [10 ** (limit - 1), Fraction(5, 10 ** (limit - 1))]
+        for text in (f"1e{limit}", f"10e{limit - 1}", f"1.5e{limit - 1}", f"-0.0e-{limit}", f"1E+{limit}"):
+            with pytest.raises(argparse.ArgumentTypeError, match="Exceeds the limit"):
+                _parse_rationals(f"{text},0", 2)
+        # a text that is no decimal is Fraction's to refuse
+        for text in ("1e 99999", "xe99999", "1e--99999", "1e9_9__999"):
+            with pytest.raises(argparse.ArgumentTypeError, match="^Invalid literal for Fraction: "):
+                _parse_rationals(f"{text},0", 2)
+        sys.set_int_max_str_digits(0)
+        try:
+            assert _parse_rationals("1e5000,1e-5000", 2) == [10**5000, Fraction(1, 10**5000)]
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+    @pytest.mark.parametrize("argv", [["quad"], ["tess"], ["tess", "--json"]])
+    def test_a_result_too_long_to_print_is_a_typed_error(self, argv, capsys):
+        # a 2501-digit coordinate is accepted, and |a|² has 5001 digits
+        big = "1" + "0" * 2500
+        assert run([argv[0], "--a", f"{big},0", "--b", "0,1", *argv[1:]]) == 1
+        err = capsys.readouterr().err
+        limit = sys.get_int_max_str_digits()
+        assert err == (
+            f"TooManyDigits: an exact result has more than {limit} digits, the most Python "
+            "writes as text (python -X int_max_str_digits=N raises the limit)\n"
+        )
+
+    def test_any_other_value_error_is_not_caught(self, monkeypatch):
+        def broken(args):
+            raise ValueError("Exceeds nothing")
+
+        help_text, _, add_arguments = cli._COMMANDS["quad"]
+        monkeypatch.setitem(cli._COMMANDS, "quad", (help_text, broken, add_arguments))
+        with pytest.raises(ValueError, match="^Exceeds nothing$"):
+            run(["quad", "--a", "1,0", "--b", "0,1"])
 
 
 class TestQuad:

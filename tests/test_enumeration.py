@@ -6,6 +6,7 @@ import collections
 import collections.abc
 import hashlib
 import io
+import itertools
 import json
 import math
 import os
@@ -557,7 +558,7 @@ class TestSharding:
                         continue
                     merged = directory / f"merged.{fmt}"
                     assert merge_shards(paths, str(merged), fmt) == count
-                    assert merged.read_bytes() == reference.read_bytes(), (job, shards)
+                    assert_same_text(merged.read_bytes(), reference.read_bytes(), (job, shards))
 
     @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
     def test_merge_rejects_a_shard_out_of_stream_order(self, fmt, tmp_path):
@@ -687,6 +688,23 @@ def written(records, fmt: str) -> str:
     return handle.getvalue()
 
 
+def assert_same_text(got: str | bytes, expected: str | bytes, what: object = "") -> None:
+    """``got`` and ``expected`` hold the same bytes: their sha256 digests
+    are compared, and a mismatch names the first line that differs.  An
+    ``assert`` of two unequal outputs of megabytes would have pytest
+    build their diff, for minutes."""
+    got, expected = (text.encode() if isinstance(text, str) else text for text in (got, expected))
+    if hashlib.sha256(got).digest() == hashlib.sha256(expected).digest():
+        return
+    got_lines, expected_lines = got.splitlines(keepends=True), expected.splitlines(keepends=True)
+    pairs = itertools.zip_longest(got_lines, expected_lines, fillvalue=b"(no line)")
+    number, (mine, theirs) = next((n, pair) for n, pair in enumerate(pairs, 1) if pair[0] != pair[1])
+    pytest.fail(
+        f"{what}: line {number} is {mine[:200]!r}, expected {theirs[:200]!r} "
+        f"({len(got_lines)} lines, expected {len(expected_lines)})"
+    )
+
+
 def first_rows(job: EnumerationJob) -> collections.Counter:
     """The tails the walk makes for the job, counted by an oracle: in the
     first row (in stream order) of each first-spinor orbit the shard
@@ -740,7 +758,7 @@ class TestOrbitCaches:
                         )
                         own = [line for line, r in zip(lines, stream) if row_norm(r) in rows[index]]
                         expected = with_header(own, fmt)
-                        assert written(enumerate_records(job), fmt) == expected, job
+                        assert_same_text(written(enumerate_records(job), fmt), expected, job)
 
     def test_a_bound_past_the_cap_matches_the_oracle(self, tmp_path):
         # bound 6 has norms of two first-spinor orbits each, as (0, 5)
@@ -748,7 +766,7 @@ class TestOrbitCaches:
         job = EnumerationJob(bound=6)
         path = tmp_path / "records.csv"
         assert write_records(enumerate_records(job), str(path), "csv") == 28224
-        assert path.read_text() == with_header(oracle_lines(oracle_stream(6, False, False), "csv"), "csv")
+        assert_same_text(path.read_text(), with_header(oracle_lines(oracle_stream(6, False, False), "csv"), "csv"))
 
     @pytest.mark.parametrize("bound", [2, 3])
     def test_each_orbit_makes_its_first_row_alone(self, monkeypatch, bound):
@@ -805,7 +823,7 @@ class TestOrbitCaches:
                 record._replace(a=-record.a, b=10**30),
                 record._replace(canonical=[2, 3, 6, 23]),
             ]
-        assert written(records, fmt) == with_header(oracle_lines(records, fmt), fmt)
+        assert_same_text(written(records, fmt), with_header(oracle_lines(records, fmt), fmt))
 
     @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
     def test_a_record_line_depends_on_that_record_alone(self, fmt, tmp_path):
@@ -815,7 +833,7 @@ class TestOrbitCaches:
         r = next(iter(enumerate_records(EnumerationJob(bound=1))))
         f = r._replace(m1=9, d2=float(r.d2))
         for records in ([f, r], [r, f]):
-            assert written(records, fmt) == with_header(oracle_lines(records, fmt), fmt)
+            assert_same_text(written(records, fmt), with_header(oracle_lines(records, fmt), fmt), records)
         path = str(tmp_path / f"record.{fmt}")
         assert write_records([r], path, fmt) == 1
         assert read_records(path, fmt) == [r]
@@ -856,7 +874,7 @@ class TestTwoViews:
             for fmt in FORMATS:
                 handle = io.StringIO()
                 assert write_stream(enumerate_records(job), handle, fmt) == len(records)
-                assert handle.getvalue() == written(records, fmt), (job, fmt)
+                assert_same_text(handle.getvalue(), written(records, fmt), (job, fmt))
         # 3 shard files of the line view merge into the unsharded record path
         for primitive_only in (False, True):
             whole = EnumerationJob(bound=bound, primitive_only=primitive_only)
@@ -865,7 +883,7 @@ class TestTwoViews:
                 paths = write_shards(tmp_path, bound, 3, fmt, primitive_only=primitive_only)
                 merged = str(tmp_path / f"merged.{fmt}")
                 assert merge_shards(paths, merged, fmt) == len(records)
-                assert read_bytes(merged) == written(records, fmt).encode(), (whole, fmt)
+                assert_same_text(read_bytes(merged), written(records, fmt), (whole, fmt))
 
     @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
     def test_an_iterated_stream_is_written_whole(self, fmt, tmp_path):
@@ -882,17 +900,17 @@ class TestTwoViews:
         ):
             stream = enumerate_records(job)
             iterate(stream)
-            assert written(stream, fmt) == expected, name
+            assert_same_text(written(stream, fmt), expected, name)
             path = str(tmp_path / f"{name}.{fmt}")
             assert write_records(stream, path, fmt) == count
-            assert read_bytes(path) == expected.encode(), name
+            assert_same_text(read_bytes(path), expected, name)
             assert manifest_of(path) == manifest_of(str(tmp_path / f"fresh.{fmt}")), name
         whole = EnumerationJob(bound=2, primitive_only=True)
         paths = write_shards(tmp_path, 2, 3, fmt, primitive_only=True)
         paths[1] = str(tmp_path / f"drawn.{fmt}")
         merged = str(tmp_path / f"merged.{fmt}")
         assert merge_shards(paths, merged, fmt) == len(list(enumerate_records(whole)))
-        assert read_bytes(merged) == record_path(whole, fmt).encode()
+        assert_same_text(read_bytes(merged), record_path(whole, fmt))
 
     def test_a_stream_is_a_view_of_its_job(self):
         job = EnumerationJob(bound=1)
@@ -926,7 +944,7 @@ class TestTwoViews:
         monkeypatch.setattr(enumeration, "_tail", counted)
         # the record view cannot make a record of this
         monkeypatch.setattr(enumeration, "QuadrupleRecord", None)
-        assert written(enumerate_records(job), fmt) == expected
+        assert_same_text(written(enumerate_records(job), fmt), expected)
         assert calls == dict.fromkeys(keys, 1)
 
 

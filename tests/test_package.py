@@ -3,7 +3,11 @@ the console-script entry point, and the frozen value classes."""
 
 from __future__ import annotations
 
+import builtins
 import dataclasses
+import inspect
+import json
+import os
 import subprocess
 import sys
 from contextlib import redirect_stdout
@@ -46,7 +50,7 @@ EXPORTS = (
     "NonPositiveCurvature NotTangent ObservationResult PlacedDisk PythTriple "
     "QuadrupleFamily QuadrupleRecord RenderOptions Shard Spinor SpintileError "
     "Symbol TangencySpinorNumeric Tessellation TessellationReport Tile TileClass "
-    "ZeroCurvature ZeroRadius apollonian_flip build_tessellation butterfly_areas "
+    "TooManyDigits ZeroCurvature ZeroRadius apollonian_flip build_tessellation butterfly_areas "
     "canonical_form canonicalize check_observations circle_through_points cross "
     "descartes_residual dot enumerate_records euclid_square fourth_curvatures "
     "from_spinor_pair merge_shards midcircle_through_tangencies norm_sq "
@@ -178,6 +182,10 @@ CALLS = [
 ]
 
 
+# what fractions loads; a call on integers loads none of it
+_RATIONALS = {"fractions", "decimal", "numbers"}
+
+
 class TestLeanStartUp:
     @pytest.mark.parametrize("argv, absent", CALLS, ids=lambda v: " ".join(v) if isinstance(v, list) else None)
     def test_a_call_loads_only_what_its_subcommand_runs(self, argv, absent, payloads):
@@ -185,6 +193,62 @@ class TestLeanStartUp:
         report = child(_RUN_AND_REPORT, *argv).stdout.splitlines()[-1].split()
         assert report[:2] == ["LOADED", "0"]
         assert absent.isdisjoint(report[2:]), sorted(absent.intersection(report[2:]))
+        # every exact value of these calls is an integer; the inexact
+        # roots of solve 1,1,1 are floats
+        assert _RATIONALS.isdisjoint(report[2:]), sorted(_RATIONALS.intersection(report[2:]))
+
+    def test_the_first_rational_value_binds_fraction(self):
+        # a Fraction made before the package needed one is exact, and
+        # only the first value that is not an int imports fractions
+        code = (
+            "import sys\n"
+            "from spintile import spinors\n"
+            "print(spinors.Spinor(3, -4), 'fractions' in sys.modules, isinstance(spinors.Fraction, type))\n"
+            "from fractions import Fraction\n"
+            "print(spinors.Spinor(Fraction(1, 2), 3), spinors.Fraction is Fraction)\n"
+        )
+        assert child(code).stdout.splitlines() == [
+            "Spinor(x=3, y=-4) False False",
+            "Spinor(x=Fraction(1, 2), y=3) True",
+        ]
+        code = (
+            "from spintile.spinors import Fraction, Spinor, _over\n"
+            "print(repr(_over(6, 4)), repr(Fraction(3, 6)), repr(Spinor.parse('0.5,-6/2')))\n"
+            "try:\n"
+            "    Spinor(0.5, 1)\n"
+            "except TypeError as exc:\n"
+            "    print(exc)\n"
+        )
+        assert child(code).stdout.splitlines() == [
+            "Fraction(3, 2) Fraction(1, 2) Spinor(x=Fraction(1, 2), y=-3)",
+            "coordinate must be an exact rational, got float",
+        ]
+
+    def test_a_rational_call_loads_fractions(self):
+        argv = ["tess", "--a", "1/2,0", "--b", "0,1"]
+        lines = child(_RUN_AND_REPORT, *argv).stdout.splitlines()
+        report = lines[-1].split()
+        assert report[:2] == ["LOADED", "0"] and _RATIONALS <= set(report[2:])
+        assert lines[:-1] == [
+            "pair a=1/2,0 b=0,1 (c=-1/2,-1)",
+            "squares   |a|^2=1/4 |b|^2=1 |c|^2=5/4",
+            "reds      A=1 B=1/4 C=0",
+            "greens    G=1/2 (all six)",
+            "light reds 1 1/4 0",
+            "D=9/4 D'=1/4",
+            "midcircle of (A,B,C): 1/2",
+            "midcircles with D: 3/4 3/2 7/4",
+            "midcircles with D': -1/4 1/2 3/4",
+            "butterflies 9/4 9/4 9/4",
+            "square + opposite red constant: 5/4",
+            "descartes residuals: D -> 0, D' -> 0",
+            "observation greens_equal_area: ok",
+            "observation greens_pair_up_congruent: ok",
+            "observation light_reds_congruent_to_reds: ok",
+            "observation square_equals_adjacent_reds: ok",
+            "observation square_plus_opposite_red_constant: ok",
+            "overlap: no",
+        ]
 
     @pytest.mark.parametrize(
         "argv, expected",
@@ -368,25 +432,69 @@ def test_trusted_keeps_what_the_constructor_refuses():
         DescartesQuadruple(1, 1, 1, 1)
 
 
+# a child that counts the package's ``exec`` calls: those of ``_frozen``
+# by what each compiles, "__init__" or "trusted", and for which class,
+# any other by its module
+_COUNT_COMPILES = """
+import builtins, collections, json, sys
+compiled, run = collections.Counter(), builtins.exec
+def counted(source, namespace, *rest):
+    caller = sys._getframe(1).f_globals["__name__"]
+    if caller == "spintile._frozen":
+        compiled[source[4:source.index("(")] + " " + namespace["cls"].__qualname__] += 1
+    elif caller.startswith("spintile"):
+        compiled[caller] += 1
+    return run(source, namespace, *rest)
+builtins.exec = counted
+import spintile.cli, spintile.disks, spintile.enumeration, spintile.errors
+import spintile.quadruples, spintile.spinors, spintile.svg, spintile.tessellation
+counts = [dict(compiled)]
+sys.path.insert(0, sys.argv[1])
+from test_package import FROZEN
+made = {cls: [getattr(make(), name) for name in fields.split()] for cls, (make, fields) in FROZEN.items()}
+for _ in range(2):
+    for cls, values in made.items():
+        cls(*values)
+    counts.append(dict(compiled))
+print(json.dumps(counts))
+"""
+
+
 def test_each_frozen_class_is_generated_once():
-    """Importing every submodule runs one ``exec`` per frozen class, which
-    writes its ``__init__`` and its maker that skips validation.  The
-    import system runs each module's code with ``exec`` too; only the
-    package's own calls are counted."""
-    code = (
-        "import builtins, collections, sys\n"
-        "callers, run = collections.Counter(), builtins.exec\n"
-        "def counted(*args):\n"
-        "    caller = sys._getframe(1).f_globals['__name__']\n"
-        "    if caller.startswith('spintile'): callers[caller] += 1\n"
-        "    return run(*args)\n"
-        "builtins.exec = counted\n"
-        "import spintile.cli, spintile.disks, spintile.enumeration, spintile.errors\n"
-        "import spintile.quadruples, spintile.spinors, spintile.svg, spintile.tessellation\n"
-        "print(dict(callers))\n"
-    )
-    assert child(code).stdout.strip() == f"{{'spintile._frozen': {len(FROZEN)}}}"
+    """Importing every submodule compiles the four makers that skip
+    validation that the package calls, and the ``__init__`` of ``Shard``,
+    whose instance is ``EnumerationJob``'s default; the first
+    construction of each other class compiles its ``__init__``, and a
+    second construction compiles nothing.  The import system runs each
+    module's code with ``exec`` too; only ``_frozen``'s calls are
+    counted."""
+    imported, first, second = json.loads(child(_COUNT_COMPILES, os.path.dirname(__file__)).stdout)
+    makers = {f"trusted {cls.__qualname__}": 1 for cls in (Spinor, DescartesQuadruple, Tile, Tessellation)}
+    assert imported == {**makers, "__init__ Shard": 1}
+    assert first == second == {**makers, **{f"__init__ {cls.__qualname__}": 1 for cls in FROZEN}}
     assert all(trusted(cls) is trusted(cls) for cls in FROZEN)
+
+
+def test_a_constructor_is_compiled_at_its_first_use(monkeypatch):
+    compiled, run = [], builtins.exec
+
+    def counted(source, namespace, *rest):
+        compiled.append(source[4 : source.index("(")])
+        return run(source, namespace, *rest)
+
+    monkeypatch.setattr(builtins, "exec", counted)
+    Pair = frozen(type("Pair", (), {"__annotations__": {"x": "int", "y": "int"}, "y": 2}))
+    assert compiled == []
+    # a first call the real __init__ refuses still compiles it once
+    with pytest.raises(TypeError, match="missing 1 required positional argument: 'x'"):
+        Pair()
+    assert compiled == ["__init__"]
+    assert Pair(1) == Pair(1, 2) == Pair(x=1, y=2) and repr(Pair(1)) == "Pair(x=1, y=2)"
+    assert Pair.__init__.__qualname__ == "Pair.__init__"
+    assert str(inspect.signature(Pair)) == "(x, y=2)"
+    assert compiled == ["__init__"]
+    assert trusted(Pair) is trusted(Pair) and trusted(Pair)(1, 2) == Pair(1)
+    assert compiled == ["__init__", "trusted"]
 
 
 def test_the_package_makers_store_as_the_constructors_do():

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from spintile import (
     ComplexSolutions,
     DescartesQuadruple,
+    FloatOverflow,
     NonIntegral,
     Spinor,
     apollonian_flip,
@@ -53,6 +54,19 @@ def decimal_roots(a: Fraction, b: Fraction, c: Fraction) -> tuple[float, float]:
         base = a + b + c
         spread = 2 * (a * b + b * c + c * a).sqrt()
         return float(base + spread), float(base - spread)
+
+
+def fraction_roots(a: Fraction, b: Fraction, c: Fraction) -> tuple[float, float]:
+    """The inexact roots as ``Fraction`` arithmetic spells them: the
+    discriminant scaled by a power of 4 to about 1, its square root, and
+    the root that would cancel taken as the product of the roots over
+    the other."""
+    disc, base = a * b + b * c + c * a, a + b + c
+    shift = (disc.denominator.bit_length() - disc.numerator.bit_length()) // 2
+    spread = 2 * math.ldexp(math.sqrt(disc * Fraction(4) ** shift), -shift)
+    near = float(base) + math.copysign(spread, base)
+    far = float((base * base - 4 * disc) / Fraction(near)) if near else 0.0
+    return (near, far) if base > 0 else (far, near)
 
 
 class TestResidual:
@@ -182,6 +196,30 @@ class TestFourthCurvatures:
         roots = fourth_curvatures(*exact)
         for value, reference in zip(roots[:2], decimal_roots(*exact)):
             assert math.isclose(value, reference, rel_tol=1e-14)
+
+    @given(
+        st.lists(
+            st.builds(Fraction, st.integers(-(10**12), 10**12), st.integers(1, 10**12)), min_size=3, max_size=3
+        ),
+        st.integers(-300, 300),
+    )
+    def test_inexact_roots_are_the_floats_of_fraction_arithmetic(self, entries, exponent):
+        # the roots come from quotients of ints, which round as float()
+        # of a Fraction does: the same bits as the Fraction reference
+        exact = [v * Fraction(10) ** exponent for v in entries]
+        a, b, c = exact
+        disc = a * b + b * c + c * a
+        assume(disc > 0)
+        assume(math.isqrt(disc.numerator) ** 2 != disc.numerator or math.isqrt(disc.denominator) ** 2 != disc.denominator)
+        try:
+            reference = fraction_roots(*exact)
+        except OverflowError:
+            with pytest.raises(FloatOverflow):
+                fourth_curvatures(*exact)
+            return
+        roots = fourth_curvatures(*exact)
+        assert not roots.exact
+        assert [root.hex() for root in roots[:2]] == [root.hex() for root in reference]
 
     @given(
         nonzero_int_spinors,
