@@ -28,8 +28,9 @@ compiles its constructor only when the call first builds one.
 
 An exact result with more digits than Python writes as text
 (``sys.get_int_max_str_digits()``) fails with ``TooManyDigits``, exit
-code 1; a decimal argument that would expand past that limit is a usage
-error.
+code 1; ``quad`` and ``tess`` format their whole output before they
+print it or draw an SVG, so they then write nothing.  A decimal argument
+that would expand past that limit is a usage error.
 """
 
 from __future__ import annotations
@@ -88,10 +89,10 @@ def _parse_rationals(text: str, expected: int) -> list[Rational]:
         raise argparse.ArgumentTypeError(str(exc))
 
 
-def _print_json(payload: object) -> None:
+def _json_text(payload: object) -> str:
     import json
 
-    print(json.dumps(payload, indent=2))
+    return json.dumps(payload, indent=2)
 
 
 def _cmd_tess(args: argparse.Namespace) -> int:
@@ -105,47 +106,41 @@ def _cmd_tess(args: argparse.Namespace) -> int:
     )
 
     tess = build_tessellation(args.a, args.b)
+    # the whole text is formatted before the SVG is drawn and before any
+    # of it is printed, so a value too long to write leaves no output
+    if args.json:
+        text = _json_text(tessellation_to_json_dict(tess))
+    else:
+        report = summarize(tess)
+        sq = report.square_areas
+        red = report.red_areas
+        lines = [
+            f"pair a={tess.a.format()} b={tess.b.format()} (c={tess.c.format()})",
+            f"squares   |a|^2={sq[0]} |b|^2={sq[1]} |c|^2={sq[2]}",
+            f"reds      A={red[0]} B={red[1]} C={red[2]}",
+            f"greens    G={report.green_area} (all six)",
+            "light reds " + " ".join(str(v) for v in report.light_red_areas),
+            f"D={report.curvature_d} D'={report.curvature_d_prime}",
+            f"midcircle of (A,B,C): {report.midcircle_abc}",
+            "midcircles with D: " + " ".join(str(v) for v in report.midcircles_with_d),
+            "midcircles with D': " + " ".join(str(v) for v in report.midcircles_with_d_prime),
+            "butterflies " + " ".join(str(v) for v in butterfly_areas(tess)),
+            f"square + opposite red constant: {observation_constant(tess)}",
+            f"descartes residuals: D -> {report.descartes_residual_d}, "
+            f"D' -> {report.descartes_residual_d_prime}",
+        ]
+        for observation in check_observations(tess):
+            status = "ok" if observation.passed else "FAILED"
+            lines.append(f"observation {observation.name}: {status}")
+        lines.append(f"overlap: {'yes' if tess.has_overlap else 'no'}")
+        text = "\n".join(lines)
     if args.svg is not None:
         from .svg import render_tessellation
 
         document = render_tessellation(tess)
         with open(args.svg, "w") as handle:
             handle.write(document)
-    if args.json:
-        _print_json(tessellation_to_json_dict(tess))
-        return 0
-    report = summarize(tess)
-    butterflies = butterfly_areas(tess)
-    sq = report.square_areas
-    red = report.red_areas
-    print(f"pair a={tess.a.format()} b={tess.b.format()} (c={tess.c.format()})")
-    print(f"squares   |a|^2={sq[0]} |b|^2={sq[1]} |c|^2={sq[2]}")
-    print(f"reds      A={red[0]} B={red[1]} C={red[2]}")
-    print(f"greens    G={report.green_area} (all six)")
-    print(
-        "light reds "
-        + " ".join(str(v) for v in report.light_red_areas)
-    )
-    print(f"D={report.curvature_d} D'={report.curvature_d_prime}")
-    print(f"midcircle of (A,B,C): {report.midcircle_abc}")
-    print(
-        "midcircles with D: "
-        + " ".join(str(v) for v in report.midcircles_with_d)
-    )
-    print(
-        "midcircles with D': "
-        + " ".join(str(v) for v in report.midcircles_with_d_prime)
-    )
-    print("butterflies " + " ".join(str(v) for v in butterflies))
-    print(f"square + opposite red constant: {observation_constant(tess)}")
-    print(
-        f"descartes residuals: D -> {report.descartes_residual_d}, "
-        f"D' -> {report.descartes_residual_d_prime}"
-    )
-    for observation in check_observations(tess):
-        status = "ok" if observation.passed else "FAILED"
-        print(f"observation {observation.name}: {status}")
-    print(f"overlap: {'yes' if tess.has_overlap else 'no'}")
+    print(text)
     return 0
 
 
@@ -161,7 +156,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
             "smaller": str(result.smaller) if result.exact else result.smaller,
             "exact": result.exact,
         }
-        _print_json(payload)
+        print(_json_text(payload))
         return 0
     kind = "exact" if result.exact else "inexact"
     print(f"{result.larger}, {result.smaller} ({kind})")
@@ -183,7 +178,7 @@ def _cmd_quad(args: argparse.Namespace) -> int:
             "D1": str(family.d1),
             "D2": str(family.d2),
         }
-        _print_json(payload)
+        print(_json_text(payload))
         return 0
     print(
         f"A={a_curv} B={b_curv} C={c_curv} D1={family.d1} D2={family.d2}"
@@ -199,7 +194,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     disks = place_quadruple(args.curvatures)
     report = verify_spinor_laws(disks, tolerance)
     if args.json:
-        _print_json(report.to_json_dict())
+        print(_json_text(report.to_json_dict()))
     else:
         quad_text = ",".join(str(v) for v in args.curvatures)
         print(f"quadruple ({quad_text}) placed:")

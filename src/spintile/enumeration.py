@@ -209,11 +209,12 @@ def _rows(
     lookup (see ``_owned_norms``), and with ``primitive_only`` each pair
     that fails the gcd-only test.  It makes items only in the row of the
     first image a₀ of each first-spinor orbit, once for each distinct
-    (|b|², a₀·b, |a₀×b|) of that row.  Every later image a, with h·a = a₀
-    for a symmetry h, takes the item of b from the position of h·b in
-    that row: h keeps dot and cross products up to sign, and so the
-    items and the gcd-only test.  The row of an orbit is held from its
-    first image to its last."""
+    (|b|², a₀·b, |a₀×b|) of that row, ``None`` for a dropped pair.  Every
+    later image a, with h·a = a₀ for a symmetry h, takes the item of b
+    from the position of h·b in that row: h keeps dot and cross products
+    up to sign, and so the items and the gcd-only test.  Each spinor's
+    place in its orbit is found once a walk, and an orbit's row is held,
+    one list, from its first image to its last."""
     span = range(-job.bound, job.bound + 1)
     # the spinors of the box in lexicographic order
     spinors = [(m, n, m * m + n * n) for m in span for n in span if job.include_zero or m or n]
@@ -222,22 +223,24 @@ def _rows(
     images = _images(spinors)
     # each symmetry h permutes a held row to the row of h⁻¹·a₀
     moves = [operator.itemgetter(*image) for image in images]
+    # each spinor a's place in its orbit: the index of the orbit's first
+    # image a₀, the index of its last, and the move of the h with h·a = a₀
+    orbits = list(zip(*images))
+    firsts = list(map(min, orbits))
+    places = zip(firsts, map(max, orbits), map(moves.__getitem__, map(tuple.index, orbits, firsts)))
     primitive_only = job.primitive_only
     gcd = math.gcd
-    # the items of each orbit's first row, and with ``primitive_only``
-    # which of them the filter keeps, by the index of its first image
-    held: dict[int, tuple[Any, Any]] = {}
-    for i, a in enumerate(spinors):
+    # each orbit's first row by its first image's index: one list, None for a dropped pair
+    held: dict[int, list[Any]] = {}
+    for i, (a, (first, last, move)) in enumerate(zip(spinors, places)):
         m1, n1, norm_a = a
         if norm_a not in owned:
             continue
-        orbit = [image[i] for image in images]
-        first = min(orbit)
         if first == i:
             items = []
-            kept = []
             made: dict[tuple[int, int, int], Any] = {}
-            for m2, n2, norm_b in spinors:
+            for b in spinors:
+                m2, n2, norm_b = b
                 dot = m1 * m2 + n1 * n2
                 # |b|² = A + C, |a|² = B + C, a·b = −C and 2|a×b| = D1 − A − B − C,
                 # so (A, B, C, D1) has the gcd of (|a|², |b|², a·b, 2 a×b); and
@@ -246,29 +249,25 @@ def _rows(
                 # most pairs settle it on the norms alone
                 if primitive_only:
                     common = gcd(norm_a, norm_b)
-                    keep = common == 1 or gcd(common, dot) == 1
-                    kept.append(keep)
-                    if not keep:
+                    if common != 1 and gcd(common, dot) != 1:
                         items.append(None)
                         continue
                 cross = m1 * n2 - m2 * n1
                 key = (norm_b, dot, cross if cross > 0 else -cross)
                 item = made.get(key)
                 if item is None:
-                    item = made[key] = make(a, (m2, n2, norm_b))
+                    item = made[key] = make(a, b)
                 items.append(item)
-            if i != max(orbit):
-                held[i] = items, kept
+            if i != last:
+                held[i] = items
         else:
-            move = moves[orbit.index(first)]
-            items, kept = held.pop(first) if i == max(orbit) else held[first]
-            items = move(items)
-            if primitive_only:
-                kept = move(kept)
+            items = move(held.pop(first) if i == last else held[first])
         labels = tags
         if primitive_only:
-            labels = list(itertools.compress(tags, kept))
-            items = list(itertools.compress(items, kept))
+            # a kept item is a ``_tail`` tuple or a formatted line, never
+            # empty, so the items are their own mask
+            labels = list(itertools.compress(tags, items))
+            items = list(itertools.compress(items, items))
         if items:
             yield m1, n1, labels, items
 

@@ -1063,6 +1063,23 @@ class TestEntryPoint:
         assert result.stderr.startswith("FloatOverflow: ")
         assert "Traceback" not in result.stderr
 
+    @pytest.mark.parametrize(
+        "extra", [[], ["--svg"], ["--json", "--svg"]], ids=["text", "svg", "json-svg"]
+    )
+    def test_a_report_too_long_to_print_leaves_no_output(self, extra, tmp_path):
+        # |a|² of a 2501-digit coordinate has 5001 digits: the call fails
+        # before it prints a line of its report or draws its SVG
+        svg = tmp_path / "out.svg"
+        argv = ["tess", "--a", "1" + "0" * 2500 + ",0", "--b", "0,1", *extra]
+        if extra:
+            argv.append(str(svg))
+        result = subprocess.run(
+            [sys.executable, "-m", "spintile.cli", *argv], capture_output=True, text=True
+        )
+        assert (result.returncode, result.stdout) == (1, "")
+        assert result.stderr.startswith("TooManyDigits: an exact result has more than ")
+        assert not svg.exists()
+
     def test_degenerate_float_placement_fails_cleanly_under_optimize(self):
         # -O strips asserts: the placement check must raise by itself
         result = subprocess.run(

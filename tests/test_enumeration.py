@@ -11,6 +11,8 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
 import time
 
 import pytest
@@ -946,6 +948,29 @@ class TestTwoViews:
         monkeypatch.setattr(enumeration, "QuadrupleRecord", None)
         assert_same_text(written(enumerate_records(job), fmt), expected)
         assert calls == dict.fromkeys(keys, 1)
+
+
+# the sha256 of ``enumerate --bound 10 --primitive`` stdout, 129,168
+# records, computed before a held orbit row became one list
+BOUND_10_PRIMITIVE = {
+    "csv": "b31d86b27b8136d568ce71b0bebd056335249e1632d78ff74cc3de4a866c61b1",
+    "jsonl": "bedc4e421c59466e7ad57dfa9b0ff4312be8f144b0f72c5b3fdd3ea553a6bc2b",
+}
+
+
+class TestPinnedDigests:
+    """Both views go through the same walk, so a change to the walk that
+    alters them alike passes ``TestTwoViews``; the digests pinned here do
+    not come from the walk."""
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_bound_10_primitive_stdout(self, fmt):
+        argv = ["enumerate", "--bound", "10", "--primitive", "--format", fmt]
+        stdout = subprocess.run(
+            [sys.executable, "-m", "spintile.cli", *argv], capture_output=True, check=True
+        ).stdout
+        records = stdout.count(b"\n") - bool(FORMATS[fmt].header)
+        assert (records, hashlib.sha256(stdout).hexdigest()) == (129168, BOUND_10_PRIMITIVE[fmt])
 
 
 def manifest_of(path: str) -> dict:
