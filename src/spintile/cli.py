@@ -138,7 +138,7 @@ def _cmd_tess(args: argparse.Namespace) -> int:
         from .svg import render_tessellation
 
         document = render_tessellation(tess)
-        with open(args.svg, "w") as handle:
+        with open(args.svg, "w", encoding="utf-8") as handle:
             handle.write(document)
     print(text)
     return 0
@@ -293,11 +293,18 @@ def _center(value: object) -> tuple[float, float]:
 
 def _label(entry: dict, index: int) -> str:
     """A disk payload's label, a string or a number, as text, or the
-    disk's index when it has none."""
+    disk's index when it has none.  A string that does not encode as
+    UTF-8, one holding a lone surrogate such as ``"\\ud800"``, is not
+    text, and the SVG could not hold it."""
     label = entry.get("label", index)
     if isinstance(label, bool) or not isinstance(label, (str, int, float)):
         raise TypeError(f"a label must be a string or a number, got {_spelled(label)}")
-    return str(label)
+    text = str(label)
+    try:
+        text.encode()
+    except UnicodeEncodeError:
+        raise ValueError(f"a label must be text that encodes as UTF-8, got {_spelled(label)}") from None
+    return text
 
 
 def _cmd_render(args: argparse.Namespace) -> int:
@@ -305,7 +312,7 @@ def _cmd_render(args: argparse.Namespace) -> int:
 
     from . import svg
 
-    with open(args.from_json) as handle, _malformed_payload(args.from_json):
+    with open(args.from_json, encoding="utf-8") as handle, _malformed_payload(args.from_json):
         payload = json.load(handle)
     if not isinstance(payload, dict):
         raise InvalidPayload(f"{args.from_json} does not hold a JSON object")
@@ -343,7 +350,7 @@ def _cmd_render(args: argparse.Namespace) -> int:
         document = svg.render_configuration(disks, midcircles, options, labels)
     else:
         raise SystemExit("json payload has neither 'tiles' nor 'disks'")
-    with open(args.out, "w") as handle:
+    with open(args.out, "w", encoding="utf-8") as handle:
         handle.write(document)
     return 0
 

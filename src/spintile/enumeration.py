@@ -52,13 +52,16 @@ of the stream: writing bound 16 through the line view peaks at about
 
 Each format is one line template, cut by ``_cut`` after its fourth
 comma into a generator head and a tail, and the head once more after its
-second comma for the line view; its writers and the grammar of
+second comma for the line view; its writer and the grammar of
 ``read_records`` are made from it.
 
-``write_records`` writes a stream of a job with more than one shard
-beside a manifest ``PATH.json``: the job, the shard, the record count,
-the sha256 of the file and a table of its rows, each as its first
-spinor (m1, n1) and its length in bytes.
+One writer, ``_write``, writes the header and the lines of every output:
+``write_stream`` to an open handle, and ``write_records`` to a file,
+each text encoded as UTF-8 once and written as bytes.  ``write_records``
+writes a stream of a job with more than one shard beside a manifest
+``PATH.json``: the job, the shard, the record count, the sha256 of the
+file and a table of its rows, each as its first spinor (m1, n1) and its
+length in bytes, as ``_write`` returns them.
 ``merge_shards`` reads the manifests, refuses any set that is not one
 whole job, and then copies whole rows in stream order, parsing no line:
 each shard is read once, front to back, one row in memory at a time,
@@ -381,32 +384,32 @@ def _cut(template: str, commas: int = 4) -> tuple[str, str]:
     return ",".join(heads) + ",", tail
 
 
-def write_stream(records: Iterable[QuadrupleRecord], handle: IO[str], fmt: str) -> int:
-    """Write records to an open text handle; returns the record count.
-
-    A stream of ``enumerate_records`` is written whole through the walk's
-    line view: the walk formats the tails of each first-spinor orbit's
-    first row, permutes them into the rows of the orbit's later images,
-    and each row goes out in one write: one join of its lines' heads and
-    tails, interleaved, its first spinor formatted once.  That builds no
-    record.
-
-    Any other records are written one by one, each line ``template %
-    _fields(record)``: a record's line depends on that record alone."""
+def _write(records: Iterable[QuadrupleRecord], fmt: str, write: Callable[[str], int]) -> tuple[int, list]:
+    """Write the format's header and then the records through ``write``;
+    returns the record count and the rows, each ``[m1, n1, what write
+    returned]``.  A stream of ``enumerate_records`` goes out through the
+    walk's line view, one ``write`` a row, and builds no record.  Any
+    other records go one line at a time, each ``template %
+    _fields(record)``, a line of that record's values alone, in no row."""
     header, template = _record_format(fmt)
-    write = handle.write
     if header:
         write(header + "\n")
-    count = 0
+    count, rows = 0, []
     if type(records) is _Stream:
-        for _, _, size, text in _row_texts(records.job, template):
-            write(text)
+        for m1, n1, size, text in _row_texts(records.job, template):
+            rows.append([m1, n1, write(text)])
             count += size
-        return count
+        return count, rows
     line = template + "\n"
     for count, record in enumerate(records, 1):
         write(line % _fields(record))
-    return count
+    return count, rows
+
+
+def write_stream(records: Iterable[QuadrupleRecord], handle: IO[str], fmt: str) -> int:
+    """Write records to an open text handle with ``_write``; returns the
+    record count."""
+    return _write(records, fmt, handle.write)[0]
 
 
 # the layout of the manifest ``write_records`` writes beside a shard;
@@ -425,58 +428,52 @@ _REWRITE = "rewrite it with enumerate --shard K/N --out F"
 def write_records(records: Iterable[QuadrupleRecord], path: str, fmt: str) -> int:
     """Atomic file write: land fully or not at all (temp file + rename).
 
-    A stream of ``enumerate_records`` whose job has more than one shard
-    is a shard file: it is written whole through the line view, with the
-    same bytes as ``write_stream`` writes, and each row hashed and listed
-    as ``[m1, n1, byte length]`` as it goes out.  Once the file has
+    ``_write`` on the temp file, each text encoded as UTF-8 once and
+    written as bytes: the bytes ``write_stream`` writes.  A stream of
+    ``enumerate_records`` whose job has more than one shard is a shard
+    file: each text is hashed as it goes out too, and once the file has
     landed, its manifest lands beside it as ``PATH.json``, which
-    ``merge_shards`` needs.  Other records are written by
-    ``write_stream``, with no manifest."""
-    if type(records) is not _Stream or records.job.shard.count == 1:
-        return _atomic_write(path, lambda handle: write_stream(records, handle, fmt))
-    import hashlib
-    import json
+    ``merge_shards`` needs, listing the rows ``_write`` returns.  Other
+    records get no manifest."""
+    sharded = type(records) is _Stream and records.job.shard.count > 1
+    if sharded:
+        import hashlib
+        import json
 
-    job = records.job
-    header, template = _record_format(fmt)
-    digest = hashlib.sha256()
-    rows = []
+        digest = hashlib.sha256()
 
-    def write(handle: IO[bytes]) -> int:
-        data = (header + "\n").encode() if header else b""
-        handle.write(data)
-        digest.update(data)
-        count = 0
-        for m1, n1, size, text in _row_texts(job, template):
+    def put(handle: IO[bytes]) -> tuple[int, list]:
+        def write(text: str) -> int:
             data = text.encode()
-            handle.write(data)
-            digest.update(data)
-            rows.append([m1, n1, len(data)])
-            count += size
-        return count
+            if sharded:
+                digest.update(data)
+            return handle.write(data)
 
-    count = _atomic_write(path, write, binary=True)
-    shard = job.shard
-    values = (_MANIFEST_VERSION, job.bound, job.primitive_only, job.include_zero, fmt, shard.count,
-              shard.index, count, digest.hexdigest(), rows)
-    text = json.dumps(dict(zip(_MANIFEST_FIELDS, values)), separators=(",", ":")) + "\n"
-    _atomic_write(path + ".json", lambda handle: handle.write(text))
+        return _write(records, fmt, write)
+
+    count, rows = _atomic_write(path, put)
+    if sharded:
+        job, shard = records.job, records.job.shard
+        values = (_MANIFEST_VERSION, job.bound, job.primitive_only, job.include_zero, fmt, shard.count,
+                  shard.index, count, digest.hexdigest(), rows)
+        data = (json.dumps(dict(zip(_MANIFEST_FIELDS, values)), separators=(",", ":")) + "\n").encode()
+        _atomic_write(path + ".json", lambda handle: handle.write(data))
     return count
 
 
-def _atomic_write(path: str, write: Callable[[IO[Any]], int], binary: bool = False) -> int:
-    """Run ``write`` on a temp file beside ``path``, opened as text or
-    with ``binary`` as bytes, and rename it into place; on any failure
-    the temp file is removed.  Returns what ``write`` returns.  When the
-    temp file cannot be made or renamed, the ``OSError`` names ``path``."""
+def _atomic_write(path: str, write: Callable[[IO[bytes]], Any]) -> Any:
+    """Run ``write`` on a temp file beside ``path``, opened for bytes, and
+    rename it into place; on any failure the temp file is removed.
+    Returns what ``write`` returns.  When the temp file cannot be made or
+    renamed, the ``OSError`` names ``path``."""
     directory = os.path.dirname(os.path.abspath(path))
     try:
         descriptor, temp_path = tempfile.mkstemp(dir=directory, suffix=".part")
     except OSError as exc:
         raise OSError(exc.errno, exc.strerror, path) from None
     try:
-        with open(descriptor, "wb") if binary else open(descriptor, "w", newline="") as handle:
-            count = write(handle)
+        with open(descriptor, "wb") as handle:
+            result = write(handle)
         try:
             os.replace(temp_path, path)
         except OSError as exc:
@@ -485,7 +482,7 @@ def _atomic_write(path: str, write: Callable[[IO[Any]], int], binary: bool = Fal
         if os.path.exists(temp_path):
             os.unlink(temp_path)
         raise
-    return count
+    return result
 
 
 # an integer slot and the flag slot of a line template, as grammars
@@ -693,4 +690,4 @@ def merge_shards(paths: Iterable[str], out_path: str, fmt: str) -> int:
                     )
         return sum(newlines)
 
-    return _atomic_write(out_path, copy, binary=True)
+    return _atomic_write(out_path, copy)

@@ -439,10 +439,11 @@ class TessellationReport:
     has_overlap: bool
 
 
-def _summary(tess: Tessellation) -> tuple[list[int], int, int]:
-    """The report of ``tess`` on ints: its values up to the residuals,
-    flattened in field order, each an int over L², and the two residuals,
-    ints over L⁴.
+def _summary(tess: Tessellation) -> tuple[tuple, int, int]:
+    """The report of ``tess`` on ints: its values up to the residuals in
+    ``TessellationReport``'s field order, a tuple for each tuple field,
+    each an int over L², and the two residuals, ints over L⁴.  The report
+    and its JSON both read this one layout.
 
     Raises InconsistentTiles when the six greens differ in area.
     """
@@ -456,17 +457,28 @@ def _summary(tess: Tessellation) -> tuple[list[int], int, int]:
     base = red_a + red_b + red_c
     curv_d = base + 2 * green
     curv_d_prime = base - 2 * green
-    numerators = [
-        *squares, red_a, red_b, red_c, green, *areas[12:15], curv_d, curv_d_prime, green,
-        *[sq + green for sq in squares], *[sq - green for sq in squares],
-    ]
+    values = (
+        squares, (red_a, red_b, red_c), green, areas[12:15], curv_d, curv_d_prime, green,
+        tuple([sq + green for sq in squares]), tuple([sq - green for sq in squares]),
+    )
     # the residual is of degree two in the areas, so it lies over L⁴
     residual_d = descartes_residual(red_a, red_b, red_c, curv_d)
-    return numerators, residual_d, descartes_residual(red_a, red_b, red_c, curv_d_prime)
+    return values, residual_d, descartes_residual(red_a, red_b, red_c, curv_d_prime)
+
+
+def _shown(tess: Tessellation, read, over, group: type) -> list:
+    """The report of ``tess`` as ``_summary`` lays it out, in field order
+    up to the overlap flag: each int over L² read by ``read``, each tuple
+    of them made a ``group``, and each residual read by ``over`` on L⁴."""
+    values, residual_d, residual_d_prime = _summary(tess)
+    fourth = tess._scale**4
+    shown = [group(map(read, value)) if type(value) is tuple else read(value) for value in values]
+    return [*shown, over(residual_d, fourth), over(residual_d_prime, fourth)]
 
 
 def summarize(tess: Tessellation) -> TessellationReport:
-    """Collect tile areas and the curvature data they encode.
+    """Collect tile areas and the curvature data they encode:
+    ``_summary``'s layout read through ``_value``, field by field.
 
     Raises InconsistentTiles when the six greens differ in area, which
     no tessellation from ``build_tessellation`` does.
@@ -477,23 +489,7 @@ def summarize(tess: Tessellation) -> TessellationReport:
     D (resp. D′) are the square areas plus (resp. minus) the green area,
     in (a, b, c) order.
     """
-    numerators, residual_d, residual_d_prime = _summary(tess)
-    shown = list(map(tess._value, numerators))
-    fourth = tess._scale**4
-    return TessellationReport(
-        square_areas=tuple(shown[0:3]),
-        red_areas=tuple(shown[3:6]),
-        green_area=shown[6],
-        light_red_areas=tuple(shown[7:10]),
-        curvature_d=shown[10],
-        curvature_d_prime=shown[11],
-        midcircle_abc=shown[12],
-        midcircles_with_d=tuple(shown[13:16]),
-        midcircles_with_d_prime=tuple(shown[16:19]),
-        descartes_residual_d=_over(residual_d, fourth),
-        descartes_residual_d_prime=_over(residual_d_prime, fourth),
-        has_overlap=tess.has_overlap,
-    )
+    return TessellationReport(*_shown(tess, tess._value, _over, tuple), tess.has_overlap)
 
 
 def butterfly_areas(tess: Tessellation) -> tuple[Rational, Rational, Rational]:
@@ -613,12 +609,20 @@ def _corner_texts(tess: Tessellation) -> list[str]:
     return [f"{texts[x]},{texts[y]}" for x, y in corners]
 
 
+# the JSON name of each field of ``TessellationReport`` up to the overlap flag
+_REPORT_NAMES = (
+    "square_areas", "red_areas", "green_area", "light_red_areas", "curvature_D", "curvature_Dprime",
+    "midcircle_ABC", "midcircles_with_D", "midcircles_with_Dprime",
+    "descartes_residual_D", "descartes_residual_Dprime",
+)
+
+
 def tessellation_to_json_dict(tess: Tessellation) -> dict:
-    """Exact JSON form: every rational rendered as a fraction string."""
-    numerators, residual_d, residual_d_prime = _summary(tess)
+    """Exact JSON form: every rational rendered as a fraction string.
+    The report is ``_summary``'s layout read through ``_text``, each
+    value under its name in ``_REPORT_NAMES``."""
+    report = dict(zip(_REPORT_NAMES, _shown(tess, tess._text, _over_text, list)))
     text = tess._text
-    shown = list(map(text, numerators))
-    fourth = tess._scale**4
     corners = _corner_texts(tess)
     return {
         "a": tess.a.format(),
@@ -634,17 +638,5 @@ def tessellation_to_json_dict(tess: Tessellation) -> dict:
             }
             for t, (i0, i1, i2, i3), area in zip(tess.tiles, tess._cycles, tess._areas)
         ],
-        "report": {
-            "square_areas": shown[0:3],
-            "red_areas": shown[3:6],
-            "green_area": shown[6],
-            "light_red_areas": shown[7:10],
-            "curvature_D": shown[10],
-            "curvature_Dprime": shown[11],
-            "midcircle_ABC": shown[12],
-            "midcircles_with_D": shown[13:16],
-            "midcircles_with_Dprime": shown[16:19],
-            "descartes_residual_D": _over_text(residual_d, fourth),
-            "descartes_residual_Dprime": _over_text(residual_d_prime, fourth),
-        },
+        "report": report,
     }

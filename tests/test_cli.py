@@ -6,6 +6,7 @@ import argparse
 import hashlib
 import io
 import json
+import os
 import random
 import re
 import shlex
@@ -767,6 +768,7 @@ class TestRender:
             ("radius", 10**400, f"ValueError: expected a finite number, got {10**400}"),
             ("center", [0.5, 0.5, 7], "TypeError: a center must be a list of two numbers, got [0.5, 0.5, 7]"),
             ("center", 5, "TypeError: a center must be a list of two numbers, got 5"),
+            ("label", "\ud800", 'ValueError: a label must be text that encodes as UTF-8, got "\\ud800"'),
         ],
         ids=[
             "true-radius",
@@ -779,6 +781,7 @@ class TestRender:
             "radius-beyond-the-float-range",
             "three-number-center",
             "number-center",
+            "lone-surrogate-label",
         ],
     )
     def test_a_refused_value_is_named_as_its_json_spells_it(self, tmp_path, capsys, field, value, refusal):
@@ -827,6 +830,27 @@ class TestRender:
         root = ET.fromstring(out_path.read_text())
         texts = [element.text for element in root.iter("{http://www.w3.org/2000/svg}text")]
         assert texts == ["7=2", "7=3", "0.5=6", "3=23"]
+
+    @pytest.mark.parametrize("ensure_ascii", [False, True], ids=["utf8-bytes", "json-escape"])
+    def test_a_non_ascii_label_renders_alike_under_an_ascii_locale(self, tmp_path, capsys, ensure_ascii):
+        # in the C locale, with locale coercion and UTF-8 mode off, the
+        # locale's encoding is ASCII; the payload is JSON, read as UTF-8
+        # (RFC 8259), and the SVG is written as the UTF-8 its prolog declares
+        assert run(["verify", "--curvatures", "2,3,6,23", "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        payload["disks"][0]["label"] = "é"
+        payload_path = tmp_path / "label.json"
+        payload_path.write_bytes(json.dumps(payload, ensure_ascii=ensure_ascii).encode())
+        here, there = tmp_path / "here.svg", tmp_path / "there.svg"
+        assert run(["render", "--from-json", str(payload_path), "--out", str(here)]) == 0
+        assert "é=2".encode() in here.read_bytes()
+        result = subprocess.run(
+            [sys.executable, "-m", "spintile.cli", "render", "--from-json", str(payload_path), "--out", str(there)],
+            capture_output=True,
+            env={**os.environ, "LC_ALL": "C", "LANG": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"},
+        )
+        assert (result.returncode, result.stderr) == (0, b"")
+        assert there.read_bytes() == here.read_bytes()
 
     @pytest.mark.parametrize("count", [3, 4])
     def test_midcircles_of_disks_that_do_not_touch_are_refused(self, tmp_path, capsys, count):

@@ -349,6 +349,15 @@ class TestBuiltTilesMatchPublicTiles:
                 ours, built = reader(assembled), reader(tess)
                 assert ours == built and repr(ours) == repr(built)
             assert check_observations(assembled) == check_observations(tess)
+            # the JSON report and summarize share one layout: its keys name
+            # the report's fields in order, up to the overlap flag, and each
+            # value is the str of its field, a list of them for a tuple
+            report, shown = summarize(assembled), tessellation_to_json_dict(assembled)["report"]
+            fields = [key.replace("Dprime", "d_prime").lower() for key in shown]
+            assert fields == list(tessellation_module.TessellationReport.__annotations__)[:-1]
+            for key, field in zip(shown, fields):
+                value = getattr(report, field)
+                assert shown[key] == ([str(v) for v in value] if type(value) is tuple else str(value))
 
     @given(wide_pairs())
     def test_wide_pairs(self, pair):
