@@ -230,12 +230,14 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 
 @contextlib.contextmanager
 def _malformed_payload(path: str) -> Iterator[None]:
-    """Turn text that is not JSON, a missing or ill-typed field, one that
-    does not parse or is beyond the float range, or a disk that
-    ``PlacedDisk`` refuses into ``InvalidPayload``."""
+    """Turn text that is not JSON or is nested too deep to read, a missing
+    or ill-typed field, one that does not parse or is beyond the float
+    range, or a disk that ``PlacedDisk`` refuses into ``InvalidPayload``."""
     try:
         yield
-    except (ArithmeticError, AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
+    except (
+        ArithmeticError, AttributeError, IndexError, KeyError, RecursionError, TypeError, ValueError
+    ) as exc:
         raise InvalidPayload(f"{path}: malformed payload ({type(exc).__name__}: {exc})") from None
 
 

@@ -260,8 +260,11 @@ def place_configuration(
     """Place three mutually tangent disks of positive curvature.
 
     Disk a sits at the origin, disk b on the positive x-axis, disk c in
-    the upper half plane.  All three pairwise tangencies hold to within
-    1e-12 relative by construction.
+    the upper half plane.  Each pairwise tangency is then tested: the
+    centre gap must be r1 + r2 within 1e-12 of max(1, r1 + r2), an
+    absolute bound below a radius sum of 1, or ``NotTangent`` is raised.
+    Construction does not guarantee it: the curvatures A = 2, B = 248006
+    and D1 = 249003 of ``quad --a -498,1 --b 0,1`` are refused so.
     """
     curvatures = (a, b, c)
     if any(not _is_positive(v) for v in curvatures):

@@ -37,31 +37,31 @@ held from its first image to its last: bound 6 has 27 orbits and makes
 3,519 items for its 28,224 records.  The view chooses the item.  The
 record view, which each iteration of a stream of ``enumerate_records``
 walks afresh, makes each tail and wraps it in a ``QuadrupleRecord`` per
-record.  The line view, which ``write_stream`` takes for such a stream,
-makes each formatted tail in one step from the values of ``_tail``.  The
-walk keeps a row's second-spinor labels and its items apart, and the
-line view writes each row with one write of one join that interleaves
-them after the first spinor's text, formatted once a row: three strings
-a line, and no two strings added.  It builds no record.  Records
-written from any other iterable go one by one, each line formatted
-whole from that record's own values, with no shared item.  The walk's
-memory grows with the bound, as every orbit's row is held at the middle
-of the stream: writing bound 16 through the line view peaks at about
-15 MB of traced memory, and draining its record view at about 40 MB
-(Python 3.11).
+record.  The line view, which ``_write`` takes for such a stream, makes
+each formatted tail in one step from the values of ``_tail``, keeps a
+row's second-spinor labels apart from its items, and builds no record.
+Records written from any other iterable make a row of each run whose
+first spinors format to the same text, each line formatted from that
+record's own values, with no shared item.  The walk's memory grows
+with the bound, as every orbit's row is held at the middle of the
+stream: writing bound 16 through the line view peaks at about 15 MB of
+traced memory, and draining its record view at about 40 MB (Python
+3.11).
 
 Each format is one line template, cut by ``_cut`` after its fourth
 comma into a generator head and a tail, and the head once more after its
-second comma for the line view; its writer and the grammar of
-``read_records`` are made from it.
+second comma; its writer and the grammar of ``read_records`` are made
+from it.
 
-One writer, ``_write``, writes the header and the lines of every output:
-``write_stream`` to an open handle, and ``write_records`` to a file,
-each text encoded as UTF-8 once and written as bytes.  ``write_records``
-writes a stream of a job with more than one shard beside a manifest
-``PATH.json``: the job, the shard, the record count, the sha256 of the
-file and a table of its rows, each as its first spinor (m1, n1) and its
-length in bytes, as ``_write`` returns them.
+One writer, ``_write``, writes the header and then each row of every
+output with one write of one join: the first spinor's text interleaved
+with each line's second-spinor text and tail, three strings a line, and
+no two strings added.  ``write_stream`` writes to an open handle, and
+``write_records`` to a file, each text encoded as UTF-8 once and written
+as bytes.  ``write_records`` writes a stream of a job with more than one
+shard beside a manifest ``PATH.json``: the job, the shard, the record
+count, the sha256 of the file and a table of its rows, each as its first
+spinor (m1, n1) and its length in bytes, as ``_write`` returns them.
 ``merge_shards`` reads the manifests, refuses any set that is not one
 whole job, and then copies whole rows in stream order, parsing no line:
 each shard is read once, front to back, one row in memory at a time,
@@ -284,29 +284,6 @@ def _record_view(job: EnumerationJob) -> Iterator[QuadrupleRecord]:
             yield new(QuadrupleRecord, head + tag + rest)
 
 
-def _row_texts(job: EnumerationJob, template: str) -> Iterator[tuple[int, int, int, str]]:
-    """The job's record lines in the line template ``template``, a row at
-    a time: each first spinor (m1, n1) with its record count and the text
-    of its lines.  The walk's items are the formatted tails, each filled
-    in one step from the values of ``_tail``, and the head of each line
-    is cut once more, after its second comma: the first spinor's text is
-    formatted once a row and each second spinor's once.  A row is one
-    join of the list that interleaves the first spinor's text, the
-    second spinors' and the tails, three strings a line."""
-    head, tail = _cut(template + "\n")
-    first, second = _cut(head, 2)
-
-    def text(a: _Point, b: _Point) -> str:
-        big_a, big_b, big_c, d1, d2, (w, x, y, z), primitive = _tail(a, b)
-        return tail % (big_a, big_b, big_c, d1, d2, w, x, y, z, "true" if primitive else "false")
-
-    for m1, n1, tags, items in _rows(job, text, lambda m, n: second % (m, n)):
-        parts = [first % (m1, n1)] * (3 * len(items))
-        parts[1::3] = tags
-        parts[2::3] = items
-        yield m1, n1, len(items), "".join(parts)
-
-
 class _Stream:
     """The records of a job, as ``enumerate_records`` returns them: a view
     of its job, as ``range`` is of its numbers.  Each iteration walks the
@@ -385,30 +362,43 @@ def _cut(template: str, commas: int = 4) -> tuple[str, str]:
 
 
 def _write(records: Iterable[QuadrupleRecord], fmt: str, write: Callable[[str], int]) -> tuple[int, list]:
-    """Write the format's header and then the records through ``write``;
-    returns the record count and the rows, each ``[m1, n1, what write
-    returned]``.  A stream of ``enumerate_records`` goes out through the
-    walk's line view, one ``write`` a row, and builds no record.  Any
-    other records go one line at a time, each ``template %
-    _fields(record)``, a line of that record's values alone, in no row."""
+    """Write the format's header and then the records through ``write``,
+    one ``write`` a row; returns the record count and the rows, each
+    ``[m1, n1, what write returned]``.  A row is one join of the first
+    spinor's text interleaved with each line's second-spinor text and
+    tail.  A stream of ``enumerate_records`` takes its rows from the
+    walk's line view and builds no record.  Any other records make a row
+    of each run whose first spinors format to the same text, each line
+    formatted from that record's own ``_fields``."""
     header, template = _record_format(fmt)
+    head, tail = _cut(template + "\n")
+    first, second = _cut(head, 2)
     if header:
         write(header + "\n")
-    count, rows = 0, []
     if type(records) is _Stream:
-        for m1, n1, size, text in _row_texts(records.job, template):
-            rows.append([m1, n1, write(text)])
-            count += size
-        return count, rows
-    line = template + "\n"
-    for count, record in enumerate(records, 1):
-        write(line % _fields(record))
-    return count, rows
+
+        def text(a: _Point, b: _Point) -> str:
+            big_a, big_b, big_c, d1, d2, (w, x, y, z), primitive = _tail(a, b)
+            return tail % (big_a, big_b, big_c, d1, d2, w, x, y, z, "true" if primitive else "false")
+
+        rows = _rows(records.job, text, lambda m, n: second % (m, n))
+    else:
+        # keyed by text, not value: -1.0 == -1, but each is written as spelled
+        runs = (list(run) for _, run in itertools.groupby(map(_fields, records), lambda f: first % f[:2]))
+        rows = ((*run[0][:2], [second % f[2:4] for f in run], [tail % f[4:] for f in run]) for run in runs)
+    count, sizes = 0, []
+    for m1, n1, tags, items in rows:
+        parts = [first % (m1, n1)] * (3 * len(items))
+        parts[1::3] = tags
+        parts[2::3] = items
+        sizes.append([m1, n1, write("".join(parts))])
+        count += len(items)
+    return count, sizes
 
 
 def write_stream(records: Iterable[QuadrupleRecord], handle: IO[str], fmt: str) -> int:
-    """Write records to an open text handle with ``_write``; returns the
-    record count."""
+    """Write records to an open text handle with ``_write``, one
+    ``write`` a row; returns the record count."""
     return _write(records, fmt, handle.write)[0]
 
 
@@ -428,8 +418,8 @@ _REWRITE = "rewrite it with enumerate --shard K/N --out F"
 def write_records(records: Iterable[QuadrupleRecord], path: str, fmt: str) -> int:
     """Atomic file write: land fully or not at all (temp file + rename).
 
-    ``_write`` on the temp file, each text encoded as UTF-8 once and
-    written as bytes: the bytes ``write_stream`` writes.  A stream of
+    ``_write`` on the temp file, each row's text encoded as UTF-8 once
+    and written as bytes: the bytes ``write_stream`` writes.  A stream of
     ``enumerate_records`` whose job has more than one shard is a shard
     file: each text is hashed as it goes out too, and once the file has
     landed, its manifest lands beside it as ``PATH.json``, which
@@ -554,7 +544,7 @@ def _read_manifest(path: str) -> dict[str, Any]:
             manifest = json.load(handle)
     except FileNotFoundError:
         raise ValueError(f"{path} has no manifest {path}.json: {_REWRITE}") from None
-    except ValueError:  # not UTF-8, or not JSON
+    except (RecursionError, ValueError):  # not UTF-8, not JSON, or nested too deep to read
         manifest = None
     if not (
         type(manifest) is dict

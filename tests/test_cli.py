@@ -942,6 +942,8 @@ class TestRender:
                 '{"disks": [{"center": [1%s, 0], "radius": 1, "curvature": 1}]}' % ("0" * 400),
                 id="integer-beyond-the-float-range",
             ),
+            # json reads arrays this deep only past the recursion limit
+            pytest.param('{"disks": %s%s}' % ("[" * 100_000, "]" * 100_000), id="nested-100000-deep"),
         ],
     )
     def test_malformed_payload_is_a_typed_error(self, tmp_path, capsys, text):

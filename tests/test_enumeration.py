@@ -10,10 +10,12 @@ import itertools
 import json
 import math
 import os
+import random
 import re
 import subprocess
 import sys
 import time
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given
@@ -365,6 +367,17 @@ class TestFormats:
         with open(path, "w") as handle:
             assert write_stream(records, handle, "jsonl") == 64
         assert len(path.read_text().splitlines()) == 64
+        # a stream and its drained list alike go out one write a row: the
+        # header's, then one for each of bound 3's 48 first spinors
+        job = EnumerationJob(bound=3)
+        records = list(enumerate_records(job))
+        for fmt in FORMATS:
+            for given in (records, enumerate_records(job)):
+                texts = []
+                handle = SimpleNamespace(write=lambda text: texts.append(text) or len(text))
+                assert write_stream(given, handle, fmt) == len(records) == 2304
+                assert len(texts) == bool(FORMATS[fmt].header) + 48, (fmt, type(given))
+                assert "".join(texts) == with_header(oracle_lines(records, fmt), fmt)
 
 
 class TestAtomicWrites:
@@ -832,19 +845,31 @@ class TestOrbitCaches:
         # f's tail compares equal to r's, as 6.0 == 6, but is spelled
         # otherwise, so a writer that shared equal tails between records
         # would write one of the two with the other's text
-        r = next(iter(enumerate_records(EnumerationJob(bound=1))))
+        r, s = list(enumerate_records(EnumerationJob(bound=1)))[:2]
         f = r._replace(m1=9, d2=float(r.d2))
-        for records in ([f, r], [r, f]):
-            assert_same_text(written(records, fmt), with_header(oracle_lines(records, fmt), fmt), records)
+        # a first spinor spelled otherwise starts a row of its own, though
+        # it compares equal to its neighbour's; the order of a list is kept
+        # however its first spinors come
+        bound_3 = list(enumerate_records(EnumerationJob(bound=3)))
+        shuffled = bound_3[:]
+        random.Random(42).shuffle(shuffled)
+        for records in (
+            [f, r],
+            [r, f],
+            [r, r._replace(m1=float(r.m1)), r._replace(n1=float(r.n1), d2=6.0), s],
+            bound_3[::-1],
+            shuffled,
+        ):
+            assert_same_text(written(records, fmt), with_header(oracle_lines(records, fmt), fmt), records[:4])
         path = str(tmp_path / f"record.{fmt}")
         assert write_records([r], path, fmt) == 1
         assert read_records(path, fmt) == [r]
 
 
 def record_path(job: EnumerationJob, fmt: str) -> str:
-    """The job written through the record path: its records drawn into a
-    list first, each then written one by one."""
-    return written(list(enumerate_records(job)), fmt)
+    """The job's records drawn into a list, each line then spelled whole
+    by ``_line``: text that shares no join with ``_write``."""
+    return with_header(oracle_lines(list(enumerate_records(job)), fmt), fmt)
 
 
 def every_job(bounds, counts=range(1, 6)):
@@ -864,8 +889,8 @@ def every_job(bounds, counts=range(1, 6)):
 
 class TestTwoViews:
     """``write_stream`` writes a stream of ``enumerate_records`` whole
-    through the walk's line view, and every other iterable through the
-    record path; the two write the same bytes."""
+    through the walk's line view, and every other iterable by runs of its
+    records; each must write the lines that ``_line`` spells whole."""
 
     @pytest.mark.parametrize("bound", range(1, 8))
     def test_the_line_view_writes_what_the_record_path_writes(self, bound, tmp_path):
@@ -874,9 +899,11 @@ class TestTwoViews:
         for job in every_job([bound], counts=range(1, 6) if bound < 7 else (1, 3)):
             records = list(enumerate_records(job))
             for fmt in FORMATS:
+                expected = with_header(oracle_lines(records, fmt), fmt)
                 handle = io.StringIO()
                 assert write_stream(enumerate_records(job), handle, fmt) == len(records)
-                assert_same_text(handle.getvalue(), written(records, fmt), (job, fmt))
+                assert_same_text(handle.getvalue(), expected, (job, fmt))
+                assert_same_text(written(records, fmt), expected, (job, fmt, "list"))
         # 3 shard files of the line view merge into the unsharded record path
         for primitive_only in (False, True):
             whole = EnumerationJob(bound=bound, primitive_only=primitive_only)
@@ -885,7 +912,8 @@ class TestTwoViews:
                 paths = write_shards(tmp_path, bound, 3, fmt, primitive_only=primitive_only)
                 merged = str(tmp_path / f"merged.{fmt}")
                 assert merge_shards(paths, merged, fmt) == len(records)
-                assert_same_text(read_bytes(merged), written(records, fmt), (whole, fmt))
+                expected = with_header(oracle_lines(records, fmt), fmt)
+                assert_same_text(read_bytes(merged), expected, (whole, fmt))
 
     @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
     def test_an_iterated_stream_is_written_whole(self, fmt, tmp_path):
@@ -1222,6 +1250,8 @@ class TestMergeRefusals:
             "with a row of two numbers",
             "with a row of no bytes",
             "with a row of negative bytes",
+            # json reads arrays this deep only past the recursion limit
+            pytest.param('{"rows": %s%s}' % ("[" * 100_000, "]" * 100_000), id="nested-100000-deep"),
         ],
     )
     def test_a_manifest_in_another_shape(self, text, tmp_path):
